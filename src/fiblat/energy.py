@@ -29,7 +29,8 @@ import numpy as np
 from .golden import fib
 from .kernels import (
     Kernel,
-    hurwitz_zeta,
+    _hurwitz_pair_table,
+    dft_coeffs,
     kernel_one,
     potential_K,
     zeta,
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2 * math.pi
+_SUM_CHUNK = 1 << 16  # terms per block of the flat fib_sum sweep
 
 
 @dataclass(frozen=True)
@@ -114,31 +116,27 @@ def energy_dft(coeffs, N: int, h: int) -> float:
     return float(N) ** 2 * float(np.sum(c * c[idx]))
 
 
-def wce_e(sigma: float, p: float, N: int, h: int, *, tol: float = 1e-13) -> float:
+def wce_e(sigma: float, p: float, N: int, h: int) -> float:
     """-1 + E/N^2 for the potential K_{sigma,p} on Lambda_{N,h}:
 
     p*4*zeta(sigma)/(2 pi N)**sigma + p^2*4*zeta(sigma)^2/(2 pi N)**(2 sigma)
     + p^2/(2 pi N)**(2 sigma) * sum_{m=1}^{N-1} A(m) A(h m mod N),
 
-    with A(m) = zeta(sigma, m/N) + zeta(sigma, 1 - m/N).
+    with A(m) = zeta(sigma, m/N) + zeta(sigma, 1 - m/N) from the same
+    vectorized Hurwitz pair table as dft_coeffs (relative error ~1e-15).
+    The table is scaled by (2 pi N)**-sigma before the pairing sum so
+    the products stay in range; sizes where (2 pi N)**sigma overflows
+    float64 raise ValueError.
     """
     if math.gcd(h, N) != 1:
         raise ValueError(f"generator {h} not coprime to {N}")
-    z = zeta(sigma, tol=tol)
+    z = zeta(sigma)
     scale = (_TWO_PI * N) ** -sigma
     acc = 4 * p * z * scale + 4 * p * p * z * z * scale * scale
     if N > 1:
-        A = np.empty(N, dtype=np.float64)
-        for m in range(1, N // 2 + 1):
-            a = m / N
-            t = tol * max(1.0, a ** -sigma)
-            val = hurwitz_zeta(sigma, a, tol=t) + hurwitz_zeta(sigma, 1 - a, tol=t)
-            A[m] = val
-            A[N - m] = val
-        s = 0.0
-        for m in range(1, N):
-            s += A[m] * A[(h * m) % N]
-        acc += p * p * scale * scale * s
+        A = scale * _hurwitz_pair_table(sigma, N)
+        idx = ((h % N) * np.arange(1, N, dtype=np.int64)) % N
+        acc += p * p * float(np.sum(A[1:] * A[idx]))
     return acc
 
 
@@ -156,18 +154,20 @@ def energy(lat: RationalLattice, sigma: float, p: float, method: str = "dft",
            *, tol: float = 1e-13) -> EnergyReport:
     """Energy of K_{sigma,p} on the lattice by the chosen route:
     "direct" (pairwise), "dft" (coefficient table), or "wce"
-    (N^2 * (1 + wce_e))."""
+    (N^2 * (1 + wce_e)).
+
+    The dft and wce routes share the vectorized Hurwitz pair table
+    (relative error ~1e-15); tol is the potential's series tolerance
+    and applies to "direct" only."""
     if method == "direct":
         pts = lattice_points(lat)
         val = energy_direct(
             lambda t: float(potential_K(sigma, p, t, tol=tol)), pts
         )
     elif method == "dft":
-        from .kernels import dft_coeffs
-
-        val = energy_dft(dft_coeffs(sigma, p, lat.N, tol=tol), lat.N, lat.h)
+        val = energy_dft(dft_coeffs(sigma, p, lat.N), lat.N, lat.h)
     elif method == "wce":
-        val = lat.N ** 2 * (1.0 + wce_e(sigma, p, lat.N, lat.h, tol=tol))
+        val = lat.N ** 2 * (1.0 + wce_e(sigma, p, lat.N, lat.h))
     else:
         raise ValueError(f"unknown method {method!r}; use direct, dft or wce")
     return EnergyReport(float(val), method, lat.N, lat.h, sigma, float(p))
@@ -178,24 +178,30 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
     """The Fibonacci lattice sum at level n >= 2 for the given weight.
 
     Arguments of sine and weight are reduced exactly on the rational
-    grid before any float division, and the term array is summed with
-    numpy's fixed pairwise bracketing.
+    grid before any float division.  The sweep runs over m in fixed
+    blocks of _SUM_CHUNK terms, each summed with numpy's pairwise
+    bracketing and added in index order, so memory stays bounded and
+    the result does not depend on the machine; levels with
+    F_n <= _SUM_CHUNK are a single block.  Levels n >= 48 are rejected:
+    the residue m * F_{n-1} overflows int64 there.
     """
     if n < 2:
         raise ValueError(f"level must be >= 2, got {n}")
+    if n >= 48:
+        raise ValueError(f"level must be < 48 (int64 residues overflow), got {n}")
     if sigma <= 0:
         raise ValueError(f"exponent must be positive, got {sigma}")
     kernel = kernel or kernel_one()
     fn, fn1 = fib(n), fib(n - 1)
-    if fn == 1:
-        return 0.0
-    m = np.arange(1, fn, dtype=np.int64)
-    r = (m * fn1) % fn
-    t1 = np.minimum(m, fn - m) / fn
-    t2 = np.minimum(r, fn - r) / fn
-    vals = kernel.eval_many(t1) * kernel.eval_many(t2)
-    vals /= (np.sin(np.pi * t1) * np.sin(np.pi * t2)) ** sigma
-    total = float(np.sum(vals))
+    total = 0.0
+    for lo in range(1, fn, _SUM_CHUNK):
+        m = np.arange(lo, min(lo + _SUM_CHUNK, fn), dtype=np.int64)
+        r = (m * fn1) % fn
+        t1 = np.minimum(m, fn - m) / fn
+        t2 = np.minimum(r, fn - r) / fn
+        vals = kernel.eval_many(t1) * kernel.eval_many(t2)
+        vals /= (np.sin(np.pi * t1) * np.sin(np.pi * t2)) ** sigma
+        total += float(np.sum(vals))
     return total / float(fn) ** sigma if normalized else total
 
 
@@ -211,6 +217,8 @@ def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
     """
     if n < 2:
         raise ValueError(f"level must be >= 2, got {n}")
+    if sigma <= 0:
+        raise ValueError(f"exponent must be positive, got {sigma}")
     kernel = kernel or kernel_one()
     fn = fib(n)
     if fn == 1:

@@ -211,6 +211,32 @@ def _hurwitz_many(sigma: float, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _hurwitz_pair_table(sigma: float, N: int) -> np.ndarray:
+    """A(m) = zeta(sigma, m/N) + zeta(sigma, 1 - m/N) for 1 <= m < N, at
+    index m of a length-N array; index 0 is unused and left at 0.
+
+    Half the table is evaluated by _hurwitz_many, with both offsets m/N
+    and (N - m)/N rounded once from the exact fractions, and mirrored by
+    A(m) = A(N - m).  Against zeta at those rounded offsets the relative
+    error is ~1e-15 for 1 < sigma <= 40; rounding m/N itself adds up to
+    sigma * 2**-53.  Every caller scales the table by (2 pi N)**-sigma, so
+    sizes where that factor leaves the float64 normal range raise
+    ValueError; this also keeps the table, of order N**sigma, finite.
+    """
+    if sigma <= 1:
+        raise ValueError(f"exponent must exceed 1, got {sigma}")
+    if sigma * math.log10(_TWO_PI * N) > 307:
+        raise ValueError(
+            f"(2 pi N)**sigma overflows float64 at sigma={sigma:g}, N={N}"
+        )
+    m = np.arange(1, N // 2 + 1, dtype=np.int64)
+    half = _hurwitz_many(sigma, m / N) + _hurwitz_many(sigma, (N - m) / N)
+    A = np.zeros(N, dtype=np.float64)
+    A[m] = half
+    A[N - m] = half
+    return A
+
+
 def f_sigma_many(sigma: float, a: np.ndarray) -> np.ndarray:
     """Vectorized f_sigma on (0, 1), float64."""
     a = np.asarray(a, dtype=np.float64)
@@ -430,10 +456,14 @@ def potential_K(sigma: float, p, t, *, tol: float = 1e-12):
     return 1.0 + pref * series
 
 
-def dft_coeffs(sigma: float, p: float, N: int, *, tol: float = 1e-13) -> np.ndarray:
+def dft_coeffs(sigma: float, p: float, N: int) -> np.ndarray:
     """Lattice DFT coefficients of K_{sigma,p} on Z/N: index 0 carries
     1 + 2 p zeta(sigma)/(2 pi N)**sigma, index m >= 1 carries
     p (zeta(sigma, m/N) + zeta(sigma, 1 - m/N)) / (2 pi N)**sigma.
+
+    zeta(sigma) is the scalar mpmath value; the m >= 1 entries come from
+    the vectorized Hurwitz pair table, relative error ~1e-15.  Raises
+    ValueError where (2 pi N)**sigma overflows float64.
     """
     if N < 1:
         raise ValueError(f"modulus must be >= 1, got {N}")
@@ -441,14 +471,9 @@ def dft_coeffs(sigma: float, p: float, N: int, *, tol: float = 1e-13) -> np.ndar
         raise ValueError(f"exponent must exceed 1, got {sigma}")
     scale = (_TWO_PI * N) ** -sigma
     out = np.empty(N, dtype=np.float64)
-    out[0] = 1.0 + 2 * p * zeta(sigma, tol=tol) * scale
-    for m in range(1, N // 2 + 1):
-        a = Fraction(m, N)
-        val = p * (
-            hurwitz_zeta(sigma, a, tol=tol) + hurwitz_zeta(sigma, 1 - a, tol=tol)
-        ) * scale
-        out[m] = val
-        out[N - m] = val
+    out[0] = 1.0 + 2 * p * zeta(sigma) * scale
+    if N > 1:
+        out[1:] = p * scale * _hurwitz_pair_table(sigma, N)[1:]
     return out
 
 

@@ -46,6 +46,20 @@ __all__ = [
 _LOG_PHI = math.log((1 + 5 ** 0.5) / 2)
 
 
+def _inv_phi_split() -> tuple[float, float, float]:
+    """phi**-1 = hi + mid + lo, with hi and mid of 26 significant bits, so
+    that L * hi and L * mid are exact doubles for integers L < 2**27."""
+    K = 120
+    P = (math.isqrt(5 << (2 * K)) - (1 << K)) // 2  # phi**-1 * 2**K, floored
+    hi = P >> (K - 26)
+    mid = (P >> (K - 52)) - (hi << 26)
+    lo = P - (((hi << 26) + mid) << (K - 52))
+    return hi / 2 ** 26, mid / 2 ** 52, lo / 2 ** K
+
+
+_INV_PHI_SPLIT = _inv_phi_split()
+
+
 def floor_phi_plus_inv(x: int) -> int:
     """floor(phi*x + 1/phi) for x >= 1, exactly.
 
@@ -248,6 +262,8 @@ class RowTable:
     def __init__(self, i_max: int):
         import numpy as np
 
+        if i_max >= 1 and floor_phi_times(i_max) >= 1 << 27:
+            raise ValueError(f"table size must keep floor(phi*i) < 2**27, got {i_max}")
         self.i_max = i_max
         idx = np.arange(1, i_max + 1, dtype=np.int64)
         L = np.empty(i_max, dtype=np.int64)
@@ -275,8 +291,16 @@ class RowTable:
         self.eta = eta
         self.mu = mu
         self.w_plus = wplus
-        # -w_minus(i) = phi^-1 * frac(phi*i), in (phi^-2, 1)
-        self.w_minus_neg = (phi - 1) * L - (idx - 1)
+        # -w_minus(i) = 1 - phi^-1 * frac(phi*i) = L * phi^-1 - (i - 1), in
+        # (phi^-2, 1).  With phi^-1 split as hi + mid + lo, the first two
+        # products and both differences are exact for L < 2**27, so only
+        # the last addition rounds: no cancellation.
+        hi, mid, lo = _INV_PHI_SPLIT
+        wmn = hi * L
+        wmn -= idx - 1
+        wmn += mid * L
+        wmn += lo * L
+        self.w_minus_neg = wmn
 
 
 def _phi_pow_cmp(fibs: list[int], m: int, a: int, b: int) -> int:

@@ -82,6 +82,11 @@ def test_sum_raw_scaling():
     assert b["normalized"] is False
 
 
+def test_sum_bad_level_or_exponent_is_usage_error():
+    assert run("sum", "-n", "48", "--sigma", "2").exit_code == 2
+    assert run("sum", "-n", "10", "--sigma", "0", "--method", "grouped").exit_code == 2
+
+
 def test_energy_fib_level():
     r = run("energy", "--fib-level", "7", "--sigma", "2")
     doc = json.loads(r.output)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fiblat.dedekind import sigma2_closed
 from fiblat.energy import (
     RationalLattice,
     energy,
@@ -137,3 +138,29 @@ def test_fib_sum_rejects_bad_arguments():
         fib_sum(5, 0.0)
     with pytest.raises(ValueError):
         fib_sum_grouped(1, 2.0)
+    # m * F_{n-1} exceeds 2**63 from n = 48 on
+    assert fib(48) * fib(47) > 2 ** 63 > fib(47) * fib(46)
+    with pytest.raises(ValueError):
+        fib_sum(48, 2.0)
+    for sigma in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            fib_sum_grouped(8, sigma)
+
+
+def test_fib_sum_streams_several_blocks():
+    # F_27 - 1 = 196417 terms: four blocks of at most 2**16
+    want = sigma2_closed(27) / Fraction(fib(27)) ** 2
+    assert fib_sum(27, 2.0) == pytest.approx(float(want), rel=1e-12)
+
+
+def test_fib_sum_single_block_levels_are_unchanged():
+    # up to F_24 the sweep is one block, summed exactly as a flat array
+    for n, sigma, kernel in ((24, 2.0, kernel_one()), (20, 2.5, kernel_fsigma(2.5))):
+        fn, fn1 = fib(n), fib(n - 1)
+        m = np.arange(1, fn, dtype=np.int64)
+        r = (m * fn1) % fn
+        t1 = np.minimum(m, fn - m) / fn
+        t2 = np.minimum(r, fn - r) / fn
+        vals = kernel.eval_many(t1) * kernel.eval_many(t2)
+        vals /= (np.sin(np.pi * t1) * np.sin(np.pi * t2)) ** sigma
+        assert fib_sum(n, sigma, kernel, normalized=False) == float(np.sum(vals))

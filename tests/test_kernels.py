@@ -5,8 +5,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from fiblat.energy import wce_e
 from fiblat.kernels import (
     KERNEL_GRAMMAR,
+    _hurwitz_pair_table,
     bernoulli_number,
     bernoulli_poly,
     cot_power_sums,
@@ -153,6 +155,40 @@ def test_dft_even_route_matches_quadrature_route():
                 a = dft_coeffs(float(two_s), p, N)
                 b = dft_coeffs_even(two_s, p, N)
                 assert float(np.max(np.abs(a - b))) < 1e-12
+
+
+def test_hurwitz_pair_table_against_mpmath():
+    # a = 1/F_25, 1/2 and 1 - 1/F_25 at 2e-15; at the other offsets the
+    # rounding of m/N to a double adds up to sigma * 2**-53
+    F25 = 75025
+    with mpmath.workdps(40):
+        for sigma in (1.01, 1.5, 2, 2.5, 3.5, 4, 6, 8, 12, 40):
+            tables = {N: _hurwitz_pair_table(sigma, N) for N in (2, F25)}
+            for N, m, rel in ((F25, 1, 2e-15), (2, 1, 2e-15), (F25, F25 - 1, 2e-15),
+                              (F25, 17, 2e-15 + sigma * 2.0 ** -53),
+                              (F25, F25 // 3, 2e-15 + sigma * 2.0 ** -53)):
+                a = mpmath.mpf(m) / N
+                want = mpmath.zeta(sigma, a) + mpmath.zeta(sigma, 1 - a)
+                got = tables[N][m]
+                assert abs(got - want) <= rel * want, (sigma, N, m)
+
+
+def test_pair_table_routes_refuse_float64_overflow():
+    # (2 pi N)**sigma past float64 range: a usage error, not inf or nan
+    with pytest.raises(ValueError):
+        dft_coeffs(64.0, 1.0, 10 ** 6)
+    with pytest.raises(ValueError):
+        wce_e(64.0, 1.0, 10 ** 6, 10 ** 6 - 1)
+    with pytest.raises(ValueError):
+        dft_coeffs(82.0, 1.0, 987)
+    # just inside the range both routes stay finite and correct
+    c = dft_coeffs(80.0, 1.0, 987)
+    assert np.all(np.isfinite(c))
+    assert c[1] == pytest.approx((2 * math.pi) ** -80, rel=1e-13)
+    # with h = 1 the unscaled product A(1)**2 ~ 1e479 would overflow; the
+    # sum is dominated by c(1)**2 + c(N-1)**2
+    e = wce_e(80.0, 1.0, 987, 1)
+    assert e == pytest.approx(2 * (2 * math.pi) ** -160, rel=1e-13)
 
 
 def test_cot_power_sums_match_float_sums():

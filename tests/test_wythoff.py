@@ -6,6 +6,7 @@ import pytest
 
 from fiblat.golden import GoldenInt, fib, golden_compare, phi_power
 from fiblat.wythoff import (
+    RowTable,
     dual_entry,
     dual_slot,
     fib_signed,
@@ -155,3 +156,18 @@ def test_row_table_matches_scalar_rows():
         assert tab.w_plus[j] == pytest.approx(float(r.w_plus), rel=1e-14)
         assert tab.w_minus_neg[j] == pytest.approx(float(-r.w_minus), rel=1e-12)
     assert np.all(tab.eta >= tab.i)
+
+
+def test_row_table_w_minus_neg_has_no_cancellation():
+    # -w_minus(i) = 1 - phi^-1 frac(phi i), correct to a rounding even
+    # where floor(phi i) has grown to 1.6e6
+    tab = RowTable(10 ** 6)
+    with mpmath.workdps(50):
+        phi = (1 + mpmath.sqrt(5)) / 2
+        for i in (1, 2, 10 ** 5, 10 ** 6):
+            wm = -row(i).w_minus
+            want = wm.a + wm.b * phi
+            assert abs(want - (1 - mpmath.frac(phi * i) / phi)) < 1e-40
+            assert abs(tab.w_minus_neg[i - 1] - want) <= 1e-16 * want, i
+    with pytest.raises(ValueError):
+        RowTable(10 ** 8)
