@@ -17,7 +17,6 @@ from .asymptotics import (
     DConstant,
     ExactConstants,
     ResidualRow,
-    SeriesValue,
     ZETA_ROUTES,
     ZetaRoute,
     approximation_errors,
@@ -26,9 +25,7 @@ from .asymptotics import (
     constant_C_closed,
     constant_D,
     dedekind_zeta,
-    delta,
     delta_mp,
-    delta_star,
     delta_star_mp,
     exact_sigma2_constants,
     prefactor,
@@ -116,11 +113,11 @@ __all__ = [
     "AsymptoticConstants", "CConstant", "ClosedConstant", "DConstant",
     "EnergyReport", "ExactConstants", "FibPair", "GoldenInt", "Kernel",
     "KERNEL_GRAMMAR", "RationalLattice", "ResidualRow", "RowTable",
-    "SeriesValue", "SuiteResult", "SUITE_NAMES", "WythoffRow", "ZETA_ROUTES",
+    "SuiteResult", "SUITE_NAMES", "WythoffRow", "ZETA_ROUTES",
     "ZetaRoute", "apostol_check", "approximation_errors", "bernoulli_number",
     "bernoulli_poly", "compute_constants", "constant_C", "constant_C_closed",
     "constant_D", "cos2sin4_closed", "cot_power_sums", "dedekind_zeta",
-    "delta", "delta_mp", "delta_star", "delta_star_mp", "dft_coeff_sum_exact",
+    "delta_mp", "delta_star_mp", "dft_coeff_sum_exact",
     "dft_coeffs", "dft_coeffs_even", "dual_entry", "dual_slot", "energy",
     "energy_dft", "energy_direct", "exact_sigma2_constants", "f_sigma", "fib",
     "fib_pair", "fib_signed", "fib_sum", "fib_sum_grouped",

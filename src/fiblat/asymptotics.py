@@ -6,10 +6,13 @@ field generated by sqrt 5; D adds two one-sided correction series per
 row (one along the row, one along its dual) minus a counting term.
 
 C carries a certified tail (eta_i >= i, so the remainder is dominated
-by an integral).  D's inner tails are geometric-ratio estimates and its
-outer tail a fitted dyadic decay, both reported rather than certified;
-every float path also runs at two precisions and reports the gap as a
-rounding proxy.
+by an integral); for even sigma it also has an exact Bernoulli closed
+form, which the closed route of dedekind_zeta reuses.  D has one
+production path, a vectorized row sweep run at extended and at double
+precision (the gap is reported as a rounding proxy), and one oracle,
+the per-row mpmath series delta_mp and delta_star_mp.  D's inner tails
+are geometric-ratio estimates and its outer tail a fitted dyadic decay,
+both reported rather than certified.
 """
 from __future__ import annotations
 
@@ -24,12 +27,11 @@ import numpy as np
 
 from .energy import fib_sum
 from .golden import GoldenInt, fib, phi_power
-from .kernels import Kernel, bernoulli_number, bernoulli_poly, kernel_one
+from .kernels import _PI_STR, Kernel, bernoulli_number, bernoulli_poly, kernel_one
 from .wythoff import dual_slot, row, row_table
 
 __all__ = [
     "PHI",
-    "SeriesValue",
     "CConstant",
     "ClosedConstant",
     "ZetaRoute",
@@ -39,8 +41,6 @@ __all__ = [
     "ExactConstants",
     "ResidualRow",
     "prefactor",
-    "delta",
-    "delta_star",
     "delta_mp",
     "delta_star_mp",
     "constant_C",
@@ -55,7 +55,6 @@ __all__ = [
 
 PHI = (1 + 5 ** 0.5) / 2
 _CHUNK = 8192  # fixed chunk size keeps the reduction order independent of threading
-_PI_STR = "3.14159265358979323846264338327950288420"
 
 ZETA_ROUTES = (
     "eta-series",
@@ -93,90 +92,17 @@ def _golden_mpf(x: GoldenInt) -> mpmath.mpf:
 # the two one-sided series behind D
 
 
-@dataclass(frozen=True)
-class SeriesValue:
-    """Truncated series value with a reported geometric tail estimate."""
-
-    value: float
-    tail: float
-    terms: int
-
-
-def _geometric_tail(last: float, prev: float) -> float:
-    """Tail estimate from the final two terms: observed ratio times a
-    safety factor of two, ratio capped at 0.9 so rounding noise in two
-    nearly-equal terms cannot make the bound explode."""
-    last, prev = abs(last), abs(prev)
-    if last == 0.0:
-        return 0.0
-    r = min(last / prev, 0.9) if prev > 0 else 0.9
-    return 2.0 * last * r / (1.0 - r)
-
-
-def delta(i: int, sigma: float, kernel: Kernel | None = None,
-          k_max: int = 64) -> SeriesValue:
-    """Row-side correction series at row i, truncated after k_max terms.
+def delta_mp(i: int, sigma: float, kernel: Kernel | None = None,
+             k_max: int = 64, prec: int = 200) -> mpmath.mpf:
+    """Row-side correction series at row i, truncated after k_max terms,
+    in prec-bit arithmetic.
 
     Term k compares the limiting row term f(0)*f(x)/(pi*W[i,k]*sin(pi*x))**sigma,
     x = -w_minus(i)*phi**-k, against the flat per-slot weight
     f(0)**2 * 5**(sigma/2)/(pi**(2*sigma) * eta_i**sigma); the difference
-    decays geometrically in k.
+    decays geometrically in k.  The independent oracle for the row sweep
+    of constant_D: exact integer entries, exact ring arguments.
     """
-    if sigma <= 1:
-        raise ValueError(f"exponent must exceed 1, got {sigma}")
-    if k_max < 1:
-        raise ValueError(f"need at least one term, got k_max={k_max}")
-    kernel = kernel or kernel_one()
-    r = row(i)
-    f0 = kernel.value_at_zero
-    base = prefactor(sigma, f0) / float(r.eta) ** sigma
-    wstar = -r.w_minus  # in (phi**-2, 1)
-    total = 0.0
-    prev = last = 0.0
-    wk_prev, wk = r.floor_phi_i, r.entry(1)
-    for k in range(1, k_max + 1):
-        x = float(wstar * phi_power(-k))
-        g = math.pi * wk * math.sin(math.pi * x)
-        term = f0 * kernel.eval(x) / g ** sigma - base
-        total += term
-        prev, last = last, term
-        wk_prev, wk = wk, wk_prev + wk
-    return SeriesValue(total, _geometric_tail(last, prev), k_max)
-
-
-def delta_star(i: int, sigma: float, kernel: Kernel | None = None,
-               j_max: int = 64) -> SeriesValue:
-    """Dual-side correction series at row i, starting at slot mu_i + 1.
-
-    Term j uses the dual entry Wd[i, mu_i + j] and the argument
-    x = w_plus(i)*phi**-(mu_i+j), which lies in (0, 1/2) by the choice
-    of the threshold mu_i.
-    """
-    if sigma <= 1:
-        raise ValueError(f"exponent must exceed 1, got {sigma}")
-    if j_max < 1:
-        raise ValueError(f"need at least one term, got j_max={j_max}")
-    kernel = kernel or kernel_one()
-    r = row(i)
-    f0 = kernel.value_at_zero
-    base = prefactor(sigma, f0) / float(r.eta) ** sigma
-    total = 0.0
-    prev = last = 0.0
-    for j in range(1, j_max + 1):
-        m = r.mu + j
-        wd = dual_slot(i, m)
-        x = float(r.w_plus * phi_power(-m))
-        g = math.pi * wd * math.sin(math.pi * x)
-        term = f0 * kernel.eval(x) / g ** sigma - base
-        total += term
-        prev, last = last, term
-    return SeriesValue(total, _geometric_tail(last, prev), j_max)
-
-
-def delta_mp(i: int, sigma: float, kernel: Kernel | None = None,
-             k_max: int = 64, prec: int = 200) -> mpmath.mpf:
-    """delta recomputed in prec-bit arithmetic; an independent oracle for
-    the float path (exact integer entries, exact ring arguments)."""
     kernel = kernel or kernel_one()
     r = row(i)
     wstar = -r.w_minus
@@ -195,7 +121,14 @@ def delta_mp(i: int, sigma: float, kernel: Kernel | None = None,
 
 def delta_star_mp(i: int, sigma: float, kernel: Kernel | None = None,
                   j_max: int = 64, prec: int = 200) -> mpmath.mpf:
-    """delta_star recomputed in prec-bit arithmetic."""
+    """Dual-side correction series at row i, starting at slot mu_i + 1,
+    in prec-bit arithmetic.
+
+    Term j uses the dual entry Wd[i, mu_i + j] and the argument
+    x = w_plus(i)*phi**-(mu_i+j), which lies in (0, 1/2) by the choice
+    of the threshold mu_i; it is measured against the same flat weight
+    as delta_mp.
+    """
     kernel = kernel or kernel_one()
     r = row(i)
     with mpmath.workprec(prec):
@@ -247,14 +180,15 @@ def constant_C(sigma: float, kernel: Kernel | None = None,
     sum_{i>i_max} eta_i**-sigma <= i_max**(1-sigma)/(sigma-1).  For
     large sigma that tail sits far below double precision, so the sum
     is accumulated in mpmath at a precision matched to the tail and
-    returned both as a float and as value_mp.
+    returned both as a float and as value_mp.  prec is a floor: the sum
+    runs at the larger of prec and the precision the tail needs.
     """
     if sigma <= 1:
         raise ValueError(f"exponent must exceed 1, got {sigma}")
     if f0 is None:
         f0 = kernel.value_at_zero if kernel is not None else 1.0
-    if prec is None:
-        prec = max(60, int((sigma - 1) * math.log2(i_max)) + 30)
+    needed = max(60, int((sigma - 1) * math.log2(i_max)) + 30)
+    prec = needed if prec is None else max(needed, prec)
     tab = row_table(i_max)
     with mpmath.workprec(prec):
         c_mp = 2 * _pref_mp(sigma, mpmath.mpf(f0)) * _eta_power_sum(tab.eta, sigma)
@@ -315,24 +249,20 @@ def dedekind_zeta(sigma: float, route: str = "eta-series",
     eta_i >= i).  euler-product-L-times-zeta multiplies the Riemann
     zeta by the character L-series mod 5, whose partial character sums
     are bounded by 1, giving the tail 2*(N+1)**-sigma.  The Bernoulli
-    closed form (even integer sigma only) is exact up to arithmetic
-    rounding.
+    closed form (even integer sigma only) rescales constant_C_closed and
+    is exact up to arithmetic rounding.
     """
     if sigma <= 1:
         raise ValueError(f"exponent must exceed 1, got {sigma}")
     if route not in ZETA_ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ZETA_ROUTES}")
     if route == "bernoulli-closed-form":
-        if sigma != int(sigma) or int(sigma) % 2:
-            raise ValueError(f"closed form needs an even integer exponent, got {sigma}")
+        # C = 2 * 5**(sigma/2) / pi**(2*sigma) * zeta_K at unit weight
+        c = constant_C_closed(sigma)  # rejects all but even integer sigma
         two_s = int(sigma)
-        s = two_s // 2
-        db = bernoulli_poly(two_s, Fraction(1, 5)) - bernoulli_poly(two_s, Fraction(2, 5))
-        q = (Fraction(16) ** s * db * bernoulli_number(two_s)
-             / (2 * Fraction(math.factorial(two_s)) ** 2))
         with mpmath.workprec(120):
-            v = (mpmath.mpf(q.numerator) / q.denominator
-                 * mpmath.pi ** (2 * two_s) / mpmath.sqrt(5))
+            v = (c.value_mp * mpmath.pi ** (2 * two_s)
+                 / (2 * mpmath.mpf(5) ** (two_s // 2)))
         return ZetaRoute(route, float(sigma), float(v), float(abs(v)) * 2.0 ** -100, 0, v)
 
     n_top = int(truncation)
@@ -400,22 +330,6 @@ def _thread_count(threads: int | None) -> int:
         return 1
 
 
-def _eval_kernel_arr(kernel: Kernel, x: np.ndarray, pi) -> np.ndarray | None:
-    """Kernel values in the dtype of x; None means identically 1."""
-    if kernel.kind == "one":
-        return None
-    if kernel.kind == "trig":
-        u = np.cos(pi * x) ** 2
-        acc = np.zeros_like(u)
-        for c in reversed(kernel.coeffs):
-            acc = acc * u + c
-        return acc
-    # no widened implementation for the zeta-weighted family: evaluate
-    # at double and cast, which caps (and is covered by) the reported
-    # precision gap
-    return kernel.eval_many(np.asarray(x, dtype=np.float64)).astype(x.dtype)
-
-
 def _tail_mass(last: np.ndarray, prev: np.ndarray) -> float:
     last = np.abs(last)
     prev = np.abs(prev)
@@ -426,9 +340,31 @@ def _tail_mass(last: np.ndarray, prev: np.ndarray) -> float:
     return float(np.where(last > 0, t, 0).sum())
 
 
+def _one_sided(acc, x0, w0, sign, kernel: Kernel, k_max: int, sg, f0, base,
+               pi, phi, sqrt5) -> float:
+    """Add terms k = 1..k_max of one one-sided series into acc in place;
+    return their inner tail mass.
+
+    Term k has argument x = x0*phi**-k and integer entry
+    w = (w0*phi**k + (-1)**k*sign*x)/sqrt5, and is
+    f0*f(x)/(pi*w*sin(pi*x))**sigma - base.
+    """
+    prev_t = last_t = None
+    for k in range(1, k_max + 1):
+        pk = phi ** k
+        x = x0 * (1 / pk)
+        sx = sign * x
+        w = (w0 * pk + (sx if k % 2 == 0 else -sx)) / sqrt5
+        g = pi * w * np.sin(pi * x)
+        t = f0 * kernel.eval_many(x) / g ** sg - base
+        acc += t
+        prev_t, last_t = last_t, t
+    return _tail_mass(last_t, prev_t)
+
+
 def _d_chunk(tab, lo: int, hi: int, sigma: float, kernel: Kernel,
              k_max: int, i_max: int, dtype):
-    """Row terms delta + delta_star - base*(mu+1) summed over rows
+    """Row terms delta_mp + delta_star_mp - base*(mu+1) summed over rows
     (lo, hi] (0-based slice), all in the requested dtype.
 
     Returns (sum, inner tail mass, |term| mass over i > i_max/2,
@@ -451,34 +387,12 @@ def _d_chunk(tab, lo: int, hi: int, sigma: float, kernel: Kernel,
     base = pref / eta ** sg
     acc = -(mu.astype(dtype) + 1) * base
 
-    prev_t = last_t = None
-    for k in range(1, k_max + 1):
-        pk = phi ** k
-        x = wmn * (1 / pk)
-        w = (wp * pk + (x if k % 2 == 0 else -x)) / sqrt5
-        g = pi * w * np.sin(pi * x)
-        fx = _eval_kernel_arr(kernel, x, pi)
-        t = (f0 / g ** sg if fx is None else f0 * fx / g ** sg) - base
-        acc += t
-        prev_t, last_t = last_t, t
-    inner = _tail_mass(last_t, prev_t)
+    inner = _one_sided(acc, wmn, wp, 1, kernel, k_max, sg, f0, base, pi, phi, sqrt5)
 
     pmu = np.power(phi, mu)
-    wmn_up = wmn * pmu
-    wp_dn = wp / pmu
     smu = np.where(mu % 2 == 0, dtype(1), dtype(-1))
-    prev_t = last_t = None
-    for j in range(1, k_max + 1):
-        pj = phi ** j
-        x = wp_dn * (1 / pj)
-        sx = smu * x
-        w = (wmn_up * pj + (sx if j % 2 == 0 else -sx)) / sqrt5
-        g = pi * w * np.sin(pi * x)
-        fx = _eval_kernel_arr(kernel, x, pi)
-        t = (f0 / g ** sg if fx is None else f0 * fx / g ** sg) - base
-        acc += t
-        prev_t, last_t = last_t, t
-    inner += _tail_mass(last_t, prev_t)
+    inner += _one_sided(acc, wp / pmu, wmn * pmu, smu, kernel, k_max, sg, f0, base,
+                        pi, phi, sqrt5)
 
     rabs = np.abs(acc)
     m_hi = float(rabs[2 * iv > i_max].sum())
@@ -516,15 +430,14 @@ def _d_pass(tab, sigma: float, kernel: Kernel, k_max: int, i_max: int,
 
 def constant_D(sigma: float, kernel: Kernel | None = None,
                i_max: int = 100000, k_max: int = 64, *,
-               threads: int | None = None,
-               two_precision: bool = True) -> DConstant:
-    """D = 2 sum_i (delta(i) + delta_star(i) - base_i*(mu_i+1)) truncated
-    at i_max rows and k_max inner terms.
+               threads: int | None = None) -> DConstant:
+    """D = 2 sum_i (delta_mp(i) + delta_star_mp(i) - base_i*(mu_i+1))
+    truncated at i_max rows and k_max inner terms, by a vectorized sweep.
 
-    Runs the sweep in extended precision and (by default) again at
-    double, reporting the difference as the rounding proxy.  Outer sums
-    are chunked with a fixed chunk size and reduced in index order, so
-    the result does not depend on the thread count.
+    Runs the sweep in extended precision and again at double, reporting
+    the difference as the rounding proxy.  Outer sums are chunked with a
+    fixed chunk size and reduced in index order, so the result does not
+    depend on the thread count.
     """
     if sigma <= 1:
         raise ValueError(f"exponent must exceed 1, got {sigma}")
@@ -537,11 +450,9 @@ def constant_D(sigma: float, kernel: Kernel | None = None,
     tab = row_table(i_max)
     value, inner, outer = _d_pass(tab, sigma, kernel, k_max, i_max,
                                   np.longdouble, nthreads)
-    gap = 0.0
-    if two_precision:
-        lo_value, _, _ = _d_pass(tab, sigma, kernel, k_max, i_max,
-                                 np.float64, nthreads)
-        gap = abs(value - lo_value)
+    lo_value, _, _ = _d_pass(tab, sigma, kernel, k_max, i_max,
+                             np.float64, nthreads)
+    gap = abs(value - lo_value)
     return DConstant(value, inner, outer, gap, float(sigma), kernel.name,
                      i_max, k_max)
 

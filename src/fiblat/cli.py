@@ -85,7 +85,7 @@ _threads_option = click.option(
 _precision_option = click.option(
     "--precision-bits", type=int, default=None, envvar="FIBLAT_PRECISION_BITS",
     callback=_at_least(53),
-    help="working precision floor in bits [env FIBLAT_PRECISION_BITS]",
+    help="working precision floor in bits for C [env FIBLAT_PRECISION_BITS]",
 )
 
 

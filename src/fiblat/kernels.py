@@ -25,12 +25,10 @@ import mpmath
 import numpy as np
 
 __all__ = [
-    "ExactRational",
     "bernoulli_number",
     "bernoulli_poly",
     "bernoulli_poly_coeffs",
     "hurwitz_zeta",
-    "hurwitz_zeta_mpf",
     "zeta",
     "f_sigma",
     "f_sigma_many",
@@ -50,10 +48,10 @@ __all__ = [
     "cot_power_sums",
 ]
 
-# Exact rationals are stdlib fractions; the alias marks intent at call sites.
-ExactRational = Fraction
-
 _TWO_PI = 2 * math.pi
+# pi to 39 digits: parsed by each float dtype, so extended-precision
+# arrays get their own correctly rounded pi rather than the double one
+_PI_STR = "3.14159265358979323846264338327950288420"
 
 
 @functools.lru_cache(maxsize=None)
@@ -96,50 +94,9 @@ def bernoulli_poly(m: int, t):
     return acc
 
 
-def _em_remainder_log(sigma: float, x: float, j: int) -> float:
-    """log10 of the Euler-Maclaurin term j at abscissa x (tail start)."""
-    b = abs(float(bernoulli_number(2 * j)))
-    rising = 0.0
-    for r in range(2 * j - 1):
-        rising += math.log10(sigma + r)
-    return (
-        math.log10(b)
-        - math.log10(math.factorial(2 * j))
-        + rising
-        - (sigma + 2 * j - 1) * math.log10(x)
-    )
-
-
-def _hurwitz_with_context(sigma: float, a, tol: float):
-    """Head sum plus order-8 Euler-Maclaurin tail, in the current mpmath
-    context.  Caller chose the precision."""
-    M = max(20, math.ceil(sigma) + 10)
-    while _em_remainder_log(sigma, M + float(a), 9) > math.log10(tol) - 1:
-        M *= 2
-    s = mpmath.mpf(sigma)
-    if isinstance(a, Fraction):
-        aa = mpmath.mpf(a.numerator) / a.denominator
-    else:
-        aa = mpmath.mpf(a)
-    head = mpmath.fsum((n + aa) ** -s for n in range(M))
-    x = M + aa
-    tail = x ** (1 - s) / (s - 1) + x ** -s / 2
-    rising = s
-    xpow = x ** (-s - 1)
-    x2 = x * x
-    corr = mpmath.mpf(0)
-    for j in range(1, 9):
-        b = mpmath.mpf(bernoulli_number(2 * j).numerator) / bernoulli_number(
-            2 * j
-        ).denominator
-        corr += b / math.factorial(2 * j) * rising * xpow
-        rising *= (s + 2 * j - 1) * (s + 2 * j)
-        xpow /= x2
-    return head + tail + corr
-
-
 def hurwitz_zeta(sigma: float, a, *, tol: float = 1e-13) -> float:
-    """zeta(sigma, a) = sum_{n >= 0} (n + a)**-sigma for sigma > 1, a > 0.
+    """zeta(sigma, a) = sum_{n >= 0} (n + a)**-sigma for sigma > 1, a > 0,
+    by mpmath.zeta.
 
     Absolute error below tol; working precision is raised as needed so
     that tolerances far below the magnitude of the result are honored.
@@ -151,19 +108,9 @@ def hurwitz_zeta(sigma: float, a, *, tol: float = 1e-13) -> float:
     mag = float(a) ** -sigma + 2.0
     prec = max(70, math.ceil(math.log2(mag / tol)) + 30)
     with mpmath.workprec(prec):
-        return float(_hurwitz_with_context(sigma, a, tol))
-
-
-def hurwitz_zeta_mpf(sigma: float, a, prec_bits: int) -> mpmath.mpf:
-    """zeta(sigma, a) as an mpf carrying prec_bits of working precision."""
-    if sigma <= 1:
-        raise ValueError(f"exponent must exceed 1, got {sigma}")
-    if a <= 0:
-        raise ValueError(f"offset must be positive, got {a}")
-    with mpmath.workprec(prec_bits + 20):
-        tol = float(mpmath.mpf(2) ** -(prec_bits + 5))
-        val = _hurwitz_with_context(sigma, a, tol)
-    return val
+        if isinstance(a, Fraction):
+            a = mpmath.mpf(a.numerator) / a.denominator
+        return float(mpmath.zeta(sigma, a))
 
 
 def zeta(sigma: float, *, tol: float = 1e-13) -> float:
@@ -341,11 +288,20 @@ class Kernel:
     __call__ = eval
 
     def eval_many(self, t: np.ndarray) -> np.ndarray:
+        """Vectorized eval, returned in t's dtype (float64 for integer t).
+
+        The fsigma family has no widened implementation: it is evaluated
+        at double and cast.
+        """
+        t = np.asarray(t)
+        if t.dtype.kind != "f":
+            t = t.astype(np.float64)
         if self.kind == "one":
             return np.ones_like(t)
         if self.kind == "fsigma":
-            return f_sigma_many(self.sigma, t)
-        u = np.cos(np.pi * t) ** 2
+            return f_sigma_many(self.sigma, t).astype(t.dtype, copy=False)
+        pi = t.dtype.type(_PI_STR)
+        u = np.cos(pi * t) ** 2
         acc = np.zeros_like(u)
         for c in reversed(self.coeffs):
             acc = acc * u + c
@@ -356,9 +312,7 @@ class Kernel:
         if self.kind == "one":
             return mpmath.mpf(1)
         if self.kind == "fsigma":
-            z = hurwitz_zeta_mpf(
-                self.sigma, t, mpmath.mp.prec
-            ) + hurwitz_zeta_mpf(self.sigma, 1 - t, mpmath.mp.prec)
+            z = mpmath.zeta(self.sigma, t) + mpmath.zeta(self.sigma, 1 - t)
             return mpmath.sinpi(t) ** self.sigma * z
         u = mpmath.cospi(t) ** 2
         acc = mpmath.mpf(0)

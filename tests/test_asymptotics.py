@@ -12,9 +12,7 @@ from fiblat.asymptotics import (
     constant_C_closed,
     constant_D,
     dedekind_zeta,
-    delta,
     delta_mp,
-    delta_star,
     delta_star_mp,
     exact_sigma2_constants,
     prefactor,
@@ -30,44 +28,44 @@ def test_prefactor():
     assert prefactor(4.0, 6.0) == pytest.approx(36 * 25 / math.pi ** 8, rel=1e-15)
 
 
-def test_delta_against_highprec_oracle():
+def _oracle_offset(sigma, kernel, i_max, k_max, prec=100):
+    """2 * sum_i (delta_mp + delta_star_mp - base_i*(mu_i+1)), row by row
+    in mpmath."""
+    pref = prefactor(sigma, kernel.value_at_zero)
+    acc = mpmath.mpf(0)
+    for i in range(1, i_max + 1):
+        r = row(i)
+        acc += (delta_mp(i, sigma, kernel, k_max=k_max, prec=prec)
+                + delta_star_mp(i, sigma, kernel, j_max=k_max, prec=prec)
+                - pref * (r.mu + 1) / float(r.eta) ** sigma)
+    return 2 * float(acc)
+
+
+def test_offset_sweep_matches_mp_oracle():
     for sigma, kernel in ((2.0, kernel_one()), (2.5, kernel_fsigma(2.5)),
                           (4.0, kernel_bernoulli_weight(4))):
-        for i in (1, 2, 3, 7, 20, 100, 1000):
-            d = delta(i, sigma, kernel)
-            ds = delta_star(i, sigma, kernel)
-            o = float(delta_mp(i, sigma, kernel, prec=100))
-            os_ = float(delta_star_mp(i, sigma, kernel, prec=100))
-            assert abs(d.value - o) <= 2e-10 * max(1.0, abs(o))
-            assert abs(ds.value - os_) <= 2e-10 * max(1.0, abs(os_))
-            assert d.tail <= 1e-13 * max(1.0, abs(d.value))
-            assert ds.tail <= 1e-13 * max(1.0, abs(ds.value))
+        want = _oracle_offset(sigma, kernel, 12, 32)
+        got = constant_D(sigma, kernel, i_max=12, k_max=32)
+        assert got.value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_row_one_is_self_dual():
     # W[1, k] = F_{k+1} and the dual array reproduces the same shifts
-    d = delta(1, 2.0)
-    ds = delta_star(1, 2.0)
-    assert d.value == pytest.approx(ds.value, rel=1e-13)
+    d = delta_mp(1, 2.0, prec=100)
+    ds = delta_star_mp(1, 2.0, prec=100)
+    assert float(d) == pytest.approx(float(ds), rel=1e-13)
 
 
 def test_delta_decays_quadratically():
-    vals = [abs(delta(i, 2.0).value) for i in range(1, 120)]
+    vals = [abs(float(delta_mp(i, 2.0, prec=64))) for i in range(1, 120)]
     assert max(i * i * v for i, v in enumerate(vals, start=1)) <= 1.0
     # the i**-2 envelope: quadrupling i cuts the term by ~4
     assert vals[79] < 0.2 * vals[19]
 
 
 def test_offset_series_matches_scalar_reconstruction():
-    pref = prefactor(2.0, 1.0)
-    acc = 0.0
-    for i in range(1, 51):
-        r = row(i)
-        acc += (delta(i, 2.0, k_max=32).value
-                + delta_star(i, 2.0, j_max=32).value
-                - pref * (r.mu + 1) / float(r.eta) ** 2)
     vec = constant_D(2.0, i_max=50, k_max=32)
-    assert vec.value == pytest.approx(2 * acc, abs=1e-9)
+    assert vec.value == pytest.approx(_oracle_offset(2.0, kernel_one(), 50, 32), abs=1e-9)
     assert vec.error_estimate > 0
 
 
@@ -94,6 +92,16 @@ def test_linear_constant_tail_is_honest():
         assert abs(small.value - closed.value) <= small.tail_bound
         assert small.value > 0
         assert small.value == pytest.approx(float(small.value_mp), rel=1e-15)
+
+
+def test_precision_bits_is_a_floor():
+    default = constant_C(18.0, i_max=2000)
+    low = constant_C(18.0, i_max=2000, prec=53)
+    assert low.prec == default.prec == 216
+    assert low.value_mp == default.value_mp
+    closed = constant_C_closed(18).value_mp
+    assert abs(low.value_mp / closed - 1) < 1e-30
+    assert constant_C(18.0, i_max=2000, prec=300).prec == 300
 
 
 def test_closed_constant_values_and_ratio():
@@ -129,6 +137,8 @@ def test_quadratic_field_zeta_routes_agree():
 def test_zeta_route_validation():
     with pytest.raises(ValueError):
         dedekind_zeta(3.0, "bernoulli-closed-form")
+    with pytest.raises(ValueError):
+        dedekind_zeta(2.5, "bernoulli-closed-form")
     with pytest.raises(ValueError):
         dedekind_zeta(2.0, "riemann")
     with pytest.raises(ValueError):

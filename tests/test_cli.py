@@ -137,6 +137,15 @@ def test_constants_no_closed_form_for_odd_sigma():
     assert "c_closed" not in doc
 
 
+def test_precision_bits_flag_is_a_floor():
+    args = ("constants", "--sigma", "18", "--i-max", "2000", "--k-max", "8")
+    doc = json.loads(run(*args, "--precision-bits", "53").output)
+    assert doc["c_precision_bits"] == 216
+    env_doc = json.loads(run(*args, env={"FIBLAT_PRECISION_BITS": "53"}).output)
+    assert env_doc["c_precision_bits"] == 216
+    assert doc["c"] == env_doc["c"] == json.loads(run(*args).output)["c"]
+
+
 def test_threads_env_and_flag_precedence():
     env = {"FIBLAT_THREADS": "4"}
     doc = json.loads(run(

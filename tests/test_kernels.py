@@ -49,6 +49,15 @@ def test_bernoulli_polynomials_exact():
 
 
 def test_hurwitz_zeta_against_mpmath():
+    # the offset is taken exactly, and tol far below the value is honored
+    third = hurwitz_zeta(2.5, Fraction(1, 3), tol=1e-30)
+    with mpmath.workprec(120):
+        assert third == float(mpmath.zeta(2.5, mpmath.mpf(1) / 3))
+    assert hurwitz_zeta(40.0, 1e-3, tol=1e-13) == pytest.approx(1e120, rel=1e-15)
+    with pytest.raises(ValueError):
+        hurwitz_zeta(1.0, 0.5)
+    with pytest.raises(ValueError):
+        hurwitz_zeta(2.0, 0)
     with mpmath.workprec(80):
         for s in (1.5, 2.0, 2.5, 4.0, 6.0):
             for a in (0.05, 0.1, 0.3, 0.5, 0.77, 1.0):
@@ -69,6 +78,33 @@ def test_f_sigma_is_symmetric_and_matches_scalar():
     many = k.eval_many(xs)
     for x, v in zip(xs, many):
         assert v == pytest.approx(k.eval(float(x)), rel=1e-10)
+
+
+def test_eval_many_keeps_the_input_dtype():
+    x = np.array([0.05, 0.2, 1 / 3, 0.45, 0.5])
+    for k in (kernel_one(), kernel_fsigma(2.5), kernel_bernoulli_weight(4)):
+        assert k.eval_many(x).dtype == np.float64
+        wide = k.eval_many(x.astype(np.longdouble))
+        assert wide.dtype == np.longdouble
+        assert np.allclose(wide.astype(np.float64), k.eval_many(x), rtol=1e-14)
+    assert kernel_trig([2, 4]).eval_many(np.array([0, 1])).tolist() == [6.0, 6.0]
+
+
+def _ld_to_mpf(v) -> mpmath.mpf:
+    num, den = np.longdouble(v).as_integer_ratio()
+    return mpmath.mpf(num) / den
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="long double is not wider than double here")
+def test_trig_eval_many_is_accurate_in_extended_precision():
+    k = kernel_bernoulli_weight(6)
+    x = np.arange(1, 20, dtype=np.longdouble) / np.longdouble(41)
+    got = k.eval_many(x)
+    with mpmath.workprec(80):
+        for xi, gi in zip(x, got):
+            want = k.eval_mp(_ld_to_mpf(xi))
+            assert abs(_ld_to_mpf(gi) / want - 1) <= 1e-17
 
 
 def test_kernel_values_at_zero_and_smoothness_class():
