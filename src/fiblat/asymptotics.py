@@ -161,12 +161,31 @@ class CConstant:
     value_mp: mpmath.mpf
 
 
+def _fixed_point_power_sum(s: int, plus, minus=()) -> mpmath.mpf:
+    """sum(v**-s for v in plus) - sum(v**-s for v in minus) at the
+    current working precision prec, for positive integers v.
+
+    The sum is formed exactly in integers: each term is
+    floor(2**P / v**s) with P = prec + bit_length(#terms) + 2, so it
+    rounds down by less than 2**-P, the terms together by less than
+    2**-(prec+2), and the result does not depend on summation order.
+    The one conversion to mpf then rounds once at prec.
+    """
+    prec = mpmath.mp.prec
+    P = prec + (len(plus) + len(minus)).bit_length() + 2
+    one = 1 << P
+    total = sum(one // v ** s for v in plus) - sum(one // v ** s for v in minus)
+    return mpmath.ldexp(mpmath.mpf(total), -P)
+
+
 def _eta_power_sum(eta: np.ndarray, sigma: float) -> mpmath.mpf:
-    """sum of eta**-sigma at the current working precision, smallest
-    terms first."""
+    """sum of eta**-sigma at the current working precision.
+
+    Integer sigma goes through _fixed_point_power_sum (error below
+    2**-(prec+2) before the one rounding at prec); other sigma sums
+    mpmath powers with fsum, smallest terms first."""
     if float(sigma).is_integer():
-        s = int(sigma)
-        return mpmath.fsum(mpmath.mpf(1) / (int(e) ** s) for e in eta[::-1])
+        return _fixed_point_power_sum(int(sigma), eta.tolist())
     return mpmath.fsum(mpmath.mpf(int(e)) ** (-sigma) for e in eta[::-1])
 
 
@@ -179,9 +198,11 @@ def constant_C(sigma: float, kernel: Kernel | None = None,
     The tail is certified: eta_i >= i gives
     sum_{i>i_max} eta_i**-sigma <= i_max**(1-sigma)/(sigma-1).  For
     large sigma that tail sits far below double precision, so the sum
-    is accumulated in mpmath at a precision matched to the tail and
-    returned both as a float and as value_mp.  prec is a floor: the sum
-    runs at the larger of prec and the precision the tail needs.
+    is formed at a precision prec matched to the tail and returned both
+    as a float and as value_mp.  prec is a floor: the sum runs at the
+    larger of prec and the precision the tail needs.  For integer sigma
+    the sum is exact integer fixed point (error below 2**-(prec+2), then
+    one rounding at prec); otherwise mpmath sums the powers term by term.
     """
     if sigma <= 1:
         raise ValueError(f"exponent must exceed 1, got {sigma}")
@@ -248,9 +269,13 @@ def dedekind_zeta(sigma: float, route: str = "eta-series",
     eta-series sums the row invariants directly (tail certified via
     eta_i >= i).  euler-product-L-times-zeta multiplies the Riemann
     zeta by the character L-series mod 5, whose partial character sums
-    are bounded by 1, giving the tail 2*(N+1)**-sigma.  The Bernoulli
-    closed form (even integer sigma only) rescales constant_C_closed and
-    is exact up to arithmetic rounding.
+    are bounded by 1, giving the tail 2*(N+1)**-sigma.  For integer
+    sigma both series are exact integer fixed-point sums
+    (_fixed_point_power_sum: error below 2**-(prec+2) before one
+    rounding at the working precision prec); other sigma sums mpmath
+    powers term by term.  The Bernoulli closed form (even integer sigma
+    only) rescales constant_C_closed and is exact up to arithmetic
+    rounding.
     """
     if sigma <= 1:
         raise ValueError(f"exponent must exceed 1, got {sigma}")
@@ -281,10 +306,11 @@ def dedekind_zeta(sigma: float, route: str = "eta-series",
     prec = max(60, int(sigma * math.log2(n_top)) + 30)
     with mpmath.workprec(prec):
         if float(sigma).is_integer():
-            s = int(sigma)
-            lser = mpmath.fsum(
-                mpmath.mpf(_CHI5[n % 5]) / (n ** s)
-                for n in range(n_top, 0, -1) if n % 5
+            # chi_5 is +1 on n = +-1 and -1 on n = +-2 (mod 5)
+            lser = _fixed_point_power_sum(
+                int(sigma),
+                [*range(1, n_top + 1, 5), *range(4, n_top + 1, 5)],
+                [*range(2, n_top + 1, 5), *range(3, n_top + 1, 5)],
             )
         else:
             lser = mpmath.fsum(

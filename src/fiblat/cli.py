@@ -353,7 +353,10 @@ def cmd_closed(family, n_min, n_max, sigma, fmt):
 def cmd_verify(ctx, suites, limit, fmt):
     """Run identity suites; exit 1 if any check fails."""
     names = list(suites) if suites else list(SUITE_NAMES)
-    results = [run_suite(n, limit) for n in names]
+    try:
+        results = [run_suite(n, limit) for n in names]
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     ok = all(r.passed for r in results)
     if fmt == "json":
         _echo_json({

@@ -51,6 +51,7 @@ __all__ = [
 
 _TWO_PI = 2 * math.pi
 _SUM_CHUNK = 1 << 16  # terms per block of the flat fib_sum sweep
+_DIRECT_MAX_N = 1000  # "direct" runs N**2 Python steps: 5.2 s at N = 987 on one Xeon core
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,14 @@ def energy(lat: RationalLattice, sigma: float, p: float, method: str = "dft",
 
     The dft and wce routes share the vectorized Hurwitz pair table
     (relative error ~1e-15); tol is the potential's series tolerance
-    and applies to "direct" only."""
+    and applies to "direct" only.  "direct" visits all N**2 pairs in
+    Python and is refused with ValueError above N = 1000."""
     if method == "direct":
+        if lat.N > _DIRECT_MAX_N:
+            raise ValueError(
+                f"direct route is O(N**2) and capped at N = {_DIRECT_MAX_N}, "
+                f"got N = {lat.N}; use dft or wce"
+            )
         pts = lattice_points(lat)
         val = energy_direct(
             lambda t: float(potential_K(sigma, p, t, tol=tol)), pts

@@ -24,6 +24,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .golden import GoldenInt, fib, floor_phi_times, golden_compare, phi_power
 
 __all__ = [
@@ -43,7 +45,8 @@ __all__ = [
     "row_table",
 ]
 
-_LOG_PHI = math.log((1 + 5 ** 0.5) / 2)
+_PHI = (1 + 5 ** 0.5) / 2
+_LOG_PHI = math.log(_PHI)
 
 
 def _inv_phi_split() -> tuple[float, float, float]:
@@ -58,6 +61,7 @@ def _inv_phi_split() -> tuple[float, float, float]:
 
 
 _INV_PHI_SPLIT = _inv_phi_split()
+_ROW_BLOCK = 1 << 16  # rows per block of the RowTable build
 
 
 def floor_phi_plus_inv(x: int) -> int:
@@ -256,64 +260,87 @@ class RowTable:
     """Columnar row data for 1 <= i <= i_max (numpy arrays).
 
     Built once and cached; used by the asymptotic-constant series where
-    per-row Python objects would dominate the runtime.
+    per-row Python objects would dominate the runtime.  Every column is
+    computed by whole-array operations; the integer columns are exact
+    (float estimates settled by exact int64 comparisons), which needs
+    floor(phi*i_max) < 2**27.
     """
 
     def __init__(self, i_max: int):
-        import numpy as np
-
         if i_max >= 1 and floor_phi_times(i_max) >= 1 << 27:
             raise ValueError(f"table size must keep floor(phi*i) < 2**27, got {i_max}")
         self.i_max = i_max
-        idx = np.arange(1, i_max + 1, dtype=np.int64)
-        L = np.empty(i_max, dtype=np.int64)
-        for j in range(i_max):
-            i = j + 1
-            L[j] = (i + math.isqrt(5 * i * i)) // 2
-        eta = L * L - (idx - 1) * (idx - 1 + L)
-        mu = np.empty(i_max, dtype=np.int64)
-        # float estimate of mu, then exact correction; the estimate is
-        # off by at most 1 for i in range, but correction is cheap
-        phi = (1 + 5 ** 0.5) / 2
-        wplus = (idx - 1) + L * phi
-        est = np.floor(np.log(2 * wplus) / _LOG_PHI).astype(np.int64)
-        fibs = [fib(k) for k in range(int(est.max()) + 4)]
-        for j in range(i_max):
-            m = int(est[j])
-            a, b = 2 * j, 2 * int(L[j])  # 2*(i-1), 2*floor(phi*i)
-            while _phi_pow_cmp(fibs, m + 1, a, b) < 0:
-                m += 1
-            while _phi_pow_cmp(fibs, m, a, b) > 0:
-                m -= 1
-            mu[j] = m
-        self.i = idx
-        self.floor_phi_i = L
-        self.eta = eta
-        self.mu = mu
-        self.w_plus = wplus
-        # -w_minus(i) = 1 - phi^-1 * frac(phi*i) = L * phi^-1 - (i - 1), in
-        # (phi^-2, 1).  With phi^-1 split as hi + mid + lo, the first two
-        # products and both differences are exact for L < 2**27, so only
-        # the last addition rounds: no cancellation.
+        self.i = np.arange(1, i_max + 1, dtype=np.int64)
+        self.floor_phi_i = np.empty(i_max, dtype=np.int64)
+        self.eta = np.empty(i_max, dtype=np.int64)
+        self.mu = np.empty(i_max, dtype=np.int64)
+        self.w_plus = np.empty(i_max)
+        self.w_minus_neg = np.empty(i_max)
         hi, mid, lo = _INV_PHI_SPLIT
-        wmn = hi * L
-        wmn -= idx - 1
-        wmn += mid * L
-        wmn += lo * L
-        self.w_minus_neg = wmn
+        # filled in blocks, so the temporaries stay small beside the columns
+        for start in range(0, i_max, _ROW_BLOCK):
+            s = slice(start, start + _ROW_BLOCK)
+            i = self.i[s]
+            L = _floor_phi_many(i)
+            self.floor_phi_i[s] = L
+            self.eta[s] = L * L - (i - 1) * (i - 1 + L)
+            self.mu[s] = _mu_many(i, L)
+            self.w_plus[s] = (i - 1) + L * _PHI
+            # -w_minus(i) = 1 - phi^-1 * frac(phi*i) = L * phi^-1 - (i - 1),
+            # in (phi^-2, 1).  With phi^-1 split as hi + mid + lo, the first
+            # two products and both differences are exact for L < 2**27, so
+            # only the last addition rounds: no cancellation.
+            wmn = hi * L
+            wmn -= i - 1
+            wmn += mid * L
+            wmn += lo * L
+            self.w_minus_neg[s] = wmn
 
 
-def _phi_pow_cmp(fibs: list[int], m: int, a: int, b: int) -> int:
-    """sign(phi**m - (a + b*phi)) with cached Fibonacci numbers."""
-    t = 2 * (fibs[m - 1] if m >= 1 else fib_signed(m - 1)) + fibs[m] - 2 * a - b
-    v = fibs[m] - b
-    if t >= 0 and v >= 0:
-        return 0 if t == 0 and v == 0 else 1
-    if t <= 0 and v <= 0:
-        return -1
-    if t > 0:
-        return 1 if t * t > 5 * v * v else -1
-    return 1 if 5 * v * v > t * t else -1
+def _floor_phi_many(i: np.ndarray) -> np.ndarray:
+    """floor(phi*i) for an int64 array of i >= 1 with phi*i < 2**27.
+
+    The float product is off by less than 2**-25, so its floor is off by
+    at most one; one exact step each way settles it, since
+    L = floor(phi*i) iff (2L - i)**2 <= 5 i**2 < (2L - i + 2)**2
+    (all below 2**56 in range).
+    """
+    L = np.floor(i * _PHI).astype(np.int64)
+    five_i2 = 5 * i * i
+    L -= (2 * L - i) ** 2 > five_i2
+    L += (2 * L - i + 2) ** 2 <= five_i2
+    return L
+
+
+def _mu_many(i: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """mu_i, the largest m with phi**m < 2*w_plus(i), for int64 arrays of
+    i and L = floor(phi*i) < 2**27.
+
+    The float estimate floor(log_phi(2*w_plus)) is within 1e-13 of the
+    true logarithm, so it is off by at most one; one exact step each way
+    settles it (see _phi_pow_below).
+    """
+    a, b = 2 * (i - 1), 2 * L
+    m = np.floor(np.log(2 * ((i - 1) + L * _PHI)) / _LOG_PHI).astype(np.int64)
+    F = np.array([fib(k) for k in range(int(m.max(initial=2)) + 3)], dtype=np.int64)
+    m += _phi_pow_below(F, m + 1, a, b)
+    m -= ~_phi_pow_below(F, m, a, b)
+    return m
+
+
+def _phi_pow_below(F: np.ndarray, m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """phi**m < a + b*phi, elementwise, for m >= 1 with a + b*phi never a
+    power of phi; F holds F_0..F_{max m}.
+
+    phi**m - (a + b*phi) = (t + v*sqrt5)/2 with t = 2F_{m-1} + F_m - 2a - b
+    and v = F_m - b: the sign is that of t where t**2 > 5v**2 and that of
+    v otherwise.  Within two steps of the threshold of rows with
+    floor(phi*i) < 2**27, |t| < 2**31 and |v| < 2**30, so t**2 and 5v**2
+    fit in int64.
+    """
+    t = 2 * F[m - 1] + F[m] - 2 * a - b
+    v = F[m] - b
+    return np.where(t * t > 5 * v * v, t < 0, v < 0)
 
 
 @functools.lru_cache(maxsize=2)

@@ -2,10 +2,12 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from fiblat.asymptotics import (
     PHI,
+    _fixed_point_power_sum,
     approximation_errors,
     compute_constants,
     constant_C,
@@ -19,8 +21,8 @@ from fiblat.asymptotics import (
     residual_fit,
     ZETA_ROUTES,
 )
-from fiblat.kernels import kernel_bernoulli_weight, kernel_fsigma, kernel_one
-from fiblat.wythoff import row
+from fiblat.kernels import kernel_bernoulli_weight, kernel_fsigma, kernel_one, parse_kernel
+from fiblat.wythoff import row, row_table
 
 
 def test_prefactor():
@@ -132,6 +134,77 @@ def test_quadratic_field_zeta_routes_agree():
     assert closed.value == pytest.approx(2 * math.pi ** 4 / (75 * 5 ** 0.5), rel=1e-13)
     series = dedekind_zeta(2.0, "eta-series", truncation=20000)
     assert abs(series.value - closed.value) <= series.certified_error
+
+
+def _eta_sum_mp(eta, sigma):
+    """sum eta**-sigma term by term in mpmath, equal values grouped."""
+    vals, counts = np.unique(eta, return_counts=True)
+    return mpmath.fsum(int(c) * mpmath.mpf(int(v)) ** -sigma for v, c in zip(vals, counts))
+
+
+def _l_partial_sum_mp(sigma, n):
+    """sum_{m <= n} chi_5(m) m**-sigma from Hurwitz zeta differences:
+    the m = a (mod 5) terms are 5**-sigma (zeta(sigma, a/5) - zeta(sigma, a/5 + k))."""
+    s = mpmath.mpf(sigma)
+    total = mpmath.mpf(0)
+    for a, chi in ((1, 1), (2, -1), (3, -1), (4, 1)):
+        k = (n - a) // 5 + 1
+        x = mpmath.mpf(a) / 5
+        total += chi * (mpmath.zeta(s, x) - mpmath.zeta(s, x + k))
+    return total / mpmath.mpf(5) ** s
+
+
+@pytest.mark.parametrize("sigma", [2, 3, 4, 6, 18])
+def test_fixed_point_power_sum_against_mpmath(sigma):
+    # both routes' term sets at the routes' own precision, against
+    # references 64 bits finer: the integer sum plus its one rounding
+    # stays within 2**-prec relative
+    for n in (8, 2000, 100000):
+        eta = row_table(n).eta
+        plus = [*range(1, n + 1, 5), *range(4, n + 1, 5)]
+        minus = [*range(2, n + 1, 5), *range(3, n + 1, 5)]
+        cases = (
+            (max(60, int((sigma - 1) * math.log2(n)) + 30), eta.tolist(), [],
+             lambda: _eta_sum_mp(eta, sigma)),
+            (max(60, int(sigma * math.log2(n)) + 30), plus, minus,
+             lambda: _l_partial_sum_mp(sigma, n)),
+        )
+        for prec, pos, neg, reference in cases:
+            with mpmath.workprec(prec):
+                got = _fixed_point_power_sum(sigma, pos, neg)
+            with mpmath.workprec(prec + 64):
+                want = reference()
+                assert abs(got - want) <= abs(want) * mpmath.mpf(2) ** -prec, (n, prec)
+    # the eta route returns the sum itself
+    z = dedekind_zeta(sigma, "eta-series", truncation=2000)
+    with mpmath.workprec(max(60, int((sigma - 1) * math.log2(2000)) + 30)):
+        assert z.value_mp == _fixed_point_power_sum(sigma, row_table(2000).eta.tolist())
+
+
+# value_mp (mantissa, exponent) of the per-term mpmath branch at
+# truncation 2000; non-integer sigma keeps it bit for bit
+_NONINTEGER_ZETA = {
+    (1.3, "eta-series"): (566985345994459015, -58),
+    (1.3, "euler-product-L-times-zeta"): (600316586873938045, -58),
+    (2.5, "eta-series"): (613101074113283155, -59),
+    (2.5, "euler-product-L-times-zeta"): (613101676407854803, -59),
+}
+
+
+def test_noninteger_zeta_routes_keep_their_values():
+    for (sigma, route), man_exp in _NONINTEGER_ZETA.items():
+        z = dedekind_zeta(sigma, route, truncation=2000)
+        assert (z.value_mp.man, z.value_mp.exp) == man_exp, (sigma, route)
+
+
+def test_constant_c_precision_is_pinned():
+    # c_precision_bits of the cli constants requests (i_max 250..2000)
+    pinned = {(2.0, "one"): [60, 60, 60, 60],
+              (4.0, "bern:4"): [60, 60, 60, 62],
+              (6.0, "bern:6"): [69, 74, 79, 84]}
+    for (sigma, spec), precs in pinned.items():
+        kern = parse_kernel(spec, sigma=sigma)
+        assert [constant_C(sigma, kern, i).prec for i in (250, 500, 1000, 2000)] == precs
 
 
 def test_zeta_route_validation():

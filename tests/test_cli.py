@@ -105,6 +105,19 @@ def test_energy_explicit_lattice_routes_agree():
     assert vals[2] == pytest.approx(vals[0], rel=1e-9)
 
 
+def test_energy_direct_above_cap_is_usage_error():
+    r = run("energy", "--fib-level", "40", "--sigma", "2", "--method", "direct")
+    assert r.exit_code == 2
+    assert "capped at N = 1000" in r.output
+
+
+def test_verify_bad_limit_is_usage_error():
+    # exit 1 would claim a failed check; a limit the suite cannot run is a usage error
+    r = run("verify", "--suite", "zeta-routes", "--limit", "5")
+    assert r.exit_code == 2
+    assert "truncation too small" in r.output
+
+
 def test_energy_flag_conflict_is_usage_error():
     r = run("energy", "--fib-level", "7", "-N", "10", "--sigma", "2")
     assert r.exit_code == 2

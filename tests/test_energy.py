@@ -67,6 +67,13 @@ def test_three_energy_routes_agree():
         energy(RationalLattice(5, 2), 2.0, 1.0, "nope")
 
 
+def test_direct_route_is_capped():
+    # N**2 pairs in Python: F_40 would never return
+    for lat in (RationalLattice(1001, 2), RationalLattice.fibonacci(40)):
+        with pytest.raises(ValueError, match="capped at N = 1000"):
+            energy(lat, 2.0, 1.0, "direct")
+
+
 def test_dft_energy_definition():
     N, h = 8, 3
     c = dft_coeffs(2.0, 1.0, N)

@@ -1,12 +1,17 @@
 import math
+import random
 
 import mpmath
 import numpy as np
 import pytest
 
+from fiblat import wythoff
 from fiblat.golden import GoldenInt, fib, golden_compare, phi_power
 from fiblat.wythoff import (
     RowTable,
+    _floor_phi_many,
+    _mu_many,
+    _phi_pow_below,
     dual_entry,
     dual_slot,
     fib_signed,
@@ -16,7 +21,6 @@ from fiblat.wythoff import (
     locate,
     row,
     row_invariant_eta,
-    row_table,
     row_threshold_mu,
     rows_below_half_fib,
     wythoff_entry,
@@ -145,14 +149,17 @@ def test_floor_phi_plus_inv_matches_high_precision():
 
 
 def test_row_table_matches_scalar_rows():
-    tab = row_table(3000)
-    assert tab.i[0] == 1 and len(tab.i) == 3000
+    # integer columns at every row up to 20000 and a fixed sample up to 1e6
+    tab = RowTable(10 ** 6)
+    assert np.array_equal(tab.i, np.arange(1, 10 ** 6 + 1))
+    sample = random.Random(20).sample(range(20001, 10 ** 6 + 1), 3000)
+    rows = [*range(1, 20001), *sorted(sample)]
+    want = np.array([(row(i).floor_phi_i, row(i).eta, row(i).mu) for i in rows])
+    j = np.array(rows) - 1
+    assert np.array_equal(np.stack([tab.floor_phi_i[j], tab.eta[j], tab.mu[j]], axis=1), want)
     for i in (1, 2, 3, 17, 100, 999, 3000):
         r = row(i)
         j = i - 1
-        assert tab.floor_phi_i[j] == r.floor_phi_i
-        assert tab.eta[j] == r.eta
-        assert tab.mu[j] == r.mu
         assert tab.w_plus[j] == pytest.approx(float(r.w_plus), rel=1e-14)
         assert tab.w_minus_neg[j] == pytest.approx(float(-r.w_minus), rel=1e-12)
     assert np.all(tab.eta >= tab.i)
@@ -171,3 +178,50 @@ def test_row_table_w_minus_neg_has_no_cancellation():
             assert abs(tab.w_minus_neg[i - 1] - want) <= 1e-16 * want, i
     with pytest.raises(ValueError):
         RowTable(10 ** 8)
+
+
+# largest i with floor(phi*i) < 2**27, the top of RowTable's int64 range
+_EDGE = 82951117
+
+
+def _edge_rows() -> np.ndarray:
+    near_edge = range(_EDGE - 3000, _EDGE + 1)
+    # phi*F_k sits within phi**-k of an integer: the hardest float floors
+    fib_like = {c * fib(k) + d for k in range(2, 40) for c in (1, 2, 3) for d in (-1, 0, 1)}
+    return np.array(sorted({*near_edge, *(i for i in fib_like if 1 <= i <= _EDGE)}),
+                    dtype=np.int64)
+
+
+def test_row_columns_exact_near_the_int64_edge():
+    assert floor_phi_times(_EDGE) < 1 << 27 <= floor_phi_times(_EDGE + 1)
+    i = _edge_rows()
+    L = _floor_phi_many(i)
+    mu = _mu_many(i, L)
+    assert L.tolist() == [floor_phi_times(int(x)) for x in i]
+    assert mu.tolist() == [row(int(x)).mu for x in i]
+    # the comparison on both sides of the threshold, where |t| and |v|
+    # are largest, against exact ring arithmetic
+    F = np.array([fib(k) for k in range(int(mu.max()) + 3)], dtype=np.int64)
+    a, b = 2 * (i - 1), 2 * L
+    for dm in (-1, 0, 1, 2):
+        got = _phi_pow_below(F, mu + dm, a, b)
+        want = [golden_compare(phi_power(int(m)), GoldenInt(int(x), int(y))) < 0
+                for m, x, y in zip(mu + dm, a, b)]
+        assert got.tolist() == want, dm
+
+
+@pytest.mark.parametrize("phi_scale, log_scale", [(1 + 1e-9, 1.01), (1 - 1e-9, 0.99)])
+def test_row_columns_correct_a_wrong_estimate(monkeypatch, phi_scale, log_scale):
+    # skewed constants push the float estimates off by one, up or down;
+    # the exact step each way must still land on floor(phi*i) and mu_i
+    i = _edge_rows()
+    L_exact = np.array([floor_phi_times(int(x)) for x in i])
+    mu_exact = np.array([row(int(x)).mu for x in i])
+    monkeypatch.setattr(wythoff, "_PHI", wythoff._PHI * phi_scale)
+    monkeypatch.setattr(wythoff, "_LOG_PHI", wythoff._LOG_PHI * log_scale)
+    assert np.any(np.floor(i * wythoff._PHI).astype(np.int64) != L_exact)
+    L = _floor_phi_many(i)
+    assert np.array_equal(L, L_exact)
+    w = (i - 1) + L * wythoff._PHI
+    assert np.any(np.floor(np.log(2 * w) / wythoff._LOG_PHI).astype(np.int64) != mu_exact)
+    assert np.array_equal(_mu_many(i, L), mu_exact)
