@@ -15,8 +15,12 @@ fib_sum evaluates the weighted trigonometric sums
     sum_{m=1}^{F_n - 1} f(m/F_n) f({F_{n-1} m/F_n})
         / |sin(pi m/F_n) sin(pi F_{n-1} m/F_n)|^sigma,
 
-normalized by F_n^sigma, either over the flat grid or grouped along
-Wythoff rows paired with dual-array entries.
+normalized by F_n^sigma, either over the flat grid (fib_sum, levels
+n < 48) or grouped along Wythoff rows paired with dual-array entries
+(fib_sum_grouped, levels n < 44).  Both are whole-array sweeps in fixed
+blocks; the grouped sum is bit-identical to a loop over rows.  The dft
+and wce energy routes share a Hurwitz pair table capped at
+N = kernels._PAIR_TABLE_MAX_N; "direct" is capped at N = _DIRECT_MAX_N.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ from .kernels import (
     potential_K,
     zeta,
 )
-from .wythoff import dual_slot, row, rows_below_half_fib, wythoff_row_entries
+from .wythoff import _level_rows
 
 __all__ = [
     "RationalLattice",
@@ -127,7 +131,7 @@ def wce_e(sigma: float, p: float, N: int, h: int) -> float:
     vectorized Hurwitz pair table as dft_coeffs (relative error ~1e-15).
     The table is scaled by (2 pi N)**-sigma before the pairing sum so
     the products stay in range; sizes where (2 pi N)**sigma overflows
-    float64 raise ValueError.
+    float64, or above kernels._PAIR_TABLE_MAX_N, raise ValueError.
     """
     if math.gcd(h, N) != 1:
         raise ValueError(f"generator {h} not coprime to {N}")
@@ -158,9 +162,11 @@ def energy(lat: RationalLattice, sigma: float, p: float, method: str = "dft",
     (N^2 * (1 + wce_e)).
 
     The dft and wce routes share the vectorized Hurwitz pair table
-    (relative error ~1e-15); tol is the potential's series tolerance
-    and applies to "direct" only.  "direct" visits all N**2 pairs in
-    Python and is refused with ValueError above N = 1000."""
+    (relative error ~1e-15) and are refused with ValueError above
+    N = 2 * 10**7 (kernels._PAIR_TABLE_MAX_N, for memory); tol is the
+    potential's series tolerance and applies to "direct" only.
+    "direct" visits all N**2 pairs in Python and is refused with
+    ValueError above N = 1000."""
     if method == "direct":
         if lat.N > _DIRECT_MAX_N:
             raise ValueError(
@@ -219,8 +225,15 @@ def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
     Each entry W[i, k] below F_n/2 contributes twice (for m and F_n - m),
     with the companion argument taken from the dual array at slot n - k;
     when F_n is even the midpoint m = F_n/2 adds f(1/2)^2 exactly once.
-    With collect_rows, also returns {i: per-k term array} of normalized
-    terms.
+    With collect_rows, also returns {i: per-k term array} of the terms
+    (normalized when the sum is), keys in ascending i.
+
+    Vectorized over the row columns: rows of equal depth k_max form 2-D
+    blocks of at most _SUM_CHUNK terms, with W[i, k] and Wd[i, n - k]
+    exact in int64.  Each row is summed by numpy's pairwise bracketing
+    over that row alone, and 2 * (row sum) is added in ascending i, so
+    the result is bit-identical to a per-row loop.  Levels n >= 44 raise
+    ValueError: their rows leave the exact int64 row columns.
     """
     if n < 2:
         raise ValueError(f"level must be >= 2, got {n}")
@@ -231,19 +244,27 @@ def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
     if fn == 1:
         return (0.0, {}) if collect_rows else 0.0
     scale = float(fn) ** sigma if normalized else 1.0
+    F = np.array([fib(k) for k in range(n + 1)], dtype=np.int64)
     rows_terms: dict[int, np.ndarray] = {}
     total = 0.0
-    for i, k_max in rows_below_half_fib(n):
-        w = np.array(wythoff_row_entries(i, k_max), dtype=np.int64)
-        wd = np.array([dual_slot(i, n - k) for k in range(1, k_max + 1)],
-                      dtype=np.int64)
-        t1 = w / fn
-        t2 = wd / fn
-        vals = kernel.eval_many(t1) * kernel.eval_many(t2)
-        vals /= (np.sin(np.pi * t1) * np.sin(np.pi * t2)) ** sigma
-        vals /= scale
-        rows_terms[i] = vals
-        total += 2.0 * float(np.sum(vals))
+    for i, L, k_max in _level_rows(n):
+        # k_max is nonincreasing in i: rows of equal depth are contiguous
+        edges = [0, *(np.flatnonzero(np.diff(k_max)) + 1).tolist(), len(i)]
+        for a, b in zip(edges, edges[1:]):
+            k = np.arange(1, int(k_max[a]) + 1)
+            step = _SUM_CHUNK // len(k)  # depths stay below 44
+            for lo in range(a, b, step):
+                rows = slice(lo, min(lo + step, b))
+                Lc, ic = L[rows, None], i[rows, None] - 1
+                t1 = (F[k + 1] * Lc + F[k] * ic) / fn
+                t2 = (F[n - k - 1] * Lc - F[n - k] * ic) / fn
+                vals = kernel.eval_many(t1) * kernel.eval_many(t2)
+                vals /= (np.sin(np.pi * t1) * np.sin(np.pi * t2)) ** sigma
+                vals /= scale
+                doubled = 2.0 * vals.sum(axis=1)
+                total = float(np.add.accumulate(np.r_[total, doubled])[-1])
+                if collect_rows:
+                    rows_terms.update(zip(i[rows].tolist(), vals))
     if fn % 2 == 0:
         total += kernel.eval(0.5) ** 2 / scale
     if collect_rows:

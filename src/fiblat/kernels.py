@@ -52,6 +52,9 @@ _TWO_PI = 2 * math.pi
 # pi to 39 digits: parsed by each float dtype, so extended-precision
 # arrays get their own correctly rounded pi rather than the double one
 _PI_STR = "3.14159265358979323846264338327950288420"
+# largest N of the Hurwitz pair table (dft_coeffs, wce_e): either route adds
+# ~35 bytes per N to the process, 721 MB peak RSS at the cap
+_PAIR_TABLE_MAX_N = 2 * 10 ** 7
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,9 +172,14 @@ def _hurwitz_pair_table(sigma: float, N: int) -> np.ndarray:
     sigma * 2**-53.  Every caller scales the table by (2 pi N)**-sigma, so
     sizes where that factor leaves the float64 normal range raise
     ValueError; this also keeps the table, of order N**sigma, finite.
+    So do sizes above _PAIR_TABLE_MAX_N, to bound memory.
     """
     if sigma <= 1:
         raise ValueError(f"exponent must exceed 1, got {sigma}")
+    if N > _PAIR_TABLE_MAX_N:
+        raise ValueError(
+            f"pair table is capped at N = {_PAIR_TABLE_MAX_N} (memory), got N = {N}"
+        )
     if sigma * math.log10(_TWO_PI * N) > 307:
         raise ValueError(
             f"(2 pi N)**sigma overflows float64 at sigma={sigma:g}, N={N}"
@@ -185,10 +193,13 @@ def _hurwitz_pair_table(sigma: float, N: int) -> np.ndarray:
 
 
 def f_sigma_many(sigma: float, a: np.ndarray) -> np.ndarray:
-    """Vectorized f_sigma on (0, 1), float64."""
-    a = np.asarray(a, dtype=np.float64)
+    """Vectorized f_sigma, float64: a is reduced mod 1 and a = 0 gives
+    pi**sigma, as in f_sigma."""
+    a = np.mod(np.asarray(a, dtype=np.float64), 1.0)
+    zero = a == 0.0
+    a = np.where(zero, 0.5, a)  # any offset in (0, 1); replaced below
     z = _hurwitz_many(sigma, a) + _hurwitz_many(sigma, 1.0 - a)
-    return np.sin(np.pi * a) ** sigma * z
+    return np.where(zero, math.pi ** sigma, np.sin(np.pi * a) ** sigma * z)
 
 
 @functools.lru_cache(maxsize=None)
@@ -417,7 +428,8 @@ def dft_coeffs(sigma: float, p: float, N: int) -> np.ndarray:
 
     zeta(sigma) is the scalar mpmath value; the m >= 1 entries come from
     the vectorized Hurwitz pair table, relative error ~1e-15.  Raises
-    ValueError where (2 pi N)**sigma overflows float64.
+    ValueError where (2 pi N)**sigma overflows float64 and above
+    N = _PAIR_TABLE_MAX_N (peak memory under 1 GB).
     """
     if N < 1:
         raise ValueError(f"modulus must be >= 1, got {N}")

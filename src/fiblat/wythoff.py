@@ -61,7 +61,7 @@ def _inv_phi_split() -> tuple[float, float, float]:
 
 
 _INV_PHI_SPLIT = _inv_phi_split()
-_ROW_BLOCK = 1 << 16  # rows per block of the RowTable build
+_ROW_BLOCK = 1 << 16  # rows per block of the RowTable build and the level-row scan
 
 
 def floor_phi_plus_inv(x: int) -> int:
@@ -226,19 +226,46 @@ def rows_below_half_fib(n: int) -> list[tuple[int, int]]:
 
     Returns [(i, k_max)] where k_max = n - mu_i - 1 >= 1; the union of
     {W[i, k] : k <= k_max} over these rows is exactly the set of
-    positive integers below F_n / 2.
+    positive integers below F_n / 2.  Levels n >= 44 raise ValueError
+    (see _level_rows).
+    """
+    out = []
+    for i, _, k_max in _level_rows(n):
+        out.extend(zip(i.tolist(), k_max.tolist()))
+    return out
+
+
+def _level_rows(n: int):
+    """The rows of rows_below_half_fib(n) as int64 arrays
+    (i, floor(phi*i), k_max), in ascending i and in blocks of at most
+    _ROW_BLOCK rows.
+
+    Row i qualifies iff W[i, 1] = floor(phi*i) + i - 1 < F_n / 2, which
+    bounds i below (F_n + 4) / (2 phi**2).  The columns come from the
+    RowTable helpers block by block; mu_i is nondecreasing in i, so each
+    block is cut by searchsorted at mu_i <= n - 2 and the scan stops at
+    the first row past it.  Levels whose bound leaves the exact int64
+    columns (floor(phi*i) < 2**27, so n >= 44) raise ValueError.
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
-    out = []
-    i = 1
-    while True:
-        mu = row(i).mu
-        if mu > n - 2:
-            # mu_i is nondecreasing in i, so no later row qualifies
-            return out
-        out.append((i, n - mu - 1))
-        i += 1
+    # floor(x / phi**2) = 2x - floor(phi*x) - 1 for integers x >= 1
+    x = fib(n) + 4
+    i_bound = (2 * x - floor_phi_times(x) - 1) // 2
+    if i_bound >= 1 and floor_phi_times(i_bound) >= 1 << 27:
+        raise ValueError(
+            f"level must be < 44 (its rows pass the exact int64 row "
+            f"columns, floor(phi*i) < 2**27), got {n}"
+        )
+    for lo in range(1, i_bound + 1, _ROW_BLOCK):
+        i = np.arange(lo, min(lo + _ROW_BLOCK, i_bound + 1), dtype=np.int64)
+        L = _floor_phi_many(i)
+        mu = _mu_many(i, L)
+        cut = int(np.searchsorted(mu, n - 2, side="right"))
+        if cut:
+            yield i[:cut], L[:cut], n - 1 - mu[:cut]
+        if cut < len(i):
+            return
 
 
 def half_fib_witness(ell: int) -> tuple[int, int, int]:

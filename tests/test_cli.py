@@ -105,6 +105,19 @@ def test_energy_explicit_lattice_routes_agree():
     assert vals[2] == pytest.approx(vals[0], rel=1e-9)
 
 
+def test_grouped_sum_above_level_cap_is_usage_error():
+    r = run("sum", "-n", "44", "--sigma", "2", "--method", "grouped")
+    assert r.exit_code == 2
+    assert "level must be < 44" in r.output
+
+
+def test_energy_table_routes_above_cap_are_usage_errors():
+    for method in ("dft", "wce"):
+        r = run("energy", "--fib-level", "40", "--sigma", "2", "--method", method)
+        assert r.exit_code == 2
+        assert "capped at N" in r.output
+
+
 def test_energy_direct_above_cap_is_usage_error():
     r = run("energy", "--fib-level", "40", "--sigma", "2", "--method", "direct")
     assert r.exit_code == 2

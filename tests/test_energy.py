@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -22,8 +23,10 @@ from fiblat.kernels import (
     kernel_fsigma,
     kernel_one,
     kernel_trig,
+    parse_kernel,
     potential_K,
 )
+from fiblat.wythoff import dual_slot, row, wythoff_row_entries
 
 
 def test_lattice_validation():
@@ -126,6 +129,68 @@ def test_fib_sum_grouped_covers_even_modulus_midpoint():
     assert b - doubled == pytest.approx(1.0, rel=1e-12)  # f(1/2)^2 = 1
 
 
+@functools.lru_cache(maxsize=None)
+def _row_entries(n):
+    """[(i, [W[i, k]], [Wd[i, n - k]]) for k = 1..k_max] over the rows with
+    mu_i <= n - 2, from the scalar row objects."""
+    out = []
+    i = 1
+    while row(i).mu <= n - 2:
+        k_max = n - row(i).mu - 1
+        w = np.array(wythoff_row_entries(i, k_max), dtype=np.int64)
+        wd = np.array([dual_slot(i, n - k) for k in range(1, k_max + 1)],
+                      dtype=np.int64)
+        out.append((i, w, wd))
+        i += 1
+    return out
+
+
+def _grouped_row_loop(n, sigma, kernel, *, normalized=True):
+    """The grouped sum as a loop over rows, each summed by np.sum: the
+    oracle the vectorized fib_sum_grouped must equal bit for bit."""
+    fn = fib(n)
+    scale = float(fn) ** sigma if normalized else 1.0
+    rows_terms = {}
+    total = 0.0
+    for i, w, wd in _row_entries(n):
+        t1 = w / fn
+        t2 = wd / fn
+        vals = kernel.eval_many(t1) * kernel.eval_many(t2)
+        vals /= (np.sin(np.pi * t1) * np.sin(np.pi * t2)) ** sigma
+        vals /= scale
+        rows_terms[i] = vals
+        total += 2.0 * float(np.sum(vals))
+    if fn % 2 == 0:
+        total += kernel.eval(0.5) ** 2 / scale
+    return total, rows_terms
+
+
+@pytest.mark.parametrize("spec,sigma,n_max", [
+    ("one", 2.0, 24), ("bern:4", 4.0, 24), ("bern:6", 6.0, 24),
+    ("trig:0,1", 2.5, 24), ("fsigma", 2.5, 20),
+])
+def test_fib_sum_grouped_equals_row_loop(spec, sigma, n_max):
+    kernel = parse_kernel(spec, sigma=sigma)
+    for n in range(3, n_max + 1):
+        for normalized in (True, False):
+            want, want_rows = _grouped_row_loop(n, sigma, kernel, normalized=normalized)
+            got, got_rows = fib_sum_grouped(n, sigma, kernel, normalized=normalized,
+                                            collect_rows=True)
+            assert got == want, (n, normalized)
+            assert fib_sum_grouped(n, sigma, kernel, normalized=normalized) == want
+            assert list(got_rows) == list(want_rows)
+            for i, vals in want_rows.items():
+                assert np.array_equal(got_rows[i], vals), (n, normalized, i)
+    assert fib_sum_grouped(2, sigma, kernel, collect_rows=True) == (0.0, {})
+
+
+def test_fib_sum_grouped_streams_several_blocks():
+    # F_29: ~98k rows in two row blocks, depth groups split into several
+    # chunks of at most 2**16 terms
+    want = sigma2_closed(29) / Fraction(fib(29)) ** 2
+    assert fib_sum_grouped(29, 2.0) == pytest.approx(float(want), rel=1e-12)
+
+
 def test_fib_sum_normalization_scale():
     n = 10
     raw = fib_sum(n, 2.0, kernel_one(), normalized=False)
@@ -152,6 +217,9 @@ def test_fib_sum_rejects_bad_arguments():
     for sigma in (0.0, -1.0):
         with pytest.raises(ValueError):
             fib_sum_grouped(8, sigma)
+    # rows of level 44 pass floor(phi*i) < 2**27, the exact int64 row columns
+    with pytest.raises(ValueError, match="level must be < 44"):
+        fib_sum_grouped(44, 2.0)
 
 
 def test_fib_sum_streams_several_blocks():

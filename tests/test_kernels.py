@@ -80,6 +80,19 @@ def test_f_sigma_is_symmetric_and_matches_scalar():
         assert v == pytest.approx(k.eval(float(x)), rel=1e-10)
 
 
+def test_eval_many_matches_eval_outside_the_unit_interval():
+    # t is a point of the torus: eval_many reduces mod 1 like eval, and the
+    # zeta weight takes its limit pi**sigma at t = 0
+    t = np.array([0.0, 1.0, 1.3, -0.2])
+    for k in (kernel_one(), kernel_fsigma(2.5), kernel_bernoulli_weight(6),
+              kernel_trig([0, 1])):
+        many = k.eval_many(t)
+        assert np.all(np.isfinite(many)), k.name
+        for x, v in zip(t, many):
+            assert v == pytest.approx(k.eval(float(x)), rel=1e-12), (k.name, x)
+    assert kernel_fsigma(2.5).eval_many(t)[0] == math.pi ** 2.5
+
+
 def test_eval_many_keeps_the_input_dtype():
     x = np.array([0.05, 0.2, 1 / 3, 0.45, 0.5])
     for k in (kernel_one(), kernel_fsigma(2.5), kernel_bernoulli_weight(4)):
@@ -207,6 +220,18 @@ def test_hurwitz_pair_table_against_mpmath():
                 want = mpmath.zeta(sigma, a) + mpmath.zeta(sigma, 1 - a)
                 got = tables[N][m]
                 assert abs(got - want) <= rel * want, (sigma, N, m)
+
+
+def test_pair_table_routes_are_capped():
+    # N = F_40 ~ 1e8 would build a 1e8-entry table for ~40 s
+    from fiblat.kernels import _PAIR_TABLE_MAX_N
+
+    N = _PAIR_TABLE_MAX_N + 1
+    with pytest.raises(ValueError, match="capped at N"):
+        dft_coeffs(2.0, 1.0, N)
+    with pytest.raises(ValueError, match="capped at N"):
+        wce_e(2.0, 1.0, N, 2)
+    assert _PAIR_TABLE_MAX_N >= 10 ** 6
 
 
 def test_pair_table_routes_refuse_float64_overflow():

@@ -10,6 +10,7 @@ from fiblat.golden import GoldenInt, fib, golden_compare, phi_power
 from fiblat.wythoff import (
     RowTable,
     _floor_phi_many,
+    _level_rows,
     _mu_many,
     _phi_pow_below,
     dual_entry,
@@ -90,6 +91,26 @@ def test_rows_below_half_fib_partitions_prefix():
             assert k_max == n - row(i).mu - 1 >= 1
             seen.extend(wythoff_row_entries(i, k_max))
         assert sorted(seen) == [m for m in range(1, fn) if 2 * m < fn]
+
+
+def test_rows_below_half_fib_matches_scalar_rows():
+    # the row-column scan against the definition by scalar row objects
+    for n in range(1, 31):
+        want = []
+        i = 1
+        while row(i).mu <= n - 2:
+            want.append((i, n - row(i).mu - 1))
+            i += 1
+        assert rows_below_half_fib(n) == want, n
+
+
+def test_level_rows_are_capped_at_the_int64_columns():
+    # level 43 needs rows up to i ~ 8.3e7, still inside floor(phi*i) < 2**27
+    i, L, k_max = next(_level_rows(43))
+    assert (i[0], L[0], k_max[0]) == (1, 1, 40)
+    for n in (44, 60):
+        with pytest.raises(ValueError, match="level must be < 44"):
+            rows_below_half_fib(n)
 
 
 def test_half_fib_witnesses():
