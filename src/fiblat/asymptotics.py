@@ -13,12 +13,21 @@ precision (the gap is reported as a rounding proxy), and one oracle,
 the per-row mpmath series delta_mp and delta_star_mp.  D's inner tails
 are geometric-ratio estimates and its outer tail a fitted dyadic decay,
 both reported rather than certified.
+
+The sweep cuts the rows into fixed chunks of _CHUNK rows.  When there is
+more than one chunk, the chunks of both precision passes share one set
+of worker threads, by default one per CPU the process may run on
+(FIBLAT_THREADS or threads= override it); NumPy releases the GIL in the
+elementwise loops that take the time.  Each pass adds its chunk sums in
+row order, so every output is bit-identical for any worker count.
 """
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -340,6 +349,7 @@ class DConstant:
     kernel: str
     i_max: int
     k_max: int
+    threads: int  # workers the sweep ran on
 
     @property
     def error_estimate(self) -> float:
@@ -347,13 +357,23 @@ class DConstant:
 
 
 def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("FIBLAT_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+    """Requested worker count: threads, else FIBLAT_THREADS, else the
+    number of CPUs the process may run on.  A count that is not a
+    positive integer raises ValueError."""
+    if threads is None:
+        env = os.environ.get("FIBLAT_THREADS", "").strip()
+        if not env:
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
+            return os.cpu_count() or 1
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ValueError(
+                f"FIBLAT_THREADS must be a positive integer, got {env!r}") from None
+    if threads < 1 or int(threads) != threads:
+        raise ValueError(f"thread count must be a positive integer, got {threads!r}")
+    return int(threads)
 
 
 def _tail_mass(last: np.ndarray, prev: np.ndarray) -> float:
@@ -426,18 +446,9 @@ def _d_chunk(tab, lo: int, hi: int, sigma: float, kernel: Kernel,
     return acc.sum(), inner, m_hi, m_mid
 
 
-def _d_pass(tab, sigma: float, kernel: Kernel, k_max: int, i_max: int,
-            dtype, threads: int):
-    spans = [(lo, min(lo + _CHUNK, i_max)) for lo in range(0, i_max, _CHUNK)]
-
-    def work(span):
-        return _d_chunk(tab, span[0], span[1], sigma, kernel, k_max, i_max, dtype)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(work, spans))
-    else:
-        parts = [work(s) for s in spans]
+def _d_pass(parts, dtype):
+    """Reduce one pass's chunk results, given in row order, to
+    (value, inner tail, outer tail)."""
     total = dtype(0)
     inner = m_hi = m_mid = 0.0
     for p in parts:  # fixed order: deterministic for any thread count
@@ -461,9 +472,14 @@ def constant_D(sigma: float, kernel: Kernel | None = None,
     truncated at i_max rows and k_max inner terms, by a vectorized sweep.
 
     Runs the sweep in extended precision and again at double, reporting
-    the difference as the rounding proxy.  Outer sums are chunked with a
-    fixed chunk size and reduced in index order, so the result does not
-    depend on the thread count.
+    the difference as the rounding proxy.  Rows are cut into chunks of
+    _CHUNK rows; the chunks of both passes share threads workers, the
+    calling thread among them (default: FIBLAT_THREADS, else every CPU
+    available to the process), capped at the number of chunks, so
+    i_max <= _CHUNK runs inline.  Each pass adds its chunk sums in row
+    order, so the result is bit-identical for any worker count;
+    DConstant.threads records the count used.  A thread count (or FIBLAT_THREADS) that is not a
+    positive integer raises ValueError.
     """
     if sigma <= 1:
         raise ValueError(f"exponent must exceed 1, got {sigma}")
@@ -472,15 +488,35 @@ def constant_D(sigma: float, kernel: Kernel | None = None,
     if k_max < 2:
         raise ValueError(f"need at least two inner terms, got k_max={k_max}")
     kernel = kernel or kernel_one()
-    nthreads = _thread_count(threads)
+    spans = [(lo, min(lo + _CHUNK, i_max)) for lo in range(0, i_max, _CHUNK)]
+    nthreads = min(_thread_count(threads), len(spans))
     tab = row_table(i_max)
-    value, inner, outer = _d_pass(tab, sigma, kernel, k_max, i_max,
-                                  np.longdouble, nthreads)
-    lo_value, _, _ = _d_pass(tab, sigma, kernel, k_max, i_max,
-                             np.float64, nthreads)
+
+    # the slow extended-precision chunks queue first
+    todo = deque(enumerate((dtype, span) for dtype in (np.longdouble, np.float64)
+                           for span in spans))
+    parts = [None] * len(todo)
+
+    def drain():
+        while True:
+            try:
+                j, (dtype, span) = todo.popleft()  # deque pops are thread-safe
+            except IndexError:
+                return
+            parts[j] = _d_chunk(tab, *span, sigma, kernel, k_max, i_max, dtype)
+
+    # the calling thread drains too, so one thread fewer keeps its own
+    # resident copy of a chunk's work arrays
+    with ThreadPoolExecutor(nthreads - 1) if nthreads > 1 else nullcontext() as ex:
+        helpers = [ex.submit(drain) for _ in range(nthreads - 1)]
+        drain()
+        for h in helpers:
+            h.result()
+    value, inner, outer = _d_pass(parts[:len(spans)], np.longdouble)
+    lo_value, _, _ = _d_pass(parts[len(spans):], np.float64)
     gap = abs(value - lo_value)
     return DConstant(value, inner, outer, gap, float(sigma), kernel.name,
-                     i_max, k_max)
+                     i_max, k_max, nthreads)
 
 
 @dataclass(frozen=True)
@@ -498,7 +534,10 @@ class AsymptoticConstants:
 def compute_constants(sigma: float, kernel: Kernel | None = None,
                       i_max: int = 100000, k_max: int = 64, *,
                       threads: int | None = None) -> AsymptoticConstants:
-    """Both constants at matched truncations."""
+    """Both constants at matched truncations.  threads sets the D
+    sweep's worker count, as in constant_D (default: FIBLAT_THREADS,
+    else every CPU available to the process); it does not change a bit
+    of the result."""
     kernel = kernel or kernel_one()
     c = constant_C(sigma, kernel, i_max)
     d = constant_D(sigma, kernel, i_max, k_max, threads=threads)
@@ -548,7 +587,9 @@ def residual_fit(sigma: float, kernel: Kernel | None = None,
     """Level sums against the fitted line c*n + d.
 
     Constants are taken exactly for sigma=2 with the constant weight and
-    from the truncated series otherwise (or passed in directly).  The
+    from the truncated series otherwise (or passed in directly); threads
+    is passed to constant_D, whose default is FIBLAT_THREADS, else every
+    CPU available to the process, and does not change the result.  The
     scaled residual multiplies by phi**(beta*n/2) with
     beta = min(alpha, sigma-1), the claimed decay normalization.
     """

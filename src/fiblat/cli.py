@@ -7,7 +7,8 @@ documents carry a ``schema_version`` field.  Exit status: 0 on success,
 1 when a verification suite fails, 2 on usage errors.
 
 Environment: FIBLAT_THREADS and FIBLAT_PRECISION_BITS provide defaults
-for the matching options; explicit flags win.
+for the matching options; explicit flags win.  Without either, the D row
+sweep uses every CPU available to the process.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ def _format_option(default: str):
 _threads_option = click.option(
     "--threads", type=int, default=None, envvar="FIBLAT_THREADS",
     callback=_at_least(1),
-    help="worker threads for the row sweep [env FIBLAT_THREADS]",
+    help="worker threads for the D row sweep; results do not depend on it "
+         "[default: all CPUs available to the process; env FIBLAT_THREADS]",
 )
 
 _precision_option = click.option(
@@ -261,7 +263,7 @@ def cmd_constants(sigma, kernel_spec, i_max, k_max, threads, precision_bits, fmt
         "kernel": kernel.name,
         "i_max": i_max,
         "k_max": k_max,
-        "threads": threads or 1,
+        "threads": d.threads,
         "c": c.value,
         "c_tail_bound": c.tail_bound,
         "c_precision_bits": c.prec,

@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 
 import mpmath
@@ -71,11 +72,29 @@ def test_offset_series_matches_scalar_reconstruction():
     assert vec.error_estimate > 0
 
 
-def test_offset_series_thread_invariant():
-    a = constant_D(2.0, i_max=2000, k_max=24, threads=1)
-    b = constant_D(2.0, i_max=2000, k_max=24, threads=4)
-    assert a.value == b.value  # bit-identical by fixed chunking
-    assert a.error_estimate == b.error_estimate
+def test_offset_series_thread_invariant(monkeypatch):
+    # 24600 rows are four chunks of _CHUNK, the last one partial
+    monkeypatch.delenv("FIBLAT_THREADS", raising=False)
+    fields = ("value", "inner_tail", "outer_tail", "precision_gap")
+    for sigma, spec in ((2.0, "one"), (4.0, "bern:4"), (2.5, "fsigma")):
+        kernel = parse_kernel(spec, sigma=sigma)
+        runs = {t: constant_D(sigma, kernel, i_max=24600, k_max=6, threads=t)
+                for t in (1, 2, 3, None)}
+        assert [runs[t].threads for t in (1, 2, 3)] == [1, 2, 3]
+        want = [getattr(runs[1], f) for f in fields]
+        for d in runs.values():  # bit-identical by fixed chunking and reduction order
+            assert [getattr(d, f) for f in fields] == want, (spec, d.threads)
+
+
+def test_default_thread_count_is_the_available_cpus(monkeypatch):
+    monkeypatch.delenv("FIBLAT_THREADS", raising=False)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert constant_D(2.0, i_max=24600, k_max=4).threads == min(cpus, 4)
+    # one chunk runs inline whatever the request
+    assert constant_D(2.0, i_max=2000, k_max=4, threads=8).threads == 1
+    monkeypatch.setenv("FIBLAT_THREADS", "3")
+    assert constant_D(2.0, i_max=24600, k_max=4).threads == 3
+    assert constant_D(2.0, i_max=24600, k_max=4, threads=2).threads == 2
 
 
 def test_offset_series_validates_arguments():
@@ -83,6 +102,18 @@ def test_offset_series_validates_arguments():
         constant_D(2.0, i_max=4)
     with pytest.raises(ValueError):
         constant_D(2.0, k_max=1)
+    for threads in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="thread count"):
+            constant_D(2.0, i_max=64, k_max=4, threads=threads)
+
+
+@pytest.mark.parametrize("env", ["0", "-3", "abc", "2.5"])
+def test_bad_thread_env_is_rejected(env, monkeypatch):
+    monkeypatch.setenv("FIBLAT_THREADS", env)
+    with pytest.raises(ValueError):
+        constant_D(2.0, i_max=64, k_max=4)
+    with pytest.raises(ValueError):
+        compute_constants(2.0, i_max=64, k_max=4)
 
 
 def test_linear_constant_tail_is_honest():

@@ -173,21 +173,38 @@ def test_precision_bits_flag_is_a_floor():
 
 
 def test_threads_env_and_flag_precedence():
+    # 24600 rows are four sweep chunks, so up to four workers are used
     env = {"FIBLAT_THREADS": "4"}
     doc = json.loads(run(
-        "constants", "--sigma", "2", "--i-max", "64", "--k-max", "8",
+        "constants", "--sigma", "2", "--i-max", "24600", "--k-max", "8",
         env=env).output)
     assert doc["threads"] == 4
     doc = json.loads(run(
-        "constants", "--sigma", "2", "--i-max", "64", "--k-max", "8",
+        "constants", "--sigma", "2", "--i-max", "24600", "--k-max", "8",
         "--threads", "2", env=env).output)
     assert doc["threads"] == 2
 
 
+def test_threads_field_reports_the_workers_used():
+    # one chunk runs inline whatever was asked for
+    doc = json.loads(run("constants", "--sigma", "2", "--i-max", "64", "--k-max", "8",
+                         "--threads", "4").output)
+    assert doc["threads"] == 1
+
+
 def test_bad_thread_env_is_usage_error():
-    r = run("constants", "--sigma", "2", "--i-max", "64",
-            env={"FIBLAT_THREADS": "0"})
-    assert r.exit_code == 2
+    for env in ("0", "-3", "abc"):
+        r = run("constants", "--sigma", "2", "--i-max", "64",
+                env={"FIBLAT_THREADS": env})
+        assert r.exit_code == 2, env
+
+
+def test_bad_thread_flag_is_usage_error():
+    for cmd in (("constants", "--sigma", "2.5"), ("fit", "--sigma", "2.5")):
+        for flag in ("0", "-3"):
+            r = run(*cmd, "--i-max", "64", "--threads", flag)
+            assert r.exit_code == 2, (cmd, flag)
+            assert "--threads" in r.output
 
 
 def test_closed_family_table_exact():
