@@ -9,12 +9,25 @@ an exact rational.  For consecutive Fibonacci moduli the (2,2) and
 the DFT identity for even potentials those closed forms lift to the
 trigonometric sums over the Fibonacci lattice (sigma2/sigma4/sigma6 and
 the 1/sin^4 and cos^2/sin^4 variants).
+
+`gen_dedekind_sum` runs in poly(l + m) * log c integer operations, not
+O(c): the Bernoulli multiplication formula and a change of summation
+index reduce any (a, b) to a = 1, and the a = 1 sum is a combination of
+the power sums sum_{k<c} k^p floor(b k/c)^q, which a Euclid-like
+generalized floor-sum recursion evaluates (see `floor_sum` in the
+AtCoder Library for the q <= 1 case).  The recursion uses no
+reciprocity law, so `apostol_check` and `hwz_check` test it
+independently; the definition-level sum over k is the oracle of the
+test suite.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import itemgetter, mul
 
 from .golden import fib, lucas
 from .kernels import bernoulli_poly_coeffs
@@ -47,6 +60,8 @@ class DedekindSumSpec:
     c: int
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _as_int(f.name, getattr(self, f.name)))
         if self.ell < 0 or self.m < 0:
             raise ValueError(f"polynomial degrees must be >= 0, got ({self.ell}, {self.m})")
         if self.c < 1:
@@ -56,41 +71,191 @@ class DedekindSumSpec:
         return gen_dedekind_sum(self.ell, self.m, self.a, self.b, self.c)
 
 
-def _int_poly_coeffs(m: int, c: int) -> tuple[list[int], int]:
-    """Integer coefficients (descending powers) and denominator d so that
-    B_m(r/c) = P(r) / (d * c**m) for integer r."""
-    coeffs = bernoulli_poly_coeffs(m)
-    d = 1
-    for q in coeffs:
-        d = d * q.denominator // math.gcd(d, q.denominator)
-    desc = []
-    for j in range(m, -1, -1):
-        q = coeffs[j]
-        desc.append(q.numerator * (d // q.denominator) * c ** (m - j))
-    return desc, d
+def _as_int(name: str, value) -> int:
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _powers(x: int, k: int) -> list[int]:
+    """[1, x, ..., x**k]."""
+    out = [1]
+    for _ in range(k):
+        out.append(out[-1] * x)
+    return out
+
+
+def _over_common_denominator(coeffs) -> tuple[tuple[int, ...], int]:
+    """Integer numerators and the least common denominator of Fractions."""
+    d = math.lcm(*(q.denominator for q in coeffs))
+    return tuple(q.numerator * (d // q.denominator) for q in coeffs), d
+
+
+@functools.lru_cache(maxsize=None)
+def _bernoulli_numerators(m: int) -> tuple[tuple[int, ...], int]:
+    """Integers N (ascending powers) and d with B_m(x) = sum_j N[j] x^j / d."""
+    return _over_common_denominator(bernoulli_poly_coeffs(m))
+
+
+@functools.lru_cache(maxsize=None)
+def _power_sum_poly(p: int) -> tuple[tuple[int, ...], int]:
+    """Integers A (ascending powers) and d with
+    sum_{x=0}^{g} x^p = sum_j A[j] g^j / d for every integer g >= 0.
+
+    Faulhaber: the sum is (B_{p+1}(g) - B_{p+1}(0))/(p+1) + g^p.
+    """
+    r = [Fraction(0)] + [q / (p + 1) for q in bernoulli_poly_coeffs(p + 1)[1:]]
+    r[p] += 1
+    return _over_common_denominator(r)
+
+
+@functools.lru_cache(maxsize=None)
+def _floor_sum_plan(deg: int):
+    """Row offsets, and the gathers and integer coefficients of both steps
+    of one level of the floor-sum recursion at total degree `deg`.
+
+    A table holds T[p][q] for p + q <= deg in one flat list: row p (the
+    entries q = 0..deg-p) starts at offset off[p].
+    """
+    off = [0]
+    for p in range(deg):
+        off.append(off[-1] + deg - p + 1)
+    swap, reduce = [], []
+    for p in range(deg + 1):
+        A, d = _power_sum_poly(p)
+        rows = []
+        for q in range(1, deg - p + 1):
+            pairs = [(i, j) for i in range(q) for j in range(p + 2)]
+            coeffs = tuple(math.comb(q, i) * A[j] for i, j in pairs)
+            rows.append((q, coeffs, itemgetter(*(off[i] + j for i, j in pairs))))
+        swap.append((A, d, tuple(rows)))
+        reduce.append((off[p], tuple(
+            (q, itemgetter(*(off[p + i] + l for i, l in _multinomial_terms(q))))
+            for q in range(1, deg - p + 1))))
+    return tuple(off), tuple(swap), tuple(reduce)
+
+
+def _multinomial_terms(q: int) -> list[tuple[int, int]]:
+    """(i, l) of the terms (qa x)^i qb^(q-i-l) y'^l of (qa x + qb + y')^q."""
+    return [(i, l) for i in range(q + 1) for l in range(q - i + 1)]
+
+
+@functools.lru_cache(maxsize=256)
+def _reduction_coeffs(deg: int, qa: int, qb: int) -> tuple[tuple[int, ...], ...]:
+    """Coefficients of (qa x + qb + y')^q, q = 0..deg, in the order of
+    `_multinomial_terms`."""
+    ap, bp = _powers(qa, deg), _powers(qb, deg)
+    return tuple(
+        tuple(math.comb(q, i) * math.comb(q - i, l) * ap[i] * bp[q - i - l]
+              for i, l in _multinomial_terms(q))
+        for q in range(deg + 1))
+
+
+def _floor_power_sums(n: int, a: int, b: int, c: int, deg: int) -> list[int]:
+    """T[p][q] = sum_{x=0}^{n-1} x^p * floor((a*x + b)/c)^q for p + q <= deg,
+    as the flat table of `_floor_sum_plan`; n, c >= 1 and a, b >= 0.
+
+    Each level of the Euclid-like descent first reduces a and b mod c
+    (floor((a x + b)/c) = qa*x + qb + floor((a' x + b')/c), expanded
+    multinomially) and then swaps the roles of x and y: with
+    M = floor((a' (n-1) + b')/c) and y^q = sum_{t<y} ((t+1)^q - t^q),
+
+        T[p][q] = P_p(n) M^q - sum_{t<M} ((t+1)^q - t^q) sum_{x<=g_t} x^p,
+
+    where P_p is the Faulhaber sum and g_t = floor((c t + c - b' - 1)/a')
+    is the floor sum one level down, of (M, c, c - b' - 1, a').  There
+    are O(log c) levels of O(deg^3) integer operations each.
+    """
+    chain = []
+    while True:
+        qa, a = divmod(a, c)
+        qb, b = divmod(b, c)
+        top = (a * (n - 1) + b) // c
+        chain.append((n, qa, qb, top))
+        if top == 0:
+            break
+        n, a, b, c = top, c, c - b - 1, a
+    _, swap, reduce = _floor_sum_plan(deg)
+    table = None
+    for n, qa, qb, top in reversed(chain):
+        npow, mpow = _powers(n - 1, deg + 1), _powers(top, deg)
+        nxt = []
+        for A, d, rows in swap:
+            pn = sum(map(mul, A, npow)) // d
+            nxt.append(pn)
+            if table is None:  # deepest level: floor((a' x + b')/c) = 0 for all x < n
+                nxt.extend([0] * len(rows))
+            else:
+                nxt.extend([pn * mpow[q] - sum(map(mul, cf, get(table))) // d
+                            for q, cf, get in rows])
+        table = nxt
+        if qa or qb:
+            coeffs = _reduction_coeffs(deg, qa, qb)
+            nxt = []
+            for o, rows in reduce:
+                nxt.append(table[o])
+                nxt.extend([sum(map(mul, coeffs[q], get(table))) for q, get in rows])
+            table = nxt
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_sum_terms(ell: int, m: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Terms (flat index of (p, i), p, K) of
+
+        d_ell d_m c^(ell+m) s_{ell,m}(1, b; c)
+            = sum_{p,i} c^(ell+m-p) (sum_u K[u] b^u) sum_{k<c} k^p floor(b k/c)^i,
+
+    from B_ell(k/c) and B_m({b k/c}) = B_m((b k - c floor(b k/c))/c)
+    written over their integer numerators N (`_bernoulli_numerators`):
+    K[u] = (-1)^i N_ell[p-u] N_m[u+i] C(u+i, i).
+    """
+    nl, nm = _bernoulli_numerators(ell)[0], _bernoulli_numerators(m)[0]
+    off = _floor_sum_plan(ell + m)[0]
+    terms = []
+    for i in range(m + 1):
+        for p in range(ell + m - i + 1):
+            K = tuple((-1) ** i * nl[p - u] * nm[u + i] * math.comb(u + i, i)
+                      if p - u <= ell else 0 for u in range(min(p, m - i) + 1))
+            if any(K):
+                terms.append((off[p] + i, p, K))
+    return tuple(terms)
+
+
+def _unit_sum(ell: int, m: int, b: int, c: int) -> Fraction:
+    """s_{ell,m}(1, b; c) for 0 <= b < c."""
+    deg = ell + m
+    table = _floor_power_sums(c, b, 0, c, deg)
+    bpow, cpow = _powers(b, m), _powers(c, deg)
+    total = sum(cpow[deg - p] * sum(map(mul, K, bpow)) * table[idx]
+                for idx, p, K in _unit_sum_terms(ell, m))
+    den = _bernoulli_numerators(ell)[1] * _bernoulli_numerators(m)[1] * cpow[deg]
+    return Fraction(total, den)
 
 
 def gen_dedekind_sum(ell: int, m: int, a: int, b: int, c: int) -> Fraction:
-    """s_{ell,m}(a, b; c), exact.
+    """s_{ell,m}(a, b; c), exact, in poly(ell + m) * log c integer operations.
 
-    Runs in O(c) integer operations: each Bernoulli factor is evaluated
-    as an integer polynomial over the common denominator.
+    General a and b reduce exactly to a = 1.  With d = gcd(a, c) and
+    e = gcd(b, d), the Bernoulli multiplication formula
+    sum_{j<N} B_m({x + j/N}) = N^{1-m} B_m({N x}) gives
+
+        s_{ell,m}(a, b; c) = e (d/e)^{1-m} s_{ell,m}(a/d, b/e; c/d),
+
+    and k -> (a/d)^{-1} k mod c/d turns the multiplier a/d into 1.  The
+    a = 1 sum expands both Bernoulli factors over k and floor(b k/c) and
+    evaluates the resulting power sums by the Euclid-like floor-sum
+    recursion of `_floor_power_sums`, which uses no reciprocity law, so
+    `apostol_check` and `hwz_check` stay independent checks of it.  The
+    definition-level oracle lives in the tests.
     """
     spec = DedekindSumSpec(ell, m, a, b, c)
-    pa, da = _int_poly_coeffs(spec.ell, c)
-    pb, db = _int_poly_coeffs(spec.m, c)
-    total = 0
-    for k in range(c):
-        r = (a * k) % c
-        s = (b * k) % c
-        va = 0
-        for q in pa:
-            va = va * r + q
-        vb = 0
-        for q in pb:
-            vb = vb * s + q
-        total += va * vb
-    return Fraction(total, da * db * c ** (ell + m))
+    ell, m, a, b, c = spec.ell, spec.m, spec.a, spec.b, spec.c
+    d = math.gcd(a, c)
+    e = math.gcd(b, d)
+    c //= d
+    s = _unit_sum(ell, m, (b // e) * pow(a // d, -1, c) % c, c)
+    return s if d == 1 else e * Fraction(d // e) ** (1 - m) * s
 
 
 def s22_closed(n: int) -> Fraction:
@@ -227,16 +392,24 @@ def cos2sin4_closed(n: int) -> Fraction:
     )
 
 
+def _coprime_pair(b: int, c: int) -> tuple[int, int]:
+    b, c = _as_int("b", b), _as_int("c", c)
+    if b < 1 or c < 1:
+        raise ValueError(f"arguments must be >= 1, got ({b}, {c})")
+    if math.gcd(b, c) != 1:
+        raise ValueError(f"arguments must be coprime, got ({b}, {c})")
+    return b, c
+
+
 def apostol_check(b: int, c: int) -> bool:
     """Reciprocity for the (1,3) sums, exact:
 
     4*(b*c^3*s_{1,3}(1,b;c) + b^3*c*s_{1,3}(1,c;b))
         = -1/10 - (b^4 - 5 b^2 c^2 + c^4)/30.
 
-    Requires gcd(b, c) = 1.
+    Requires b, c >= 1 and gcd(b, c) = 1.
     """
-    if math.gcd(b, c) != 1:
-        raise ValueError(f"arguments must be coprime, got ({b}, {c})")
+    b, c = _coprime_pair(b, c)
     lhs = 4 * (
         b * c ** 3 * gen_dedekind_sum(1, 3, 1, b, c)
         + b ** 3 * c * gen_dedekind_sum(1, 3, 1, c, b)
@@ -252,10 +425,9 @@ def hwz_check(b: int, c: int) -> bool:
         + s_{1,3}(1,b;c)/(6 b^2) + 1/(720 b^3 c^3) + b/(720 c^3)
         + c/(240 b^3).
 
-    Requires gcd(b, c) = 1.
+    Requires b, c >= 1 and gcd(b, c) = 1.
     """
-    if math.gcd(b, c) != 1:
-        raise ValueError(f"arguments must be coprime, got ({b}, {c})")
+    b, c = _coprime_pair(b, c)
     lhs = gen_dedekind_sum(2, 2, 1, b, c) / (4 * b)
     rhs = (
         (gen_dedekind_sum(3, 1, 1, b, c) + gen_dedekind_sum(3, 1, 1, c, b))

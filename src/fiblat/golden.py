@@ -117,8 +117,10 @@ class FibPair:
         return FibPair(self.n + 1, self.fn1, self.fn + self.fn1)
 
 
+@functools.lru_cache(maxsize=1024)
 def _fib_doubling(n: int) -> tuple[int, int]:
-    """(F_n, F_{n+1}) by binary doubling.
+    """(F_n, F_{n+1}) by binary doubling, memoized: the sweeps ask for the
+    same few indices hundreds of thousands of times.
 
     F_{2k}   = F_k * (2*F_{k+1} - F_k)
     F_{2k+1} = F_k**2 + F_{k+1}**2

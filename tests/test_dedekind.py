@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,57 @@ def test_gen_sum_matches_definition(ell, m):
     for b, c in [(1, 1), (1, 2), (2, 3), (3, 5), (5, 8), (7, 19), (13, 21), (11, 64)]:
         assert gen_dedekind_sum(ell, m, 1, b, c) == brute_sum(ell, m, 1, b, c)
     assert gen_dedekind_sum(ell, m, 3, 7, 11) == brute_sum(ell, m, 3, 7, 11)
+
+
+# a = 0 and a = -c (a = 0 mod c), gcd(a, c) > 1 with and without
+# gcd(b, gcd(a, c)) > 1, b = 0 mod c, negative multipliers, c = 1
+_EDGE_CASES = [
+    (2, 3, 0, 5, 12), (1, 1, -12, 7, 12), (3, 2, 36, -8, 12), (0, 0, 0, 0, 7),
+    (2, 2, 6, 9, 15), (4, 1, -10, 4, 25), (2, 4, 14, 21, 28), (1, 3, 9, 6, 27),
+    (3, 3, 5, -2, 1), (0, 6, 0, 0, 1), (6, 6, -3, 3, 1), (2, 2, 3, 0, 10),
+    (5, 2, -7, -11, 13), (1, 5, 200, -600, 200), (6, 0, 45, 1, 60),
+]
+
+
+def _random_cases(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        c = rng.randint(1, 200)
+        yield (rng.randint(0, 6), rng.randint(0, 6),
+               rng.randint(-3 * c, 3 * c), rng.randint(-3 * c, 3 * c), c)
+
+
+@pytest.mark.parametrize("ell,m,a,b,c", _EDGE_CASES + list(_random_cases(200, 20261018)))
+def test_gen_sum_matches_definition_on_random_arguments(ell, m, a, b, c):
+    got = gen_dedekind_sum(ell, m, a, b, c)
+    assert isinstance(got, Fraction)
+    assert got == brute_sum(ell, m, a, b, c)
+
+
+def test_closed_forms_match_gen_sums_large_levels():
+    for n in range(26, 101):
+        b, c = fib(n - 1), fib(n)
+        assert gen_dedekind_sum(2, 2, 1, b, c) == s22_closed(n), n
+        s13 = gen_dedekind_sum(1, 3, 1, b, c)
+        assert s13 == s13_closed(n), n
+        assert gen_dedekind_sum(3, 1, 1, b, c) == (-1) ** n * s13, n
+
+
+@pytest.mark.parametrize("pos,name", list(enumerate(["ell", "m", "a", "b", "c"])))
+@pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(3, 2), "3", None])
+def test_non_integer_arguments_are_rejected(pos, name, bad):
+    args = [1, 1, 1, 1, 3]
+    args[pos] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        gen_dedekind_sum(*args)
+
+
+@pytest.mark.parametrize("b,c", [(0, 1), (1, 0), (0, 0), (-1, 2), (3, -5)])
+def test_reciprocity_checks_reject_non_positive_arguments(b, c):
+    with pytest.raises(ValueError, match=">= 1"):
+        apostol_check(b, c)
+    with pytest.raises(ValueError, match=">= 1"):
+        hwz_check(b, c)
 
 
 def test_first_order_sum_extends_the_classical_one():
