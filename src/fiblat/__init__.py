@@ -8,6 +8,9 @@ each, and the resulting growth law C*n + D has a slope with an exact
 closed form and an intercept computable to certified accuracy.  A
 separate exact layer evaluates the generalized sums themselves in
 rational arithmetic.
+
+``fiblat.energy`` is the function `energy`; the module of that name is
+reached by ``from fiblat.energy import ...`` or ``importlib``.
 """
 
 from .asymptotics import (
@@ -27,11 +30,14 @@ from .asymptotics import (
     dedekind_zeta,
     delta_mp,
     delta_star_mp,
+    exact_constants,
     exact_sigma2_constants,
     prefactor,
     residual_fit,
 )
 from .dedekind import (
+    CLOSED_FAMILIES,
+    ClosedFamily,
     apostol_check,
     cos2sin4_closed,
     gen_dedekind_sum,
@@ -110,17 +116,17 @@ from .wythoff import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticConstants", "CConstant", "ClosedConstant", "DConstant",
-    "EnergyReport", "ExactConstants", "FibPair", "GoldenInt", "Kernel",
-    "KERNEL_GRAMMAR", "RationalLattice", "ResidualRow", "RowTable",
-    "SuiteResult", "SUITE_NAMES", "WythoffRow", "ZETA_ROUTES",
+    "AsymptoticConstants", "CConstant", "CLOSED_FAMILIES", "ClosedConstant",
+    "ClosedFamily", "DConstant", "EnergyReport", "ExactConstants", "FibPair",
+    "GoldenInt", "Kernel", "KERNEL_GRAMMAR", "RationalLattice", "ResidualRow",
+    "RowTable", "SuiteResult", "SUITE_NAMES", "WythoffRow", "ZETA_ROUTES",
     "ZetaRoute", "apostol_check", "approximation_errors", "bernoulli_number",
     "bernoulli_poly", "compute_constants", "constant_C", "constant_C_closed",
     "constant_D", "cos2sin4_closed", "cot_power_sums", "dedekind_zeta",
     "delta_mp", "delta_star_mp", "dft_coeff_sum_exact",
     "dft_coeffs", "dft_coeffs_even", "dual_entry", "dual_slot", "energy",
-    "energy_dft", "energy_direct", "exact_sigma2_constants", "f_sigma", "fib",
-    "fib_pair", "fib_signed", "fib_sum", "fib_sum_grouped",
+    "energy_dft", "energy_direct", "exact_constants", "exact_sigma2_constants",
+    "f_sigma", "fib", "fib_pair", "fib_signed", "fib_sum", "fib_sum_grouped",
     "floor_phi_plus_inv", "floor_phi_times", "gen_dedekind_sum",
     "golden_compare", "golden_mul", "golden_norm", "half_fib_witness",
     "hurwitz_zeta", "hwz_check", "kernel_bernoulli_weight", "kernel_fsigma",

@@ -34,6 +34,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from .dedekind import CLOSED_FAMILIES
 from .energy import fib_sum
 from .golden import GoldenInt, fib, phi_power
 from .kernels import _PI_STR, Kernel, bernoulli_number, bernoulli_poly, kernel_one
@@ -57,6 +58,7 @@ __all__ = [
     "dedekind_zeta",
     "constant_D",
     "compute_constants",
+    "exact_constants",
     "exact_sigma2_constants",
     "residual_fit",
     "approximation_errors",
@@ -213,8 +215,8 @@ def constant_C(sigma: float, kernel: Kernel | None = None,
     the sum is exact integer fixed point (error below 2**-(prec+2), then
     one rounding at prec); otherwise mpmath sums the powers term by term.
     """
-    if sigma <= 1:
-        raise ValueError(f"exponent must exceed 1, got {sigma}")
+    if not 1 < sigma < math.inf:
+        raise ValueError(f"exponent must be finite and exceed 1, got {sigma}")
     if f0 is None:
         f0 = kernel.value_at_zero if kernel is not None else 1.0
     needed = max(60, int((sigma - 1) * math.log2(i_max)) + 30)
@@ -481,8 +483,8 @@ def constant_D(sigma: float, kernel: Kernel | None = None,
     DConstant.threads records the count used.  A thread count (or FIBLAT_THREADS) that is not a
     positive integer raises ValueError.
     """
-    if sigma <= 1:
-        raise ValueError(f"exponent must exceed 1, got {sigma}")
+    if not 1 < sigma < math.inf:
+        raise ValueError(f"exponent must be finite and exceed 1, got {sigma}")
     if i_max < 8:
         raise ValueError(f"row truncation too small: {i_max}")
     if k_max < 2:
@@ -551,12 +553,9 @@ def compute_constants(sigma: float, kernel: Kernel | None = None,
 
 @dataclass(frozen=True)
 class ExactConstants:
-    """Exact constants for sigma=2 with the constant weight.
-
-    c_scaled = C*sqrt5.  Both follow from the exact level formula
-    4n/75*F_{2n} - 17/225*F_n**2 - (-1)**n*2/15 - 1/9 after dividing by
-    F_n**2, since F_{2n}/F_n**2 -> sqrt5.
-    """
+    """Exact c_scaled = C*sqrt5 and d = D of a lattice sum with an entry in
+    dedekind.CLOSED_FAMILIES, from ClosedFamily.constants (4/15 and
+    -17/225 at sigma = 2 with the constant weight)."""
 
     c_scaled: Fraction
     d: Fraction
@@ -566,8 +565,17 @@ class ExactConstants:
         return float(self.c_scaled) / 5 ** 0.5
 
 
+def exact_constants(sigma: float, kernel: Kernel | None = None) -> ExactConstants | None:
+    """Exact constants of the closed family with this sigma and kernel name, else None."""
+    name = (kernel or kernel_one()).name
+    for fam in CLOSED_FAMILIES.values():
+        if fam.sigma == sigma and fam.weight == name:
+            return ExactConstants(*fam.constants())
+    return None
+
+
 def exact_sigma2_constants() -> ExactConstants:
-    return ExactConstants(Fraction(4, 15), Fraction(-17, 225))
+    return exact_constants(2)
 
 
 @dataclass(frozen=True)
@@ -586,10 +594,10 @@ def residual_fit(sigma: float, kernel: Kernel | None = None,
                  threads: int | None = None) -> list[ResidualRow]:
     """Level sums against the fitted line c*n + d.
 
-    Constants are taken exactly for sigma=2 with the constant weight and
-    from the truncated series otherwise (or passed in directly); threads
-    is passed to constant_D, whose default is FIBLAT_THREADS, else every
-    CPU available to the process, and does not change the result.  The
+    Constants are passed in, or exact where a closed family covers
+    (sigma, kernel) (exact_constants), else from the truncated series;
+    threads is passed to constant_D (default FIBLAT_THREADS, else every
+    CPU available to the process) and does not change the result.  The
     scaled residual multiplies by phi**(beta*n/2) with
     beta = min(alpha, sigma-1), the claimed decay normalization.
     """
@@ -598,16 +606,12 @@ def residual_fit(sigma: float, kernel: Kernel | None = None,
     if n_min < 2 or n_min > n_max:
         raise ValueError(f"bad level range [{n_min}, {n_max}]")
     kernel = kernel or kernel_one()
-    if c is None or d is None:
-        if sigma == 2 and kernel.kind == "one":
-            exact = exact_sigma2_constants()
-            c = exact.c if c is None else c
-            d = float(exact.d) if d is None else d
-        else:
-            if c is None:
-                c = constant_C(sigma, kernel, i_max).value
-            if d is None:
-                d = constant_D(sigma, kernel, i_max, k_max, threads=threads).value
+    exact = exact_constants(sigma, kernel)
+    if c is None:
+        c = exact.c if exact else constant_C(sigma, kernel, i_max).value
+    if d is None:
+        d = (float(exact.d) if exact
+             else constant_D(sigma, kernel, i_max, k_max, threads=threads).value)
     beta = min(kernel.holder_alpha, sigma - 1)
     out = []
     for n in range(n_min, n_max + 1):

@@ -21,15 +21,7 @@ import math
 import click
 
 from .asymptotics import constant_C, constant_C_closed, constant_D, residual_fit
-from .dedekind import (
-    cos2sin4_closed,
-    s13_closed,
-    s22_closed,
-    sigma2_closed,
-    sigma4_closed,
-    sigma6_closed,
-    sin4_closed,
-)
+from .dedekind import CLOSED_FAMILIES
 from .energy import RationalLattice, energy, fib_sum, fib_sum_grouped
 from .golden import fib
 from .kernels import KERNEL_GRAMMAR, parse_kernel
@@ -59,6 +51,16 @@ def _echo_csv(header, rows) -> None:
     w.writerow(header)
     w.writerows(rows)
     click.echo(buf.getvalue(), nl=False)
+
+
+def _echo_doc(doc, fmt: str) -> None:
+    """doc as JSON, or as a one-row CSV of the keys after schema_version."""
+    if fmt == "json":
+        _echo_json(doc)
+    else:
+        keys = list(doc)[1:]
+        _echo_csv(keys, [[_f(doc[k]) if isinstance(doc[k], float) else doc[k]
+                          for k in keys]])
 
 
 def _at_least(minimum: int):
@@ -187,12 +189,7 @@ def cmd_sum(level, sigma, kernel_spec, method, raw, fmt):
         "cross_check_diff": cross,
         "roundoff_scale": roundoff,
     }
-    if fmt == "json":
-        _echo_json(doc)
-    else:
-        keys = list(doc)[1:]
-        _echo_csv(keys, [[doc[k] if not isinstance(doc[k], float) else _f(doc[k])
-                          for k in keys]])
+    _echo_doc(doc, fmt)
 
 
 @main.command("energy")
@@ -229,12 +226,7 @@ def cmd_energy(points, gen, fib_level, sigma, p, method, fmt):
         "method": rep.method,
         "value": rep.value,
     }
-    if fmt == "json":
-        _echo_json(doc)
-    else:
-        keys = list(doc)[1:]
-        _echo_csv(keys, [[doc[k] if not isinstance(doc[k], float) else _f(doc[k])
-                          for k in keys]])
+    _echo_doc(doc, fmt)
 
 
 @main.command("constants")
@@ -278,27 +270,11 @@ def cmd_constants(sigma, kernel_spec, i_max, k_max, threads, precision_bits, fmt
         closed = constant_C_closed(int(sigma), int(f0))
         doc["c_closed"] = closed.value
         doc["c_closed_coefficient"] = _frac(closed.coefficient)
-    if fmt == "json":
-        _echo_json(doc)
-    else:
-        keys = list(doc)[1:]
-        _echo_csv(keys, [[doc[k] if not isinstance(doc[k], float) else _f(doc[k])
-                          for k in keys]])
-
-
-_FAMILIES = {
-    "s22": s22_closed,
-    "s13": s13_closed,
-    "sigma2": sigma2_closed,
-    "sigma4": sigma4_closed,
-    "sigma6": sigma6_closed,
-    "sin4": sin4_closed,
-    "cos2sin4": cos2sin4_closed,
-}
+    _echo_doc(doc, fmt)
 
 
 @main.command("closed")
-@click.option("--family", type=click.Choice([*_FAMILIES, "c"]), required=True,
+@click.option("--family", type=click.Choice([*CLOSED_FAMILIES, "c"]), required=True,
               help="which closed form")
 @click.option("--n-min", type=int, default=3, show_default=True,
               callback=_at_least(2))
@@ -330,9 +306,8 @@ def cmd_closed(family, n_min, n_max, sigma, fmt):
         return
     if n_max < n_min:
         raise click.UsageError(f"empty level range {n_min}..{n_max}")
-    fn = _FAMILIES[family]
     try:
-        table = [(n, fn(n)) for n in range(n_min, n_max + 1)]
+        table = [(n, CLOSED_FAMILIES[family].value(n)) for n in range(n_min, n_max + 1)]
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     if fmt == "json":

@@ -8,7 +8,9 @@ an exact rational.  For consecutive Fibonacci moduli the (2,2) and
 (1,3) sums have closed forms in Fibonacci and Lucas numbers, and via
 the DFT identity for even potentials those closed forms lift to the
 trigonometric sums over the Fibonacci lattice (sigma2/sigma4/sigma6 and
-the 1/sin^4 and cos^2/sin^4 variants).
+the 1/sin^4 and cos^2/sin^4 variants).  CLOSED_FAMILIES holds each form
+as rows of rational coefficients; the same rows give the exact level
+values and, for the lattice sums, the exact growth constants C and D.
 
 `gen_dedekind_sum` runs in poly(l + m) * log c integer operations, not
 O(c): the Bernoulli multiplication formula and a change of summation
@@ -24,17 +26,18 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import itemgetter, mul
 
 from .golden import fib, lucas
-from .kernels import bernoulli_poly_coeffs
+from .kernels import _as_int, bernoulli_poly_coeffs
 
 __all__ = [
     "DedekindSumSpec",
     "gen_dedekind_sum",
+    "ClosedFamily",
+    "CLOSED_FAMILIES",
     "s22_closed",
     "s13_closed",
     "s22_from_trig_sum",
@@ -69,12 +72,6 @@ class DedekindSumSpec:
 
     def value(self) -> Fraction:
         return gen_dedekind_sum(self.ell, self.m, self.a, self.b, self.c)
-
-
-def _as_int(name: str, value) -> int:
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _powers(x: int, k: int) -> list[int]:
@@ -258,22 +255,83 @@ def gen_dedekind_sum(ell: int, m: int, a: int, b: int, c: int) -> Fraction:
     return s if d == 1 else e * Fraction(d // e) ** (1 - m) * s
 
 
+@dataclass(frozen=True)
+class ClosedFamily:
+    """A closed level formula as data: at level n >= 2 its value is
+    (e + f(-1)^n + sum over rows (k, a, b, c, d) of (a + b(-1)^n) n F_{kn}
+    + (c + d(-1)^n) L_{kn}) / F_n^den, with (e, f) = const.  A lattice-sum
+    family (den = 0) also names the exponent sigma and the weight (a
+    kernel name) of the sum it closes."""
+
+    rows: tuple[tuple, ...]
+    const: tuple = (0, 0)
+    den: int = 0
+    sigma: int | None = None
+    weight: str | None = None
+
+    def value(self, n: int) -> Fraction:
+        """The level-n value, exact, n >= 2."""
+        if n < 2:
+            raise ValueError(f"level must be >= 2, got {n}")
+        (total, *coeffs), q = self._over_q[n % 2]
+        for (k, *_), x, y in zip(self.rows, coeffs[::2], coeffs[1::2]):
+            total += x * n * fib(k * n) + y * lucas(k * n)
+        return Fraction(total, q * fib(n) ** self.den)
+
+    @functools.cached_property
+    def _over_q(self):
+        """By n % 2: the constant and each row's coefficients of n F_{kn} and
+        L_{kn} at that parity, as integers over one common denominator."""
+        e, f = self.const
+        return [_over_common_denominator([e + f * s] + [
+            x + y * s for _, a, b, c, d in self.rows for x, y in ((a, b), (c, d))])
+            for s in (1, -1)]
+
+    def constants(self) -> tuple[Fraction, Fraction]:
+        """(C*sqrt5, D) of a lattice-sum family: value(n)/F_n^sigma grows like
+        C*n + D.  Over F_n^sigma only the top row k = sigma survives, with
+        F_{sigma n} -> 5^(sigma/2)/sqrt5 and L_{sigma n} -> 5^(sigma/2)."""
+        if self.sigma is None:
+            raise ValueError("not a lattice-sum family: it has no exponent")
+        (_, a, _, c, _), = (r for r in self.rows if r[0] == self.sigma)
+        scale = 5 ** (self.sigma // 2)
+        return Fraction(a * scale), Fraction(c * scale)
+
+
+_Q = Fraction
+CLOSED_FAMILIES = {
+    "s22": ClosedFamily(((2, _Q(1, 75), 0, _Q(-17, 4500), 0),), (0, _Q(-29, 1125)), den=3),
+    "s13": ClosedFamily(((3, 0, 0, _Q(1, 1500), 0), (1, 0, _Q(1, 50), 0, _Q(-13, 750))),
+                        den=3),
+    "sigma2": ClosedFamily(((2, _Q(4, 75), 0, _Q(-17, 1125), 0),),
+                           (_Q(-1, 9), _Q(-116, 1125)), sigma=2, weight="one"),
+    "sigma4": ClosedFamily(((4, _Q(32, 1875), 0, _Q(-196, 28125), 0),
+                            (2, 0, _Q(256, 1875), 0, _Q(-3776, 28125))),
+                           (_Q(-7556, 28125), 0), sigma=4, weight="bern:4"),
+    "sigma6": ClosedFamily(((6, _Q(68608, 984375), 0, _Q(59606528, 20155078125), 0),
+                            (4, 0, _Q(548864, 328125), 0, _Q(-2876091392, 2239453125)),
+                            (2, _Q(68608, 13125), 0, _Q(-128925952, 17915625), 0)),
+                           (_Q(-256, 3969), _Q(-1909649408, 161240625)),
+                           sigma=6, weight="bern:6"),
+    "sin4": ClosedFamily(((4, _Q(8, 16875), 0, _Q(2357, 1771875), 0),
+                          (2, _Q(16, 675), _Q(64, 16875), _Q(-676, 70875),
+                           _Q(-7408, 1771875))),
+                         (_Q(-147023, 1771875), _Q(-1616, 23625)), sigma=4, weight="one"),
+    "cos2sin4": ClosedFamily(((4, _Q(8, 16875), 0, _Q(-1693, 1771875), 0),
+                              (2, _Q(4, 675), _Q(64, 16875), _Q(-19, 70875),
+                               _Q(-6208, 1771875))),
+                             (_Q(-11948, 1771875), _Q(-4, 23625)),
+                             sigma=4, weight="trig:0,1"),
+}
+
+
 def s22_closed(n: int) -> Fraction:
     """s_{2,2}(1, F_{n-1}; F_n) in closed form, n >= 2.
 
     Equals n*F_{2n}/(75*F_n^3) - 17*L_{2n}/(4500*F_n^3)
     - (-1)^n * 29/(1125*F_n^3).
     """
-    if n < 2:
-        raise ValueError(f"level must be >= 2, got {n}")
-    fn = fib(n)
-    sgn = (-1) ** n
-    num = (
-        Fraction(n * fib(2 * n), 75)
-        - Fraction(17 * lucas(2 * n), 4500)
-        - Fraction(sgn * 29, 1125)
-    )
-    return num / fn ** 3
+    return CLOSED_FAMILIES["s22"].value(n)
 
 
 def s13_closed(n: int) -> Fraction:
@@ -282,29 +340,13 @@ def s13_closed(n: int) -> Fraction:
     Equals L_{3n}/(1500*F_n^3) + (-1)^n*n/(50*F_n^2)
     - (-1)^n*13*L_n/(750*F_n^3); also (-1)^n times the (3,1) sum.
     """
-    if n < 2:
-        raise ValueError(f"level must be >= 2, got {n}")
-    fn = fib(n)
-    sgn = (-1) ** n
-    return (
-        Fraction(lucas(3 * n), 1500 * fn ** 3)
-        + Fraction(sgn * n, 50 * fn * fn)
-        - Fraction(sgn * 13 * lucas(n), 750 * fn ** 3)
-    )
+    return CLOSED_FAMILIES["s13"].value(n)
 
 
 def sigma2_closed(n: int) -> Fraction:
     """sum_{m=1}^{F_n - 1} 1/(sin(pi m/F_n)^2 sin(pi F_{n-1} m/F_n)^2)
     in closed form, n >= 2 (the n = 2 sum is empty and the value 0)."""
-    if n < 2:
-        raise ValueError(f"level must be >= 2, got {n}")
-    sgn = (-1) ** n
-    return (
-        Fraction(4 * n * fib(2 * n), 75)
-        - Fraction(17 * lucas(2 * n), 1125)
-        - Fraction(sgn * 116, 1125)
-        - Fraction(1, 9)
-    )
+    return CLOSED_FAMILIES["sigma2"].value(n)
 
 
 def sigma2_closed_abstract(n: int) -> Fraction:
@@ -335,61 +377,23 @@ def s22_from_trig_sum(n: int) -> Fraction:
 def sigma4_closed(n: int) -> Fraction:
     """Closed form of the sum with (2 + 4cos^2)/sin^4 factors on both
     arguments of the Fibonacci lattice, n >= 2."""
-    if n < 2:
-        raise ValueError(f"level must be >= 2, got {n}")
-    sgn = (-1) ** n
-    return (
-        Fraction(32 * n * fib(4 * n), 1875)
-        - Fraction(196 * lucas(4 * n), 28125)
-        + Fraction(sgn * 256 * n * fib(2 * n), 1875)
-        - Fraction(sgn * 3776 * lucas(2 * n), 28125)
-        - Fraction(7556, 28125)
-    )
+    return CLOSED_FAMILIES["sigma4"].value(n)
 
 
 def sigma6_closed(n: int) -> Fraction:
     """Closed form of the sum with (16 + 88cos^2 + 16cos^4)/sin^6 factors
     on both arguments, n >= 2."""
-    if n < 2:
-        raise ValueError(f"level must be >= 2, got {n}")
-    sgn = (-1) ** n
-    return (
-        Fraction(68608 * n * fib(6 * n), 984375)
-        + Fraction(59606528 * lucas(6 * n), 20155078125)
-        + Fraction(sgn * 548864 * n * fib(4 * n), 328125)
-        - Fraction(sgn * 2876091392 * lucas(4 * n), 2239453125)
-        + Fraction(68608 * n * fib(2 * n), 13125)
-        - Fraction(128925952 * lucas(2 * n), 17915625)
-        - sgn * (Fraction(1909649408, 161240625) + Fraction(sgn * 256, 3969))
-    )
+    return CLOSED_FAMILIES["sigma6"].value(n)
 
 
 def sin4_closed(n: int) -> Fraction:
     """Closed form of sum 1/(sin^4 sin^4) over the Fibonacci lattice."""
-    if n < 2:
-        raise ValueError(f"level must be >= 2, got {n}")
-    sgn = (-1) ** n
-    return (
-        Fraction(8 * n * fib(4 * n), 16875)
-        + Fraction(2357 * lucas(4 * n), 1771875)
-        + (Fraction(16, 675) + Fraction(sgn * 64, 16875)) * n * fib(2 * n)
-        - (Fraction(676, 70875) + Fraction(sgn * 7408, 1771875)) * lucas(2 * n)
-        - (Fraction(147023, 1771875) + Fraction(sgn * 1616, 23625))
-    )
+    return CLOSED_FAMILIES["sin4"].value(n)
 
 
 def cos2sin4_closed(n: int) -> Fraction:
     """Closed form of sum cos^2 cos^2/(sin^4 sin^4) over the lattice."""
-    if n < 2:
-        raise ValueError(f"level must be >= 2, got {n}")
-    sgn = (-1) ** n
-    return (
-        Fraction(8 * n * fib(4 * n), 16875)
-        - Fraction(1693 * lucas(4 * n), 1771875)
-        + (Fraction(4, 675) + Fraction(sgn * 64, 16875)) * n * fib(2 * n)
-        - (Fraction(19, 70875) + Fraction(sgn * 6208, 1771875)) * lucas(2 * n)
-        - (Fraction(11948, 1771875) + Fraction(sgn * 4, 23625))
-    )
+    return CLOSED_FAMILIES["cos2sin4"].value(n)
 
 
 def _coprime_pair(b: int, c: int) -> tuple[int, int]:

@@ -202,8 +202,8 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
         raise ValueError(f"level must be >= 2, got {n}")
     if n >= 48:
         raise ValueError(f"level must be < 48 (int64 residues overflow), got {n}")
-    if sigma <= 0:
-        raise ValueError(f"exponent must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"exponent must be finite and positive, got {sigma}")
     kernel = kernel or kernel_one()
     fn, fn1 = fib(n), fib(n - 1)
     total = 0.0
@@ -237,8 +237,8 @@ def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
     """
     if n < 2:
         raise ValueError(f"level must be >= 2, got {n}")
-    if sigma <= 0:
-        raise ValueError(f"exponent must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"exponent must be finite and positive, got {sigma}")
     kernel = kernel or kernel_one()
     fn = fib(n)
     if fn == 1:

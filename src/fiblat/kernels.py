@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,6 +56,13 @@ _PI_STR = "3.14159265358979323846264338327950288420"
 # largest N of the Hurwitz pair table (dft_coeffs, wce_e): either route adds
 # ~35 bytes per N to the process, 721 MB peak RSS at the cap
 _PAIR_TABLE_MAX_N = 2 * 10 ** 7
+
+
+def _as_int(name: str, value) -> int:
+    """value as an int; anything not a numbers.Integral raises ValueError."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @functools.lru_cache(maxsize=None)
@@ -343,7 +351,7 @@ def kernel_fsigma(sigma: float) -> Kernel:
 
 
 def kernel_trig(coeffs) -> Kernel:
-    coeffs = tuple(int(c) for c in coeffs)
+    coeffs = tuple(_as_int("trig coefficient", c) for c in coeffs)
     if not coeffs:
         raise ValueError("trig kernel needs at least one coefficient")
     return Kernel("trig", coeffs=coeffs)

@@ -17,6 +17,7 @@ from fiblat.asymptotics import (
     dedekind_zeta,
     delta_mp,
     delta_star_mp,
+    exact_constants,
     exact_sigma2_constants,
     prefactor,
     residual_fit,
@@ -309,3 +310,38 @@ def test_offset_matches_exact_value_within_reported_error():
     got = constant_D(2.0, i_max=20000, k_max=48)
     want = -17 / 225
     assert abs(got.value - want) <= max(got.error_estimate, 5e-7)
+
+
+EXACT_FAMILIES = [(2, "one"), (4, "one"), (4, "trig:0,1"), (4, "bern:4"), (6, "bern:6")]
+
+
+@pytest.mark.parametrize("sigma,weight", EXACT_FAMILIES)
+def test_table_constants_match_closed_C_and_bound_series_D(sigma, weight):
+    kernel = parse_kernel(weight)
+    ex = exact_constants(sigma, kernel)
+    f0 = int(kernel.value_at_zero)
+    assert ex.c_scaled == constant_C_closed(sigma, f0).coefficient
+    d = constant_D(sigma, kernel, 2000, 64)
+    assert abs(Fraction(d.value) - ex.d) <= d.error_estimate
+
+
+def test_exact_constants_cover_only_closed_families():
+    assert exact_constants(2.0) == exact_sigma2_constants()
+    assert exact_constants(2.5, kernel_fsigma(2.5)) is None
+    assert exact_constants(4, parse_kernel("trig:1,1")) is None
+    assert exact_constants(6, kernel_one()) is None
+
+
+def test_residual_fit_takes_table_constants_for_bern4():
+    ex = exact_constants(4, kernel_bernoulli_weight(4))
+    rows = residual_fit(4.0, kernel_bernoulli_weight(4), n_min=8, n_max=12)
+    for r in rows:
+        assert r.asymptote == ex.c * r.n + float(ex.d)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_constants_reject_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="finite"):
+        constant_C(sigma, i_max=100)
+    with pytest.raises(ValueError, match="finite"):
+        constant_D(sigma, i_max=100)

@@ -276,3 +276,25 @@ def test_unknown_kernel_reports_grammar():
     assert r.exit_code == 2
     assert "grammar" in r.output
     assert r.output.count("grammar") == 1
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+def test_non_finite_sigma_is_usage_error(sigma):
+    for method in ("flat", "grouped"):
+        r = run("sum", "-n", "10", "--sigma", sigma, "--method", method)
+        assert r.exit_code == 2 and "finite" in r.output, (method, r.output)
+    r = run("constants", "--sigma", sigma, "--i-max", "100")
+    assert r.exit_code == 2 and "finite" in r.output, r.output
+    r = run("fit", "--sigma", sigma, "--n-max", "12", "--i-max", "100")
+    assert r.exit_code == 2 and "finite" in r.output, r.output
+
+
+def test_closed_families_come_from_the_table():
+    from fiblat.dedekind import CLOSED_FAMILIES
+
+    for family, fam in CLOSED_FAMILIES.items():
+        r = run("closed", "--family", family, "--n-min", "2", "--n-max", "5")
+        assert r.exit_code == 0, family
+        assert r.output.splitlines()[1:] == [
+            f"{n},{fam.value(n).numerator}/{fam.value(n).denominator}"
+            for n in range(2, 6)]

@@ -154,3 +154,35 @@ def test_reciprocity_checks_on_small_pairs():
         apostol_check(2, 4)
     with pytest.raises(ValueError):
         hwz_check(6, 9)
+
+
+def test_closed_family_table_shape():
+    from fiblat.dedekind import CLOSED_FAMILIES
+
+    assert list(CLOSED_FAMILIES) == [
+        "s22", "s13", "sigma2", "sigma4", "sigma6", "sin4", "cos2sin4"]
+    for name, fam in CLOSED_FAMILIES.items():
+        assert all(len(r) == 5 for r in fam.rows), name
+        if fam.sigma is None:
+            with pytest.raises(ValueError, match="lattice-sum"):
+                fam.constants()
+            continue
+        # a lattice sum over F_n^sigma converges only if no row outgrows
+        # k = sigma, and the top row carries no (-1)^n part
+        assert fam.den == 0 and max(r[0] for r in fam.rows) == fam.sigma, name
+        (top,) = [r for r in fam.rows if r[0] == fam.sigma]
+        assert top[2] == top[4] == 0, name
+        with pytest.raises(ValueError, match=">= 2"):
+            fam.value(1)
+
+
+def test_higher_closed_forms_bridge_to_gen_sums_exactly():
+    # the even-potential weights turn each sigma = 2s lattice sum into a
+    # multiple of s_{2s,2s}(1, F_{n-1}; F_n) minus the constant DFT term
+    for n in range(2, 41):
+        b, c = fib(n - 1), fib(n)
+        assert sigma4_closed(n) == (
+            16 * c ** 7 * gen_dedekind_sum(4, 4, 1, b, c) - Fraction(4, 225)), n
+        assert sigma6_closed(n) == (
+            Fraction(1024, 9) * c ** 11 * gen_dedekind_sum(6, 6, 1, b, c)
+            - Fraction(256, 3969)), n

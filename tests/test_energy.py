@@ -239,3 +239,11 @@ def test_fib_sum_single_block_levels_are_unchanged():
         vals = kernel.eval_many(t1) * kernel.eval_many(t2)
         vals /= (np.sin(np.pi * t1) * np.sin(np.pi * t2)) ** sigma
         assert fib_sum(n, sigma, kernel, normalized=False) == float(np.sum(vals))
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_lattice_sums_reject_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="finite"):
+        fib_sum(10, sigma)
+    with pytest.raises(ValueError, match="finite"):
+        fib_sum_grouped(10, sigma)

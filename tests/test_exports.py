@@ -10,3 +10,14 @@ def test_every_exported_name_resolves_once():
         assert len(names) == len(set(names)), name
         missing = [n for n in names if not hasattr(mod, n)]
         assert not missing, (name, missing)
+
+
+def test_energy_name_is_the_function_and_the_module_stays_reachable():
+    import fiblat
+    import fiblat.energy as via_import
+    from fiblat.energy import fib_sum
+
+    assert callable(fiblat.energy) and via_import is fiblat.energy
+    mod = importlib.import_module("fiblat.energy")
+    assert mod is not fiblat.energy and mod.fib_sum is fib_sum
+    assert mod.energy is fiblat.energy

@@ -276,3 +276,14 @@ def test_exact_coefficient_sum_equals_potential_at_zero():
                 total, k0 = dft_coeff_sum_exact(two_s, p, N)
                 assert total == k0
                 assert k0 == potential_K(two_s, Fraction(p), Fraction(0))
+
+
+def test_trig_kernel_rejects_non_integral_coefficients():
+    with pytest.raises(ValueError, match="got 0.5"):
+        kernel_trig([0.5, 1.7])
+    with pytest.raises(ValueError, match="got 2.0"):
+        kernel_trig((1, 2.0))
+    # integral types of any kind are kept, as plain ints
+    assert kernel_trig(np.array([0, 1])).coeffs == (0, 1)
+    assert kernel_trig(c for c in (2, 4)) == kernel_trig([2, 4])
+    assert parse_kernel("trig:0, 1").coeffs == (0, 1)
