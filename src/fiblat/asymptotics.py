@@ -37,7 +37,15 @@ import numpy as np
 from .dedekind import CLOSED_FAMILIES
 from .energy import fib_sum
 from .golden import GoldenInt, fib, phi_power
-from .kernels import _PI_STR, Kernel, bernoulli_number, bernoulli_poly, kernel_one
+from .kernels import (
+    _PI_STR,
+    Kernel,
+    _check_exponent,
+    bernoulli_number,
+    bernoulli_poly,
+    kernel_one,
+    parse_kernel,
+)
 from .wythoff import dual_slot, row, row_table
 
 __all__ = [
@@ -215,8 +223,7 @@ def constant_C(sigma: float, kernel: Kernel | None = None,
     the sum is exact integer fixed point (error below 2**-(prec+2), then
     one rounding at prec); otherwise mpmath sums the powers term by term.
     """
-    if not 1 < sigma < math.inf:
-        raise ValueError(f"exponent must be finite and exceed 1, got {sigma}")
+    _check_exponent(sigma)
     if f0 is None:
         f0 = kernel.value_at_zero if kernel is not None else 1.0
     needed = max(60, int((sigma - 1) * math.log2(i_max)) + 30)
@@ -288,8 +295,7 @@ def dedekind_zeta(sigma: float, route: str = "eta-series",
     only) rescales constant_C_closed and is exact up to arithmetic
     rounding.
     """
-    if sigma <= 1:
-        raise ValueError(f"exponent must exceed 1, got {sigma}")
+    _check_exponent(sigma)
     if route not in ZETA_ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ZETA_ROUTES}")
     if route == "bernoulli-closed-form":
@@ -483,8 +489,7 @@ def constant_D(sigma: float, kernel: Kernel | None = None,
     DConstant.threads records the count used.  A thread count (or FIBLAT_THREADS) that is not a
     positive integer raises ValueError.
     """
-    if not 1 < sigma < math.inf:
-        raise ValueError(f"exponent must be finite and exceed 1, got {sigma}")
+    _check_exponent(sigma)
     if i_max < 8:
         raise ValueError(f"row truncation too small: {i_max}")
     if k_max < 2:
@@ -566,10 +571,17 @@ class ExactConstants:
 
 
 def exact_constants(sigma: float, kernel: Kernel | None = None) -> ExactConstants | None:
-    """Exact constants of the closed family with this sigma and kernel name, else None."""
-    name = (kernel or kernel_one()).name
+    """Exact constants of the closed family with this sigma and weight, else None.
+
+    The weight is matched as a function (Kernel.trig_coeffs), not by
+    name: trig:2,4 finds the bern:4 family and trig:1 the constant one.
+    """
+    coeffs = (kernel or kernel_one()).trig_coeffs
+    if coeffs is None:
+        return None
     for fam in CLOSED_FAMILIES.values():
-        if fam.sigma == sigma and fam.weight == name:
+        if (fam.sigma == sigma and fam.weight is not None
+                and parse_kernel(fam.weight).trig_coeffs == coeffs):
             return ExactConstants(*fam.constants())
     return None
 

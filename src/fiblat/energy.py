@@ -18,7 +18,10 @@ fib_sum evaluates the weighted trigonometric sums
 normalized by F_n^sigma, either over the flat grid (fib_sum, levels
 n < 48) or grouped along Wythoff rows paired with dual-array entries
 (fib_sum_grouped, levels n < 44).  Both are whole-array sweeps in fixed
-blocks; the grouped sum is bit-identical to a loop over rows.  The dft
+blocks and evaluate each mirror pair m, F_n - m once.  The flat sum adds
+its blocks on a grid symmetric about F_n/2, and is bit-identical to one
+flat block in index order at levels with F_n - 1 <= 2**16; the grouped
+sum is bit-identical to a loop over rows.  The dft
 and wce energy routes share a Hurwitz pair table capped at
 N = kernels._PAIR_TABLE_MAX_N; "direct" is capped at N = _DIRECT_MAX_N.
 """
@@ -33,6 +36,7 @@ import numpy as np
 from .golden import fib
 from .kernels import (
     Kernel,
+    _check_exponent,
     _hurwitz_pair_table,
     dft_coeffs,
     kernel_one,
@@ -133,6 +137,7 @@ def wce_e(sigma: float, p: float, N: int, h: int) -> float:
     the products stay in range; sizes where (2 pi N)**sigma overflows
     float64, or above kernels._PAIR_TABLE_MAX_N, raise ValueError.
     """
+    _check_exponent(sigma)
     if math.gcd(h, N) != 1:
         raise ValueError(f"generator {h} not coprime to {N}")
     z = zeta(sigma)
@@ -166,7 +171,9 @@ def energy(lat: RationalLattice, sigma: float, p: float, method: str = "dft",
     N = 2 * 10**7 (kernels._PAIR_TABLE_MAX_N, for memory); tol is the
     potential's series tolerance and applies to "direct" only.
     "direct" visits all N**2 pairs in Python and is refused with
-    ValueError above N = 1000."""
+    ValueError above N = 1000.  A non-finite sigma, or sigma <= 1,
+    raises ValueError on every route."""
+    _check_exponent(sigma)
     if method == "direct":
         if lat.N > _DIRECT_MAX_N:
             raise ValueError(
@@ -191,12 +198,20 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
     """The Fibonacci lattice sum at level n >= 2 for the given weight.
 
     Arguments of sine and weight are reduced exactly on the rational
-    grid before any float division.  The sweep runs over m in fixed
-    blocks of _SUM_CHUNK terms, each summed with numpy's pairwise
-    bracketing and added in index order, so memory stays bounded and
-    the result does not depend on the machine; levels with
-    F_n <= _SUM_CHUNK are a single block.  Levels n >= 48 are rejected:
-    the residue m * F_{n-1} overflows int64 there.
+    grid before any float division: the term at m is built from the
+    integers min(m, F_n - m) and min(r, F_n - r), r = m F_{n-1} mod F_n,
+    so the term at F_n - m is bit-equal to it.  Each mirror pair is
+    therefore computed once, for m <= F_n/2.  The sum runs over a fixed
+    block grid symmetric about F_n/2: pairs of outer blocks of
+    B = _SUM_CHUNK terms, [1 + jB, 1 + (j+1)B) and its mirror (the same
+    values reversed), around one middle block of 1 to 2B terms.  Each
+    block is summed with numpy's pairwise bracketing in index order and
+    the block sums are added in ascending m, so memory stays bounded and
+    the result does not depend on the machine.  Levels with
+    F_n - 1 <= 2B are a single block, and those with F_n - 1 <= B
+    (n <= 24) are bit-identical to one flat block in index order.
+    Levels n >= 48 are rejected: the residue m * F_{n-1} overflows int64
+    there.
     """
     if n < 2:
         raise ValueError(f"level must be >= 2, got {n}")
@@ -206,15 +221,33 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
         raise ValueError(f"exponent must be finite and positive, got {sigma}")
     kernel = kernel or kernel_one()
     fn, fn1 = fib(n), fib(n - 1)
-    total = 0.0
-    for lo in range(1, fn, _SUM_CHUNK):
-        m = np.arange(lo, min(lo + _SUM_CHUNK, fn), dtype=np.int64)
+    if fn == 1:
+        return 0.0
+
+    def terms(lo: int, hi: int) -> np.ndarray:
+        # m <= F_n/2 here, so min(m, F_n - m) = m
+        m = np.arange(lo, hi, dtype=np.int64)
         r = (m * fn1) % fn
-        t1 = np.minimum(m, fn - m) / fn
+        t1 = m / fn
         t2 = np.minimum(r, fn - r) / fn
         vals = kernel.eval_many(t1) * kernel.eval_many(t2)
         vals /= (np.sin(np.pi * t1) * np.sin(np.pi * t2)) ** sigma
-        total += float(np.sum(vals))
+        return vals
+
+    B = _SUM_CHUNK
+    pairs = (fn - 2) // (2 * B)  # leaves 1 to 2B of the F_n - 1 terms in the middle
+    lower, upper = [], []
+    for j in range(pairs):
+        vals = terms(1 + j * B, 1 + (j + 1) * B)
+        lower.append(float(np.sum(vals)))
+        upper.append(float(np.sum(vals[::-1])))
+    # middle block [1 + pairs*B, F_n - pairs*B); half keeps the midpoint
+    # F_n/2 when F_n is even, which has no mirror
+    half = terms(1 + pairs * B, fn // 2 + 1)
+    mirror = half[: len(half) - 1 + fn % 2][::-1]
+    total = 0.0
+    for s in (*lower, float(np.sum(np.concatenate((half, mirror)))), *upper[::-1]):
+        total += s
     return total / float(fn) ** sigma if normalized else total
 
 

@@ -58,6 +58,12 @@ _PI_STR = "3.14159265358979323846264338327950288420"
 _PAIR_TABLE_MAX_N = 2 * 10 ** 7
 
 
+def _check_exponent(sigma) -> None:
+    """Raise ValueError unless 1 < sigma < inf; NaN is refused too."""
+    if not 1 < sigma < math.inf:
+        raise ValueError(f"exponent must be finite and exceed 1, got {sigma}")
+
+
 def _as_int(name: str, value) -> int:
     """value as an int; anything not a numbers.Integral raises ValueError."""
     if not isinstance(value, numbers.Integral):
@@ -112,8 +118,7 @@ def hurwitz_zeta(sigma: float, a, *, tol: float = 1e-13) -> float:
     Absolute error below tol; working precision is raised as needed so
     that tolerances far below the magnitude of the result are honored.
     """
-    if sigma <= 1:
-        raise ValueError(f"exponent must exceed 1, got {sigma}")
+    _check_exponent(sigma)
     if a <= 0:
         raise ValueError(f"offset must be positive, got {a}")
     mag = float(a) ** -sigma + 2.0
@@ -182,8 +187,7 @@ def _hurwitz_pair_table(sigma: float, N: int) -> np.ndarray:
     ValueError; this also keeps the table, of order N**sigma, finite.
     So do sizes above _PAIR_TABLE_MAX_N, to bound memory.
     """
-    if sigma <= 1:
-        raise ValueError(f"exponent must exceed 1, got {sigma}")
+    _check_exponent(sigma)
     if N > _PAIR_TABLE_MAX_N:
         raise ValueError(
             f"pair table is capped at N = {_PAIR_TABLE_MAX_N} (memory), got N = {N}"
@@ -287,6 +291,18 @@ class Kernel:
         return float(sum(self.coeffs))
 
     @property
+    def trig_coeffs(self) -> tuple[int, ...] | None:
+        """The weight as coefficients of cos(pi t)**(2j), trailing zeros
+        dropped (one is (1,)); None for fsigma.  Equal for kernels that are
+        the same function, whatever their name."""
+        if self.kind == "fsigma":
+            return None
+        coeffs = (1,) if self.kind == "one" else self.coeffs
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs = coeffs[:-1]
+        return coeffs
+
+    @property
     def holder_alpha(self) -> float:
         if self.kind == "fsigma":
             return min(1.0, self.sigma - 1)
@@ -345,8 +361,7 @@ def kernel_one() -> Kernel:
 
 
 def kernel_fsigma(sigma: float) -> Kernel:
-    if sigma <= 1:
-        raise ValueError(f"exponent must exceed 1, got {sigma}")
+    _check_exponent(sigma)
     return Kernel("fsigma", sigma=float(sigma))
 
 
@@ -404,8 +419,7 @@ def potential_K(sigma: float, p, t, *, tol: float = 1e-12):
     p and t are exact.  Otherwise the cosine series is summed until an
     Abel-bounded tail drops below tol.
     """
-    if sigma <= 1:
-        raise ValueError(f"exponent must exceed 1, got {sigma}")
+    _check_exponent(sigma)
     if isinstance(sigma, int) or (isinstance(sigma, float) and sigma.is_integer()):
         s2 = int(sigma)
         if s2 % 2 == 0:
@@ -441,8 +455,7 @@ def dft_coeffs(sigma: float, p: float, N: int) -> np.ndarray:
     """
     if N < 1:
         raise ValueError(f"modulus must be >= 1, got {N}")
-    if sigma <= 1:
-        raise ValueError(f"exponent must exceed 1, got {sigma}")
+    _check_exponent(sigma)
     scale = (_TWO_PI * N) ** -sigma
     out = np.empty(N, dtype=np.float64)
     out[0] = 1.0 + 2 * p * zeta(sigma) * scale

@@ -345,3 +345,27 @@ def test_constants_reject_non_finite_sigma(sigma):
         constant_C(sigma, i_max=100)
     with pytest.raises(ValueError, match="finite"):
         constant_D(sigma, i_max=100)
+
+
+def test_exact_constants_match_the_weight_not_its_name():
+    assert exact_constants(4, parse_kernel("trig:2,4")) == exact_constants(4, kernel_bernoulli_weight(4))
+    assert exact_constants(4, parse_kernel("trig:2,4,0")) == exact_constants(4, kernel_bernoulli_weight(4))
+    assert exact_constants(2, parse_kernel("trig:1")) == exact_sigma2_constants()
+    assert exact_constants(4, parse_kernel("trig:0,1,0")) == exact_constants(4, parse_kernel("trig:0,1"))
+    assert exact_constants(6, parse_kernel("trig:16,88,16")) == exact_constants(6, kernel_bernoulli_weight(6))
+    assert exact_constants(2, parse_kernel("trig:2")) is None
+    assert exact_constants(2, parse_kernel("trig:0")) is None
+
+
+def test_residual_fit_takes_table_constants_for_trig_spelling_of_bern4():
+    ex = exact_constants(4, kernel_bernoulli_weight(4))
+    rows = residual_fit(4.0, parse_kernel("trig:2,4"), n_min=8, n_max=12)
+    for r in rows:
+        assert r.asymptote == ex.c * r.n + float(ex.d)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_dedekind_zeta_rejects_non_finite_sigma(sigma):
+    for route in ZETA_ROUTES:
+        with pytest.raises(ValueError, match="finite"):
+            dedekind_zeta(sigma, route)

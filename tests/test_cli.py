@@ -289,6 +289,13 @@ def test_non_finite_sigma_is_usage_error(sigma):
     assert r.exit_code == 2 and "finite" in r.output, r.output
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+def test_energy_non_finite_sigma_is_usage_error(sigma):
+    for method in ("direct", "dft", "wce"):
+        r = run("energy", "--fib-level", "5", "--sigma", sigma, "--method", method)
+        assert r.exit_code == 2 and "finite" in r.output, (method, r.output)
+
+
 def test_closed_families_come_from_the_table():
     from fiblat.dedekind import CLOSED_FAMILIES
 

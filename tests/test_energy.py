@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fiblat.dedekind import sigma2_closed
+from fiblat.dedekind import sigma2_closed, sigma4_closed
 from fiblat.energy import (
+    _SUM_CHUNK,
     RationalLattice,
     energy,
     energy_dft,
@@ -223,7 +224,7 @@ def test_fib_sum_rejects_bad_arguments():
 
 
 def test_fib_sum_streams_several_blocks():
-    # F_27 - 1 = 196417 terms: four blocks of at most 2**16
+    # F_27 - 1 = 196417 terms: three blocks of at most 2**16
     want = sigma2_closed(27) / Fraction(fib(27)) ** 2
     assert fib_sum(27, 2.0) == pytest.approx(float(want), rel=1e-12)
 
@@ -247,3 +248,92 @@ def test_lattice_sums_reject_non_finite_sigma(sigma):
         fib_sum(10, sigma)
     with pytest.raises(ValueError, match="finite"):
         fib_sum_grouped(10, sigma)
+
+
+# the four kernel kinds of the flat sweep
+FLAT_KERNELS = [("one", 2.0), ("bern:4", 4.0), ("trig:0,1", 2.5), ("fsigma", 2.5)]
+
+
+def _flat_terms(n, sigma, kernel):
+    """Every term of the flat sum, m = 1 .. F_n - 1 in index order, with
+    the arguments reduced to min(m, F_n - m) and min(r, F_n - r)."""
+    fn, fn1 = fib(n), fib(n - 1)
+    m = np.arange(1, fn, dtype=np.int64)
+    r = (m * fn1) % fn
+    t1 = np.minimum(m, fn - m) / fn
+    t2 = np.minimum(r, fn - r) / fn
+    vals = kernel.eval_many(t1) * kernel.eval_many(t2)
+    vals /= (np.sin(np.pi * t1) * np.sin(np.pi * t2)) ** sigma
+    return vals
+
+
+def _flat_single_block(n, sigma, kernel, *, normalized=True):
+    """The index-order single-block sweep: the oracle fib_sum must equal
+    bit for bit while F_n - 1 <= _SUM_CHUNK."""
+    total = float(np.sum(_flat_terms(n, sigma, kernel)))
+    return total / float(fib(n)) ** sigma if normalized else total
+
+
+def _flat_grid(n, sigma, kernel):
+    """fib_sum's block grid over the index-order terms: pairs of outer
+    blocks of _SUM_CHUNK terms at both ends around one middle block, each
+    block summed by np.sum and the block sums added in ascending m."""
+    vals = _flat_terms(n, sigma, kernel)
+    T, B = len(vals), _SUM_CHUNK
+    pairs = (T - 1) // (2 * B)
+    edges = [j * B for j in range(pairs + 1)] + [T - j * B for j in range(pairs, -1, -1)]
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        assert 0 < b - a <= 2 * B
+        total += float(np.sum(vals[a:b]))
+    return total
+
+
+@pytest.mark.parametrize("n", [3, 4, 11, 12, 23, 26])
+@pytest.mark.parametrize("spec,sigma", FLAT_KERNELS)
+def test_flat_term_at_mirror_is_bit_equal(n, spec, sigma):
+    # term(F_n - m) == term(m) exactly: the identity the half sweep rests on
+    vals = _flat_terms(n, sigma, parse_kernel(spec, sigma=sigma))
+    assert np.array_equal(vals, vals[::-1])
+
+
+@pytest.mark.parametrize("spec,sigma", FLAT_KERNELS)
+def test_fib_sum_equals_single_block_oracle(spec, sigma):
+    kernel = parse_kernel(spec, sigma=sigma)
+    for n in range(2, 25):
+        assert fib(n) - 1 <= _SUM_CHUNK
+        for normalized in (True, False):
+            want = _flat_single_block(n, sigma, kernel, normalized=normalized)
+            assert fib_sum(n, sigma, kernel, normalized=normalized) == want, (n, normalized)
+
+
+@pytest.mark.parametrize("spec,sigma", [("one", 2.0), ("bern:4", 4.0)])
+def test_fib_sum_equals_symmetric_grid_oracle(spec, sigma):
+    # n = 25, 26: one middle block of up to 2 * 2**16 terms; n = 27: one
+    # outer pair; n = 28: two outer pairs
+    kernel = parse_kernel(spec, sigma=sigma)
+    for n in range(25, 29):
+        assert fib_sum(n, sigma, kernel, normalized=False) == _flat_grid(n, sigma, kernel), n
+
+
+@pytest.mark.parametrize("closed,sigma,spec", [(sigma2_closed, 2, "one"),
+                                               (sigma4_closed, 4, "bern:4")])
+def test_fib_sum_large_levels_within_roundoff_scale(closed, sigma, spec):
+    # both parities of F_n, and across the 2 * 2**16 boundary at n = 26, 27
+    kernel = parse_kernel(spec)
+    for n in range(25, 35):
+        value = fib_sum(n, float(sigma), kernel)
+        terms = fib(n) - 1
+        roundoff = 2.0 ** -52 * max(1, math.ceil(math.log2(terms))) * abs(value)
+        err = abs(Fraction(value) - closed(n) / Fraction(fib(n)) ** sigma)
+        assert err <= Fraction(roundoff), (n, float(err), roundoff)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_energy_routes_reject_non_finite_sigma(sigma):
+    lat = RationalLattice.fibonacci(5)
+    for method in ("direct", "dft", "wce"):
+        with pytest.raises(ValueError, match="finite"):
+            energy(lat, sigma, 1.0, method)
+    with pytest.raises(ValueError, match="finite"):
+        wce_e(sigma, 1.0, 5, 3)

@@ -287,3 +287,19 @@ def test_trig_kernel_rejects_non_integral_coefficients():
     assert kernel_trig(np.array([0, 1])).coeffs == (0, 1)
     assert kernel_trig(c for c in (2, 4)) == kernel_trig([2, 4])
     assert parse_kernel("trig:0, 1").coeffs == (0, 1)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_exponent_must_be_finite(sigma):
+    for call in (lambda: hurwitz_zeta(sigma, 0.5), lambda: zeta(sigma),
+                 lambda: kernel_fsigma(sigma), lambda: dft_coeffs(sigma, 1.0, 8)):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
+def test_trig_coeffs_name_the_function():
+    assert kernel_one().trig_coeffs == (1,)
+    assert parse_kernel("trig:1,0,0").trig_coeffs == (1,)
+    assert kernel_bernoulli_weight(4).trig_coeffs == parse_kernel("trig:2,4").trig_coeffs == (2, 4)
+    assert parse_kernel("trig:0").trig_coeffs == (0,)
+    assert kernel_fsigma(2.5).trig_coeffs is None
