@@ -92,14 +92,6 @@ def _pref_mp(sigma: float, f0) -> mpmath.mpf:
     return f0 * f0 * mpmath.power(5, mpmath.mpf(sigma) / 2) / mpmath.pi ** (2 * mpmath.mpf(sigma))
 
 
-def _f0_mp(kernel: Kernel) -> mpmath.mpf:
-    # value_at_zero is analytic; eval_mp(0) would hit the zeta pole for
-    # the fsigma family, whose limit at 0 is pi**sigma
-    if kernel.kind == "fsigma":
-        return mpmath.pi ** kernel.sigma
-    return mpmath.mpf(kernel.value_at_zero)
-
-
 def _golden_mpf(x: GoldenInt) -> mpmath.mpf:
     """Value of a + b*phi at the current working precision."""
     with mpmath.extraprec(max(x.a.bit_length(), x.b.bit_length()) + 16):
@@ -126,7 +118,7 @@ def delta_mp(i: int, sigma: float, kernel: Kernel | None = None,
     r = row(i)
     wstar = -r.w_minus
     with mpmath.workprec(prec):
-        f0 = _f0_mp(kernel)
+        f0 = kernel.eval_mp(0)
         base = _pref_mp(sigma, f0) / mpmath.mpf(r.eta) ** sigma
         total = mpmath.mpf(0)
         wk_prev, wk = r.floor_phi_i, r.entry(1)
@@ -151,7 +143,7 @@ def delta_star_mp(i: int, sigma: float, kernel: Kernel | None = None,
     kernel = kernel or kernel_one()
     r = row(i)
     with mpmath.workprec(prec):
-        f0 = _f0_mp(kernel)
+        f0 = kernel.eval_mp(0)
         base = _pref_mp(sigma, f0) / mpmath.mpf(r.eta) ** sigma
         total = mpmath.mpf(0)
         for j in range(1, j_max + 1):

@@ -164,16 +164,16 @@ def cmd_sum(level, sigma, kernel_spec, method, raw, fmt):
             value = fib_sum(level, sigma, kernel, normalized=normalized)
         else:
             value = fib_sum_grouped(level, sigma, kernel, normalized=normalized)
+        modulus = fib(level)
+        cross = None
+        if modulus <= 50000:
+            other = (fib_sum_grouped if method == "flat" else fib_sum)(
+                level, sigma, kernel, normalized=normalized
+            )
+            cross = abs(value - other)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    modulus = fib(level)
     terms = max(modulus - 1, 0)
-    cross = None
-    if modulus <= 50000:
-        other = (fib_sum_grouped if method == "flat" else fib_sum)(
-            level, sigma, kernel, normalized=normalized
-        )
-        cross = abs(value - other)
     # pairwise reduction loses at most ~eps per doubling level
     roundoff = _EPS * max(1, math.ceil(math.log2(max(terms, 2)))) * abs(value)
     doc = {

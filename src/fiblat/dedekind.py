@@ -148,9 +148,11 @@ def _reduction_coeffs(deg: int, qa: int, qb: int) -> tuple[tuple[int, ...], ...]
         for q in range(deg + 1))
 
 
-def _floor_power_sums(n: int, a: int, b: int, c: int, deg: int) -> list[int]:
+@functools.lru_cache(maxsize=8)
+def _floor_power_sums(n: int, a: int, b: int, c: int, deg: int) -> tuple[int, ...]:
     """T[p][q] = sum_{x=0}^{n-1} x^p * floor((a*x + b)/c)^q for p + q <= deg,
     as the flat table of `_floor_sum_plan`; n, c >= 1 and a, b >= 0.
+    Cached: the sums of one reciprocity check share two tables.
 
     Each level of the Euclid-like descent first reduces a and b mod c
     (floor((a x + b)/c) = qa*x + qb + floor((a' x + b')/c), expanded
@@ -193,7 +195,7 @@ def _floor_power_sums(n: int, a: int, b: int, c: int, deg: int) -> list[int]:
                 nxt.append(table[o])
                 nxt.extend([sum(map(mul, coeffs[q], get(table))) for q, get in rows])
             table = nxt
-    return table
+    return tuple(table)
 
 
 @functools.lru_cache(maxsize=None)

@@ -160,19 +160,18 @@ class EnergyReport:
     p: float
 
 
-def energy(lat: RationalLattice, sigma: float, p: float, method: str = "dft",
-           *, tol: float = 1e-13) -> EnergyReport:
+def energy(lat: RationalLattice, sigma: float, p: float,
+           method: str = "dft") -> EnergyReport:
     """Energy of K_{sigma,p} on the lattice by the chosen route:
     "direct" (pairwise), "dft" (coefficient table), or "wce"
     (N^2 * (1 + wce_e)).
 
     The dft and wce routes share the vectorized Hurwitz pair table
     (relative error ~1e-15) and are refused with ValueError above
-    N = 2 * 10**7 (kernels._PAIR_TABLE_MAX_N, for memory); tol is the
-    potential's series tolerance and applies to "direct" only.
-    "direct" visits all N**2 pairs in Python and is refused with
-    ValueError above N = 1000.  A non-finite sigma, or sigma <= 1,
-    raises ValueError on every route."""
+    N = 2 * 10**7 (kernels._PAIR_TABLE_MAX_N, for memory).  "direct"
+    sums the potential's cosine series to 1e-13, visits all N**2 pairs
+    in Python and is refused with ValueError above N = 1000.  A
+    non-finite sigma, or sigma <= 1, raises ValueError on every route."""
     _check_exponent(sigma)
     if method == "direct":
         if lat.N > _DIRECT_MAX_N:
@@ -182,7 +181,7 @@ def energy(lat: RationalLattice, sigma: float, p: float, method: str = "dft",
             )
         pts = lattice_points(lat)
         val = energy_direct(
-            lambda t: float(potential_K(sigma, p, t, tol=tol)), pts
+            lambda t: float(potential_K(sigma, p, t, tol=1e-13)), pts
         )
     elif method == "dft":
         val = energy_dft(dft_coeffs(sigma, p, lat.N), lat.N, lat.h)
@@ -191,6 +190,22 @@ def energy(lat: RationalLattice, sigma: float, p: float, method: str = "dft",
     else:
         raise ValueError(f"unknown method {method!r}; use direct, dft or wce")
     return EnergyReport(float(val), method, lat.N, lat.h, sigma, float(p))
+
+
+def _level_scale(n: int, sigma: float) -> float:
+    """F_n**sigma, the normalization of a level sum; ValueError where it
+    leaves float64."""
+    try:
+        return float(fib(n)) ** sigma
+    except OverflowError:
+        raise ValueError(
+            f"F_n**sigma overflows float64 at n={n}, sigma={sigma:g}") from None
+
+
+def _finite_sum(total: float, n: int, sigma: float) -> float:
+    if not math.isfinite(total):
+        raise ValueError(f"level sum leaves float64 at n={n}, sigma={sigma:g}")
+    return total
 
 
 def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
@@ -211,7 +226,8 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
     F_n - 1 <= 2B are a single block, and those with F_n - 1 <= B
     (n <= 24) are bit-identical to one flat block in index order.
     Levels n >= 48 are rejected: the residue m * F_{n-1} overflows int64
-    there.
+    there.  So are sums whose F_n**sigma (when normalized) or total
+    leaves float64.
     """
     if n < 2:
         raise ValueError(f"level must be >= 2, got {n}")
@@ -223,6 +239,7 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
     fn, fn1 = fib(n), fib(n - 1)
     if fn == 1:
         return 0.0
+    scale = _level_scale(n, sigma) if normalized else 1.0
 
     def terms(lo: int, hi: int) -> np.ndarray:
         # m <= F_n/2 here, so min(m, F_n - m) = m
@@ -230,9 +247,7 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
         r = (m * fn1) % fn
         t1 = m / fn
         t2 = np.minimum(r, fn - r) / fn
-        vals = kernel.eval_many(t1) * kernel.eval_many(t2)
-        vals /= (np.sin(np.pi * t1) * np.sin(np.pi * t2)) ** sigma
-        return vals
+        return kernel.pair(t1, t2) / (np.sin(np.pi * t1) * np.sin(np.pi * t2)) ** sigma
 
     B = _SUM_CHUNK
     pairs = (fn - 2) // (2 * B)  # leaves 1 to 2B of the F_n - 1 terms in the middle
@@ -248,7 +263,7 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
     total = 0.0
     for s in (*lower, float(np.sum(np.concatenate((half, mirror)))), *upper[::-1]):
         total += s
-    return total / float(fn) ** sigma if normalized else total
+    return _finite_sum(total, n, sigma) / scale
 
 
 def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
@@ -266,7 +281,8 @@ def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
     exact in int64.  Each row is summed by numpy's pairwise bracketing
     over that row alone, and 2 * (row sum) is added in ascending i, so
     the result is bit-identical to a per-row loop.  Levels n >= 44 raise
-    ValueError: their rows leave the exact int64 row columns.
+    ValueError: their rows leave the exact int64 row columns, and so do
+    sums whose F_n**sigma (when normalized) or total leaves float64.
     """
     if n < 2:
         raise ValueError(f"level must be >= 2, got {n}")
@@ -276,7 +292,7 @@ def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
     fn = fib(n)
     if fn == 1:
         return (0.0, {}) if collect_rows else 0.0
-    scale = float(fn) ** sigma if normalized else 1.0
+    scale = _level_scale(n, sigma) if normalized else 1.0
     F = np.array([fib(k) for k in range(n + 1)], dtype=np.int64)
     rows_terms: dict[int, np.ndarray] = {}
     total = 0.0
@@ -291,8 +307,7 @@ def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
                 Lc, ic = L[rows, None], i[rows, None] - 1
                 t1 = (F[k + 1] * Lc + F[k] * ic) / fn
                 t2 = (F[n - k - 1] * Lc - F[n - k] * ic) / fn
-                vals = kernel.eval_many(t1) * kernel.eval_many(t2)
-                vals /= (np.sin(np.pi * t1) * np.sin(np.pi * t2)) ** sigma
+                vals = kernel.pair(t1, t2) / (np.sin(np.pi * t1) * np.sin(np.pi * t2)) ** sigma
                 vals /= scale
                 doubled = 2.0 * vals.sum(axis=1)
                 total = float(np.add.accumulate(np.r_[total, doubled])[-1])
@@ -300,6 +315,7 @@ def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
                     rows_terms.update(zip(i[rows].tolist(), vals))
     if fn % 2 == 0:
         total += kernel.eval(0.5) ** 2 / scale
+    total = _finite_sum(total, n, sigma)
     if collect_rows:
         return total, rows_terms
     return total

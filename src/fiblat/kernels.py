@@ -7,19 +7,19 @@ The central potential is
 whose lattice DFT coefficients come either from Hurwitz zeta values
 (any sigma > 1) or, for even sigma = 2s, from derivatives of the
 cotangent and Bernoulli polynomials.  Weight functions f enter the
-energy sums as f(t1) f(t2) / |sin sin|**sigma; supported shapes are the
-constant 1, the normalized zeta weight
+energy sums as f(t1) f(t2) / |sin sin|**sigma; each family is a Kernel
+class: Trig, the even trigonometric polynomials sum_j a_j cos(pi t)**(2j);
+One, the constant 1, which is trig:1 evaluated without arrays; and FSigma,
 
-    f_sigma(a) = sin(pi a)**sigma * (zeta(sigma, a) + zeta(sigma, 1-a)),
-
-and even trigonometric polynomials sum_j a_j cos(pi t)**(2j).
+    f_sigma(a) = sin(pi a)**sigma * (zeta(sigma, a) + zeta(sigma, 1-a)).
 """
 from __future__ import annotations
 
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -36,6 +36,9 @@ __all__ = [
     "cot_derivative_poly",
     "even_weight_coeffs",
     "Kernel",
+    "One",
+    "Trig",
+    "FSigma",
     "kernel_one",
     "kernel_fsigma",
     "kernel_trig",
@@ -71,6 +74,14 @@ def _as_int(name: str, value) -> int:
     return int(value)
 
 
+def _horner(coeffs, x):
+    """sum_j coeffs[j] * x**j in the arithmetic of x and the coefficients."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 @functools.lru_cache(maxsize=None)
 def bernoulli_number(m: int) -> Fraction:
     """B_m with the B_1 = -1/2 convention, exact."""
@@ -101,14 +112,8 @@ def bernoulli_poly(m: int, t):
     """B_m(t); exact when t is a Fraction or int, float otherwise."""
     coeffs = bernoulli_poly_coeffs(m)
     if isinstance(t, (Fraction, int)):
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        return acc
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * t + float(c)
-    return acc
+        return _horner(coeffs, t)
+    return _horner([float(c) for c in coeffs], t)
 
 
 def hurwitz_zeta(sigma: float, a, *, tol: float = 1e-13) -> float:
@@ -129,12 +134,12 @@ def hurwitz_zeta(sigma: float, a, *, tol: float = 1e-13) -> float:
         return float(mpmath.zeta(sigma, a))
 
 
-def zeta(sigma: float, *, tol: float = 1e-13) -> float:
+def zeta(sigma: float) -> float:
     """Riemann zeta for sigma > 1, as the a = 1 Hurwitz value."""
-    return hurwitz_zeta(sigma, 1, tol=tol)
+    return hurwitz_zeta(sigma, 1)
 
 
-def f_sigma(sigma: float, a: float, *, tol: float = 1e-13) -> float:
+def f_sigma(sigma: float, a: float) -> float:
     """sin(pi a)**sigma * (zeta(sigma, a) + zeta(sigma, 1 - a)) on [0, 1).
 
     Continuous at the endpoints with value pi**sigma; symmetric about
@@ -143,7 +148,7 @@ def f_sigma(sigma: float, a: float, *, tol: float = 1e-13) -> float:
     a = a % 1.0
     if a == 0.0:
         return math.pi ** sigma
-    z = hurwitz_zeta(sigma, a, tol=tol) + hurwitz_zeta(sigma, 1 - a, tol=tol)
+    z = hurwitz_zeta(sigma, a) + hurwitz_zeta(sigma, 1 - a)
     return math.sin(math.pi * a) ** sigma * z
 
 
@@ -223,15 +228,14 @@ def cot_derivative_poly(r: int) -> tuple[int, ...]:
     """
     if r < 0:
         raise ValueError(f"negative order: {r}")
-    if r == 0:
-        return (0, -1)
-    prev = cot_derivative_poly(r - 1)
-    deriv = tuple(j * prev[j] for j in range(1, len(prev)))
-    out = [0] * (len(deriv) + 2)
-    for j, c in enumerate(deriv):
-        out[j] -= c
-        out[j + 2] -= c
-    return tuple(out)
+    g = (0, -1)
+    for _ in range(r):
+        out = [0] * (len(g) + 1)
+        for j in range(1, len(g)):
+            out[j - 1] -= j * g[j]
+            out[j + 1] -= j * g[j]
+        g = tuple(out)
+    return g
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,124 +262,149 @@ def even_weight_coeffs(two_s: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _float_array(t) -> np.ndarray:
+    """t as an array, kept in its float dtype; integers become float64."""
+    t = np.asarray(t)
+    return t if t.dtype.kind == "f" else t.astype(np.float64)
+
+
 @dataclass(frozen=True)
 class Kernel:
-    """A weight function on the torus, evaluated as f(t) for t in [0, 1).
+    """A weight function f on the torus, one subclass per family.  Each has
+    name, value_at_zero, trig_coeffs, holder_alpha (assumed smoothness, as
+    data) and the class constant kind, and gives f at t mod 1 by eval,
+    eval_many (in t's float dtype) and eval_mp (in the caller's context)."""
 
-    kind is one of "one", "fsigma", "trig"; trig kernels carry integer
-    coefficients of cos(pi t)**(2j).  holder_alpha records the assumed
-    smoothness class as data (the constants are not derived).
-    """
+    def pair(self, t1, t2):
+        """The numerator f(t1) * f(t2) of a lattice-sum term, for arrays."""
+        return self.eval_many(t1) * self.eval_many(t2)
 
-    kind: str
-    sigma: float | None = None
-    coeffs: tuple[int, ...] | None = None
+
+@dataclass(frozen=True)
+class Trig(Kernel):
+    """sum_j coeffs[j] * cos(pi t)**(2j)."""
+
+    kind = "trig"
+    holder_alpha = 1.0
+    sigma = None
+    coeffs: tuple[int, ...]
     label: str | None = None
 
     @property
     def name(self) -> str:
         if self.label is not None:
             return self.label
-        if self.kind == "one":
-            return "one"
-        if self.kind == "fsigma":
-            return f"fsigma:{self.sigma:g}"
         return "trig:" + ",".join(str(c) for c in self.coeffs)
 
     @property
     def value_at_zero(self) -> float:
-        if self.kind == "one":
-            return 1.0
-        if self.kind == "fsigma":
-            return math.pi ** self.sigma
         return float(sum(self.coeffs))
 
     @property
-    def trig_coeffs(self) -> tuple[int, ...] | None:
-        """The weight as coefficients of cos(pi t)**(2j), trailing zeros
-        dropped (one is (1,)); None for fsigma.  Equal for kernels that are
-        the same function, whatever their name."""
-        if self.kind == "fsigma":
-            return None
-        coeffs = (1,) if self.kind == "one" else self.coeffs
+    def trig_coeffs(self) -> tuple[int, ...]:
+        """The coefficients with trailing zeros dropped: equal for kernels
+        that are the same function, whatever their name."""
+        coeffs = self.coeffs
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         return coeffs
 
-    @property
-    def holder_alpha(self) -> float:
-        if self.kind == "fsigma":
-            return min(1.0, self.sigma - 1)
-        return 1.0
-
     def eval(self, t: float) -> float:
-        t = t % 1.0
-        if self.kind == "one":
-            return 1.0
-        if self.kind == "fsigma":
-            return f_sigma(self.sigma, t)
-        u = math.cos(math.pi * t) ** 2
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * u + c
-        return acc
-
-    __call__ = eval
+        return _horner(self.coeffs, math.cos(math.pi * (t % 1.0)) ** 2)
 
     def eval_many(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized eval, returned in t's dtype (float64 for integer t).
-
-        The fsigma family has no widened implementation: it is evaluated
-        at double and cast.
-        """
-        t = np.asarray(t)
-        if t.dtype.kind != "f":
-            t = t.astype(np.float64)
-        if self.kind == "one":
-            return np.ones_like(t)
-        if self.kind == "fsigma":
-            return f_sigma_many(self.sigma, t).astype(t.dtype, copy=False)
-        pi = t.dtype.type(_PI_STR)
-        u = np.cos(pi * t) ** 2
-        acc = np.zeros_like(u)
-        for c in reversed(self.coeffs):
-            acc = acc * u + c
-        return acc
+        t = _float_array(t)
+        return _horner(self.coeffs, np.cos(t.dtype.type(_PI_STR) * t) ** 2)
 
     def eval_mp(self, t) -> mpmath.mpf:
-        """Evaluate in the caller's mpmath context."""
-        if self.kind == "one":
-            return mpmath.mpf(1)
-        if self.kind == "fsigma":
-            z = mpmath.zeta(self.sigma, t) + mpmath.zeta(self.sigma, 1 - t)
-            return mpmath.sinpi(t) ** self.sigma * z
-        u = mpmath.cospi(t) ** 2
-        acc = mpmath.mpf(0)
-        for c in reversed(self.coeffs):
-            acc = acc * u + c
-        return acc
+        return _horner(self.coeffs, mpmath.cospi(t) ** 2)
+
+
+@dataclass(frozen=True)
+class One(Trig):
+    """The constant weight: trig:1 named "one", evaluated without arrays."""
+
+    kind = "one"
+    coeffs: tuple[int, ...] = field(default=(1,), init=False)
+    label: str | None = field(default="one", init=False)
+
+    def eval_many(self, t: np.ndarray) -> np.ndarray:
+        return np.ones_like(_float_array(t))
+
+    def pair(self, t1, t2) -> float:
+        return 1.0
+
+
+@dataclass(frozen=True)
+class FSigma(Kernel):
+    """f_sigma, continued by pi**sigma at t = 0; eval_many runs at double."""
+
+    kind = "fsigma"
+    coeffs = label = trig_coeffs = None
+    sigma: float
+
+    @property
+    def name(self) -> str:
+        return f"fsigma:{self.sigma:g}"
+
+    @property
+    def value_at_zero(self) -> float:
+        return math.pi ** self.sigma
+
+    @property
+    def holder_alpha(self) -> float:
+        return min(1.0, self.sigma - 1)
+
+    def eval(self, t: float) -> float:
+        return f_sigma(self.sigma, t)
+
+    def eval_many(self, t: np.ndarray) -> np.ndarray:
+        t = _float_array(t)
+        return f_sigma_many(self.sigma, t).astype(t.dtype, copy=False)
+
+    def eval_mp(self, t) -> mpmath.mpf:
+        t = mpmath.frac(t)
+        if t == 0:
+            return mpmath.pi ** self.sigma
+        z = mpmath.zeta(self.sigma, t) + mpmath.zeta(self.sigma, 1 - t)
+        return mpmath.sinpi(t) ** self.sigma * z
 
 
 def kernel_one() -> Kernel:
-    return Kernel("one")
+    return One()
 
 
 def kernel_fsigma(sigma: float) -> Kernel:
     _check_exponent(sigma)
-    return Kernel("fsigma", sigma=float(sigma))
+    return FSigma(float(sigma))
+
+
+def _trig_kernel(coeffs: tuple[int, ...], label: str | None = None) -> Kernel:
+    # |f| <= sum |a_j| bounds the weight and every Horner partial sum
+    if sum(map(abs, coeffs)) > sys.float_info.max:
+        raise ValueError(
+            f"weight {label or 'trig'} has coefficients too large for float64 "
+            f"(sum of |a_j| exceeds {sys.float_info.max:g})"
+        )
+    return Trig(coeffs, label)
 
 
 def kernel_trig(coeffs) -> Kernel:
     coeffs = tuple(_as_int("trig coefficient", c) for c in coeffs)
     if not coeffs:
         raise ValueError("trig kernel needs at least one coefficient")
-    return Kernel("trig", coeffs=coeffs)
+    return _trig_kernel(coeffs)
 
 
 def kernel_bernoulli_weight(two_s: int) -> Kernel:
     """The even-potential weight as a trig kernel; bern:2 is 1, bern:4 is
-    2 + 4 cos^2, bern:6 is 16 + 88 cos^2 + 16 cos^4."""
-    return Kernel("trig", coeffs=even_weight_coeffs(two_s), label=f"bern:{two_s}")
+    2 + 4 cos^2, bern:6 is 16 + 88 cos^2 + 16 cos^4.  Raises ValueError
+    from bern:172 on, whose coefficients leave float64."""
+    # the weight's value at 0 is (2s-1)!, a lower bound of sum |a_j|:
+    # refuse before building G_{2s-1} where that alone overflows
+    if two_s >= 2 and math.lgamma(two_s) > math.log(sys.float_info.max):
+        raise ValueError(f"weight bern:{two_s} has coefficients too large for float64")
+    return _trig_kernel(even_weight_coeffs(two_s), f"bern:{two_s}")
 
 
 KERNEL_GRAMMAR = "one | fsigma | trig:a0,a1,... | bern:<even sigma>"
@@ -481,10 +510,7 @@ def dft_coeffs_even(two_s: int, p: float, N: int) -> np.ndarray:
     scale = p / (math.factorial(2 * s - 1) * float(2 * N) ** two_s)
     for m in range(1, N):
         c = 1.0 / math.tan(math.pi * m / N) if 2 * m != N else 0.0
-        acc = 0.0
-        for q in reversed(g):
-            acc = acc * c + q
-        out[m] = scale * acc
+        out[m] = scale * _horner(g, c)
     return out
 
 

@@ -369,3 +369,10 @@ def test_dedekind_zeta_rejects_non_finite_sigma(sigma):
     for route in ZETA_ROUTES:
         with pytest.raises(ValueError, match="finite"):
             dedekind_zeta(sigma, route)
+
+
+def test_constant_D_of_one_is_bit_equal_to_trig_1():
+    one = constant_D(2.0, kernel_one(), 3000, 16, threads=1)
+    trig1 = constant_D(2.0, parse_kernel("trig:1"), 3000, 16, threads=1)
+    for field in ("value", "inner_tail", "outer_tail", "precision_gap", "error_estimate"):
+        assert getattr(one, field) == getattr(trig1, field), field

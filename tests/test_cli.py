@@ -305,3 +305,20 @@ def test_closed_families_come_from_the_table():
         assert r.output.splitlines()[1:] == [
             f"{n},{fam.value(n).numerator}/{fam.value(n).denominator}"
             for n in range(2, 6)]
+
+
+def test_oversized_weight_is_usage_error():
+    for args in (["--sigma", "200", "--kernel", "bern:200"],
+                 ["--sigma", "2", "--kernel", "trig:1," + "9" * 400],
+                 ["--sigma", "2", "--kernel", "bern:1990"]):
+        r = run("sum", "-n", "10", *args)
+        assert r.exit_code == 2 and "too large" in r.output, (args, r.output)
+
+
+def test_lattice_sum_overflow_is_usage_error():
+    for extra in (["--method", "flat"], ["--method", "grouped"], ["--raw"]):
+        r = run("sum", "-n", "30", "--sigma", "60", *extra)
+        assert r.exit_code == 2 and "float64" in r.output, (extra, r.output)
+    r = run("fit", "--sigma", "60", "--n-min", "28", "--n-max", "30",
+            "--i-max", "100", "--k-max", "4")
+    assert r.exit_code == 2 and "float64" in r.output, r.output

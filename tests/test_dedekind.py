@@ -186,3 +186,14 @@ def test_higher_closed_forms_bridge_to_gen_sums_exactly():
         assert sigma6_closed(n) == (
             Fraction(1024, 9) * c ** 11 * gen_dedekind_sum(6, 6, 1, b, c)
             - Fraction(256, 3969)), n
+
+
+def test_reciprocity_checks_build_two_floor_tables_per_pair():
+    # apostol_check and hwz_check take six sums of one pair, from the
+    # degree-4 tables of (b, c) and (c, b) only
+    from fiblat.dedekind import _floor_power_sums
+
+    for b, c in [(5, 8), (89, 144), (7, 25)]:
+        _floor_power_sums.cache_clear()
+        assert apostol_check(b, c) and hwz_check(b, c)
+        assert _floor_power_sums.cache_info().misses == 2, (b, c)

@@ -250,6 +250,26 @@ def test_lattice_sums_reject_non_finite_sigma(sigma):
         fib_sum_grouped(10, sigma)
 
 
+def test_lattice_sums_reject_float64_overflow():
+    # F_30**60 ~ 1e355; the raw sum at sigma = 60 overflows as well
+    for f in (fib_sum, fib_sum_grouped):
+        with pytest.raises(ValueError, match="F_n"):
+            f(30, 60.0)
+        with pytest.raises(ValueError, match="leaves float64"):
+            f(30, 60.0, normalized=False)
+
+
+def test_one_is_bit_equal_to_trig_1():
+    one, trig1 = kernel_one(), parse_kernel("trig:1")
+    for sigma in (2.0, 2.5):
+        for n in range(2, 27):
+            for normalized in (True, False):
+                assert (fib_sum(n, sigma, one, normalized=normalized)
+                        == fib_sum(n, sigma, trig1, normalized=normalized)), (n, sigma)
+                assert (fib_sum_grouped(n, sigma, one, normalized=normalized)
+                        == fib_sum_grouped(n, sigma, trig1, normalized=normalized)), (n, sigma)
+
+
 # the four kernel kinds of the flat sweep
 FLAT_KERNELS = [("one", 2.0), ("bern:4", 4.0), ("trig:0,1", 2.5), ("fsigma", 2.5)]
 

@@ -8,6 +8,10 @@ import pytest
 from fiblat.energy import wce_e
 from fiblat.kernels import (
     KERNEL_GRAMMAR,
+    FSigma,
+    Kernel,
+    One,
+    Trig,
     _hurwitz_pair_table,
     bernoulli_number,
     bernoulli_poly,
@@ -90,6 +94,12 @@ def test_eval_many_matches_eval_outside_the_unit_interval():
         assert np.all(np.isfinite(many)), k.name
         for x, v in zip(t, many):
             assert v == pytest.approx(k.eval(float(x)), rel=1e-12), (k.name, x)
+        # so does eval_mp, and every family takes f(0) there
+        with mpmath.workprec(80):
+            for x in t:
+                got = k.eval_mp(mpmath.mpf(float(x)))
+                assert float(got) == pytest.approx(k.eval(float(x)), rel=1e-12), (k.name, x)
+            assert float(k.eval_mp(0)) == pytest.approx(k.value_at_zero, rel=1e-15), k.name
     assert kernel_fsigma(2.5).eval_many(t)[0] == math.pi ** 2.5
 
 
@@ -157,6 +167,30 @@ def test_parse_kernel_grammar():
     with pytest.raises(ValueError, match="grammar"):
         parse_kernel("trig:a,b")
     assert "one" in KERNEL_GRAMMAR
+
+
+def test_each_family_is_a_kernel_class():
+    for spec, cls, kind in (("one", One, "one"), ("bern:4", Trig, "trig"),
+                            ("trig:0,1", Trig, "trig"), ("fsigma", FSigma, "fsigma")):
+        k = parse_kernel(spec, sigma=2.5)
+        assert type(k) is cls and isinstance(k, Kernel) and k.kind == kind, spec
+    # one is trig:1 under its own name, evaluated without arrays
+    assert isinstance(kernel_one(), Trig) and kernel_one().coeffs == (1,)
+    assert kernel_one().pair(np.full(3, 0.25), np.full(3, 0.5)) == 1.0
+    assert kernel_fsigma(2.5).coeffs is None and kernel_one().sigma is None
+
+
+def test_oversized_weights_are_rejected():
+    # sum |a_j| must fit in a float64; bern:2s has f(0) = (2s-1)!, which
+    # overflows from bern:172 on
+    with pytest.raises(ValueError, match="too large"):
+        kernel_trig([1, 10 ** 400])
+    with pytest.raises(ValueError, match="too large"):
+        kernel_trig([10 ** 308, -(10 ** 308)])
+    assert kernel_bernoulli_weight(170).value_at_zero == float(math.factorial(169))
+    for two_s in (172, 200, 1990):
+        with pytest.raises(ValueError, match="too large"):
+            kernel_bernoulli_weight(two_s)
 
 
 def test_potential_even_exponent_is_exact_bernoulli_path():
