@@ -6,18 +6,20 @@ field generated by sqrt 5; D adds two one-sided correction series per
 row (one along the row, one along its dual) minus a counting term.
 
 C carries a certified tail (eta_i >= i, so the remainder is dominated
-by an integral); for even sigma it also has an exact Bernoulli closed
-form, which the closed route of dedekind_zeta reuses.  D has one
-production path, a vectorized row sweep run at extended and at double
-precision (the gap is reported as a rounding proxy), and one oracle,
-the per-row mpmath series delta_mp and delta_star_mp.  D's inner tails
-are geometric-ratio estimates and its outer tail a fitted dyadic decay,
-both reported rather than certified.
+by an integral) and is summed at the precision that tail needs, by the
+same eta sum as the eta-series route of dedekind_zeta; for even sigma
+it also has an exact Bernoulli closed form, which the closed route of
+dedekind_zeta reuses.  D has one production path, a vectorized row
+sweep run at extended and at double precision (the gap is reported as
+a rounding proxy), and one oracle, the per-row mpmath series delta_mp
+and delta_star_mp.  D's inner tails are geometric-ratio estimates and
+its outer tail a fitted dyadic decay, both reported rather than
+certified.
 
 The sweep cuts the rows into fixed chunks of _CHUNK rows.  When there is
 more than one chunk, the chunks of both precision passes share one set
-of worker threads, by default one per CPU the process may run on
-(FIBLAT_THREADS or threads= override it); NumPy releases the GIL in the
+of worker threads, by default one per CPU in the process's affinity
+mask (threads= overrides it); NumPy releases the GIL in the
 elementwise loops that take the time.  Each pass adds its chunk sums in
 row order, so every output is bit-identical for any worker count.
 """
@@ -36,7 +38,7 @@ import numpy as np
 
 from .dedekind import CLOSED_FAMILIES
 from .energy import fib_sum
-from .golden import GoldenInt, fib, phi_power
+from .golden import _to_mpf, fib, phi_power
 from .kernels import (
     _PI_STR,
     Kernel,
@@ -92,13 +94,6 @@ def _pref_mp(sigma: float, f0) -> mpmath.mpf:
     return f0 * f0 * mpmath.power(5, mpmath.mpf(sigma) / 2) / mpmath.pi ** (2 * mpmath.mpf(sigma))
 
 
-def _golden_mpf(x: GoldenInt) -> mpmath.mpf:
-    """Value of a + b*phi at the current working precision."""
-    with mpmath.extraprec(max(x.a.bit_length(), x.b.bit_length()) + 16):
-        v = (2 * x.a + x.b + x.b * mpmath.sqrt(5)) / 2
-    return +v
-
-
 # ---------------------------------------------------------------------------
 # the two one-sided series behind D
 
@@ -123,7 +118,7 @@ def delta_mp(i: int, sigma: float, kernel: Kernel | None = None,
         total = mpmath.mpf(0)
         wk_prev, wk = r.floor_phi_i, r.entry(1)
         for k in range(1, k_max + 1):
-            x = _golden_mpf(wstar * phi_power(-k))
+            x = _to_mpf(wstar * phi_power(-k))
             g = mpmath.pi * wk * mpmath.sinpi(x)
             total += f0 * kernel.eval_mp(x) / g ** sigma - base
             wk_prev, wk = wk, wk_prev + wk
@@ -149,7 +144,7 @@ def delta_star_mp(i: int, sigma: float, kernel: Kernel | None = None,
         for j in range(1, j_max + 1):
             m = r.mu + j
             wd = dual_slot(i, m)
-            x = _golden_mpf(r.w_plus * phi_power(-m))
+            x = _to_mpf(r.w_plus * phi_power(-m))
             g = mpmath.pi * wd * mpmath.sinpi(x)
             total += f0 * kernel.eval_mp(x) / g ** sigma - base
         return +total
@@ -189,40 +184,41 @@ def _fixed_point_power_sum(s: int, plus, minus=()) -> mpmath.mpf:
     return mpmath.ldexp(mpmath.mpf(total), -P)
 
 
-def _eta_power_sum(eta: np.ndarray, sigma: float) -> mpmath.mpf:
-    """sum of eta**-sigma at the current working precision.
+def _eta_power_sum(sigma: float, n_top: int) -> tuple[mpmath.mpf, int]:
+    """sum_{i <= n_top} eta_i**-sigma and the precision prec it is
+    formed at, max(60, (sigma-1)*log2(n_top) + 30) bits, so that its
+    rounding sits some 2**-30 below the certified tail
+    n_top**(1-sigma)/(sigma-1).  constant_C and the eta-series route of
+    dedekind_zeta both take their sum from here.
 
     Integer sigma goes through _fixed_point_power_sum (error below
     2**-(prec+2) before the one rounding at prec); other sigma sums
     mpmath powers with fsum, smallest terms first."""
-    if float(sigma).is_integer():
-        return _fixed_point_power_sum(int(sigma), eta.tolist())
-    return mpmath.fsum(mpmath.mpf(int(e)) ** (-sigma) for e in eta[::-1])
+    prec = max(60, int((sigma - 1) * math.log2(n_top)) + 30)
+    eta = row_table(n_top).eta
+    with mpmath.workprec(prec):
+        if float(sigma).is_integer():
+            return _fixed_point_power_sum(int(sigma), eta.tolist()), prec
+        return mpmath.fsum(mpmath.mpf(int(e)) ** (-sigma) for e in eta[::-1]), prec
 
 
 def constant_C(sigma: float, kernel: Kernel | None = None,
-               i_max: int = 100000, *, f0: float | None = None,
-               prec: int | None = None) -> CConstant:
+               i_max: int = 100000, *, f0: float | None = None) -> CConstant:
     """C = 2 f(0)**2 5**(sigma/2)/pi**(2*sigma) * sum_i eta_i**-sigma,
     truncated at i_max.
 
     The tail is certified: eta_i >= i gives
     sum_{i>i_max} eta_i**-sigma <= i_max**(1-sigma)/(sigma-1).  For
     large sigma that tail sits far below double precision, so the sum
-    is formed at a precision prec matched to the tail and returned both
-    as a float and as value_mp.  prec is a floor: the sum runs at the
-    larger of prec and the precision the tail needs.  For integer sigma
-    the sum is exact integer fixed point (error below 2**-(prec+2), then
-    one rounding at prec); otherwise mpmath sums the powers term by term.
+    is formed at a precision prec matched to the tail (_eta_power_sum)
+    and returned both as a float and as value_mp.
     """
     _check_exponent(sigma)
     if f0 is None:
         f0 = kernel.value_at_zero if kernel is not None else 1.0
-    needed = max(60, int((sigma - 1) * math.log2(i_max)) + 30)
-    prec = needed if prec is None else max(needed, prec)
-    tab = row_table(i_max)
+    total, prec = _eta_power_sum(sigma, i_max)
     with mpmath.workprec(prec):
-        c_mp = 2 * _pref_mp(sigma, mpmath.mpf(f0)) * _eta_power_sum(tab.eta, sigma)
+        c_mp = 2 * _pref_mp(sigma, mpmath.mpf(f0)) * total
     tail = 2 * prefactor(sigma, f0) * i_max ** (1 - sigma) / (sigma - 1)
     return CConstant(float(c_mp), tail, float(sigma), float(f0), i_max, prec, c_mp)
 
@@ -303,10 +299,7 @@ def dedekind_zeta(sigma: float, route: str = "eta-series",
     if n_top < 8:
         raise ValueError(f"truncation too small: {n_top}")
     if route == "eta-series":
-        prec = max(60, int((sigma - 1) * math.log2(n_top)) + 30)
-        tab = row_table(n_top)
-        with mpmath.workprec(prec):
-            total = _eta_power_sum(tab.eta, sigma)
+        total, prec = _eta_power_sum(sigma, n_top)
         tail = n_top ** (1 - sigma) / (sigma - 1)
         err = tail + float(total) * 2.0 ** (18 - prec)
         return ZetaRoute(route, float(sigma), float(total), err, n_top, total)
@@ -357,20 +350,13 @@ class DConstant:
 
 
 def _thread_count(threads: int | None) -> int:
-    """Requested worker count: threads, else FIBLAT_THREADS, else the
-    number of CPUs the process may run on.  A count that is not a
-    positive integer raises ValueError."""
+    """Requested worker count: threads, else the number of CPUs in the
+    process's affinity mask.  A count that is not a positive integer
+    raises ValueError."""
     if threads is None:
-        env = os.environ.get("FIBLAT_THREADS", "").strip()
-        if not env:
-            if hasattr(os, "sched_getaffinity"):
-                return len(os.sched_getaffinity(0))
-            return os.cpu_count() or 1
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(
-                f"FIBLAT_THREADS must be a positive integer, got {env!r}") from None
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     if threads < 1 or int(threads) != threads:
         raise ValueError(f"thread count must be a positive integer, got {threads!r}")
     return int(threads)
@@ -474,12 +460,12 @@ def constant_D(sigma: float, kernel: Kernel | None = None,
     Runs the sweep in extended precision and again at double, reporting
     the difference as the rounding proxy.  Rows are cut into chunks of
     _CHUNK rows; the chunks of both passes share threads workers, the
-    calling thread among them (default: FIBLAT_THREADS, else every CPU
-    available to the process), capped at the number of chunks, so
-    i_max <= _CHUNK runs inline.  Each pass adds its chunk sums in row
-    order, so the result is bit-identical for any worker count;
-    DConstant.threads records the count used.  A thread count (or FIBLAT_THREADS) that is not a
-    positive integer raises ValueError.
+    calling thread among them (default: every CPU in the process's
+    affinity mask), capped at the number of chunks, so i_max <= _CHUNK
+    runs inline.  Each pass adds its chunk sums in row order, so the
+    result is bit-identical for any worker count; DConstant.threads
+    records the count used.  A thread count that is not a positive
+    integer raises ValueError.
     """
     _check_exponent(sigma)
     if i_max < 8:
@@ -534,9 +520,8 @@ def compute_constants(sigma: float, kernel: Kernel | None = None,
                       i_max: int = 100000, k_max: int = 64, *,
                       threads: int | None = None) -> AsymptoticConstants:
     """Both constants at matched truncations.  threads sets the D
-    sweep's worker count, as in constant_D (default: FIBLAT_THREADS,
-    else every CPU available to the process); it does not change a bit
-    of the result."""
+    sweep's worker count, as in constant_D (default: every CPU in the
+    process's affinity mask); it does not change a bit of the result."""
     kernel = kernel or kernel_one()
     c = constant_C(sigma, kernel, i_max)
     d = constant_D(sigma, kernel, i_max, k_max, threads=threads)
@@ -600,8 +585,8 @@ def residual_fit(sigma: float, kernel: Kernel | None = None,
 
     Constants are passed in, or exact where a closed family covers
     (sigma, kernel) (exact_constants), else from the truncated series;
-    threads is passed to constant_D (default FIBLAT_THREADS, else every
-    CPU available to the process) and does not change the result.  The
+    threads is passed to constant_D (default: every CPU in the
+    process's affinity mask) and does not change the result.  The
     scaled residual multiplies by phi**(beta*n/2) with
     beta = min(alpha, sigma-1), the claimed decay normalization.
     """

@@ -6,9 +6,9 @@ and exact rationals are printed as ``numerator/denominator``.  JSON
 documents carry a ``schema_version`` field.  Exit status: 0 on success,
 1 when a verification suite fails, 2 on usage errors.
 
-Environment: FIBLAT_THREADS and FIBLAT_PRECISION_BITS provide defaults
-for the matching options; explicit flags win.  Without either, the D row
-sweep uses every CPU available to the process.
+Options take their values from the command line only.  The D row
+sweep runs on --threads workers, else on every CPU in the process's
+affinity mask.
 """
 
 from __future__ import annotations
@@ -80,16 +80,9 @@ def _format_option(default: str):
 
 
 _threads_option = click.option(
-    "--threads", type=int, default=None, envvar="FIBLAT_THREADS",
-    callback=_at_least(1),
+    "--threads", type=int, default=None, callback=_at_least(1),
     help="worker threads for the D row sweep; results do not depend on it "
-         "[default: all CPUs available to the process; env FIBLAT_THREADS]",
-)
-
-_precision_option = click.option(
-    "--precision-bits", type=int, default=None, envvar="FIBLAT_PRECISION_BITS",
-    callback=_at_least(53),
-    help="working precision floor in bits for C [env FIBLAT_PRECISION_BITS]",
+         "[default: all CPUs in the process's affinity mask]",
 )
 
 
@@ -238,14 +231,13 @@ def cmd_energy(points, gen, fib_level, sigma, p, method, fmt):
 @click.option("--k-max", type=int, default=64, show_default=True,
               callback=_at_least(2), help="inner terms per row")
 @_threads_option
-@_precision_option
 @_format_option("json")
-def cmd_constants(sigma, kernel_spec, i_max, k_max, threads, precision_bits, fmt):
+def cmd_constants(sigma, kernel_spec, i_max, k_max, threads, fmt):
     """Slope and intercept of the large-level growth law, with the tail
     and rounding bounds produced alongside them."""
     kernel = _kernel_arg(kernel_spec, sigma)
     try:
-        c = constant_C(sigma, kernel, i_max, prec=precision_bits)
+        c = constant_C(sigma, kernel, i_max)
         d = constant_D(sigma, kernel, i_max, k_max, threads=threads)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc

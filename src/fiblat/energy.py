@@ -202,12 +202,18 @@ def _level_scale(n: int, sigma: float) -> float:
             f"F_n**sigma overflows float64 at n={n}, sigma={sigma:g}") from None
 
 
+# A term past float64 is inf, and the total then fails _finite_sum with
+# a ValueError; numpy's divide and overflow warnings would only repeat it.
+_quiet_overflow = np.errstate(divide="ignore", over="ignore", invalid="ignore")
+
+
 def _finite_sum(total: float, n: int, sigma: float) -> float:
     if not math.isfinite(total):
         raise ValueError(f"level sum leaves float64 at n={n}, sigma={sigma:g}")
     return total
 
 
+@_quiet_overflow
 def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
             *, normalized: bool = True) -> float:
     """The Fibonacci lattice sum at level n >= 2 for the given weight.
@@ -266,6 +272,7 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
     return _finite_sum(total, n, sigma) / scale
 
 
+@_quiet_overflow
 def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
                     *, normalized: bool = True, collect_rows: bool = False):
     """The same sum rearranged along Wythoff rows.

@@ -7,12 +7,16 @@ multiplication:
     (a + b*phi) * (c + d*phi) = (a*c + b*d) + (a*d + b*c + b*d)*phi
 
 Everything here is integer-exact; no floats enter any comparison.
+float() and _to_mpf round one exact fixed-point value (_fixed_point)
+once, to a double or to the mpmath working precision.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
 from math import isqrt
+
+import mpmath
 
 __all__ = [
     "GoldenInt",
@@ -83,23 +87,8 @@ class GoldenInt:
         return (self - other).sign() < 0
 
     def __float__(self) -> float:
-        # a + b*phi cancels catastrophically when the value is tiny
-        # against its parts (e.g. w * phi**-k).  The conjugate cannot be
-        # tiny at the same time (|x * conj| = |norm| >= 1 for x != 0),
-        # so small values go through norm / conjugate instead.
-        phi = (1 + 5 ** 0.5) / 2
-        direct = self.a + self.b * phi
-        scale = abs(self.a) + abs(self.b) * phi
-        if scale == 0.0 or abs(direct) > 1e-6 * scale:
-            return direct
-        conj = (self.a + self.b) - self.b * phi
-        if abs(conj) > 1e-6 * scale:
-            return self.norm() / conj
-        import mpmath  # double cancellation: punt to big floats
-
-        with mpmath.workprec(max(self.a.bit_length(), self.b.bit_length()) + 64):
-            val = (2 * self.a + self.b + self.b * mpmath.sqrt(5)) / 2
-            return float(val)
+        m, e = _fixed_point(self, 53)
+        return m / (1 << e)  # int / int rounds once, to nearest
 
     def __repr__(self) -> str:
         return f"GoldenInt({self.a}, {self.b})"
@@ -198,3 +187,26 @@ def phi_power(n: int) -> GoldenInt:
     # phi**-m = (-1)**m * (F_{m+1} - F_m * phi)
     s = -1 if m & 1 else 1
     return GoldenInt(s * fm1, -s * fm)
+
+
+def _fixed_point(x: GoldenInt, prec: int) -> tuple[int, int]:
+    """(m, e) with m / 2**e within 2**-e of a + b*phi: the one route
+    from the ring to the reals.
+
+    Exact integers: 2*(a + b*phi) = (2a + b) + b*sqrt5, and
+    isqrt(5*b*b * 4**p) is |b|*sqrt5*2**p rounded down.  The value
+    cancels when tiny against its parts (w * phi**-k), but never below
+    2**-(n+2), n the larger bit length of a and b: a nonzero x has a
+    nonzero integer norm x * conj(x), and |conj(x)| < 2**(n+2).  So
+    p = prec + n + 16 leaves a relative error below 2**-(prec+15).
+    """
+    n = max(x.a.bit_length(), x.b.bit_length())
+    p = prec + n + 16
+    r = isqrt(5 * x.b * x.b << 2 * p)
+    return ((2 * x.a + x.b) << p) + (r if x.b >= 0 else -r), p + 1
+
+
+def _to_mpf(x: GoldenInt) -> mpmath.mpf:
+    """a + b*phi, rounded once to the current mpmath precision."""
+    m, e = _fixed_point(x, mpmath.mp.prec)
+    return mpmath.ldexp(mpmath.mpf(m), -e)

@@ -61,6 +61,8 @@ from .wythoff import (
     wythoff_row_entries,
 )
 
+__all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_suites"]
+
 _GRID_SLACK = 1e-15
 
 

@@ -73,9 +73,8 @@ def test_offset_series_matches_scalar_reconstruction():
     assert vec.error_estimate > 0
 
 
-def test_offset_series_thread_invariant(monkeypatch):
+def test_offset_series_thread_invariant():
     # 24600 rows are four chunks of _CHUNK, the last one partial
-    monkeypatch.delenv("FIBLAT_THREADS", raising=False)
     fields = ("value", "inner_tail", "outer_tail", "precision_gap")
     for sigma, spec in ((2.0, "one"), (4.0, "bern:4"), (2.5, "fsigma")):
         kernel = parse_kernel(spec, sigma=sigma)
@@ -88,13 +87,13 @@ def test_offset_series_thread_invariant(monkeypatch):
 
 
 def test_default_thread_count_is_the_available_cpus(monkeypatch):
-    monkeypatch.delenv("FIBLAT_THREADS", raising=False)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert constant_D(2.0, i_max=24600, k_max=4).threads == min(cpus, 4)
     # one chunk runs inline whatever the request
     assert constant_D(2.0, i_max=2000, k_max=4, threads=8).threads == 1
+    # the environment is not read: only threads= moves the count
     monkeypatch.setenv("FIBLAT_THREADS", "3")
-    assert constant_D(2.0, i_max=24600, k_max=4).threads == 3
+    assert constant_D(2.0, i_max=24600, k_max=4).threads == min(cpus, 4)
     assert constant_D(2.0, i_max=24600, k_max=4, threads=2).threads == 2
 
 
@@ -110,11 +109,11 @@ def test_offset_series_validates_arguments():
 
 @pytest.mark.parametrize("env", ["0", "-3", "abc", "2.5"])
 def test_bad_thread_env_is_rejected(env, monkeypatch):
+    # FIBLAT_THREADS is no longer read, so no value of it can be
+    # rejected; bad threads= values are in test_offset_series_validates_arguments
     monkeypatch.setenv("FIBLAT_THREADS", env)
-    with pytest.raises(ValueError):
-        constant_D(2.0, i_max=64, k_max=4)
-    with pytest.raises(ValueError):
-        compute_constants(2.0, i_max=64, k_max=4)
+    assert constant_D(2.0, i_max=64, k_max=4).threads == 1
+    assert compute_constants(2.0, i_max=64, k_max=4).d == constant_D(2.0, i_max=64, k_max=4).value
 
 
 def test_linear_constant_tail_is_honest():
@@ -129,13 +128,23 @@ def test_linear_constant_tail_is_honest():
 
 
 def test_precision_bits_is_a_floor():
+    # the precision is the one the tail needs; there is no floor to set
     default = constant_C(18.0, i_max=2000)
-    low = constant_C(18.0, i_max=2000, prec=53)
-    assert low.prec == default.prec == 216
-    assert low.value_mp == default.value_mp
+    assert default.prec == 216
     closed = constant_C_closed(18).value_mp
-    assert abs(low.value_mp / closed - 1) < 1e-30
-    assert constant_C(18.0, i_max=2000, prec=300).prec == 300
+    assert abs(default.value_mp / closed - 1) < 1e-30
+    with pytest.raises(TypeError):
+        constant_C(18.0, i_max=2000, prec=300)
+
+
+def test_c_is_the_eta_series_times_its_prefactor():
+    for sigma in (1.5, 2.0, 2.5, 4.0, 18.0):
+        for n in (8, 2000):
+            c = constant_C(sigma, i_max=n)
+            z = dedekind_zeta(sigma, "eta-series", n)
+            with mpmath.workprec(c.prec):
+                pref = mpmath.power(5, mpmath.mpf(sigma) / 2) / mpmath.pi ** (2 * sigma)
+                assert abs(c.value_mp / (2 * pref * z.value_mp) - 1) < mpmath.mpf(2) ** (4 - c.prec)
 
 
 def test_closed_constant_values_and_ratio():

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -164,25 +165,22 @@ def test_constants_no_closed_form_for_odd_sigma():
 
 
 def test_precision_bits_flag_is_a_floor():
+    # C runs at the precision its tail needs; no flag or variable sets it
     args = ("constants", "--sigma", "18", "--i-max", "2000", "--k-max", "8")
-    doc = json.loads(run(*args, "--precision-bits", "53").output)
+    assert run(*args, "--precision-bits", "53").exit_code == 2
+    doc = json.loads(run(*args).output)
     assert doc["c_precision_bits"] == 216
-    env_doc = json.loads(run(*args, env={"FIBLAT_PRECISION_BITS": "53"}).output)
-    assert env_doc["c_precision_bits"] == 216
-    assert doc["c"] == env_doc["c"] == json.loads(run(*args).output)["c"]
+    assert json.loads(run(*args, env={"FIBLAT_PRECISION_BITS": "300"}).output) == doc
 
 
 def test_threads_env_and_flag_precedence():
-    # 24600 rows are four sweep chunks, so up to four workers are used
-    env = {"FIBLAT_THREADS": "4"}
-    doc = json.loads(run(
-        "constants", "--sigma", "2", "--i-max", "24600", "--k-max", "8",
-        env=env).output)
-    assert doc["threads"] == 4
-    doc = json.loads(run(
-        "constants", "--sigma", "2", "--i-max", "24600", "--k-max", "8",
-        "--threads", "2", env=env).output)
-    assert doc["threads"] == 2
+    # 24600 rows are four sweep chunks, so up to four workers are used;
+    # FIBLAT_THREADS is not read, so only the flag moves the count
+    args = ("constants", "--sigma", "2", "--i-max", "24600", "--k-max", "8")
+    env = {"FIBLAT_THREADS": "3"}
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert json.loads(run(*args, env=env).output)["threads"] == min(cpus, 4)
+    assert json.loads(run(*args, "--threads", "2", env=env).output)["threads"] == 2
 
 
 def test_threads_field_reports_the_workers_used():
@@ -193,10 +191,12 @@ def test_threads_field_reports_the_workers_used():
 
 
 def test_bad_thread_env_is_usage_error():
+    # FIBLAT_THREADS is not read, so no value of it is an error
     for env in ("0", "-3", "abc"):
         r = run("constants", "--sigma", "2", "--i-max", "64",
                 env={"FIBLAT_THREADS": env})
-        assert r.exit_code == 2, env
+        assert r.exit_code == 0, env
+        assert json.loads(r.output)["threads"] == 1
 
 
 def test_bad_thread_flag_is_usage_error():

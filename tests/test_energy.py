@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -257,6 +258,16 @@ def test_lattice_sums_reject_float64_overflow():
             f(30, 60.0)
         with pytest.raises(ValueError, match="leaves float64"):
             f(30, 60.0, normalized=False)
+
+
+def test_lattice_sum_overflow_raises_without_numpy_warnings():
+    # the terms pass float64 (1/0 and overflow in numpy); only the
+    # ValueError of the finite check on the total reaches the caller
+    for f in (fib_sum, fib_sum_grouped):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="leaves float64"):
+                f(30, 60.0, normalized=False)
 
 
 def test_one_is_bit_equal_to_trig_1():

@@ -1,6 +1,6 @@
 import importlib
 
-MODULES = ("asymptotics", "dedekind", "energy", "golden", "kernels", "wythoff")
+MODULES = ("asymptotics", "dedekind", "energy", "golden", "kernels", "verify", "wythoff")
 
 
 def test_every_exported_name_resolves_once():

@@ -16,6 +16,7 @@ from fiblat.golden import (
     lucas,
     phi_power,
 )
+from fiblat.wythoff import row
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -65,6 +66,30 @@ def test_sign_agrees_with_high_precision_value():
     for b in (10 ** 6, -10 ** 6, 12345678):
         a = -round(b * PHI)
         assert GoldenInt(a, b).sign() == golden_compare(GoldenInt(a, b), GoldenInt(0, 0))
+
+
+def _within_one_ulp(x: GoldenInt, f: float) -> bool:
+    """f - ulp(f) <= x <= f + ulp(f), decided by exact signs in Z[phi]."""
+    u = math.ulp(f)
+    for bound, side in ((f - u, 1), (f + u, -1)):
+        num, den = bound.as_integer_ratio()
+        if GoldenInt(x.a * den - num, x.b * den).sign() == -side:
+            return False
+    return True
+
+
+def test_float_is_within_one_ulp_on_the_sweep_arguments():
+    # row side -w_minus * phi**-k and dual side w_plus * phi**-k: the
+    # arguments of the D series, tiny against their parts for large k
+    rng = random.Random(20888)
+    rows = [*range(1, 3001), *(rng.randint(3001, 10 ** 6) for _ in range(3000))]
+    powers = [phi_power(-k) for k in range(1, 61)]
+    for i in rows:
+        r = row(i)
+        for w in (-r.w_minus, r.w_plus):
+            for p in powers:
+                x = w * p
+                assert _within_one_ulp(x, float(x)), (i, w, p)
 
 
 def test_float_conversion_survives_catastrophic_cancellation():
