@@ -14,7 +14,6 @@ reached by ``from fiblat.energy import ...`` or ``importlib``.
 """
 
 from .asymptotics import (
-    AsymptoticConstants,
     CConstant,
     ClosedConstant,
     DConstant,
@@ -23,7 +22,6 @@ from .asymptotics import (
     ZETA_ROUTES,
     ZetaRoute,
     approximation_errors,
-    compute_constants,
     constant_C,
     constant_C_closed,
     constant_D,
@@ -31,7 +29,6 @@ from .asymptotics import (
     delta_mp,
     delta_star_mp,
     exact_constants,
-    exact_sigma2_constants,
     prefactor,
     residual_fit,
 )
@@ -116,16 +113,16 @@ from .wythoff import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticConstants", "CConstant", "CLOSED_FAMILIES", "ClosedConstant",
-    "ClosedFamily", "DConstant", "EnergyReport", "ExactConstants", "FibPair",
+    "CConstant", "CLOSED_FAMILIES", "ClosedConstant", "ClosedFamily",
+    "DConstant", "EnergyReport", "ExactConstants", "FibPair",
     "GoldenInt", "Kernel", "KERNEL_GRAMMAR", "RationalLattice", "ResidualRow",
     "RowTable", "SuiteResult", "SUITE_NAMES", "WythoffRow", "ZETA_ROUTES",
     "ZetaRoute", "apostol_check", "approximation_errors", "bernoulli_number",
-    "bernoulli_poly", "compute_constants", "constant_C", "constant_C_closed",
+    "bernoulli_poly", "constant_C", "constant_C_closed",
     "constant_D", "cos2sin4_closed", "cot_power_sums", "dedekind_zeta",
     "delta_mp", "delta_star_mp", "dft_coeff_sum_exact",
     "dft_coeffs", "dft_coeffs_even", "dual_entry", "dual_slot", "energy",
-    "energy_dft", "energy_direct", "exact_constants", "exact_sigma2_constants",
+    "energy_dft", "energy_direct", "exact_constants",
     "f_sigma", "fib", "fib_pair", "fib_signed", "fib_sum", "fib_sum_grouped",
     "floor_phi_plus_inv", "floor_phi_times", "gen_dedekind_sum",
     "golden_compare", "golden_mul", "golden_norm", "half_fib_witness",

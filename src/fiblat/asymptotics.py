@@ -16,20 +16,19 @@ and delta_star_mp.  D's inner tails are geometric-ratio estimates and
 its outer tail a fitted dyadic decay, both reported rather than
 certified.
 
-The sweep cuts the rows into fixed chunks of _CHUNK rows.  When there is
-more than one chunk, the chunks of both precision passes share one set
-of worker threads, by default one per CPU in the process's affinity
-mask (threads= overrides it); NumPy releases the GIL in the
-elementwise loops that take the time.  Each pass adds its chunk sums in
-row order, so every output is bit-identical for any worker count.
+The sweep cuts the rows into fixed chunks of _CHUNK rows, and the
+chunks of both precision passes form one task list.  When there is
+more than one chunk, a thread pool runs the list, by default one
+worker per CPU in the process's affinity mask (threads= overrides it);
+NumPy releases the GIL in the elementwise loops that take the time.
+Each pass adds its chunk sums in row order, so every output is
+bit-identical for any worker count.
 """
 from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,7 +56,6 @@ __all__ = [
     "ZetaRoute",
     "ZETA_ROUTES",
     "DConstant",
-    "AsymptoticConstants",
     "ExactConstants",
     "ResidualRow",
     "prefactor",
@@ -67,9 +65,7 @@ __all__ = [
     "constant_C_closed",
     "dedekind_zeta",
     "constant_D",
-    "compute_constants",
     "exact_constants",
-    "exact_sigma2_constants",
     "residual_fit",
     "approximation_errors",
 ]
@@ -86,8 +82,13 @@ ZETA_ROUTES = (
 
 def prefactor(sigma: float, f0: float) -> float:
     """f(0)**2 * 5**(sigma/2) / pi**(2*sigma): the weight every row term
-    in C and D is measured against."""
-    return f0 * f0 * 5.0 ** (sigma / 2) / math.pi ** (2 * sigma)
+    in C and D is measured against.  ValueError where a power leaves
+    float64 (pi**(2*sigma) does above sigma ~ 310)."""
+    try:
+        return f0 * f0 * 5.0 ** (sigma / 2) / math.pi ** (2 * sigma)
+    except OverflowError:
+        raise ValueError(
+            f"pi**(2*sigma) overflows float64 at sigma={sigma:g}") from None
 
 
 def _pref_mp(sigma: float, f0) -> mpmath.mpf:
@@ -96,6 +97,22 @@ def _pref_mp(sigma: float, f0) -> mpmath.mpf:
 
 # ---------------------------------------------------------------------------
 # the two one-sided series behind D
+
+
+def _one_sided_mp(i: int, sigma: float, kernel: Kernel, terms, prec: int) -> mpmath.mpf:
+    """Sum of f0*f(x)/(pi*w*sin(pi*x))**sigma - base over the pairs
+    (x, w) of terms, x exact in Z[phi] and w an integer entry, in
+    prec-bit arithmetic; base = f(0)**2 * 5**(sigma/2)/(pi**(2*sigma) *
+    eta_i**sigma) is the flat per-slot weight of row i."""
+    with mpmath.workprec(prec):
+        f0 = kernel.eval_mp(0)
+        base = _pref_mp(sigma, f0) / mpmath.mpf(row(i).eta) ** sigma
+        total = mpmath.mpf(0)
+        for x, w in terms:
+            x = _to_mpf(x)
+            g = mpmath.pi * w * mpmath.sinpi(x)
+            total += f0 * kernel.eval_mp(x) / g ** sigma - base
+        return +total
 
 
 def delta_mp(i: int, sigma: float, kernel: Kernel | None = None,
@@ -109,20 +126,9 @@ def delta_mp(i: int, sigma: float, kernel: Kernel | None = None,
     decays geometrically in k.  The independent oracle for the row sweep
     of constant_D: exact integer entries, exact ring arguments.
     """
-    kernel = kernel or kernel_one()
     r = row(i)
-    wstar = -r.w_minus
-    with mpmath.workprec(prec):
-        f0 = kernel.eval_mp(0)
-        base = _pref_mp(sigma, f0) / mpmath.mpf(r.eta) ** sigma
-        total = mpmath.mpf(0)
-        wk_prev, wk = r.floor_phi_i, r.entry(1)
-        for k in range(1, k_max + 1):
-            x = _to_mpf(wstar * phi_power(-k))
-            g = mpmath.pi * wk * mpmath.sinpi(x)
-            total += f0 * kernel.eval_mp(x) / g ** sigma - base
-            wk_prev, wk = wk, wk_prev + wk
-        return +total
+    terms = ((-r.w_minus * phi_power(-k), r.entry(k)) for k in range(1, k_max + 1))
+    return _one_sided_mp(i, sigma, kernel or kernel_one(), terms, prec)
 
 
 def delta_star_mp(i: int, sigma: float, kernel: Kernel | None = None,
@@ -135,19 +141,10 @@ def delta_star_mp(i: int, sigma: float, kernel: Kernel | None = None,
     of the threshold mu_i; it is measured against the same flat weight
     as delta_mp.
     """
-    kernel = kernel or kernel_one()
     r = row(i)
-    with mpmath.workprec(prec):
-        f0 = kernel.eval_mp(0)
-        base = _pref_mp(sigma, f0) / mpmath.mpf(r.eta) ** sigma
-        total = mpmath.mpf(0)
-        for j in range(1, j_max + 1):
-            m = r.mu + j
-            wd = dual_slot(i, m)
-            x = _to_mpf(r.w_plus * phi_power(-m))
-            g = mpmath.pi * wd * mpmath.sinpi(x)
-            total += f0 * kernel.eval_mp(x) / g ** sigma - base
-        return +total
+    terms = ((r.w_plus * phi_power(-m), dual_slot(i, m))
+             for m in range(r.mu + 1, r.mu + j_max + 1))
+    return _one_sided_mp(i, sigma, kernel or kernel_one(), terms, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +200,7 @@ def _eta_power_sum(sigma: float, n_top: int) -> tuple[mpmath.mpf, int]:
 
 
 def constant_C(sigma: float, kernel: Kernel | None = None,
-               i_max: int = 100000, *, f0: float | None = None) -> CConstant:
+               i_max: int = 100000) -> CConstant:
     """C = 2 f(0)**2 5**(sigma/2)/pi**(2*sigma) * sum_i eta_i**-sigma,
     truncated at i_max.
 
@@ -214,8 +211,7 @@ def constant_C(sigma: float, kernel: Kernel | None = None,
     and returned both as a float and as value_mp.
     """
     _check_exponent(sigma)
-    if f0 is None:
-        f0 = kernel.value_at_zero if kernel is not None else 1.0
+    f0 = kernel.value_at_zero if kernel is not None else 1.0
     total, prec = _eta_power_sum(sigma, i_max)
     with mpmath.workprec(prec):
         c_mp = 2 * _pref_mp(sigma, mpmath.mpf(f0)) * total
@@ -227,11 +223,10 @@ def constant_C(sigma: float, kernel: Kernel | None = None,
 class ClosedConstant:
     """Exact closed form of C for even integer exponents.
 
-    value = coefficient / sqrt(5)**sqrt5_power with coefficient rational.
+    value = coefficient / sqrt(5) with coefficient rational.
     """
 
     coefficient: Fraction
-    sqrt5_power: int
     value: float
     value_mp: mpmath.mpf
 
@@ -248,7 +243,7 @@ def constant_C_closed(sigma: int, f0=1) -> ClosedConstant:
              / Fraction(math.factorial(two_s)) ** 2)
     with mpmath.workprec(120):
         v = mpmath.mpf(coeff.numerator) / coeff.denominator / mpmath.sqrt(5)
-    return ClosedConstant(coeff, 1, float(v), v)
+    return ClosedConstant(coeff, float(v), v)
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +454,14 @@ def constant_D(sigma: float, kernel: Kernel | None = None,
 
     Runs the sweep in extended precision and again at double, reporting
     the difference as the rounding proxy.  Rows are cut into chunks of
-    _CHUNK rows; the chunks of both passes share threads workers, the
-    calling thread among them (default: every CPU in the process's
-    affinity mask), capped at the number of chunks, so i_max <= _CHUNK
-    runs inline.  Each pass adds its chunk sums in row order, so the
-    result is bit-identical for any worker count; DConstant.threads
-    records the count used.  A thread count that is not a positive
-    integer raises ValueError.
+    _CHUNK rows, and the chunks of both passes form one task list,
+    extended precision first.  One worker runs the list inline; more
+    run it on a pool of threads workers (default: every CPU in the
+    process's affinity mask), capped at the number of chunks, so
+    i_max <= _CHUNK runs inline.  Each pass adds its chunk sums in row
+    order, so the result is bit-identical for any worker count;
+    DConstant.threads records the count used.  A thread count that is
+    not a positive integer raises ValueError.
     """
     _check_exponent(sigma)
     if i_max < 8:
@@ -477,56 +473,23 @@ def constant_D(sigma: float, kernel: Kernel | None = None,
     nthreads = min(_thread_count(threads), len(spans))
     tab = row_table(i_max)
 
-    # the slow extended-precision chunks queue first
-    todo = deque(enumerate((dtype, span) for dtype in (np.longdouble, np.float64)
-                           for span in spans))
-    parts = [None] * len(todo)
+    def run(task):
+        dtype, (lo, hi) = task
+        return _d_chunk(tab, lo, hi, sigma, kernel, k_max, i_max, dtype)
 
-    def drain():
-        while True:
-            try:
-                j, (dtype, span) = todo.popleft()  # deque pops are thread-safe
-            except IndexError:
-                return
-            parts[j] = _d_chunk(tab, *span, sigma, kernel, k_max, i_max, dtype)
-
-    # the calling thread drains too, so one thread fewer keeps its own
-    # resident copy of a chunk's work arrays
-    with ThreadPoolExecutor(nthreads - 1) if nthreads > 1 else nullcontext() as ex:
-        helpers = [ex.submit(drain) for _ in range(nthreads - 1)]
-        drain()
-        for h in helpers:
-            h.result()
+    # the slow extended-precision chunks come first; both runners start
+    # tasks in list order and return their results in list order
+    tasks = [(dtype, span) for dtype in (np.longdouble, np.float64) for span in spans]
+    if nthreads == 1:
+        parts = list(map(run, tasks))
+    else:
+        with ThreadPoolExecutor(nthreads) as ex:
+            parts = list(ex.map(run, tasks))
     value, inner, outer = _d_pass(parts[:len(spans)], np.longdouble)
     lo_value, _, _ = _d_pass(parts[len(spans):], np.float64)
     gap = abs(value - lo_value)
     return DConstant(value, inner, outer, gap, float(sigma), kernel.name,
                      i_max, k_max, nthreads)
-
-
-@dataclass(frozen=True)
-class AsymptoticConstants:
-    sigma: float
-    kernel: str
-    c: float
-    d: float
-    i_max: int
-    k_max: int
-    tail_bound: float  # certified tail of c (from eta_i >= i)
-    d_error: float     # reported error estimate of d
-
-
-def compute_constants(sigma: float, kernel: Kernel | None = None,
-                      i_max: int = 100000, k_max: int = 64, *,
-                      threads: int | None = None) -> AsymptoticConstants:
-    """Both constants at matched truncations.  threads sets the D
-    sweep's worker count, as in constant_D (default: every CPU in the
-    process's affinity mask); it does not change a bit of the result."""
-    kernel = kernel or kernel_one()
-    c = constant_C(sigma, kernel, i_max)
-    d = constant_D(sigma, kernel, i_max, k_max, threads=threads)
-    return AsymptoticConstants(float(sigma), kernel.name, c.value, d.value,
-                               i_max, k_max, c.tail_bound, d.error_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +524,6 @@ def exact_constants(sigma: float, kernel: Kernel | None = None) -> ExactConstant
                 and parse_kernel(fam.weight).trig_coeffs == coeffs):
             return ExactConstants(*fam.constants())
     return None
-
-
-def exact_sigma2_constants() -> ExactConstants:
-    return exact_constants(2)
 
 
 @dataclass(frozen=True)

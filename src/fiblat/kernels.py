@@ -59,6 +59,8 @@ _PI_STR = "3.14159265358979323846264338327950288420"
 # largest N of the Hurwitz pair table (dft_coeffs, wce_e): either route adds
 # ~35 bytes per N to the process, 721 MB peak RSS at the cap
 _PAIR_TABLE_MAX_N = 2 * 10 ** 7
+# most terms potential_K's cosine series may take (32 MB per work array)
+_K_SERIES_MAX_TERMS = 1 << 22
 
 
 def _check_exponent(sigma) -> None:
@@ -273,7 +275,9 @@ class Kernel:
     """A weight function f on the torus, one subclass per family.  Each has
     name, value_at_zero, trig_coeffs, holder_alpha (assumed smoothness, as
     data) and the class constant kind, and gives f at t mod 1 by eval,
-    eval_many (in t's float dtype) and eval_mp (in the caller's context)."""
+    eval_many (in t's float dtype) and eval_mp (in the caller's context).
+    Each class checks its fields on construction and raises ValueError
+    for a weight it cannot evaluate."""
 
     def pair(self, t1, t2):
         """The numerator f(t1) * f(t2) of a lattice-sum term, for arrays."""
@@ -289,6 +293,18 @@ class Trig(Kernel):
     sigma = None
     coeffs: tuple[int, ...]
     label: str | None = None
+
+    def __post_init__(self):
+        coeffs = tuple(_as_int("trig coefficient", c) for c in self.coeffs)
+        if not coeffs:
+            raise ValueError("trig kernel needs at least one coefficient")
+        # |f| <= sum |a_j| bounds the weight and every Horner partial sum
+        if sum(map(abs, coeffs)) > sys.float_info.max:
+            raise ValueError(
+                f"weight {self.label or 'trig'} has coefficients too large for float64 "
+                f"(sum of |a_j| exceeds {sys.float_info.max:g})"
+            )
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def name(self) -> str:
@@ -343,6 +359,9 @@ class FSigma(Kernel):
     coeffs = label = trig_coeffs = None
     sigma: float
 
+    def __post_init__(self):
+        _check_exponent(self.sigma)
+
     @property
     def name(self) -> str:
         return f"fsigma:{self.sigma:g}"
@@ -375,25 +394,11 @@ def kernel_one() -> Kernel:
 
 
 def kernel_fsigma(sigma: float) -> Kernel:
-    _check_exponent(sigma)
     return FSigma(float(sigma))
 
 
-def _trig_kernel(coeffs: tuple[int, ...], label: str | None = None) -> Kernel:
-    # |f| <= sum |a_j| bounds the weight and every Horner partial sum
-    if sum(map(abs, coeffs)) > sys.float_info.max:
-        raise ValueError(
-            f"weight {label or 'trig'} has coefficients too large for float64 "
-            f"(sum of |a_j| exceeds {sys.float_info.max:g})"
-        )
-    return Trig(coeffs, label)
-
-
 def kernel_trig(coeffs) -> Kernel:
-    coeffs = tuple(_as_int("trig coefficient", c) for c in coeffs)
-    if not coeffs:
-        raise ValueError("trig kernel needs at least one coefficient")
-    return _trig_kernel(coeffs)
+    return Trig(tuple(coeffs))
 
 
 def kernel_bernoulli_weight(two_s: int) -> Kernel:
@@ -404,7 +409,7 @@ def kernel_bernoulli_weight(two_s: int) -> Kernel:
     # refuse before building G_{2s-1} where that alone overflows
     if two_s >= 2 and math.lgamma(two_s) > math.log(sys.float_info.max):
         raise ValueError(f"weight bern:{two_s} has coefficients too large for float64")
-    return _trig_kernel(even_weight_coeffs(two_s), f"bern:{two_s}")
+    return Trig(even_weight_coeffs(two_s), f"bern:{two_s}")
 
 
 KERNEL_GRAMMAR = "one | fsigma | trig:a0,a1,... | bern:<even sigma>"
@@ -446,7 +451,9 @@ def potential_K(sigma: float, p, t, *, tol: float = 1e-12):
     For even integer sigma = 2s this is the exact polynomial path
     1 + p (-1)**(s-1) B_{2s}({t}) / (2s)!, returning a Fraction when both
     p and t are exact.  Otherwise the cosine series is summed until an
-    Abel-bounded tail drops below tol.
+    Abel-bounded tail drops below tol; where that takes more than
+    _K_SERIES_MAX_TERMS terms (sigma near 1, t near 0) it raises
+    ValueError, and the dft and wce routes of energy take the input.
     """
     _check_exponent(sigma)
     if isinstance(sigma, int) or (isinstance(sigma, float) and sigma.is_integer()):
@@ -466,7 +473,13 @@ def potential_K(sigma: float, p, t, *, tol: float = 1e-12):
         return 1.0 + pref * zeta(sigma)
     tr = min(t, 1.0 - t)
     bound = 1.0 / math.sin(math.pi * tr)  # Abel bound on cosine partial sums
-    M = max(32, math.ceil((pref * bound / tol) ** (1.0 / sigma)))
+    terms = (abs(pref) * bound / tol) ** (1.0 / sigma)
+    if terms > _K_SERIES_MAX_TERMS:
+        raise ValueError(
+            f"cosine series of K needs {terms:.3g} terms at sigma={sigma:g}, "
+            f"t={t:g} (cap {_K_SERIES_MAX_TERMS}); use dft or wce"
+        )
+    M = max(32, math.ceil(terms))
     m = np.arange(1, M + 1, dtype=np.float64)
     series = float(np.sum(np.cos(_TWO_PI * t * m) / m ** sigma))
     return 1.0 + pref * series

@@ -10,7 +10,6 @@ from fiblat.asymptotics import (
     PHI,
     _fixed_point_power_sum,
     approximation_errors,
-    compute_constants,
     constant_C,
     constant_C_closed,
     constant_D,
@@ -18,7 +17,6 @@ from fiblat.asymptotics import (
     delta_mp,
     delta_star_mp,
     exact_constants,
-    exact_sigma2_constants,
     prefactor,
     residual_fit,
     ZETA_ROUTES,
@@ -30,6 +28,13 @@ from fiblat.wythoff import row, row_table
 def test_prefactor():
     assert prefactor(2.0, 1.0) == pytest.approx(5 / math.pi ** 4, rel=1e-15)
     assert prefactor(4.0, 6.0) == pytest.approx(36 * 25 / math.pi ** 8, rel=1e-15)
+
+
+def test_prefactor_overflow_is_a_value_error():
+    assert prefactor(300.0, 1.0) > 0
+    for call in (lambda: prefactor(320.0, 1.0), lambda: constant_C(320.0, i_max=100)):
+        with pytest.raises(ValueError, match="overflows float64"):
+            call()
 
 
 def _oracle_offset(sigma, kernel, i_max, k_max, prec=100):
@@ -113,7 +118,6 @@ def test_bad_thread_env_is_rejected(env, monkeypatch):
     # rejected; bad threads= values are in test_offset_series_validates_arguments
     monkeypatch.setenv("FIBLAT_THREADS", env)
     assert constant_D(2.0, i_max=64, k_max=4).threads == 1
-    assert compute_constants(2.0, i_max=64, k_max=4).d == constant_D(2.0, i_max=64, k_max=4).value
 
 
 def test_linear_constant_tail_is_honest():
@@ -150,7 +154,6 @@ def test_c_is_the_eta_series_times_its_prefactor():
 def test_closed_constant_values_and_ratio():
     c2 = constant_C_closed(2)
     assert c2.coefficient == Fraction(4, 15)
-    assert c2.sqrt5_power == 1
     assert c2.value == pytest.approx(4 / (15 * 5 ** 0.5), rel=1e-14)
     assert constant_C_closed(4).coefficient == Fraction(8, 675)
     # consecutive even exponents approach the ratio 5/pi^4
@@ -260,7 +263,7 @@ def test_zeta_route_validation():
 
 
 def test_exact_constants():
-    ex = exact_sigma2_constants()
+    ex = exact_constants(2)
     assert ex.c_scaled == Fraction(4, 15)
     assert ex.d == Fraction(-17, 225)
     assert ex.c == pytest.approx(0.11925695879998878, rel=1e-15)
@@ -306,15 +309,6 @@ def test_two_sided_approximation_errors():
         approximation_errors(1, 10, 9, 2.0)
 
 
-def test_compute_constants_bundle():
-    got = compute_constants(2.0, i_max=400, k_max=24)
-    assert got.kernel == "one"
-    assert got.c == pytest.approx(constant_C(2.0, i_max=400).value, rel=1e-15)
-    assert got.d == pytest.approx(
-        constant_D(2.0, i_max=400, k_max=24).value, rel=1e-15)
-    assert got.tail_bound > 0 and got.d_error > 0
-
-
 def test_offset_matches_exact_value_within_reported_error():
     got = constant_D(2.0, i_max=20000, k_max=48)
     want = -17 / 225
@@ -335,7 +329,7 @@ def test_table_constants_match_closed_C_and_bound_series_D(sigma, weight):
 
 
 def test_exact_constants_cover_only_closed_families():
-    assert exact_constants(2.0) == exact_sigma2_constants()
+    assert exact_constants(2.0) == exact_constants(2)
     assert exact_constants(2.5, kernel_fsigma(2.5)) is None
     assert exact_constants(4, parse_kernel("trig:1,1")) is None
     assert exact_constants(6, kernel_one()) is None
@@ -359,7 +353,7 @@ def test_constants_reject_non_finite_sigma(sigma):
 def test_exact_constants_match_the_weight_not_its_name():
     assert exact_constants(4, parse_kernel("trig:2,4")) == exact_constants(4, kernel_bernoulli_weight(4))
     assert exact_constants(4, parse_kernel("trig:2,4,0")) == exact_constants(4, kernel_bernoulli_weight(4))
-    assert exact_constants(2, parse_kernel("trig:1")) == exact_sigma2_constants()
+    assert exact_constants(2, parse_kernel("trig:1")) == exact_constants(2)
     assert exact_constants(4, parse_kernel("trig:0,1,0")) == exact_constants(4, parse_kernel("trig:0,1"))
     assert exact_constants(6, parse_kernel("trig:16,88,16")) == exact_constants(6, kernel_bernoulli_weight(6))
     assert exact_constants(2, parse_kernel("trig:2")) is None

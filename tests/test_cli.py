@@ -125,6 +125,12 @@ def test_energy_direct_above_cap_is_usage_error():
     assert "capped at N = 1000" in r.output
 
 
+def test_energy_direct_past_the_series_cap_is_usage_error():
+    r = run("energy", "--fib-level", "16", "--sigma", "1.01", "--method", "direct")
+    assert r.exit_code == 2
+    assert "use dft or wce" in r.output
+
+
 def test_verify_bad_limit_is_usage_error():
     # exit 1 would claim a failed check; a limit the suite cannot run is a usage error
     r = run("verify", "--suite", "zeta-routes", "--limit", "5")
@@ -313,6 +319,13 @@ def test_oversized_weight_is_usage_error():
                  ["--sigma", "2", "--kernel", "bern:1990"]):
         r = run("sum", "-n", "10", *args)
         assert r.exit_code == 2 and "too large" in r.output, (args, r.output)
+
+
+def test_prefactor_overflow_is_usage_error():
+    # pi**(2*sigma) leaves float64 above sigma ~ 310
+    for args in (["constants"], ["fit", "--n-min", "10", "--n-max", "12"]):
+        r = run(*args, "--sigma", "320", "--i-max", "100", "--k-max", "4")
+        assert r.exit_code == 2 and "float64" in r.output, (args, r.output)
 
 
 def test_lattice_sum_overflow_is_usage_error():

@@ -64,7 +64,7 @@ def test_three_energy_routes_agree():
     for n in (5, 6, 7):
         lat = RationalLattice.fibonacci(n)
         for sigma in (2.0, 2.5, 4.0):
-            for p in (1.0, 6.0):
+            for p in (1.0, 6.0, -1.0):
                 vals = [energy(lat, sigma, p, m).value for m in ("direct", "dft", "wce")]
                 for v in vals[1:]:
                     assert v == pytest.approx(vals[0], rel=1e-9)

@@ -201,6 +201,12 @@ def test_potential_even_exponent_is_exact_bernoulli_path():
     assert float(val) == pytest.approx(potential_K(2.0, 1.0, 1.0 / 3.0), rel=1e-12)
 
 
+def test_potential_series_past_its_term_cap_is_refused():
+    # near sigma = 1 and t = 0 the cosine series needs ~7e14 terms
+    with pytest.raises(ValueError, match="use dft or wce"):
+        potential_K(1.01, 1.0, 1 / 987)
+
+
 def test_potential_series_route_matches_reference():
     # at t = a/q the cosine series collapses to q Hurwitz zeta values:
     # sum_m cos(2 pi m t)/m^sigma = q^-sigma sum_r cos(2 pi r t) zeta(sigma, r/q)
@@ -321,6 +327,22 @@ def test_trig_kernel_rejects_non_integral_coefficients():
     assert kernel_trig(np.array([0, 1])).coeffs == (0, 1)
     assert kernel_trig(c for c in (2, 4)) == kernel_trig([2, 4])
     assert parse_kernel("trig:0, 1").coeffs == (0, 1)
+
+
+def test_kernel_classes_validate_themselves():
+    # the checks live in the classes, so building one directly cannot
+    # make a weight the factories refuse
+    for sigma in (0.5, 1.0, math.nan):
+        with pytest.raises(ValueError, match="exceed 1"):
+            FSigma(sigma)
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        Trig(())
+    with pytest.raises(ValueError, match="got 0.5"):
+        Trig((0.5,))
+    with pytest.raises(ValueError, match="weight big has coefficients too large"):
+        Trig((1, 10 ** 400), "big")
+    assert Trig((np.int64(2), 4)) == Trig((2, 4)) == kernel_trig([2, 4])
+    assert FSigma(2.5) == kernel_fsigma(2.5)
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
