@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -427,6 +428,21 @@ def _d_chunk(tab, lo: int, hi: int, sigma: float, kernel: Kernel,
     return acc.sum(), inner, m_hi, m_mid
 
 
+def _check_sweep_range(sigma: float, kernel: Kernel, tab, k_max: int) -> None:
+    """Raise ValueError where a float64 power the row sweep forms would
+    overflow.  prefactor covers f(0)**2 and pi**(2*sigma).  A term's base
+    g = pi*w*sin(pi*x) stays below pi**2 * w*x <= pi**2 * (eta + 1)/sqrt5,
+    which also exceeds eta, and is near it for large k.  The weight is
+    tried at the smallest argument, min(-w_minus, 1/2) * phi**-k_max (the
+    dual side starts at or above 1/2): f_sigma forms argument**-sigma."""
+    pref = prefactor(sigma, kernel.value_at_zero)
+    g_max = math.pi ** 2 * (float(tab.eta.max()) + 1) / math.sqrt(5)
+    if not math.isfinite(pref) or sigma * math.log(g_max) >= math.log(sys.float_info.max):
+        raise ValueError(f"the D sweep leaves float64 at sigma={sigma:g}, i_max="
+                         f"{tab.i_max}: (pi**2 * (eta + 1)/sqrt5)**sigma overflows")
+    kernel.eval_many(np.array([min(float(tab.w_minus_neg.min()), 0.5) * PHI ** -k_max]))
+
+
 def _d_pass(parts, dtype):
     """Reduce one pass's chunk results, given in row order, to
     (value, inner tail, outer tail)."""
@@ -461,7 +477,9 @@ def constant_D(sigma: float, kernel: Kernel | None = None,
     i_max <= _CHUNK runs inline.  Each pass adds its chunk sums in row
     order, so the result is bit-identical for any worker count;
     DConstant.threads records the count used.  A thread count that is
-    not a positive integer raises ValueError.
+    not a positive integer raises ValueError, and so does a sigma, weight
+    and i_max whose powers leave float64 (_check_sweep_range), or a
+    non-finite pass total.
     """
     _check_exponent(sigma)
     if i_max < 8:
@@ -472,6 +490,7 @@ def constant_D(sigma: float, kernel: Kernel | None = None,
     spans = [(lo, min(lo + _CHUNK, i_max)) for lo in range(0, i_max, _CHUNK)]
     nthreads = min(_thread_count(threads), len(spans))
     tab = row_table(i_max)
+    _check_sweep_range(sigma, kernel, tab, k_max)
 
     def run(task):
         dtype, (lo, hi) = task
@@ -487,6 +506,9 @@ def constant_D(sigma: float, kernel: Kernel | None = None,
             parts = list(ex.map(run, tasks))
     value, inner, outer = _d_pass(parts[:len(spans)], np.longdouble)
     lo_value, _, _ = _d_pass(parts[len(spans):], np.float64)
+    if not (math.isfinite(value) and math.isfinite(lo_value)):
+        raise ValueError(f"the D sweep leaves float64 at sigma={sigma:g}, "
+                         f"kernel {kernel.name}")
     gap = abs(value - lo_value)
     return DConstant(value, inner, outer, gap, float(sigma), kernel.name,
                      i_max, k_max, nthreads)

@@ -6,16 +6,20 @@ The central potential is
 
 whose lattice DFT coefficients come either from Hurwitz zeta values
 (any sigma > 1) or, for even sigma = 2s, from derivatives of the
-cotangent and Bernoulli polynomials.  Weight functions f enter the
-energy sums as f(t1) f(t2) / |sin sin|**sigma; each family is a Kernel
-class: Trig, the even trigonometric polynomials sum_j a_j cos(pi t)**(2j);
-One, the constant 1, which is trig:1 evaluated without arrays; and FSigma,
+cotangent and Bernoulli polynomials.  Hurwitz zeta has one scalar path
+and oracle, mpmath.zeta, and one float64 engine for the pair
+zeta(sigma, a) + zeta(sigma, 1-a), _hurwitz_pair, behind the DFT tables
+and f_sigma_many.  Weight functions f enter the energy sums as
+f(t1) f(t2) / |sin sin|**sigma; each family is a Kernel class: Trig, the
+even trigonometric polynomials sum_j a_j cos(pi t)**(2j); One, the
+constant 1, trig:1 evaluated without arrays; and FSigma,
 
     f_sigma(a) = sin(pi a)**sigma * (zeta(sigma, a) + zeta(sigma, 1-a)).
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import sys
@@ -86,20 +90,10 @@ def _horner(coeffs, x):
 
 @functools.lru_cache(maxsize=None)
 def bernoulli_number(m: int) -> Fraction:
-    """B_m with the B_1 = -1/2 convention, exact."""
+    """B_m with the B_1 = -1/2 convention, exact (mpmath.bernfrac)."""
     if m < 0:
         raise ValueError(f"negative index: {m}")
-    if m == 0:
-        return Fraction(1)
-    if m == 1:
-        return Fraction(-1, 2)
-    if m % 2 == 1:
-        return Fraction(0)
-    # sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1
-    acc = Fraction(0)
-    for j in range(m):
-        acc += math.comb(m + 1, j) * bernoulli_number(j)
-    return -acc / (m + 1)
+    return Fraction(*mpmath.bernfrac(m))
 
 
 @functools.lru_cache(maxsize=None)
@@ -124,12 +118,15 @@ def hurwitz_zeta(sigma: float, a, *, tol: float = 1e-13) -> float:
 
     Absolute error below tol; working precision is raised as needed so
     that tolerances far below the magnitude of the result are honored.
+    Where a**-sigma / tol leaves float64 it raises ValueError.
     """
     _check_exponent(sigma)
     if a <= 0:
         raise ValueError(f"offset must be positive, got {a}")
-    mag = float(a) ** -sigma + 2.0
-    prec = max(70, math.ceil(math.log2(mag / tol)) + 30)
+    try:  # zeta(sigma, a) exceeds a**-sigma
+        prec = max(70, math.ceil(math.log2((float(a) ** -sigma + 2.0) / tol)) + 30)
+    except OverflowError:  # from the power, or ceil of an infinite log
+        raise ValueError(f"zeta({sigma:g}, {float(a):g})/tol overflows float64") from None
     with mpmath.workprec(prec):
         if isinstance(a, Fraction):
             a = mpmath.mpf(a.numerator) / a.denominator
@@ -141,84 +138,96 @@ def zeta(sigma: float) -> float:
     return hurwitz_zeta(sigma, 1)
 
 
-def f_sigma(sigma: float, a: float) -> float:
-    """sin(pi a)**sigma * (zeta(sigma, a) + zeta(sigma, 1 - a)) on [0, 1).
+def _pi_power(sigma: float) -> float:
+    """pi**sigma, f_sigma at 0; ValueError where it leaves float64."""
+    try:
+        return math.pi ** sigma
+    except OverflowError:
+        raise ValueError(f"pi**sigma overflows float64 at sigma={sigma:g}") from None
 
-    Continuous at the endpoints with value pi**sigma; symmetric about
-    a = 1/2.
-    """
+
+def f_sigma(sigma: float, a: float) -> float:
+    """sin(pi a)**sigma * (zeta(sigma, a) + zeta(sigma, 1 - a)) on [0, 1)
+    by hurwitz_zeta: pi**sigma at 0, symmetric about 1/2, and ValueError
+    where pi**sigma or a zeta value leaves float64."""
     a = a % 1.0
     if a == 0.0:
-        return math.pi ** sigma
+        return _pi_power(sigma)
     z = hurwitz_zeta(sigma, a) + hurwitz_zeta(sigma, 1 - a)
-    return math.sin(math.pi * a) ** sigma * z
+    # sin(pi a) near a = 1 would lose the rounding of pi*a; 1 - a is exact
+    return math.sin(math.pi * min(a, 1.0 - a)) ** sigma * z
 
 
-_EM_BERN = tuple(
-    float(bernoulli_number(2 * j)) / math.factorial(2 * j) for j in range(1, 5)
-)
+@functools.lru_cache(maxsize=None)
+def _pair_coeffs(sigma: float) -> tuple[float, ...]:
+    """c_j = 2 binom(sigma+2j-1, 2j) zeta(sigma+2j, 2) for j = 0, 1, ...
+    until j > 2 and c_j 4**-j < 2**(sigma+1-64), 2**(sigma+1) being the
+    least pair sum on (0, 1/2].  zeta(s, 2) is 2**-s above s = 100, where
+    (2/3)**s is below rounding (mpmath.fp.zeta overflows from s ~ 227)."""
+    out, binom = [], 1.0
+    for j in itertools.count():
+        s = sigma + 2 * j
+        out.append(2.0 * binom * (2.0 ** -s if s > 100 else mpmath.fp.zeta(s, 2)))
+        if j > 2 and out[-1] * 2.0 ** (63 - s) < 1.0:
+            return tuple(out)
+        binom *= s * (s + 1) / ((2 * j + 1) * (2 * j + 2))
 
 
-def _hurwitz_many(sigma: float, a: np.ndarray) -> np.ndarray:
-    """Vectorized Hurwitz zeta for a in (0, 1], float64.
+def _hurwitz_pair(sigma: float, a: np.ndarray) -> np.ndarray:
+    """zeta(sigma, a) + zeta(sigma, 1 - a) for a in (0, 1), float64.
 
-    Head of M terms plus four Euler-Maclaurin corrections; truncation
-    stays below double rounding for sigma <= 40.
+    With b = min(a, 1 - a) it is b**-sigma + (1-b)**-sigma + (1+b)**-sigma
+    + sum_j c_j b**2j: the even Taylor series about a = 1 (DLMF 25.11.10)
+    of zeta(sigma, 2+b) + zeta(sigma, 2-b), by Horner in b**2 over the
+    cached _pair_coeffs; at b <= 1/2 its terms shrink by 4 or more.  1 - b
+    is carried as a double plus its exact rounding error.  Relative error
+    below 5e-16 against zeta at the double a for 1 < sigma <= 40; a term
+    past float64 is inf, without numpy's warning.
     """
-    M = max(24, math.ceil(sigma) + 16)
-    head = np.zeros_like(a)
-    for n in range(M):
-        head += (a + n) ** -sigma
-    x = a + M
-    out = head + x ** (1.0 - sigma) / (sigma - 1.0) + 0.5 * x ** -sigma
-    rising = sigma
-    xpow = x ** (-sigma - 1.0)
-    x2 = x * x
-    for j, b in enumerate(_EM_BERN, start=1):
-        out += b * rising * xpow
-        rising *= (sigma + 2 * j - 1) * (sigma + 2 * j)
-        xpow = xpow / x2
-    return out
+    b = np.minimum(a, 1.0 - a)
+    u = 1.0 - b
+    du = (1.0 - u) - b  # 1 - b = u + du exactly (Fast2Sum)
+    with np.errstate(over="ignore"):
+        head = b ** -sigma + u ** -sigma * (1.0 - sigma * du / u) + (1.0 + b) ** -sigma
+    return head + _horner(_pair_coeffs(sigma), b * b)
 
 
 def _hurwitz_pair_table(sigma: float, N: int) -> np.ndarray:
     """A(m) = zeta(sigma, m/N) + zeta(sigma, 1 - m/N) for 1 <= m < N, at
     index m of a length-N array; index 0 is unused and left at 0.
 
-    Half the table is evaluated by _hurwitz_many, with both offsets m/N
-    and (N - m)/N rounded once from the exact fractions, and mirrored by
-    A(m) = A(N - m).  Against zeta at those rounded offsets the relative
-    error is ~1e-15 for 1 < sigma <= 40; rounding m/N itself adds up to
-    sigma * 2**-53.  Every caller scales the table by (2 pi N)**-sigma, so
-    sizes where that factor leaves the float64 normal range raise
-    ValueError; this also keeps the table, of order N**sigma, finite.
-    So do sizes above _PAIR_TABLE_MAX_N, to bound memory.
+    _hurwitz_pair evaluates it at the double m/N for m <= N/2 and
+    A(m) = A(N - m) mirrors the rest; rounding m/N adds up to
+    sigma * 2**-53 to the engine's error.  Every caller scales the table
+    by (2 pi N)**-sigma, so sizes where that factor leaves the float64
+    normal range raise ValueError; this also keeps the table, of order
+    N**sigma, finite.  So do sizes above _PAIR_TABLE_MAX_N, for memory.
     """
     _check_exponent(sigma)
     if N > _PAIR_TABLE_MAX_N:
-        raise ValueError(
-            f"pair table is capped at N = {_PAIR_TABLE_MAX_N} (memory), got N = {N}"
-        )
+        raise ValueError(f"pair table is capped at N = {_PAIR_TABLE_MAX_N} (memory), "
+                         f"got N = {N}")
     if sigma * math.log10(_TWO_PI * N) > 307:
-        raise ValueError(
-            f"(2 pi N)**sigma overflows float64 at sigma={sigma:g}, N={N}"
-        )
+        raise ValueError(f"(2 pi N)**sigma overflows float64 at sigma={sigma:g}, N={N}")
     m = np.arange(1, N // 2 + 1, dtype=np.int64)
-    half = _hurwitz_many(sigma, m / N) + _hurwitz_many(sigma, (N - m) / N)
     A = np.zeros(N, dtype=np.float64)
-    A[m] = half
-    A[N - m] = half
+    A[m] = A[N - m] = _hurwitz_pair(sigma, m / N)
     return A
 
 
 def f_sigma_many(sigma: float, a: np.ndarray) -> np.ndarray:
-    """Vectorized f_sigma, float64: a is reduced mod 1 and a = 0 gives
-    pi**sigma, as in f_sigma."""
+    """Vectorized f_sigma, float64: sin(pi b)**sigma * _hurwitz_pair with
+    b = min(a, 1 - a), a reduced mod 1; a = 0 gives pi**sigma, as in
+    f_sigma.  ValueError where pi**sigma or the pair leaves float64."""
+    at_zero = _pi_power(sigma)
     a = np.mod(np.asarray(a, dtype=np.float64), 1.0)
     zero = a == 0.0
-    a = np.where(zero, 0.5, a)  # any offset in (0, 1); replaced below
-    z = _hurwitz_many(sigma, a) + _hurwitz_many(sigma, 1.0 - a)
-    return np.where(zero, math.pi ** sigma, np.sin(np.pi * a) ** sigma * z)
+    b = np.minimum(a, 1.0 - a)
+    pair = _hurwitz_pair(sigma, np.where(zero, 0.5, b))  # 0.5: replaced below
+    if np.isinf(pair).any():
+        a_min = b[np.isinf(pair)].min()
+        raise ValueError(f"f_sigma leaves float64 at sigma={sigma:g}, a={a_min:g}")
+    return np.where(zero, at_zero, np.sin(np.pi * b) ** sigma * pair)
 
 
 @functools.lru_cache(maxsize=None)
@@ -252,10 +261,7 @@ def even_weight_coeffs(two_s: int) -> tuple[int, ...]:
     g = cot_derivative_poly(2 * s - 1)
     # g has only even powers; g[2j] multiplies cos^{2j} sin^{2s-2j}
     out = [0] * (s + 1)
-    for j in range(s + 1):
-        q = g[2 * j] if 2 * j < len(g) else 0
-        if q == 0:
-            continue
+    for j, q in enumerate(g[::2]):
         # expand sin^{2(s-j)} = (1 - u)^{s-j} with u = cos^2
         for t in range(s - j + 1):
             out[j + t] += q * (-1) ** t * math.comb(s - j, t)
@@ -368,7 +374,7 @@ class FSigma(Kernel):
 
     @property
     def value_at_zero(self) -> float:
-        return math.pi ** self.sigma
+        return _pi_power(self.sigma)
 
     @property
     def holder_alpha(self) -> float:
@@ -459,11 +465,9 @@ def potential_K(sigma: float, p, t, *, tol: float = 1e-12):
     if isinstance(sigma, int) or (isinstance(sigma, float) and sigma.is_integer()):
         s2 = int(sigma)
         if s2 % 2 == 0:
-            s = s2 // 2
             tt = t % 1 if isinstance(t, (Fraction, int)) else float(t) % 1.0
             b = bernoulli_poly(s2, tt)
-            sign = 1 if s % 2 == 1 else -1
-            val = 1 + p * sign * b / math.factorial(s2)
+            val = 1 + p * (-1) ** (s2 // 2 - 1) * b / math.factorial(s2)
             if isinstance(b, Fraction) and isinstance(p, (int, Fraction)):
                 return Fraction(val)
             return float(val)
@@ -516,8 +520,7 @@ def dft_coeffs_even(two_s: int, p: float, N: int) -> np.ndarray:
     s = two_s // 2
     g = cot_derivative_poly(2 * s - 1)
     out = np.empty(N, dtype=np.float64)
-    sign = 1 if s % 2 == 1 else -1
-    out[0] = 1.0 + p * sign * float(bernoulli_number(two_s)) / (
+    out[0] = 1.0 + p * (-1) ** (s - 1) * float(bernoulli_number(two_s)) / (
         math.factorial(two_s) * float(N) ** two_s
     )
     scale = p / (math.factorial(2 * s - 1) * float(2 * N) ** two_s)
@@ -578,12 +581,8 @@ def dft_coeff_sum_exact(two_s: int, p, N: int) -> tuple[Fraction, Fraction]:
     if N == 1:
         total = c0
     else:
-        sums = cot_power_sums(N, s)
-        series = Fraction(0)
-        for j in range(s + 1):
-            q = g[2 * j] if 2 * j < len(g) else 0
-            if q:
-                series += q * sums[j]
+        # G_{2s-1} has only even powers: g[2j] multiplies cot**2j
+        series = sum(q * S for q, S in zip(g[::2], cot_power_sums(N, s)))
         total = c0 + p * series / (math.factorial(2 * s - 1) * Fraction(2 * N) ** two_s)
     k0 = 1 + p * sign * bernoulli_number(two_s) / math.factorial(two_s)
     return total, k0

@@ -37,6 +37,21 @@ def test_prefactor_overflow_is_a_value_error():
             call()
 
 
+def test_offset_series_outside_float64_is_a_value_error():
+    # a float64 pass would overflow in pi**(2*sigma), in g**sigma and in
+    # f_sigma's argument**-sigma, and its result would be no bound on D
+    cases = ((320.0, None, 4, "pi\\*\\*\\(2\\*sigma\\)"),
+             (200.0, kernel_fsigma(200.0), 4, "sqrt5\\)\\*\\*sigma"),
+             (25.0, kernel_fsigma(25.0), 64, "f_sigma leaves float64"))
+    for sigma, kernel, k_max, match in cases:
+        with pytest.raises(ValueError, match=match):
+            constant_D(sigma, kernel, 100, k_max)
+    # the eta bound is tight: sigma = 97.8 still sweeps 100 rows
+    assert math.isfinite(constant_D(97.8, None, 100, 64).value)
+    with pytest.raises(ValueError, match="float64"):
+        constant_D(97.9, None, 100, 64)
+
+
 def _oracle_offset(sigma, kernel, i_max, k_max, prec=100):
     """2 * sum_i (delta_mp + delta_star_mp - base_i*(mu_i+1)), row by row
     in mpmath."""

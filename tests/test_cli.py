@@ -328,6 +328,13 @@ def test_prefactor_overflow_is_usage_error():
         assert r.exit_code == 2 and "float64" in r.output, (args, r.output)
 
 
+def test_offset_sweep_overflow_is_usage_error():
+    # C is finite here; the D sweep's (pi**2 * eta)**sigma is not
+    r = run("constants", "--sigma", "200", "--kernel", "fsigma", "--i-max", "100",
+            "--k-max", "4")
+    assert r.exit_code == 2 and "float64" in r.output, r.output
+
+
 def test_lattice_sum_overflow_is_usage_error():
     for extra in (["--method", "flat"], ["--method", "grouped"], ["--raw"]):
         r = run("sum", "-n", "30", "--sigma", "60", *extra)

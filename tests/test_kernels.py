@@ -4,6 +4,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fiblat.energy import wce_e
 from fiblat.kernels import (
@@ -12,7 +14,9 @@ from fiblat.kernels import (
     Kernel,
     One,
     Trig,
+    _hurwitz_pair,
     _hurwitz_pair_table,
+    _pair_coeffs,
     bernoulli_number,
     bernoulli_poly,
     cot_power_sums,
@@ -20,6 +24,7 @@ from fiblat.kernels import (
     dft_coeffs,
     dft_coeffs_even,
     f_sigma,
+    f_sigma_many,
     hurwitz_zeta,
     kernel_bernoulli_weight,
     kernel_fsigma,
@@ -260,6 +265,74 @@ def test_hurwitz_pair_table_against_mpmath():
                 want = mpmath.zeta(sigma, a) + mpmath.zeta(sigma, 1 - a)
                 got = tables[N][m]
                 assert abs(got - want) <= rel * want, (sigma, N, m)
+
+
+# offsets anywhere in (0, 1), and within 1e-3 of 0, 1/2 and 1
+_OFFSETS = st.one_of(
+    st.floats(0, 1, exclude_min=True, exclude_max=True),
+    st.floats(1e-12, 1e-3),
+    st.floats(-1e-3, 1e-3).map(lambda d: 0.5 + d),
+    st.floats(1e-12, 1e-3).map(lambda d: 1.0 - d),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sigma=st.floats(1.01, 40.0), a=_OFFSETS)
+def test_pair_engine_against_mpmath(sigma, a):
+    b = min(a, 1.0 - a)
+    assume(sigma * -math.log10(b) < 300)  # b**-sigma < 1e300
+    pair = float(_hurwitz_pair(sigma, np.array([a]))[0])
+    f = float(f_sigma_many(sigma, np.array([a]))[0])
+    with mpmath.workprec(120):
+        x = mpmath.mpf(a)
+        want = mpmath.zeta(sigma, x) + mpmath.zeta(sigma, 1 - x)
+        want_f = mpmath.sinpi(x) ** sigma * want
+        assert abs(pair - want) <= 2e-15 * want, (sigma, a)
+        assert abs(f - want_f) <= (2e-15 + sigma * 2.0 ** -52) * want_f, (sigma, a)
+
+
+def test_f_sigma_is_accurate_near_one():
+    # sin(pi a) would carry the rounding of pi*a (1.6e-11 relative at
+    # a = 1 - 1e-6); both routes take the sine at min(a, 1 - a)
+    for a in (1 - 1e-6, 1 - 1e-3, 0.9):
+        with mpmath.workprec(120):
+            x = mpmath.mpf(a)
+            want = mpmath.sinpi(x) ** 2.5 * (mpmath.zeta(2.5, x) + mpmath.zeta(2.5, 1 - x))
+        for got in (f_sigma(2.5, a), f_sigma_many(2.5, np.array([a]))[0]):
+            assert abs(got - want) <= 4e-15 * want, a
+
+
+def test_pair_coeffs_are_built_once_per_sigma():
+    _pair_coeffs.cache_clear()
+    for _ in range(3):
+        _hurwitz_pair_table(3.25, 50)
+        f_sigma_many(3.25, np.linspace(0.1, 0.9, 9))
+    f_sigma_many(4.25, np.array([0.3]))
+    info = _pair_coeffs.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    assert info.hits == 5
+
+
+def test_f_sigma_outside_float64_is_a_value_error():
+    # zeta(40, 1e-9) ~ 1e360; f_sigma itself is finite there, ~pi**40,
+    # but both routes form the zeta values and refuse instead of
+    # raising OverflowError or returning nan
+    with pytest.raises(ValueError, match="overflows float64"):
+        hurwitz_zeta(40.0, 1e-9)
+    for call in (lambda: f_sigma(40.0, 1e-9), lambda: f_sigma(40.0, 1 - 1e-9)):
+        with pytest.raises(ValueError, match="float64"):
+            call()
+    for a in ([1e-9], [0.3, 1 - 1e-9]):
+        with pytest.raises(ValueError, match="leaves float64"):
+            f_sigma_many(40.0, np.array(a))
+    # pi**sigma, the value at 0, leaves float64 above sigma ~ 620
+    for call in (lambda: f_sigma(700.0, 0.0), lambda: f_sigma_many(700.0, np.array([0.5])),
+                 lambda: kernel_fsigma(700.0).value_at_zero):
+        with pytest.raises(ValueError, match="pi\\*\\*sigma"):
+            call()
+    # just inside the range both stay finite and agree
+    assert f_sigma_many(40.0, np.array([1e-7]))[0] == pytest.approx(
+        f_sigma(40.0, 1e-7), rel=1e-12)
 
 
 def test_pair_table_routes_are_capped():
