@@ -90,10 +90,20 @@ def _horner(coeffs, x):
 
 @functools.lru_cache(maxsize=None)
 def bernoulli_number(m: int) -> Fraction:
-    """B_m with the B_1 = -1/2 convention, exact (mpmath.bernfrac)."""
+    """B_m with the B_1 = -1/2 convention, exact."""
     if m < 0:
         raise ValueError(f"negative index: {m}")
-    return Fraction(*mpmath.bernfrac(m))
+    if m == 0:
+        return Fraction(1)
+    if m == 1:
+        return Fraction(-1, 2)
+    if m % 2 == 1:
+        return Fraction(0)
+    # sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1
+    acc = Fraction(0)
+    for j in range(m):
+        acc += math.comb(m + 1, j) * bernoulli_number(j)
+    return -acc / (m + 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -123,9 +133,10 @@ def hurwitz_zeta(sigma: float, a, *, tol: float = 1e-13) -> float:
     _check_exponent(sigma)
     if a <= 0:
         raise ValueError(f"offset must be positive, got {a}")
-    try:  # zeta(sigma, a) exceeds a**-sigma
-        prec = max(70, math.ceil(math.log2((float(a) ** -sigma + 2.0) / tol)) + 30)
-    except OverflowError:  # from the power, or ceil of an infinite log
+    try:  # the power, or ceil of an infinite log, raises OverflowError
+        mag = float(a) ** -sigma + 2.0
+        prec = max(70, math.ceil(math.log2(mag / tol)) + 30)
+    except OverflowError:
         raise ValueError(f"zeta({sigma:g}, {float(a):g})/tol overflows float64") from None
     with mpmath.workprec(prec):
         if isinstance(a, Fraction):
@@ -205,13 +216,18 @@ def _hurwitz_pair_table(sigma: float, N: int) -> np.ndarray:
     """
     _check_exponent(sigma)
     if N > _PAIR_TABLE_MAX_N:
-        raise ValueError(f"pair table is capped at N = {_PAIR_TABLE_MAX_N} (memory), "
-                         f"got N = {N}")
+        raise ValueError(
+            f"pair table is capped at N = {_PAIR_TABLE_MAX_N} (memory), got N = {N}"
+        )
     if sigma * math.log10(_TWO_PI * N) > 307:
-        raise ValueError(f"(2 pi N)**sigma overflows float64 at sigma={sigma:g}, N={N}")
+        raise ValueError(
+            f"(2 pi N)**sigma overflows float64 at sigma={sigma:g}, N={N}"
+        )
     m = np.arange(1, N // 2 + 1, dtype=np.int64)
+    half = _hurwitz_pair(sigma, m / N)
     A = np.zeros(N, dtype=np.float64)
-    A[m] = A[N - m] = _hurwitz_pair(sigma, m / N)
+    A[m] = half
+    A[N - m] = half
     return A
 
 
@@ -261,7 +277,10 @@ def even_weight_coeffs(two_s: int) -> tuple[int, ...]:
     g = cot_derivative_poly(2 * s - 1)
     # g has only even powers; g[2j] multiplies cos^{2j} sin^{2s-2j}
     out = [0] * (s + 1)
-    for j, q in enumerate(g[::2]):
+    for j in range(s + 1):
+        q = g[2 * j] if 2 * j < len(g) else 0
+        if q == 0:
+            continue
         # expand sin^{2(s-j)} = (1 - u)^{s-j} with u = cos^2
         for t in range(s - j + 1):
             out[j + t] += q * (-1) ** t * math.comb(s - j, t)
@@ -465,9 +484,11 @@ def potential_K(sigma: float, p, t, *, tol: float = 1e-12):
     if isinstance(sigma, int) or (isinstance(sigma, float) and sigma.is_integer()):
         s2 = int(sigma)
         if s2 % 2 == 0:
+            s = s2 // 2
             tt = t % 1 if isinstance(t, (Fraction, int)) else float(t) % 1.0
             b = bernoulli_poly(s2, tt)
-            val = 1 + p * (-1) ** (s2 // 2 - 1) * b / math.factorial(s2)
+            sign = 1 if s % 2 == 1 else -1
+            val = 1 + p * sign * b / math.factorial(s2)
             if isinstance(b, Fraction) and isinstance(p, (int, Fraction)):
                 return Fraction(val)
             return float(val)
@@ -520,7 +541,8 @@ def dft_coeffs_even(two_s: int, p: float, N: int) -> np.ndarray:
     s = two_s // 2
     g = cot_derivative_poly(2 * s - 1)
     out = np.empty(N, dtype=np.float64)
-    out[0] = 1.0 + p * (-1) ** (s - 1) * float(bernoulli_number(two_s)) / (
+    sign = 1 if s % 2 == 1 else -1
+    out[0] = 1.0 + p * sign * float(bernoulli_number(two_s)) / (
         math.factorial(two_s) * float(N) ** two_s
     )
     scale = p / (math.factorial(2 * s - 1) * float(2 * N) ** two_s)
@@ -581,8 +603,12 @@ def dft_coeff_sum_exact(two_s: int, p, N: int) -> tuple[Fraction, Fraction]:
     if N == 1:
         total = c0
     else:
-        # G_{2s-1} has only even powers: g[2j] multiplies cot**2j
-        series = sum(q * S for q, S in zip(g[::2], cot_power_sums(N, s)))
+        sums = cot_power_sums(N, s)
+        series = Fraction(0)
+        for j in range(s + 1):
+            q = g[2 * j] if 2 * j < len(g) else 0
+            if q:
+                series += q * sums[j]
         total = c0 + p * series / (math.factorial(2 * s - 1) * Fraction(2 * N) ** two_s)
     k0 = 1 + p * sign * bernoulli_number(two_s) / math.factorial(two_s)
     return total, k0

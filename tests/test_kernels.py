@@ -4,8 +4,6 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from fiblat.energy import wce_e
 from fiblat.kernels import (
@@ -14,7 +12,6 @@ from fiblat.kernels import (
     Kernel,
     One,
     Trig,
-    _hurwitz_pair,
     _hurwitz_pair_table,
     _pair_coeffs,
     bernoulli_number,
@@ -265,30 +262,6 @@ def test_hurwitz_pair_table_against_mpmath():
                 want = mpmath.zeta(sigma, a) + mpmath.zeta(sigma, 1 - a)
                 got = tables[N][m]
                 assert abs(got - want) <= rel * want, (sigma, N, m)
-
-
-# offsets anywhere in (0, 1), and within 1e-3 of 0, 1/2 and 1
-_OFFSETS = st.one_of(
-    st.floats(0, 1, exclude_min=True, exclude_max=True),
-    st.floats(1e-12, 1e-3),
-    st.floats(-1e-3, 1e-3).map(lambda d: 0.5 + d),
-    st.floats(1e-12, 1e-3).map(lambda d: 1.0 - d),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(sigma=st.floats(1.01, 40.0), a=_OFFSETS)
-def test_pair_engine_against_mpmath(sigma, a):
-    b = min(a, 1.0 - a)
-    assume(sigma * -math.log10(b) < 300)  # b**-sigma < 1e300
-    pair = float(_hurwitz_pair(sigma, np.array([a]))[0])
-    f = float(f_sigma_many(sigma, np.array([a]))[0])
-    with mpmath.workprec(120):
-        x = mpmath.mpf(a)
-        want = mpmath.zeta(sigma, x) + mpmath.zeta(sigma, 1 - x)
-        want_f = mpmath.sinpi(x) ** sigma * want
-        assert abs(pair - want) <= 2e-15 * want, (sigma, a)
-        assert abs(f - want_f) <= (2e-15 + sigma * 2.0 ** -52) * want_f, (sigma, a)
 
 
 def test_f_sigma_is_accurate_near_one():
