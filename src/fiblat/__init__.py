@@ -60,14 +60,10 @@ from .energy import (
     wce_e,
 )
 from .golden import (
-    FibPair,
     GoldenInt,
     fib,
-    fib_pair,
     floor_phi_times,
     golden_compare,
-    golden_mul,
-    golden_norm,
     lucas,
     phi_power,
 )
@@ -90,23 +86,17 @@ from .kernels import (
     potential_K,
     zeta,
 )
-from .verify import SUITE_NAMES, SuiteResult, run_suite, run_suites
+from .verify import SUITE_NAMES, SuiteResult, run_suite
 from .wythoff import (
     RowTable,
     WythoffRow,
     dual_entry,
     dual_slot,
-    fib_signed,
     floor_phi_plus_inv,
     half_fib_witness,
-    locate,
     row,
-    row_invariant_eta,
     row_table,
-    row_threshold_mu,
     rows_below_half_fib,
-    wythoff_entry,
-    wythoff_entry_extended,
     wythoff_row_entries,
 )
 
@@ -114,25 +104,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CConstant", "CLOSED_FAMILIES", "ClosedConstant", "ClosedFamily",
-    "DConstant", "EnergyReport", "ExactConstants", "FibPair",
-    "GoldenInt", "Kernel", "KERNEL_GRAMMAR", "RationalLattice", "ResidualRow",
-    "RowTable", "SuiteResult", "SUITE_NAMES", "WythoffRow", "ZETA_ROUTES",
-    "ZetaRoute", "apostol_check", "approximation_errors", "bernoulli_number",
-    "bernoulli_poly", "constant_C", "constant_C_closed",
-    "constant_D", "cos2sin4_closed", "cot_power_sums", "dedekind_zeta",
-    "delta_mp", "delta_star_mp", "dft_coeff_sum_exact",
-    "dft_coeffs", "dft_coeffs_even", "dual_entry", "dual_slot", "energy",
-    "energy_dft", "energy_direct", "exact_constants",
-    "f_sigma", "fib", "fib_pair", "fib_signed", "fib_sum", "fib_sum_grouped",
+    "DConstant", "EnergyReport", "ExactConstants", "GoldenInt", "Kernel",
+    "KERNEL_GRAMMAR", "RationalLattice", "ResidualRow", "RowTable",
+    "SuiteResult", "SUITE_NAMES", "WythoffRow", "ZETA_ROUTES", "ZetaRoute",
+    "apostol_check", "approximation_errors", "bernoulli_number",
+    "bernoulli_poly", "constant_C", "constant_C_closed", "constant_D",
+    "cos2sin4_closed", "cot_power_sums", "dedekind_zeta", "delta_mp",
+    "delta_star_mp", "dft_coeff_sum_exact", "dft_coeffs", "dft_coeffs_even",
+    "dual_entry", "dual_slot", "energy", "energy_dft", "energy_direct",
+    "exact_constants", "f_sigma", "fib", "fib_sum", "fib_sum_grouped",
     "floor_phi_plus_inv", "floor_phi_times", "gen_dedekind_sum",
-    "golden_compare", "golden_mul", "golden_norm", "half_fib_witness",
-    "hurwitz_zeta", "hwz_check", "kernel_bernoulli_weight", "kernel_fsigma",
-    "kernel_one", "kernel_trig", "lattice_points", "locate", "lucas",
-    "parse_kernel", "phi_power", "potential_K", "prefactor", "residual_fit",
-    "row", "row_invariant_eta", "row_table", "row_threshold_mu",
-    "rows_below_half_fib", "run_suite", "run_suites", "s13_closed",
-    "s22_closed", "s22_from_trig_sum", "sigma2_closed",
-    "sigma2_closed_abstract", "sigma4_closed", "sigma6_closed", "sin4_closed",
-    "wce_e", "wythoff_entry", "wythoff_entry_extended", "wythoff_row_entries",
-    "zeta",
+    "golden_compare", "half_fib_witness", "hurwitz_zeta", "hwz_check",
+    "kernel_bernoulli_weight", "kernel_fsigma", "kernel_one", "kernel_trig",
+    "lattice_points", "lucas", "parse_kernel", "phi_power", "potential_K",
+    "prefactor", "residual_fit", "row", "row_table", "rows_below_half_fib",
+    "run_suite", "s13_closed", "s22_closed", "s22_from_trig_sum",
+    "sigma2_closed", "sigma2_closed_abstract", "sigma4_closed",
+    "sigma6_closed", "sin4_closed", "wce_e", "wythoff_row_entries", "zeta",
 ]

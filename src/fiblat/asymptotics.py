@@ -209,9 +209,12 @@ def constant_C(sigma: float, kernel: Kernel | None = None,
     sum_{i>i_max} eta_i**-sigma <= i_max**(1-sigma)/(sigma-1).  For
     large sigma that tail sits far below double precision, so the sum
     is formed at a precision prec matched to the tail (_eta_power_sum)
-    and returned both as a float and as value_mp.
+    and returned both as a float and as value_mp.  i_max below 8 raises
+    ValueError, as in constant_D.
     """
     _check_exponent(sigma)
+    if i_max < 8:
+        raise ValueError(f"row truncation too small: {i_max}")
     f0 = kernel.value_at_zero if kernel is not None else 1.0
     total, prec = _eta_power_sum(sigma, i_max)
     with mpmath.workprec(prec):
@@ -432,14 +435,21 @@ def _check_sweep_range(sigma: float, kernel: Kernel, tab, k_max: int) -> None:
     """Raise ValueError where a float64 power the row sweep forms would
     overflow.  prefactor covers f(0)**2 and pi**(2*sigma).  A term's base
     g = pi*w*sin(pi*x) stays below pi**2 * w*x <= pi**2 * (eta + 1)/sqrt5,
-    which also exceeds eta, and is near it for large k.  The weight is
-    tried at the smallest argument, min(-w_minus, 1/2) * phi**-k_max (the
-    dual side starts at or above 1/2): f_sigma forms argument**-sigma."""
+    which also exceeds eta, and is near it for large k.  On the way the
+    sweep forms w0 * phi**k and pi * w, both below
+    pi * max(w_plus) * phi**k_max (the dual side's w0 is under
+    2 * w_plus).  The weight is tried at the smallest argument,
+    min(-w_minus, 1/2) * phi**-k_max (the dual side starts at or above
+    1/2): f_sigma forms argument**-sigma."""
     pref = prefactor(sigma, kernel.value_at_zero)
     g_max = math.pi ** 2 * (float(tab.eta.max()) + 1) / math.sqrt(5)
-    if not math.isfinite(pref) or sigma * math.log(g_max) >= math.log(sys.float_info.max):
+    log_max = math.log(sys.float_info.max)
+    if not math.isfinite(pref) or sigma * math.log(g_max) >= log_max:
         raise ValueError(f"the D sweep leaves float64 at sigma={sigma:g}, i_max="
                          f"{tab.i_max}: (pi**2 * (eta + 1)/sqrt5)**sigma overflows")
+    if math.log(math.pi * float(tab.w_plus.max())) + k_max * math.log(PHI) >= log_max:
+        raise ValueError(f"the D sweep leaves float64 at k_max={k_max}, i_max="
+                         f"{tab.i_max}: pi * max(w_plus) * phi**k_max overflows")
     kernel.eval_many(np.array([min(float(tab.w_minus_neg.min()), 0.5) * PHI ** -k_max]))
 
 

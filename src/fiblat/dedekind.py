@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
 
@@ -34,7 +34,6 @@ from .golden import fib, lucas
 from .kernels import _as_int, bernoulli_poly_coeffs
 
 __all__ = [
-    "DedekindSumSpec",
     "gen_dedekind_sum",
     "ClosedFamily",
     "CLOSED_FAMILIES",
@@ -50,28 +49,6 @@ __all__ = [
     "apostol_check",
     "hwz_check",
 ]
-
-
-@dataclass(frozen=True)
-class DedekindSumSpec:
-    """Parameters of s_{ell,m}(a, b; c)."""
-
-    ell: int
-    m: int
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, _as_int(f.name, getattr(self, f.name)))
-        if self.ell < 0 or self.m < 0:
-            raise ValueError(f"polynomial degrees must be >= 0, got ({self.ell}, {self.m})")
-        if self.c < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.c}")
-
-    def value(self) -> Fraction:
-        return gen_dedekind_sum(self.ell, self.m, self.a, self.b, self.c)
 
 
 def _powers(x: int, k: int) -> list[int]:
@@ -248,8 +225,12 @@ def gen_dedekind_sum(ell: int, m: int, a: int, b: int, c: int) -> Fraction:
     `apostol_check` and `hwz_check` stay independent checks of it.  The
     definition-level oracle lives in the tests.
     """
-    spec = DedekindSumSpec(ell, m, a, b, c)
-    ell, m, a, b, c = spec.ell, spec.m, spec.a, spec.b, spec.c
+    ell, m = _as_int("ell", ell), _as_int("m", m)
+    a, b, c = _as_int("a", a), _as_int("b", b), _as_int("c", c)
+    if ell < 0 or m < 0:
+        raise ValueError(f"polynomial degrees must be >= 0, got ({ell}, {m})")
+    if c < 1:
+        raise ValueError(f"modulus must be >= 1, got {c}")
     d = math.gcd(a, c)
     e = math.gcd(b, d)
     c //= d

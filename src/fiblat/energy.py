@@ -181,7 +181,7 @@ def energy(lat: RationalLattice, sigma: float, p: float,
             )
         pts = lattice_points(lat)
         val = energy_direct(
-            lambda t: float(potential_K(sigma, p, t, tol=1e-13)), pts
+            lambda t: float(potential_K(sigma, p, t)), pts
         )
     elif method == "dft":
         val = energy_dft(dft_coeffs(sigma, p, lat.N), lat.N, lat.h)
@@ -274,14 +274,12 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
 
 @_quiet_overflow
 def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
-                    *, normalized: bool = True, collect_rows: bool = False):
+                    *, normalized: bool = True) -> float:
     """The same sum rearranged along Wythoff rows.
 
     Each entry W[i, k] below F_n/2 contributes twice (for m and F_n - m),
     with the companion argument taken from the dual array at slot n - k;
     when F_n is even the midpoint m = F_n/2 adds f(1/2)^2 exactly once.
-    With collect_rows, also returns {i: per-k term array} of the terms
-    (normalized when the sum is), keys in ascending i.
 
     Vectorized over the row columns: rows of equal depth k_max form 2-D
     blocks of at most _SUM_CHUNK terms, with W[i, k] and Wd[i, n - k]
@@ -298,10 +296,9 @@ def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
     kernel = kernel or kernel_one()
     fn = fib(n)
     if fn == 1:
-        return (0.0, {}) if collect_rows else 0.0
+        return 0.0
     scale = _level_scale(n, sigma) if normalized else 1.0
     F = np.array([fib(k) for k in range(n + 1)], dtype=np.int64)
-    rows_terms: dict[int, np.ndarray] = {}
     total = 0.0
     for i, L, k_max in _level_rows(n):
         # k_max is nonincreasing in i: rows of equal depth are contiguous
@@ -318,11 +315,6 @@ def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
                 vals /= scale
                 doubled = 2.0 * vals.sum(axis=1)
                 total = float(np.add.accumulate(np.r_[total, doubled])[-1])
-                if collect_rows:
-                    rows_terms.update(zip(i[rows].tolist(), vals))
     if fn % 2 == 0:
         total += kernel.eval(0.5) ** 2 / scale
-    total = _finite_sum(total, n, sigma)
-    if collect_rows:
-        return total, rows_terms
-    return total
+    return _finite_sum(total, n, sigma)

@@ -20,12 +20,8 @@ import mpmath
 
 __all__ = [
     "GoldenInt",
-    "FibPair",
     "fib",
-    "fib_pair",
     "lucas",
-    "golden_mul",
-    "golden_norm",
     "golden_compare",
     "floor_phi_times",
     "phi_power",
@@ -52,7 +48,8 @@ class GoldenInt:
     def __mul__(self, other: GoldenInt | int) -> GoldenInt:
         if isinstance(other, int):
             return GoldenInt(self.a * other, self.b * other)
-        return golden_mul(self, other)
+        return GoldenInt(self.a * other.a + self.b * other.b,
+                         self.a * other.b + self.b * other.a + self.b * other.b)
 
     __rmul__ = __mul__
 
@@ -61,7 +58,8 @@ class GoldenInt:
         return GoldenInt(self.a + self.b, -self.b)
 
     def norm(self) -> int:
-        return golden_norm(self)
+        """Field norm N(a + b*phi) = a**2 + a*b - b**2; multiplicative."""
+        return self.a * self.a + self.a * self.b - self.b * self.b
 
     def sign(self) -> int:
         """Exact sign of the real value a + b*phi.
@@ -94,18 +92,6 @@ class GoldenInt:
         return f"GoldenInt({self.a}, {self.b})"
 
 
-@dataclass(frozen=True)
-class FibPair:
-    """Consecutive Fibonacci numbers (F_n, F_{n+1})."""
-
-    n: int
-    fn: int
-    fn1: int
-
-    def next(self) -> FibPair:
-        return FibPair(self.n + 1, self.fn1, self.fn + self.fn1)
-
-
 @functools.lru_cache(maxsize=1024)
 def _fib_doubling(n: int) -> tuple[int, int]:
     """(F_n, F_{n+1}) by binary doubling, memoized: the sweeps ask for the
@@ -131,28 +117,12 @@ def fib(n: int) -> int:
     return _fib_doubling(n)[0]
 
 
-def fib_pair(n: int) -> FibPair:
-    if n < 0:
-        raise ValueError(f"negative index: {n}")
-    fn, fn1 = _fib_doubling(n)
-    return FibPair(n, fn, fn1)
-
-
 def lucas(n: int) -> int:
     """L_n with L_0 = 2, L_1 = 1.  Requires n >= 0."""
     if n < 0:
         raise ValueError(f"negative index: {n}")
     fn, fn1 = _fib_doubling(n)
     return 2 * fn1 - fn
-
-
-def golden_mul(x: GoldenInt, y: GoldenInt) -> GoldenInt:
-    return GoldenInt(x.a * y.a + x.b * y.b, x.a * y.b + x.b * y.a + x.b * y.b)
-
-
-def golden_norm(x: GoldenInt) -> int:
-    """Field norm N(a + b*phi) = a**2 + a*b - b**2; multiplicative."""
-    return x.a * x.a + x.a * x.b - x.b * x.b
 
 
 def golden_compare(x: GoldenInt, y: GoldenInt) -> int:

@@ -65,6 +65,8 @@ _PI_STR = "3.14159265358979323846264338327950288420"
 _PAIR_TABLE_MAX_N = 2 * 10 ** 7
 # most terms potential_K's cosine series may take (32 MB per work array)
 _K_SERIES_MAX_TERMS = 1 << 22
+# potential_K stops its cosine series once the Abel bound on the tail is below this
+_K_SERIES_TOL = 1e-13
 
 
 def _check_exponent(sigma) -> None:
@@ -470,13 +472,13 @@ def parse_kernel(spec: str, *, sigma: float | None = None) -> Kernel:
     raise ValueError(f"unknown kernel {spec!r}; grammar: {KERNEL_GRAMMAR}")
 
 
-def potential_K(sigma: float, p, t, *, tol: float = 1e-12):
+def potential_K(sigma: float, p, t):
     """K_{sigma,p}(t) = 1 + p sum_{m != 0} e(mt)/|2 pi m|**sigma.
 
     For even integer sigma = 2s this is the exact polynomial path
     1 + p (-1)**(s-1) B_{2s}({t}) / (2s)!, returning a Fraction when both
     p and t are exact.  Otherwise the cosine series is summed until an
-    Abel-bounded tail drops below tol; where that takes more than
+    Abel-bounded tail drops below _K_SERIES_TOL; where that takes more than
     _K_SERIES_MAX_TERMS terms (sigma near 1, t near 0) it raises
     ValueError, and the dft and wce routes of energy take the input.
     """
@@ -498,7 +500,7 @@ def potential_K(sigma: float, p, t, *, tol: float = 1e-12):
         return 1.0 + pref * zeta(sigma)
     tr = min(t, 1.0 - t)
     bound = 1.0 / math.sin(math.pi * tr)  # Abel bound on cosine partial sums
-    terms = (abs(pref) * bound / tol) ** (1.0 / sigma)
+    terms = (abs(pref) * bound / _K_SERIES_TOL) ** (1.0 / sigma)
     if terms > _K_SERIES_MAX_TERMS:
         raise ValueError(
             f"cosine series of K needs {terms:.3g} terms at sigma={sigma:g}, "

@@ -61,7 +61,7 @@ from .wythoff import (
     wythoff_row_entries,
 )
 
-__all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_suites"]
+__all__ = ["SuiteResult", "SUITE_NAMES", "run_suite"]
 
 _GRID_SLACK = 1e-15
 
@@ -405,7 +405,3 @@ def run_suite(name: str, limit: int | None = None) -> SuiteResult:
     except _Counterexample as ex:
         return SuiteResult(name, False, run.checks, lim, time.perf_counter() - t0, str(ex))
     return SuiteResult(name, True, run.checks, lim, time.perf_counter() - t0)
-
-
-def run_suites(names=None, limit: int | None = None) -> list[SuiteResult]:
-    return [run_suite(n, limit) for n in (names or SUITE_NAMES)]

@@ -30,17 +30,12 @@ from .golden import GoldenInt, fib, floor_phi_times, golden_compare, phi_power
 
 __all__ = [
     "WythoffRow",
-    "wythoff_entry",
     "wythoff_row_entries",
-    "row_invariant_eta",
-    "row_threshold_mu",
     "dual_entry",
     "dual_slot",
-    "locate",
     "rows_below_half_fib",
     "half_fib_witness",
     "floor_phi_plus_inv",
-    "fib_signed",
     "row",
     "row_table",
 ]
@@ -75,15 +70,6 @@ def floor_phi_plus_inv(x: int) -> int:
     return (x - 1 + math.isqrt(5 * (x + 1) * (x + 1))) // 2
 
 
-def fib_signed(n: int) -> int:
-    """F_n for any integer n, via F_{-m} = (-1)**(m+1) * F_m."""
-    if n >= 0:
-        return fib(n)
-    m = -n
-    f = fib(m)
-    return f if m & 1 else -f
-
-
 @dataclass(frozen=True)
 class WythoffRow:
     """Cached per-row data: floor(phi*i), the conjugate pair, eta, mu."""
@@ -107,6 +93,7 @@ class WythoffRow:
         return cls(i, L, w_plus, w_minus, eta, mu)
 
     def entry(self, k: int) -> int:
+        """W[i, k] for k >= 0; W[i, 0] = floor(phi*i)."""
         return fib(k + 1) * self.floor_phi_i + fib(k) * (self.i - 1)
 
 
@@ -133,20 +120,6 @@ def _mu_exact(i: int, L: int) -> int:
     return m
 
 
-def wythoff_entry(i: int, k: int) -> int:
-    """W[i, k] for i >= 1, k >= 1."""
-    if i < 1 or k < 1:
-        raise ValueError(f"indices must be >= 1, got ({i}, {k})")
-    return fib(k + 1) * floor_phi_times(i) + fib(k) * (i - 1)
-
-
-def wythoff_entry_extended(i: int, k: int) -> int:
-    """W[i, k] for any integer k, extending the row backwards."""
-    if i < 1:
-        raise ValueError(f"row index must be >= 1, got {i}")
-    return fib_signed(k + 1) * floor_phi_times(i) + fib_signed(k) * (i - 1)
-
-
 def wythoff_row_entries(i: int, k_max: int) -> list[int]:
     """[W[i, 1], ..., W[i, k_max]] by the two-term recurrence."""
     if k_max < 1:
@@ -158,16 +131,6 @@ def wythoff_row_entries(i: int, k_max: int) -> list[int]:
         prev, cur = cur, prev + cur
         out.append(cur)
     return out
-
-
-def row_invariant_eta(i: int) -> int:
-    """eta_i = -w_plus(i) * w_minus(i), a positive integer."""
-    return row(i).eta
-
-
-def row_threshold_mu(i: int) -> int:
-    """mu_i = floor(log_phi(2 * w_plus(i))), computed exactly."""
-    return row(i).mu
 
 
 def dual_slot(i: int, m: int) -> int:
@@ -185,40 +148,17 @@ def dual_slot(i: int, m: int) -> int:
 def dual_entry(i: int, n: int, k: int) -> int:
     """Wd[i, n-k] via the signed combination of adjacent row entries.
 
-    Requires n - k > mu_i.  Computed as
+    Requires k >= 1 and n - k > mu_i.  Computed as
     (-1)**k * (F_{n-1} * W[i, k] - F_n * W[i, k-1]), which telescopes to
     the closed form used by dual_slot.
     """
+    if k < 1:
+        raise ValueError(f"depth must be >= 1, got {k}")
     r = row(i)
     if n - k <= r.mu:
         raise ValueError(f"slot {n - k} not above threshold mu_{i} = {r.mu}")
-    wk = r.entry(k)
-    wk1 = r.entry(k - 1) if k >= 1 else wythoff_entry_extended(i, k - 1)
-    val = fib(n - 1) * wk - fib(n) * wk1
+    val = fib(n - 1) * r.entry(k) - fib(n) * r.entry(k - 1)
     return -val if k & 1 else val
-
-
-def locate(m: int) -> tuple[int, int]:
-    """The unique (i, k) with W[i, k] == m, for m >= 1.
-
-    Scans rows in order; row starts W[i, 1] are strictly increasing so
-    the scan terminates as soon as they pass m.
-    """
-    if m < 1:
-        raise ValueError(f"value must be >= 1, got {m}")
-    i = 1
-    while True:
-        L = floor_phi_times(i)
-        start = L + i - 1
-        if start > m:
-            raise AssertionError(f"no Wythoff entry equals {m}")  # unreachable
-        prev, cur, k = L, start, 1
-        while cur < m:
-            prev, cur = cur, prev + cur
-            k += 1
-        if cur == m:
-            return i, k
-        i += 1
 
 
 def rows_below_half_fib(n: int) -> list[tuple[int, int]]:
@@ -278,7 +218,7 @@ def half_fib_witness(ell: int) -> tuple[int, int, int]:
         raise ValueError(f"witness index must be >= 1, got {ell}")
     n = 3 * ell
     i = (fib(n - 2) + 1) // 2
-    if 2 * wythoff_entry(i, 1) != fib(n):
+    if 2 * row(i).entry(1) != fib(n):
         raise AssertionError(f"witness identity failed at ell={ell}")
     return i, 1, n
 

@@ -42,7 +42,8 @@ def test_offset_series_outside_float64_is_a_value_error():
     # f_sigma's argument**-sigma, and its result would be no bound on D
     cases = ((320.0, None, 4, "pi\\*\\*\\(2\\*sigma\\)"),
              (200.0, kernel_fsigma(200.0), 4, "sqrt5\\)\\*\\*sigma"),
-             (25.0, kernel_fsigma(25.0), 64, "f_sigma leaves float64"))
+             (25.0, kernel_fsigma(25.0), 64, "f_sigma leaves float64"),
+             (2.0, None, 1500, "k_max=1500"))
     for sigma, kernel, k_max, match in cases:
         with pytest.raises(ValueError, match=match):
             constant_D(sigma, kernel, 100, k_max)
@@ -50,6 +51,19 @@ def test_offset_series_outside_float64_is_a_value_error():
     assert math.isfinite(constant_D(97.8, None, 100, 64).value)
     with pytest.raises(ValueError, match="float64"):
         constant_D(97.9, None, 100, 64)
+    # so is the phi**k_max bound: at i_max = 8 it refuses from k_max = 1466,
+    # and the float64 pass overflows from 1467
+    assert math.isfinite(constant_D(2.0, None, 8, 1465).value)
+    with pytest.raises(ValueError, match="k_max=1466"):
+        constant_D(2.0, None, 8, 1466)
+
+
+def test_row_truncation_below_eight_is_a_value_error():
+    for i_max in (-5, 0, 1, 7):
+        for call in (constant_C, constant_D):
+            with pytest.raises(ValueError, match="row truncation too small"):
+                call(2.0, None, i_max)
+    assert constant_C(2.0, None, 8).i_max == 8
 
 
 def _oracle_offset(sigma, kernel, i_max, k_max, prec=100):

@@ -329,10 +329,12 @@ def test_prefactor_overflow_is_usage_error():
 
 
 def test_offset_sweep_overflow_is_usage_error():
-    # C is finite here; the D sweep's (pi**2 * eta)**sigma is not
-    r = run("constants", "--sigma", "200", "--kernel", "fsigma", "--i-max", "100",
-            "--k-max", "4")
-    assert r.exit_code == 2 and "float64" in r.output, r.output
+    # C is finite in both; the D sweep's (pi**2 * eta)**sigma is not in
+    # the first, and its pi * w_plus * phi**k_max is not in the second
+    for args in (["--sigma", "200", "--kernel", "fsigma", "--i-max", "100", "--k-max", "4"],
+                 ["--sigma", "2", "--i-max", "8", "--k-max", "1500"]):
+        r = run("constants", *args)
+        assert r.exit_code == 2 and "float64" in r.output, (args, r.output)
 
 
 def test_lattice_sum_overflow_is_usage_error():

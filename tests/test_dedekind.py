@@ -81,6 +81,15 @@ def test_non_integer_arguments_are_rejected(pos, name, bad):
         gen_dedekind_sum(*args)
 
 
+def test_negative_degree_and_modulus_below_one_are_rejected():
+    for ell, m in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match=r"^polynomial degrees must be >= 0, got"):
+            gen_dedekind_sum(ell, m, 1, 1, 5)
+    for c in (0, -3):
+        with pytest.raises(ValueError, match=f"^modulus must be >= 1, got {c}$"):
+            gen_dedekind_sum(1, 1, 1, 1, c)
+
+
 @pytest.mark.parametrize("b,c", [(0, 1), (1, 0), (0, 0), (-1, 2), (3, -5)])
 def test_reciprocity_checks_reject_non_positive_arguments(b, c):
     with pytest.raises(ValueError, match=">= 1"):

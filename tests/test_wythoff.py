@@ -15,17 +15,11 @@ from fiblat.wythoff import (
     _phi_pow_below,
     dual_entry,
     dual_slot,
-    fib_signed,
     floor_phi_plus_inv,
     floor_phi_times,
     half_fib_witness,
-    locate,
     row,
-    row_invariant_eta,
-    row_threshold_mu,
     rows_below_half_fib,
-    wythoff_entry,
-    wythoff_entry_extended,
     wythoff_row_entries,
 )
 
@@ -39,16 +33,18 @@ def test_entry_closed_form_matches_recurrence():
     for i in range(1, 40):
         L = floor_phi_times(i)
         prev, cur = L, L + i - 1
+        assert row(i).entry(0) == prev
         for k in range(1, 20):
-            assert wythoff_entry(i, k) == cur
+            assert row(i).entry(k) == cur
             prev, cur = cur, prev + cur
+        assert wythoff_row_entries(i, 19)[-1] == row(i).entry(19)
 
 
 def test_row_invariants_on_first_rows():
     for i, eta in enumerate(FIRST_ETAS, start=1):
-        assert row_invariant_eta(i) == eta
+        assert row(i).eta == eta
     for i, mu in enumerate(FIRST_MUS, start=1):
-        assert row_threshold_mu(i) == mu
+        assert row(i).mu == mu
 
 
 def test_eta_equals_negative_root_product():
@@ -73,14 +69,6 @@ def test_threshold_brackets_twice_w_plus_exactly():
         two_wp = 2 * r.w_plus
         assert golden_compare(two_wp, phi_power(r.mu)) >= 0
         assert golden_compare(two_wp, phi_power(r.mu + 1)) < 0
-
-
-def test_locate_round_trips():
-    for m in range(1, 3000):
-        i, k = locate(m)
-        assert wythoff_entry(i, k) == m
-    with pytest.raises(ValueError):
-        locate(0)
 
 
 def test_rows_below_half_fib_partitions_prefix():
@@ -116,25 +104,28 @@ def test_level_rows_are_capped_at_the_int64_columns():
 def test_half_fib_witnesses():
     for ell in range(1, 9):
         i, k, n = half_fib_witness(ell)
-        assert 2 * wythoff_entry(i, k) == fib(n)
+        assert 2 * row(i).entry(k) == fib(n)
 
 
 def test_dual_entries_bracketed_by_fibonacci():
     for i in range(1, 200):
-        mu = row_threshold_mu(i)
+        mu = row(i).mu
         for m in range(mu + 1, mu + 30):
             wd = dual_slot(i, m)
             assert fib(m - 2) <= wd < fib(m)
     with pytest.raises(ValueError):
-        dual_slot(3, row_threshold_mu(3))
+        dual_slot(3, row(3).mu)
 
 
 def test_dual_signed_form_matches_closed_form():
     for i in range(1, 40):
-        mu = row_threshold_mu(i)
+        mu = row(i).mu
         for n in range(mu + 2, 38):
             for k in range(1, n - mu):
                 assert dual_entry(i, n, k) == dual_slot(i, n - k)
+    # slot 20 is above mu_1 = 2, so only the depth is at fault
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        dual_entry(1, 20, 0)
 
 
 def test_dual_entry_is_residue_up_to_reflection():
@@ -144,22 +135,6 @@ def test_dual_entry_is_residue_up_to_reflection():
             for k, w in enumerate(wythoff_row_entries(i, k_max), start=1):
                 r = (w * fn1) % fn
                 assert dual_slot(i, n - k) in (r, fn - r)
-
-
-def test_extended_entries_continue_the_recurrence():
-    for i in range(1, 30):
-        for k in range(-8, 10):
-            a = wythoff_entry_extended(i, k)
-            b = wythoff_entry_extended(i, k + 1)
-            c = wythoff_entry_extended(i, k + 2)
-            assert a + b == c
-        assert wythoff_entry_extended(i, 1) == wythoff_entry(i, 1)
-
-
-def test_fib_signed_reflection():
-    for n in range(0, 15):
-        assert fib_signed(n) == fib(n)
-        assert fib_signed(-n) == (-1) ** (n + 1) * fib(n)
 
 
 def test_floor_phi_plus_inv_matches_high_precision():
