@@ -7,14 +7,17 @@ row (one along the row, one along its dual) minus a counting term.
 
 C carries a certified tail (eta_i >= i, so the remainder is dominated
 by an integral) and is summed at the precision that tail needs, by the
-same eta sum as the eta-series route of dedekind_zeta; for even sigma
-it also has an exact Bernoulli closed form, which the closed route of
-dedekind_zeta reuses.  D has one production path, a vectorized row
-sweep run at extended and at double precision (the gap is reported as
-a rounding proxy), and one oracle, the per-row mpmath series delta_mp
-and delta_star_mp.  D's inner tails are geometric-ratio estimates and
-its outer tail a fitted dyadic decay, both reported rather than
-certified.
+same eta sum as the eta-series route of dedekind_zeta.  eta_i =
+-N(w_plus(i)) is a norm and repeats, so that sum takes one power per
+distinct eta, weighted by its row count; the L-series of the Euler
+product route goes through the same weighted power sum, _power_sum.
+For even sigma C also has an exact Bernoulli closed form, which the
+closed route of dedekind_zeta reuses.  D has one production path, a
+vectorized row sweep run at extended and at double precision (the gap
+is reported as a rounding proxy), and one oracle, the per-row mpmath
+series delta_mp and delta_star_mp.  D's inner tails are
+geometric-ratio estimates and its outer tail a fitted dyadic decay,
+both reported rather than certified.
 
 The sweep cuts the rows into fixed chunks of _CHUNK rows, and the
 chunks of both precision passes form one task list.  When there is
@@ -35,6 +38,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from mpmath import libmp
 
 from .dedekind import CLOSED_FAMILIES
 from .energy import fib_sum
@@ -165,21 +169,34 @@ class CConstant:
     value_mp: mpmath.mpf
 
 
-def _fixed_point_power_sum(s: int, plus, minus=()) -> mpmath.mpf:
-    """sum(v**-s for v in plus) - sum(v**-s for v in minus) at the
-    current working precision prec, for positive integers v.
+def _power_sum(sigma: float, values: np.ndarray, weights: np.ndarray) -> mpmath.mpf:
+    """sum_v w_v * v**-sigma over distinct positive integers v (values)
+    with integer weights w_v (weights), at the current working precision
+    prec and rounded once there.  A weight counts the occurrences of v in
+    a sum over terms, or is the sign of a character value.
 
-    The sum is formed exactly in integers: each term is
-    floor(2**P / v**s) with P = prec + bit_length(#terms) + 2, so it
-    rounds down by less than 2**-P, the terms together by less than
-    2**-(prec+2), and the result does not depend on summation order.
-    The one conversion to mpf then rounds once at prec.
+    Integer sigma is summed exactly in integers: each occurrence is
+    floor(2**P / v**sigma) with P = prec + bit_length(sum |w_v|) + 2, so
+    the occurrences together round down by less than 2**-(prec+2) and
+    the integer does not depend on the grouping or the order.  Other
+    sigma take one mpf_pow per v, rounded at prec as mpf(v)**-sigma is;
+    each is multiplied by w_v exactly, and mpf_sum adds them exactly and
+    rounds once at prec, so the result equals fsum over the occurrences
+    bit for bit.
     """
     prec = mpmath.mp.prec
-    P = prec + (len(plus) + len(minus)).bit_length() + 2
-    one = 1 << P
-    total = sum(one // v ** s for v in plus) - sum(one // v ** s for v in minus)
-    return mpmath.ldexp(mpmath.mpf(total), -P)
+    pairs = zip(values.tolist(), weights.tolist())
+    if float(sigma).is_integer():
+        s = int(sigma)
+        P = prec + int(np.abs(weights).sum()).bit_length() + 2
+        one = 1 << P
+        total = sum(w * (one // v ** s) for v, w in pairs)
+        return mpmath.ldexp(mpmath.mpf(total), -P)
+    t = libmp.from_float(-float(sigma))
+    rnd = libmp.round_nearest
+    terms = (libmp.mpf_mul(libmp.mpf_pow(libmp.from_int(v), t, prec, rnd), libmp.from_int(w))
+             for v, w in pairs)
+    return mpmath.mp.make_mpf(libmp.mpf_sum(terms, prec, rnd))
 
 
 def _eta_power_sum(sigma: float, n_top: int) -> tuple[mpmath.mpf, int]:
@@ -189,15 +206,13 @@ def _eta_power_sum(sigma: float, n_top: int) -> tuple[mpmath.mpf, int]:
     n_top**(1-sigma)/(sigma-1).  constant_C and the eta-series route of
     dedekind_zeta both take their sum from here.
 
-    Integer sigma goes through _fixed_point_power_sum (error below
-    2**-(prec+2) before the one rounding at prec); other sigma sums
-    mpmath powers with fsum, smallest terms first."""
+    eta_i = -N(w_plus(i)) is a norm and repeats (44598 distinct values
+    in the first 10**5 rows), so _power_sum takes one power per distinct
+    eta, weighted by its row count."""
     prec = max(60, int((sigma - 1) * math.log2(n_top)) + 30)
-    eta = row_table(n_top).eta
+    eta, count = np.unique(row_table(n_top).eta, return_counts=True)
     with mpmath.workprec(prec):
-        if float(sigma).is_integer():
-            return _fixed_point_power_sum(int(sigma), eta.tolist()), prec
-        return mpmath.fsum(mpmath.mpf(int(e)) ** (-sigma) for e in eta[::-1]), prec
+        return _power_sum(sigma, eta, count), prec
 
 
 def constant_C(sigma: float, kernel: Kernel | None = None,
@@ -264,7 +279,7 @@ class ZetaRoute:
     value_mp: mpmath.mpf
 
 
-_CHI5 = (0, 1, -1, -1, 1)  # the quadratic character mod 5
+_CHI5 = np.array((0, 1, -1, -1, 1))  # the quadratic character mod 5
 
 
 def dedekind_zeta(sigma: float, route: str = "eta-series",
@@ -274,13 +289,14 @@ def dedekind_zeta(sigma: float, route: str = "eta-series",
     eta-series sums the row invariants directly (tail certified via
     eta_i >= i).  euler-product-L-times-zeta multiplies the Riemann
     zeta by the character L-series mod 5, whose partial character sums
-    are bounded by 1, giving the tail 2*(N+1)**-sigma.  For integer
-    sigma both series are exact integer fixed-point sums
-    (_fixed_point_power_sum: error below 2**-(prec+2) before one
-    rounding at the working precision prec); other sigma sums mpmath
-    powers term by term.  The Bernoulli closed form (even integer sigma
-    only) rescales constant_C_closed and is exact up to arithmetic
-    rounding.
+    are bounded by 1, giving the tail 2*(N+1)**-sigma.  Both series go
+    through _power_sum at the working precision prec: one power per
+    distinct eta (weighted by its row count) or per n with chi_5(n) != 0
+    (weighted by chi_5(n)).  For integer sigma that is an exact integer
+    fixed-point sum (error below 2**-(prec+2) before one rounding);
+    other sigma add mpmath powers exactly and round once.  The
+    Bernoulli closed form (even integer sigma only) rescales
+    constant_C_closed and is exact up to arithmetic rounding.
     """
     _check_exponent(sigma)
     if route not in ZETA_ROUTES:
@@ -305,19 +321,10 @@ def dedekind_zeta(sigma: float, route: str = "eta-series",
 
     # euler-product-L-times-zeta
     prec = max(60, int(sigma * math.log2(n_top)) + 30)
+    n = np.arange(1, n_top + 1)
+    n = n[n % 5 != 0]
     with mpmath.workprec(prec):
-        if float(sigma).is_integer():
-            # chi_5 is +1 on n = +-1 and -1 on n = +-2 (mod 5)
-            lser = _fixed_point_power_sum(
-                int(sigma),
-                [*range(1, n_top + 1, 5), *range(4, n_top + 1, 5)],
-                [*range(2, n_top + 1, 5), *range(3, n_top + 1, 5)],
-            )
-        else:
-            lser = mpmath.fsum(
-                _CHI5[n % 5] * mpmath.mpf(n) ** (-sigma)
-                for n in range(n_top, 0, -1) if n % 5
-            )
+        lser = _power_sum(sigma, n, _CHI5[n % 5])
         z = mpmath.zeta(mpmath.mpf(sigma))
         v = z * lser
     tail = 2.0 * float(z) * (n_top + 1) ** (-sigma)

@@ -248,12 +248,22 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
     scale = _level_scale(n, sigma) if normalized else 1.0
 
     def terms(lo: int, hi: int) -> np.ndarray:
-        # m <= F_n/2 here, so min(m, F_n - m) = m
+        # m <= F_n/2 here, so min(m, F_n - m) = m; the weight and the
+        # sine product are formed in the argument arrays, with the
+        # operations of pair(t1, t2) / (sin(pi t1) * sin(pi t2))**sigma
         m = np.arange(lo, hi, dtype=np.int64)
-        r = (m * fn1) % fn
+        r = m * fn1
+        r %= fn
+        np.minimum(r, fn - r, out=r)
         t1 = m / fn
-        t2 = np.minimum(r, fn - r) / fn
-        return kernel.pair(t1, t2) / (np.sin(np.pi * t1) * np.sin(np.pi * t2)) ** sigma
+        t2 = r / fn
+        num = kernel.pair(t1, t2)
+        for t in (t1, t2):
+            t *= np.pi
+            np.sin(t, out=t)
+        t1 *= t2
+        t1 **= sigma
+        return np.divide(num, t1, out=t1)
 
     B = _SUM_CHUNK
     pairs = (fn - 2) // (2 * B)  # leaves 1 to 2B of the F_n - 1 terms in the middle

@@ -83,10 +83,12 @@ def _as_int(name: str, value) -> int:
 
 
 def _horner(coeffs, x):
-    """sum_j coeffs[j] * x**j in the arithmetic of x and the coefficients."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
+    """sum_j coeffs[j] * x**j in the arithmetic of x and the coefficients.
+    acc is updated in place, so an array x needs one work array."""
+    acc = x * 0 + coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc *= x
+        acc += c
     return acc
 
 
@@ -195,14 +197,28 @@ def _hurwitz_pair(sigma: float, a: np.ndarray) -> np.ndarray:
     cached _pair_coeffs; at b <= 1/2 its terms shrink by 4 or more.  1 - b
     is carried as a double plus its exact rounding error.  Relative error
     below 5e-16 against zeta at the double a for 1 < sigma <= 40; a term
-    past float64 is inf, without numpy's warning.
+    past float64 is inf, without numpy's warning.  The head
+    b**-sigma + u**-sigma * (1 - sigma*du/u) + (1+b)**-sigma is formed
+    in place, in that order.
     """
-    b = np.minimum(a, 1.0 - a)
+    b = np.atleast_1d(np.minimum(a, 1.0 - a))
     u = 1.0 - b
-    du = (1.0 - u) - b  # 1 - b = u + du exactly (Fast2Sum)
+    du = 1.0 - u
+    du -= b  # 1 - b = u + du exactly (Fast2Sum)
+    du *= sigma
+    du /= u
+    np.subtract(1.0, du, out=du)
     with np.errstate(over="ignore"):
-        head = b ** -sigma + u ** -sigma * (1.0 - sigma * du / u) + (1.0 + b) ** -sigma
-    return head + _horner(_pair_coeffs(sigma), b * b)
+        head = b ** -sigma
+        np.power(u, -sigma, out=u)
+        u *= du
+        head += u
+        np.add(1.0, b, out=du)
+        np.power(du, -sigma, out=du)
+        head += du
+    b *= b
+    head += _horner(_pair_coeffs(sigma), b)
+    return head.reshape(np.shape(a))
 
 
 def _hurwitz_pair_table(sigma: float, N: int) -> np.ndarray:
@@ -357,7 +373,9 @@ class Trig(Kernel):
 
     def eval_many(self, t: np.ndarray) -> np.ndarray:
         t = _float_array(t)
-        return _horner(self.coeffs, np.cos(t.dtype.type(_PI_STR) * t) ** 2)
+        x = np.cos(t.dtype.type(_PI_STR) * t)
+        x **= 2
+        return _horner(self.coeffs, x)
 
     def eval_mp(self, t) -> mpmath.mpf:
         return _horner(self.coeffs, mpmath.cospi(t) ** 2)

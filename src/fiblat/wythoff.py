@@ -97,7 +97,9 @@ class WythoffRow:
         return fib(k + 1) * self.floor_phi_i + fib(k) * (self.i - 1)
 
 
-@functools.lru_cache(maxsize=None)
+# bounded: a walk over 10**5 rows would otherwise keep every row (89 MB
+# peak RSS); 2**15 rows hold the 23184 distinct rows the verify suites use
+@functools.lru_cache(maxsize=1 << 15)
 def row(i: int) -> WythoffRow:
     return WythoffRow.from_index(i)
 

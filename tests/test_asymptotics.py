@@ -8,7 +8,7 @@ import pytest
 
 from fiblat.asymptotics import (
     PHI,
-    _fixed_point_power_sum,
+    _power_sum,
     approximation_errors,
     constant_C,
     constant_C_closed,
@@ -227,6 +227,13 @@ def _l_partial_sum_mp(sigma, n):
     return total / mpmath.mpf(5) ** s
 
 
+def _grouped(plus, minus):
+    """The distinct values of plus and minus with signed occurrence counts."""
+    v, inv = np.unique(np.array([*plus, *minus], dtype=np.int64), return_inverse=True)
+    w = np.bincount(inv, weights=[1] * len(plus) + [-1] * len(minus))
+    return v, w.astype(np.int64)
+
+
 @pytest.mark.parametrize("sigma", [2, 3, 4, 6, 18])
 def test_fixed_point_power_sum_against_mpmath(sigma):
     # both routes' term sets at the routes' own precision, against
@@ -244,14 +251,14 @@ def test_fixed_point_power_sum_against_mpmath(sigma):
         )
         for prec, pos, neg, reference in cases:
             with mpmath.workprec(prec):
-                got = _fixed_point_power_sum(sigma, pos, neg)
+                got = _power_sum(sigma, *_grouped(pos, neg))
             with mpmath.workprec(prec + 64):
                 want = reference()
                 assert abs(got - want) <= abs(want) * mpmath.mpf(2) ** -prec, (n, prec)
     # the eta route returns the sum itself
     z = dedekind_zeta(sigma, "eta-series", truncation=2000)
     with mpmath.workprec(max(60, int((sigma - 1) * math.log2(2000)) + 30)):
-        assert z.value_mp == _fixed_point_power_sum(sigma, row_table(2000).eta.tolist())
+        assert z.value_mp == _power_sum(sigma, *_grouped(row_table(2000).eta.tolist(), []))
 
 
 # value_mp (mantissa, exponent) of the per-term mpmath branch at

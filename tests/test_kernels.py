@@ -12,6 +12,8 @@ from fiblat.kernels import (
     Kernel,
     One,
     Trig,
+    _PI_STR,
+    _horner,
     _hurwitz_pair_table,
     _pair_coeffs,
     bernoulli_number,
@@ -113,6 +115,33 @@ def test_eval_many_keeps_the_input_dtype():
         assert wide.dtype == np.longdouble
         assert np.allclose(wide.astype(np.float64), k.eval_many(x), rtol=1e-14)
     assert kernel_trig([2, 4]).eval_many(np.array([0, 1])).tolist() == [6.0, 6.0]
+
+
+def _horner_expr(coeffs, x):
+    """Horner as one expression per step: the form _horner works in place."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _same_bits(got, want):
+    # equal values with equal signs; tobytes would also compare the
+    # padding bytes of a long double
+    return (got.dtype == want.dtype and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_in_place_horner_is_bit_equal_to_the_expression(dtype):
+    t = np.linspace(-1.5, 2.5, 1001).astype(dtype)
+    cos2 = np.cos(dtype(_PI_STR) * t) ** 2
+    for spec in ("bern:4", "bern:6", "trig:0,1"):
+        k = parse_kernel(spec)
+        for x in (cos2, t):
+            want = _horner_expr(k.coeffs, x)
+            assert want.dtype == dtype and _same_bits(_horner(k.coeffs, x), want), spec
+        assert _same_bits(k.eval_many(t), _horner_expr(k.coeffs, cos2)), spec
 
 
 def _ld_to_mpf(v) -> mpmath.mpf:

@@ -144,6 +144,17 @@ def test_floor_phi_plus_inv_matches_high_precision():
             assert floor_phi_plus_inv(x) == int(mpmath.floor(phi * x + 1 / phi))
 
 
+def test_row_cache_is_bounded():
+    # a walk past the bound evicts instead of keeping every row
+    start = row.cache_info().misses
+    for i in range(10 ** 6, 10 ** 6 + 40000):
+        row(i)
+    info = row.cache_info()
+    assert info.misses - start == 40000
+    assert info.maxsize == 1 << 15
+    assert info.currsize == info.maxsize
+
+
 def test_row_table_matches_scalar_rows():
     # integer columns at every row up to 20000 and a fixed sample up to 1e6
     tab = RowTable(10 ** 6)
