@@ -296,7 +296,7 @@ def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
     exact in int64.  Each row is summed by numpy's pairwise bracketing
     over that row alone, and 2 * (row sum) is added in ascending i, so
     the result is bit-identical to a per-row loop.  Levels n >= 44 raise
-    ValueError: their rows leave the exact int64 row columns, and so do
+    ValueError: their rows leave the exact row columns, and so do
     sums whose F_n**sigma (when normalized) or total leaves float64.
     """
     if n < 2:

@@ -29,7 +29,7 @@ __all__ = [
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoldenInt:
     """a + b*phi with a, b arbitrary-precision integers."""
 

@@ -64,6 +64,7 @@ from .wythoff import (
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite"]
 
 _GRID_SLACK = 1e-15
+_GRID_BLOCK = 100  # grid rows per block of a two-dimensional bound
 
 
 @dataclass(frozen=True)
@@ -231,6 +232,18 @@ def _suite_floor(run: _Run, limit: int) -> None:
         )
 
 
+def _holds(lhs, rhs) -> bool:
+    return bool(np.all(lhs <= rhs + _GRID_SLACK * (1.0 + np.abs(lhs) + np.abs(rhs))))
+
+
+def _grid_holds(rows: int, lhs, rhs) -> bool:
+    """_holds on a grid of `rows` rows, taken _GRID_BLOCK rows at a time
+    so that no temporary spans the whole grid; lhs(s) and rhs(s) give
+    the grid rows in slice s."""
+    return all(_holds(lhs(s), rhs(s))
+               for s in (slice(lo, lo + _GRID_BLOCK) for lo in range(0, rows, _GRID_BLOCK)))
+
+
 def _suite_ineq(run: _Run, limit: int) -> None:
     # Floor inequalities with denominators cleared, exact in Z[phi].
     # phi*i/floor(phi*i) > 1 + 1/((phi+2) i^2) becomes
@@ -255,24 +268,23 @@ def _suite_ineq(run: _Run, limit: int) -> None:
     # Calculus bounds on 1000-point grids, float with rounding slack.
     x = (2.0 / 3.0) * np.arange(1, 1001) / 1000.0
     sinx = np.sin(np.pi * x)
-
-    def _holds(lhs, rhs) -> bool:
-        return bool(
-            np.all(lhs <= rhs + _GRID_SLACK * (1.0 + np.abs(lhs) + np.abs(rhs)))
-        )
-
     run.ok(_holds(1.0 / sinx, 1.0 / x), "reciprocal sine bound fails on grid")
     inv = 1.0 / x
     for sig in (1.5, 2.0, 2.5, 4.0, 6.0):
         s_pow = sinx ** -sig
-        lhs = np.abs(s_pow[:, None] - s_pow[None, :])
-        rhs = (
-            sig
-            * math.pi ** sig
-            * (inv[:, None] + inv[None, :]) ** (sig - 1.0)
-            * np.abs(inv[:, None] - inv[None, :])
+        c = sig * math.pi ** sig
+        run.ok(
+            _grid_holds(
+                len(x),
+                lambda s: np.abs(s_pow[s, None] - s_pow[None, :]),
+                lambda s: (
+                    c
+                    * (inv[s, None] + inv[None, :]) ** (sig - 1.0)
+                    * np.abs(inv[s, None] - inv[None, :])
+                ),
+            ),
+            "sine power difference bound fails at %g", sig,
         )
-        run.ok(_holds(lhs, rhs), "sine power difference bound fails at %g", sig)
         run.ok(
             _holds((np.pi * x / sinx) ** sig - 1.0, 4.0 ** (sig + 1.0) * x * x),
             "sinc power bound fails at %g", sig,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .golden import GoldenInt, fib, floor_phi_times, golden_compare, phi_power
+from .golden import GoldenInt, fib, floor_phi_times
 
 __all__ = [
     "WythoffRow",
@@ -56,7 +56,8 @@ def _inv_phi_split() -> tuple[float, float, float]:
 
 
 _INV_PHI_SPLIT = _inv_phi_split()
-_ROW_BLOCK = 1 << 16  # rows per block of the RowTable build and the level-row scan
+_ROW_BLOCK = 1 << 16  # rows per block of the level-row scan
+_TABLE_BLOCK = 1 << 13  # rows per block of the RowTable build
 
 
 def floor_phi_plus_inv(x: int) -> int:
@@ -70,14 +71,17 @@ def floor_phi_plus_inv(x: int) -> int:
     return (x - 1 + math.isqrt(5 * (x + 1) * (x + 1))) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WythoffRow:
-    """Cached per-row data: floor(phi*i), the conjugate pair, eta, mu."""
+    """Cached per-row data: i, floor(phi*i), eta and mu.
+
+    The conjugate pair w_plus, w_minus is derived from (i, floor(phi*i))
+    on each access, so a cached row holds four ints and no ring
+    elements.
+    """
 
     i: int
     floor_phi_i: int
-    w_plus: GoldenInt
-    w_minus: GoldenInt
     eta: int
     mu: int
 
@@ -86,40 +90,56 @@ class WythoffRow:
         if i < 1:
             raise ValueError(f"row index must be >= 1, got {i}")
         L = floor_phi_times(i)
-        w_plus = GoldenInt(i - 1, L)
-        w_minus = GoldenInt(i - 1 + L, -L)
         eta = L * L - (i - 1) * (i - 1 + L)
-        mu = _mu_exact(i, L)
-        return cls(i, L, w_plus, w_minus, eta, mu)
+        return cls(i, L, eta, _mu_exact(i, L))
+
+    @property
+    def w_plus(self) -> GoldenInt:
+        """(i - 1) + floor(phi*i) * phi."""
+        return GoldenInt(self.i - 1, self.floor_phi_i)
+
+    @property
+    def w_minus(self) -> GoldenInt:
+        """(i - 1 + floor(phi*i)) - floor(phi*i) * phi, the conjugate of w_plus."""
+        return GoldenInt(self.i - 1 + self.floor_phi_i, -self.floor_phi_i)
 
     def entry(self, k: int) -> int:
         """W[i, k] for k >= 0; W[i, 0] = floor(phi*i)."""
         return fib(k + 1) * self.floor_phi_i + fib(k) * (self.i - 1)
 
 
-# bounded: a walk over 10**5 rows would otherwise keep every row (89 MB
-# peak RSS); 2**15 rows hold the 23184 distinct rows the verify suites use
+# bounded: a walk over 10**5 rows would otherwise keep every row; 2**15
+# rows (about 240 bytes each with their cache entry) hold the 23184
+# distinct rows the verify suites use
 @functools.lru_cache(maxsize=1 << 15)
 def row(i: int) -> WythoffRow:
     return WythoffRow.from_index(i)
 
 
 def _mu_exact(i: int, L: int) -> int:
-    """Largest m with phi**m < 2*w_plus(i), by exact ring comparison.
+    """Largest m with phi**m < 2*w_plus(i), exactly.
 
     2*w_plus(i) is never a power of phi, so the strict inequality is
     well defined.  A float estimate is corrected by at most a step or
-    two of exact comparisons.
+    two of the integer sign rule of _phi_pow_below, on Python ints.
     """
     a, b = 2 * (i - 1), 2 * L
     w = a + b * (1 + 5 ** 0.5) / 2
     m = int(math.log(w) / _LOG_PHI)
-    target = GoldenInt(a, b)
-    while golden_compare(phi_power(m + 1), target) < 0:
+    while _phi_pow_below_int(m + 1, a, b):
         m += 1
-    while golden_compare(phi_power(m), target) > 0:
+    while not _phi_pow_below_int(m, a, b):
         m -= 1
     return m
+
+
+def _phi_pow_below_int(m: int, a: int, b: int) -> bool:
+    """phi**m < a + b*phi for m >= 1 and a + b*phi not a power of phi:
+    the sign rule of _phi_pow_below on exact ints."""
+    fm = fib(m)
+    t = 2 * fib(m - 1) + fm - 2 * a - b
+    v = fm - b
+    return t < 0 if t * t > 5 * v * v else v < 0
 
 
 def wythoff_row_entries(i: int, k_max: int) -> list[int]:
@@ -186,7 +206,7 @@ def _level_rows(n: int):
     bounds i below (F_n + 4) / (2 phi**2).  The columns come from the
     RowTable helpers block by block; mu_i is nondecreasing in i, so each
     block is cut by searchsorted at mu_i <= n - 2 and the scan stops at
-    the first row past it.  Levels whose bound leaves the exact int64
+    the first row past it.  Levels whose bound leaves the exact row
     columns (floor(phi*i) < 2**27, so n >= 44) raise ValueError.
     """
     if n < 1:
@@ -196,7 +216,7 @@ def _level_rows(n: int):
     i_bound = (2 * x - floor_phi_times(x) - 1) // 2
     if i_bound >= 1 and floor_phi_times(i_bound) >= 1 << 27:
         raise ValueError(
-            f"level must be < 44 (its rows pass the exact int64 row "
+            f"level must be < 44 (its rows pass the exact row "
             f"columns, floor(phi*i) < 2**27), got {n}"
         )
     for lo in range(1, i_bound + 1, _ROW_BLOCK):
@@ -232,24 +252,27 @@ class RowTable:
     per-row Python objects would dominate the runtime.  Every column is
     computed by whole-array operations; the integer columns are exact
     (float estimates settled by exact int64 comparisons), which needs
-    floor(phi*i_max) < 2**27.
+    floor(phi*i_max) < 2**27.  That cap lets i and floor_phi_i be int32
+    and mu (below 45) int8; eta stays int64, and w_plus and w_minus_neg
+    are float64: 33 bytes per row.
     """
 
     def __init__(self, i_max: int):
         if i_max >= 1 and floor_phi_times(i_max) >= 1 << 27:
             raise ValueError(f"table size must keep floor(phi*i) < 2**27, got {i_max}")
         self.i_max = i_max
-        self.i = np.arange(1, i_max + 1, dtype=np.int64)
-        self.floor_phi_i = np.empty(i_max, dtype=np.int64)
+        self.i = np.arange(1, i_max + 1, dtype=np.int32)
+        self.floor_phi_i = np.empty(i_max, dtype=np.int32)
         self.eta = np.empty(i_max, dtype=np.int64)
-        self.mu = np.empty(i_max, dtype=np.int64)
+        self.mu = np.empty(i_max, dtype=np.int8)
         self.w_plus = np.empty(i_max)
         self.w_minus_neg = np.empty(i_max)
         hi, mid, lo = _INV_PHI_SPLIT
-        # filled in blocks, so the temporaries stay small beside the columns
-        for start in range(0, i_max, _ROW_BLOCK):
-            s = slice(start, start + _ROW_BLOCK)
-            i = self.i[s]
+        # filled in blocks, so the temporaries stay small beside the
+        # columns; each block is widened to int64, as 5*i*i leaves int32
+        for start in range(0, i_max, _TABLE_BLOCK):
+            s = slice(start, start + _TABLE_BLOCK)
+            i = self.i[s].astype(np.int64)
             L = _floor_phi_many(i)
             self.floor_phi_i[s] = L
             self.eta[s] = L * L - (i - 1) * (i - 1 + L)

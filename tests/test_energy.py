@@ -212,7 +212,7 @@ def test_fib_sum_rejects_bad_arguments():
     for sigma in (0.0, -1.0):
         with pytest.raises(ValueError):
             fib_sum_grouped(8, sigma)
-    # rows of level 44 pass floor(phi*i) < 2**27, the exact int64 row columns
+    # rows of level 44 pass floor(phi*i) < 2**27, the exact row columns
     with pytest.raises(ValueError, match="level must be < 44"):
         fib_sum_grouped(44, 2.0)
 

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from fiblat.verify import SUITE_NAMES, SuiteResult, run_suite
+from fiblat.verify import _GRID_BLOCK, SUITE_NAMES, SuiteResult, _grid_holds, run_suite
 
 
 def test_every_suite_passes_at_reduced_sweep():
@@ -38,3 +39,27 @@ def test_failures_carry_a_counterexample():
     assert not bad.passed
     assert "N=3" in bad.counterexample
     assert bad.as_dict()["counterexample"] == "N=3: identity broke"
+
+
+def test_grid_check_reaches_its_last_block():
+    # the last block holds the final 50 rows only
+    rows = 2 * _GRID_BLOCK + 50
+    lhs, rhs = np.zeros((rows, 7)), np.ones((rows, 7))
+
+    def holds():
+        return _grid_holds(rows, lambda s: lhs[s], lambda s: rhs[s])
+
+    assert holds()
+    lhs[-1, 6] = 2.0
+    assert not holds()
+    # rounding slack: 1e-15 relative passes, 1e-14 fails
+    lhs[-1, 6] = 1.0 + 1e-15
+    assert holds()
+    lhs[-1, 6] = 1.0 + 1e-14
+    assert not holds()
+
+
+def test_ineq_suite_checks_each_exponent_once():
+    # one check per exponent for each grid bound, as before the blocking
+    r = run_suite("ineq", limit=10)
+    assert r.passed and r.checks == 4 * 10 + 1 + 3 * 5

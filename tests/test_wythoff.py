@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 
@@ -9,10 +11,12 @@ from fiblat import wythoff
 from fiblat.golden import GoldenInt, fib, golden_compare, phi_power
 from fiblat.wythoff import (
     RowTable,
+    WythoffRow,
     _floor_phi_many,
     _level_rows,
     _mu_many,
     _phi_pow_below,
+    _phi_pow_below_int,
     dual_entry,
     dual_slot,
     floor_phi_plus_inv,
@@ -71,6 +75,45 @@ def test_threshold_brackets_twice_w_plus_exactly():
         assert golden_compare(two_wp, phi_power(r.mu + 1)) < 0
 
 
+def test_scalar_threshold_is_exact_past_the_column_edge():
+    # the scalar rows take any index: near floor(phi*i) = 2**27 and far
+    # beyond it, mu_i still brackets 2*w_plus between powers of phi
+    rows = [*range(_EDGE - 50, _EDGE + 50), *(fib(k) + d for k in (45, 60, 90) for d in (-1, 0, 1)),
+            10 ** 12 + 7, 3 * 10 ** 20]
+    for i in rows:
+        r = WythoffRow.from_index(i)
+        two_wp = 2 * r.w_plus
+        assert golden_compare(two_wp, phi_power(r.mu)) > 0, i
+        assert golden_compare(two_wp, phi_power(r.mu + 1)) < 0, i
+
+
+def test_scalar_rows_are_slotted():
+    r = row(12)
+    for obj in (r, r.w_plus, GoldenInt(1, 2)):
+        assert not hasattr(obj, "__dict__")
+    with pytest.raises(AttributeError):
+        r.eta = 0
+    assert [f.name for f in dataclasses.fields(WythoffRow)] == ["i", "floor_phi_i", "eta", "mu"]
+
+
+def test_scalar_rows_keep_their_values_equality_and_hash():
+    # against the definitions of the module docstring, on sampled rows
+    sample = [1, 2, 3, 17, 999, 10 ** 6, _EDGE, *random.Random(7).sample(range(1, 10 ** 9), 40)]
+    for i in sample:
+        L = floor_phi_times(i)
+        r = row(i)
+        assert (r.i, r.floor_phi_i) == (i, L)
+        assert r.w_plus == GoldenInt(i - 1, L)
+        assert r.w_minus == GoldenInt(i - 1 + L, -L)
+        assert r.w_minus == r.w_plus.conjugate()
+        assert [r.entry(k) for k in range(1, 25)] == wythoff_row_entries(i, 24)
+        fresh = WythoffRow.from_index(i)
+        assert fresh is not r and fresh == r and hash(fresh) == hash(r)
+        assert WythoffRow(i, L, r.eta, r.mu) == r
+        assert fresh != WythoffRow.from_index(i + 1)
+    assert len({row(i) for i in range(1, 100)} | {WythoffRow.from_index(i) for i in range(1, 100)}) == 99
+
+
 def test_rows_below_half_fib_partitions_prefix():
     for n in range(4, 21):
         fn = fib(n)
@@ -82,13 +125,15 @@ def test_rows_below_half_fib_partitions_prefix():
 
 
 def test_rows_below_half_fib_matches_scalar_rows():
-    # the row-column scan against the definition by scalar row objects
+    # the row-column scan against the definition by scalar row objects;
+    # mu_i is taken once per row up to the level-30 bound, as a walk per
+    # level would pass the row cache's bound
+    mus = []
+    while row(len(mus) + 1).mu <= 28:
+        mus.append(row(len(mus) + 1).mu)
     for n in range(1, 31):
-        want = []
-        i = 1
-        while row(i).mu <= n - 2:
-            want.append((i, n - row(i).mu - 1))
-            i += 1
+        want = [(i, n - mu - 1)
+                for i, mu in enumerate(itertools.takewhile(lambda mu: mu <= n - 2, mus), 1)]
         assert rows_below_half_fib(n) == want, n
 
 
@@ -155,6 +200,16 @@ def test_row_cache_is_bounded():
     assert info.currsize == info.maxsize
 
 
+def test_row_table_columns_are_narrow():
+    # floor(phi*i) < 2**27 bounds i and floor_phi_i in int32; mu < 45
+    tab = RowTable(5000)
+    dtypes = {name: getattr(tab, name).dtype
+              for name in ("i", "floor_phi_i", "eta", "mu", "w_plus", "w_minus_neg")}
+    assert dtypes == {"i": np.int32, "floor_phi_i": np.int32, "eta": np.int64,
+                      "mu": np.int8, "w_plus": np.float64, "w_minus_neg": np.float64}
+    assert sum(getattr(tab, name).nbytes for name in dtypes) == 33 * tab.i_max
+
+
 def test_row_table_matches_scalar_rows():
     # integer columns at every row up to 20000 and a fixed sample up to 1e6
     tab = RowTable(10 ** 6)
@@ -187,7 +242,7 @@ def test_row_table_w_minus_neg_has_no_cancellation():
         RowTable(10 ** 8)
 
 
-# largest i with floor(phi*i) < 2**27, the top of RowTable's int64 range
+# largest i with floor(phi*i) < 2**27, the top of RowTable's exact range
 _EDGE = 82951117
 
 
@@ -206,6 +261,10 @@ def test_row_columns_exact_near_the_int64_edge():
     mu = _mu_many(i, L)
     assert L.tolist() == [floor_phi_times(int(x)) for x in i]
     assert mu.tolist() == [row(int(x)).mu for x in i]
+    # RowTable's narrow columns hold the int64 values unchanged here
+    tab = RowTable(8)
+    for ref, col in ((i, tab.i), (L, tab.floor_phi_i), (mu, tab.mu)):
+        assert np.array_equal(ref.astype(col.dtype).astype(np.int64), ref)
     # the comparison on both sides of the threshold, where |t| and |v|
     # are largest, against exact ring arithmetic
     F = np.array([fib(k) for k in range(int(mu.max()) + 3)], dtype=np.int64)
@@ -215,6 +274,18 @@ def test_row_columns_exact_near_the_int64_edge():
         want = [golden_compare(phi_power(int(m)), GoldenInt(int(x), int(y))) < 0
                 for m, x, y in zip(mu + dm, a, b)]
         assert got.tolist() == want, dm
+        # and the scalar rule of row(i), on Python ints
+        assert [_phi_pow_below_int(int(m), int(x), int(y))
+                for m, x, y in zip(mu + dm, a, b)] == want, dm
+
+
+def test_scalar_sign_rule_matches_the_ring_on_generic_elements():
+    # rows give t and v of one sign; generic a + b*phi exercise both branches
+    rng = random.Random(11)
+    for _ in range(3000):
+        m, a, b = rng.randint(1, 40), rng.randint(-10 ** 8, 10 ** 8), rng.randint(-10 ** 8, 10 ** 8)
+        want = golden_compare(phi_power(m), GoldenInt(a, b)) < 0
+        assert _phi_pow_below_int(m, a, b) == want, (m, a, b)
 
 
 @pytest.mark.parametrize("phi_scale, log_scale", [(1 + 1e-9, 1.01), (1 - 1e-9, 0.99)])
@@ -232,3 +303,5 @@ def test_row_columns_correct_a_wrong_estimate(monkeypatch, phi_scale, log_scale)
     w = (i - 1) + L * wythoff._PHI
     assert np.any(np.floor(np.log(2 * w) / wythoff._LOG_PHI).astype(np.int64) != mu_exact)
     assert np.array_equal(_mu_many(i, L), mu_exact)
+    # the scalar rows settle the same skewed estimate (fresh, not cached)
+    assert [WythoffRow.from_index(int(x)).mu for x in i] == mu_exact.tolist()
