@@ -63,7 +63,6 @@ from .golden import (
     GoldenInt,
     fib,
     floor_phi_times,
-    golden_compare,
     lucas,
     phi_power,
 )
@@ -76,12 +75,8 @@ from .kernels import (
     dft_coeff_sum_exact,
     dft_coeffs,
     dft_coeffs_even,
-    f_sigma,
-    hurwitz_zeta,
     kernel_bernoulli_weight,
-    kernel_fsigma,
     kernel_one,
-    kernel_trig,
     parse_kernel,
     potential_K,
     zeta,
@@ -112,10 +107,9 @@ __all__ = [
     "cos2sin4_closed", "cot_power_sums", "dedekind_zeta", "delta_mp",
     "delta_star_mp", "dft_coeff_sum_exact", "dft_coeffs", "dft_coeffs_even",
     "dual_entry", "dual_slot", "energy", "energy_dft", "energy_direct",
-    "exact_constants", "f_sigma", "fib", "fib_sum", "fib_sum_grouped",
+    "exact_constants", "fib", "fib_sum", "fib_sum_grouped",
     "floor_phi_plus_inv", "floor_phi_times", "gen_dedekind_sum",
-    "golden_compare", "half_fib_witness", "hurwitz_zeta", "hwz_check",
-    "kernel_bernoulli_weight", "kernel_fsigma", "kernel_one", "kernel_trig",
+    "half_fib_witness", "hwz_check", "kernel_bernoulli_weight", "kernel_one",
     "lattice_points", "lucas", "parse_kernel", "phi_power", "potential_K",
     "prefactor", "residual_fit", "row", "row_table", "rows_below_half_fib",
     "run_suite", "s13_closed", "s22_closed", "s22_from_trig_sum",

@@ -447,7 +447,7 @@ def _check_sweep_range(sigma: float, kernel: Kernel, tab, k_max: int) -> None:
     pi * max(w_plus) * phi**k_max (the dual side's w0 is under
     2 * w_plus).  The weight is tried at the smallest argument,
     min(-w_minus, 1/2) * phi**-k_max (the dual side starts at or above
-    1/2): f_sigma forms argument**-sigma."""
+    1/2): the fsigma weight forms argument**-sigma."""
     pref = prefactor(sigma, kernel.value_at_zero)
     g_max = math.pi ** 2 * (float(tab.eta.max()) + 1) / math.sqrt(5)
     log_max = math.log(sys.float_info.max)

@@ -116,8 +116,18 @@ def energy_direct(potential, points) -> float | Fraction:
     return total
 
 
+def _check_lattice(N: int, h: int) -> None:
+    """ValueError unless N >= 1 and gcd(h, N) = 1, so Lambda_{N,h} exists."""
+    if N < 1:
+        raise ValueError(f"modulus must be >= 1, got {N}")
+    if math.gcd(h, N) != 1:
+        raise ValueError(f"generator {h} not coprime to {N}")
+
+
 def energy_dft(coeffs, N: int, h: int) -> float:
-    """E = N^2 sum_m chat(m) chat(h m mod N) from an N-periodic table."""
+    """E = N^2 sum_m chat(m) chat(h m mod N) from an N-periodic table;
+    ValueError unless Lambda_{N,h} is a lattice (N >= 1, gcd(h, N) = 1)."""
+    _check_lattice(N, h)
     if len(coeffs) != N:
         raise ValueError(f"coefficient table has length {len(coeffs)}, expected {N}")
     c = np.asarray(coeffs, dtype=np.float64)
@@ -135,11 +145,11 @@ def wce_e(sigma: float, p: float, N: int, h: int) -> float:
     vectorized Hurwitz pair table as dft_coeffs (relative error ~1e-15).
     The table is scaled by (2 pi N)**-sigma before the pairing sum so
     the products stay in range; sizes where (2 pi N)**sigma overflows
-    float64, or above kernels._PAIR_TABLE_MAX_N, raise ValueError.
+    float64, or above kernels._PAIR_TABLE_MAX_N, raise ValueError, and so
+    do N < 1 and gcd(h, N) != 1.
     """
     _check_exponent(sigma)
-    if math.gcd(h, N) != 1:
-        raise ValueError(f"generator {h} not coprime to {N}")
+    _check_lattice(N, h)
     z = zeta(sigma)
     scale = (_TWO_PI * N) ** -sigma
     acc = 4 * p * z * scale + 4 * p * p * z * z * scale * scale

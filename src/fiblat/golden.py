@@ -22,7 +22,6 @@ __all__ = [
     "GoldenInt",
     "fib",
     "lucas",
-    "golden_compare",
     "floor_phi_times",
     "phi_power",
 ]
@@ -123,11 +122,6 @@ def lucas(n: int) -> int:
         raise ValueError(f"negative index: {n}")
     fn, fn1 = _fib_doubling(n)
     return 2 * fn1 - fn
-
-
-def golden_compare(x: GoldenInt, y: GoldenInt) -> int:
-    """-1, 0 or 1 as the real value of x is <, == or > that of y."""
-    return (x - y).sign()
 
 
 def floor_phi_times(i: int) -> int:

@@ -6,15 +6,19 @@ The central potential is
 
 whose lattice DFT coefficients come either from Hurwitz zeta values
 (any sigma > 1) or, for even sigma = 2s, from derivatives of the
-cotangent and Bernoulli polynomials.  Hurwitz zeta has one scalar path
-and oracle, mpmath.zeta, and one float64 engine for the pair
-zeta(sigma, a) + zeta(sigma, 1-a), _hurwitz_pair, behind the DFT tables
-and f_sigma_many.  Weight functions f enter the energy sums as
-f(t1) f(t2) / |sin sin|**sigma; each family is a Kernel class: Trig, the
-even trigonometric polynomials sum_j a_j cos(pi t)**(2j); One, the
-constant 1, trig:1 evaluated without arrays; and FSigma,
+cotangent and Bernoulli polynomials.  Scalar zeta values are
+mpmath.zeta, which is also the oracle; the pair
+zeta(sigma, a) + zeta(sigma, 1-a) has one float64 engine, _hurwitz_pair,
+behind the DFT tables and f_sigma_many.  Weight functions f enter the
+energy sums as f(t1) f(t2) / |sin sin|**sigma; each family is a Kernel
+class: Trig, the even trigonometric polynomials
+sum_j a_j cos(pi t)**(2j); One, the constant 1, trig:1 evaluated without
+arrays; and FSigma, the zeta-family weight
 
-    f_sigma(a) = sin(pi a)**sigma * (zeta(sigma, a) + zeta(sigma, 1-a)).
+    f(a) = sin(pi a)**sigma * (zeta(sigma, a) + zeta(sigma, 1-a)).
+
+A weight's float values, scalar or array, come from its eval_many, and
+its oracle is eval_mp.
 """
 from __future__ import annotations
 
@@ -33,9 +37,7 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
     "bernoulli_poly_coeffs",
-    "hurwitz_zeta",
     "zeta",
-    "f_sigma",
     "f_sigma_many",
     "cot_derivative_poly",
     "even_weight_coeffs",
@@ -44,8 +46,6 @@ __all__ = [
     "Trig",
     "FSigma",
     "kernel_one",
-    "kernel_fsigma",
-    "kernel_trig",
     "kernel_bernoulli_weight",
     "parse_kernel",
     "KERNEL_GRAMMAR",
@@ -126,51 +126,20 @@ def bernoulli_poly(m: int, t):
     return _horner([float(c) for c in coeffs], t)
 
 
-def hurwitz_zeta(sigma: float, a, *, tol: float = 1e-13) -> float:
-    """zeta(sigma, a) = sum_{n >= 0} (n + a)**-sigma for sigma > 1, a > 0,
-    by mpmath.zeta.
-
-    Absolute error below tol; working precision is raised as needed so
-    that tolerances far below the magnitude of the result are honored.
-    Where a**-sigma / tol leaves float64 it raises ValueError.
-    """
-    _check_exponent(sigma)
-    if a <= 0:
-        raise ValueError(f"offset must be positive, got {a}")
-    try:  # the power, or ceil of an infinite log, raises OverflowError
-        mag = float(a) ** -sigma + 2.0
-        prec = max(70, math.ceil(math.log2(mag / tol)) + 30)
-    except OverflowError:
-        raise ValueError(f"zeta({sigma:g}, {float(a):g})/tol overflows float64") from None
-    with mpmath.workprec(prec):
-        if isinstance(a, Fraction):
-            a = mpmath.mpf(a.numerator) / a.denominator
-        return float(mpmath.zeta(sigma, a))
-
-
 def zeta(sigma: float) -> float:
-    """Riemann zeta for sigma > 1, as the a = 1 Hurwitz value."""
-    return hurwitz_zeta(sigma, 1)
+    """Riemann zeta for sigma > 1: mpmath.zeta at 75 bits, rounded to a
+    double."""
+    _check_exponent(sigma)
+    with mpmath.workprec(75):
+        return float(mpmath.zeta(sigma))
 
 
 def _pi_power(sigma: float) -> float:
-    """pi**sigma, f_sigma at 0; ValueError where it leaves float64."""
+    """pi**sigma, the fsigma weight at 0; ValueError where it leaves float64."""
     try:
         return math.pi ** sigma
     except OverflowError:
         raise ValueError(f"pi**sigma overflows float64 at sigma={sigma:g}") from None
-
-
-def f_sigma(sigma: float, a: float) -> float:
-    """sin(pi a)**sigma * (zeta(sigma, a) + zeta(sigma, 1 - a)) on [0, 1)
-    by hurwitz_zeta: pi**sigma at 0, symmetric about 1/2, and ValueError
-    where pi**sigma or a zeta value leaves float64."""
-    a = a % 1.0
-    if a == 0.0:
-        return _pi_power(sigma)
-    z = hurwitz_zeta(sigma, a) + hurwitz_zeta(sigma, 1 - a)
-    # sin(pi a) near a = 1 would lose the rounding of pi*a; 1 - a is exact
-    return math.sin(math.pi * min(a, 1.0 - a)) ** sigma * z
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,9 +219,10 @@ def _hurwitz_pair_table(sigma: float, N: int) -> np.ndarray:
 
 
 def f_sigma_many(sigma: float, a: np.ndarray) -> np.ndarray:
-    """Vectorized f_sigma, float64: sin(pi b)**sigma * _hurwitz_pair with
-    b = min(a, 1 - a), a reduced mod 1; a = 0 gives pi**sigma, as in
-    f_sigma.  ValueError where pi**sigma or the pair leaves float64."""
+    """The fsigma weight in float64: sin(pi b)**sigma * _hurwitz_pair with
+    b = min(a, 1 - a), a reduced mod 1, so the sine never carries the
+    rounding of pi*a near a = 1; a = 0 gives the limit pi**sigma.
+    ValueError where pi**sigma or the pair leaves float64."""
     at_zero = _pi_power(sigma)
     a = np.mod(np.asarray(a, dtype=np.float64), 1.0)
     zero = a == 0.0
@@ -260,7 +230,7 @@ def f_sigma_many(sigma: float, a: np.ndarray) -> np.ndarray:
     pair = _hurwitz_pair(sigma, np.where(zero, 0.5, b))  # 0.5: replaced below
     if np.isinf(pair).any():
         a_min = b[np.isinf(pair)].min()
-        raise ValueError(f"f_sigma leaves float64 at sigma={sigma:g}, a={a_min:g}")
+        raise ValueError(f"the fsigma weight leaves float64 at sigma={sigma:g}, a={a_min:g}")
     return np.where(zero, at_zero, np.sin(np.pi * b) ** sigma * pair)
 
 
@@ -317,10 +287,15 @@ def _float_array(t) -> np.ndarray:
 class Kernel:
     """A weight function f on the torus, one subclass per family.  Each has
     name, value_at_zero, trig_coeffs, holder_alpha (assumed smoothness, as
-    data) and the class constant kind, and gives f at t mod 1 by eval,
-    eval_many (in t's float dtype) and eval_mp (in the caller's context).
-    Each class checks its fields on construction and raises ValueError
-    for a weight it cannot evaluate."""
+    data) and the class constant kind, and gives f at t mod 1 by
+    eval_many (in t's float dtype), its one float path, and by eval_mp
+    (in the caller's context), its oracle.  Each class checks its fields
+    on construction and raises ValueError for a weight it cannot
+    evaluate."""
+
+    def eval(self, t: float) -> float:
+        """f(t) as a Python float: eval_many at the double t."""
+        return float(self.eval_many(np.float64(t)))
 
     def pair(self, t1, t2):
         """The numerator f(t1) * f(t2) of a lattice-sum term, for arrays."""
@@ -368,9 +343,6 @@ class Trig(Kernel):
             coeffs = coeffs[:-1]
         return coeffs
 
-    def eval(self, t: float) -> float:
-        return _horner(self.coeffs, math.cos(math.pi * (t % 1.0)) ** 2)
-
     def eval_many(self, t: np.ndarray) -> np.ndarray:
         t = _float_array(t)
         x = np.cos(t.dtype.type(_PI_STR) * t)
@@ -398,13 +370,15 @@ class One(Trig):
 
 @dataclass(frozen=True)
 class FSigma(Kernel):
-    """f_sigma, continued by pi**sigma at t = 0; eval_many runs at double."""
+    """sin(pi t)**sigma * (zeta(sigma, t) + zeta(sigma, 1 - t)), continued
+    by pi**sigma at t = 0; eval_many runs at double."""
 
     kind = "fsigma"
     coeffs = label = trig_coeffs = None
     sigma: float
 
     def __post_init__(self):
+        object.__setattr__(self, "sigma", float(self.sigma))
         _check_exponent(self.sigma)
 
     @property
@@ -418,9 +392,6 @@ class FSigma(Kernel):
     @property
     def holder_alpha(self) -> float:
         return min(1.0, self.sigma - 1)
-
-    def eval(self, t: float) -> float:
-        return f_sigma(self.sigma, t)
 
     def eval_many(self, t: np.ndarray) -> np.ndarray:
         t = _float_array(t)
@@ -436,14 +407,6 @@ class FSigma(Kernel):
 
 def kernel_one() -> Kernel:
     return One()
-
-
-def kernel_fsigma(sigma: float) -> Kernel:
-    return FSigma(float(sigma))
-
-
-def kernel_trig(coeffs) -> Kernel:
-    return Trig(tuple(coeffs))
 
 
 def kernel_bernoulli_weight(two_s: int) -> Kernel:
@@ -472,14 +435,14 @@ def parse_kernel(spec: str, *, sigma: float | None = None) -> Kernel:
     if spec == "fsigma":
         if sigma is None:
             raise ValueError("kernel fsigma requires a sigma value")
-        return kernel_fsigma(sigma)
+        return FSigma(sigma)
     if spec.startswith("trig:"):
         body = spec[len("trig:"):]
         try:
             coeffs = [int(x) for x in body.split(",") if x.strip() != ""]
         except ValueError:
             raise ValueError(f"bad trig coefficients {body!r}; grammar: {KERNEL_GRAMMAR}")
-        return kernel_trig(coeffs)
+        return Trig(coeffs)
     if spec.startswith("bern:"):
         body = spec[len("bern:"):]
         try:

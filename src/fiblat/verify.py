@@ -48,7 +48,7 @@ from .dedekind import (
     sigma2_closed,
     sigma2_closed_abstract,
 )
-from .golden import GoldenInt, fib, golden_compare
+from .golden import GoldenInt, fib
 from .kernels import dft_coeff_sum_exact, dft_coeffs, dft_coeffs_even, potential_K
 from .wythoff import (
     dual_entry,
@@ -212,7 +212,7 @@ def _suite_floor(run: _Run, limit: int) -> None:
         L = floor_phi_times(n)
         m2 = n + L  # floor(phi^2 n), since phi^2 = phi + 1
         run.ok(
-            golden_compare(phi * L, GoldenInt(m2, 0)) < 0,
+            phi * L < GoldenInt(m2, 0),
             "floor product bound fails at %d", n,
         )
         run.ok(
@@ -255,11 +255,11 @@ def _suite_ineq(run: _Run, limit: int) -> None:
         i3 = i * i * i
         lhs = GoldenInt(i3, 3 * i3)
         rhs = GoldenInt(L * (2 * i * i + 1), L * i * i)
-        run.ok(golden_compare(lhs, rhs) > 0, "lower floor bound fails at %d", i)
+        run.ok(lhs > rhs, "lower floor bound fails at %d", i)
         lhs = GoldenInt(2 * i3, 4 * i3)
         c = L + 1
         rhs = GoldenInt(c * (2 * i * i - 1), 2 * i * i * c)
-        run.ok(golden_compare(lhs, rhs) <= 0, "upper floor bound fails at %d", i)
+        run.ok(lhs <= rhs, "upper floor bound fails at %d", i)
         # integer forms of the fractional-part bounds: the norms of
         # L - i*phi and (L+1) - i*phi never vanish
         run.ok(i * i + i * L - L * L >= 1, "lower norm bound fails at %d", i)

@@ -34,7 +34,7 @@ from fiblat.dedekind import (
 )
 from fiblat.energy import RationalLattice, energy, fib_sum
 from fiblat.golden import fib
-from fiblat.kernels import kernel_bernoulli_weight, kernel_one, kernel_trig
+from fiblat.kernels import Trig, kernel_bernoulli_weight, kernel_one
 from fiblat.verify import run_suite
 
 
@@ -62,7 +62,7 @@ def test_criterion_03_trig_sums_match_closed_forms():
         (4.0, kernel_bernoulli_weight(4), sigma4_closed),
         (6.0, kernel_bernoulli_weight(6), sigma6_closed),
         (4.0, kernel_one(), sin4_closed),
-        (4.0, kernel_trig([0, 1]), cos2sin4_closed),
+        (4.0, Trig([0, 1]), cos2sin4_closed),
     )
     for sigma, kern, closed in cases:
         for n in range(5, 17):

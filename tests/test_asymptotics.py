@@ -21,7 +21,7 @@ from fiblat.asymptotics import (
     residual_fit,
     ZETA_ROUTES,
 )
-from fiblat.kernels import kernel_bernoulli_weight, kernel_fsigma, kernel_one, parse_kernel
+from fiblat.kernels import FSigma, kernel_bernoulli_weight, kernel_one, parse_kernel
 from fiblat.wythoff import row, row_table
 
 
@@ -39,10 +39,10 @@ def test_prefactor_overflow_is_a_value_error():
 
 def test_offset_series_outside_float64_is_a_value_error():
     # a float64 pass would overflow in pi**(2*sigma), in g**sigma and in
-    # f_sigma's argument**-sigma, and its result would be no bound on D
+    # the fsigma weight's argument**-sigma, and its result would be no bound on D
     cases = ((320.0, None, 4, "pi\\*\\*\\(2\\*sigma\\)"),
-             (200.0, kernel_fsigma(200.0), 4, "sqrt5\\)\\*\\*sigma"),
-             (25.0, kernel_fsigma(25.0), 64, "f_sigma leaves float64"),
+             (200.0, FSigma(200.0), 4, "sqrt5\\)\\*\\*sigma"),
+             (25.0, FSigma(25.0), 64, "fsigma weight leaves float64"),
              (2.0, None, 1500, "k_max=1500"))
     for sigma, kernel, k_max, match in cases:
         with pytest.raises(ValueError, match=match):
@@ -80,7 +80,7 @@ def _oracle_offset(sigma, kernel, i_max, k_max, prec=100):
 
 
 def test_offset_sweep_matches_mp_oracle():
-    for sigma, kernel in ((2.0, kernel_one()), (2.5, kernel_fsigma(2.5)),
+    for sigma, kernel in ((2.0, kernel_one()), (2.5, FSigma(2.5)),
                           (4.0, kernel_bernoulli_weight(4))):
         want = _oracle_offset(sigma, kernel, 12, 32)
         got = constant_D(sigma, kernel, i_max=12, k_max=32)
@@ -366,7 +366,7 @@ def test_table_constants_match_closed_C_and_bound_series_D(sigma, weight):
 
 def test_exact_constants_cover_only_closed_families():
     assert exact_constants(2.0) == exact_constants(2)
-    assert exact_constants(2.5, kernel_fsigma(2.5)) is None
+    assert exact_constants(2.5, FSigma(2.5)) is None
     assert exact_constants(4, parse_kernel("trig:1,1")) is None
     assert exact_constants(6, kernel_one()) is None
 

@@ -141,7 +141,7 @@ def test_quadratic_closed_forms_agree():
 
 def test_trig_closed_forms_match_float_lattice_sums():
     from fiblat.energy import fib_sum
-    from fiblat.kernels import kernel_bernoulli_weight, kernel_one, kernel_trig
+    from fiblat.kernels import Trig, kernel_bernoulli_weight, kernel_one
 
     for n in range(5, 13):
         pairs = [
@@ -149,7 +149,7 @@ def test_trig_closed_forms_match_float_lattice_sums():
             (sigma4_closed(n), fib_sum(n, 4, kernel_bernoulli_weight(4), normalized=False)),
             (sigma6_closed(n), fib_sum(n, 6, kernel_bernoulli_weight(6), normalized=False)),
             (sin4_closed(n), fib_sum(n, 4, kernel_one(), normalized=False)),
-            (cos2sin4_closed(n), fib_sum(n, 4, kernel_trig([0, 1]), normalized=False)),
+            (cos2sin4_closed(n), fib_sum(n, 4, Trig([0, 1]), normalized=False)),
         ]
         for exact, approx in pairs:
             assert approx == pytest.approx(float(exact), rel=1e-10)

@@ -20,11 +20,11 @@ from fiblat.energy import (
 )
 from fiblat.golden import fib, lucas
 from fiblat.kernels import (
+    FSigma,
+    Trig,
     dft_coeffs,
     kernel_bernoulli_weight,
-    kernel_fsigma,
     kernel_one,
-    kernel_trig,
     parse_kernel,
     potential_K,
 )
@@ -89,6 +89,17 @@ def test_dft_energy_definition():
         energy_dft(c, 9, 2)
 
 
+def test_energy_routes_need_a_lattice():
+    # N < 1 or gcd(h, N) != 1 names no lattice Lambda_{N,h}
+    for N, h in ((-5, 2), (0, 1), (-3, 1)):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            wce_e(2.5, 1.0, N, h)
+    with pytest.raises(ValueError, match="generator 2 not coprime to 10"):
+        wce_e(2.0, 1.0, 10, 2)
+    with pytest.raises(ValueError, match="generator 2 not coprime to 10"):
+        energy_dft(dft_coeffs(2.0, 1.0, 10), 10, 2)
+
+
 def test_wce_shift_identity():
     # energy = N^2 (1 + e) definitionally ties the two reports together
     for N, h in ((5, 3), (13, 8)):
@@ -114,7 +125,7 @@ def test_wce_quadratic_closed_form():
 def test_fib_sum_flat_equals_grouped():
     for n in (5, 8, 11, 14):
         for sigma in (2.0, 2.5, 4.0):
-            for kernel in (kernel_one(), kernel_bernoulli_weight(4), kernel_trig([0, 1])):
+            for kernel in (kernel_one(), kernel_bernoulli_weight(4), Trig([0, 1])):
                 a = fib_sum(n, sigma, kernel)
                 b = fib_sum_grouped(n, sigma, kernel)
                 assert b == pytest.approx(a, rel=1e-11)
@@ -129,6 +140,16 @@ def test_fib_sum_grouped_covers_even_modulus_midpoint():
     # a midpoint f(1/2)^2 = 1 missed or doubled would move the total by
     # 1/28109, far past the tolerance
     assert b == pytest.approx(float(sigma2_closed(n)), rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [1.5, 2.5])
+def test_fib_sum_grouped_midpoint_is_the_flat_term(sigma):
+    # F_3 = 2: the midpoint m = 1 is the only term, and both sums take
+    # f(1/2) from the weight's one float path
+    k = FSigma(sigma)
+    for normalized in (True, False):
+        assert (fib_sum_grouped(3, sigma, k, normalized=normalized)
+                == fib_sum(3, sigma, k, normalized=normalized)), normalized
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,7 +215,7 @@ def test_fib_sum_normalization_scale():
 
 
 def test_fib_sum_with_singular_weight_runs():
-    v = fib_sum(10, 2.5, kernel_fsigma(2.5))
+    v = fib_sum(10, 2.5, FSigma(2.5))
     assert math.isfinite(v) and v > 0
 
 
@@ -225,7 +246,7 @@ def test_fib_sum_streams_several_blocks():
 
 def test_fib_sum_single_block_levels_are_unchanged():
     # up to F_24 the sweep is one block, summed exactly as a flat array
-    for n, sigma, kernel in ((24, 2.0, kernel_one()), (20, 2.5, kernel_fsigma(2.5))):
+    for n, sigma, kernel in ((24, 2.0, kernel_one()), (20, 2.5, FSigma(2.5))):
         fn, fn1 = fib(n), fib(n - 1)
         m = np.arange(1, fn, dtype=np.int64)
         r = (m * fn1) % fn

@@ -22,13 +22,9 @@ from fiblat.kernels import (
     dft_coeff_sum_exact,
     dft_coeffs,
     dft_coeffs_even,
-    f_sigma,
     f_sigma_many,
-    hurwitz_zeta,
     kernel_bernoulli_weight,
-    kernel_fsigma,
     kernel_one,
-    kernel_trig,
     parse_kernel,
     potential_K,
     zeta,
@@ -56,65 +52,57 @@ def test_bernoulli_polynomials_exact():
             assert bernoulli_poly(m, 1 - x) == (-1) ** m * bernoulli_poly(m, x)
 
 
-def test_hurwitz_zeta_against_mpmath():
-    # the offset is taken exactly, and tol far below the value is honored
-    third = hurwitz_zeta(2.5, Fraction(1, 3), tol=1e-30)
-    with mpmath.workprec(120):
-        assert third == float(mpmath.zeta(2.5, mpmath.mpf(1) / 3))
-    assert hurwitz_zeta(40.0, 1e-3, tol=1e-13) == pytest.approx(1e120, rel=1e-15)
-    with pytest.raises(ValueError):
-        hurwitz_zeta(1.0, 0.5)
-    with pytest.raises(ValueError):
-        hurwitz_zeta(2.0, 0)
-    with mpmath.workprec(80):
-        for s in (1.5, 2.0, 2.5, 4.0, 6.0):
-            for a in (0.05, 0.1, 0.3, 0.5, 0.77, 1.0):
-                want = float(mpmath.zeta(s, a))
-                assert hurwitz_zeta(s, a, tol=1e-14) == pytest.approx(
-                    want, rel=1e-12
-                )
-        assert zeta(2.0) == pytest.approx(math.pi ** 2 / 6, rel=1e-13)
-        assert zeta(3.5) == pytest.approx(float(mpmath.zeta(3.5)), rel=1e-13)
+def test_zeta_against_mpmath():
+    # mpmath.zeta at 75 bits, rounded once: within an ulp of the 200-bit value
+    assert zeta(2.0) == pytest.approx(math.pi ** 2 / 6, rel=1e-15)
+    with mpmath.workprec(200):
+        for s in (1.001, 1.5, 2.5, 3.5, 6.0, 40.0, 300.0):
+            want = mpmath.zeta(s)
+            assert abs(zeta(s) - want) <= 2.0 ** -52 * want, s
+    with pytest.raises(ValueError, match="exceed 1"):
+        zeta(1.0)
 
 
 def test_f_sigma_is_symmetric_and_matches_scalar():
     for s in (2.0, 2.5, 4.0):
+        k = FSigma(s)
         for a in (0.1, 0.25, 0.4):
-            assert f_sigma(s, a) == pytest.approx(f_sigma(s, 1 - a), rel=1e-12)
-    k = kernel_fsigma(2.5)
-    xs = np.array([0.1, 0.2, 0.35, 0.5])
-    many = k.eval_many(xs)
-    for x, v in zip(xs, many):
-        assert v == pytest.approx(k.eval(float(x)), rel=1e-10)
+            assert k.eval(a) == pytest.approx(k.eval(1 - a), rel=1e-12)
+    # the scalar value against the oracle
+    k = FSigma(2.5)
+    with mpmath.workprec(80):
+        for x in (0.1, 0.2, 0.35, 0.5):
+            assert k.eval(x) == pytest.approx(float(k.eval_mp(mpmath.mpf(x))), rel=1e-14)
 
 
 def test_eval_many_matches_eval_outside_the_unit_interval():
-    # t is a point of the torus: eval_many reduces mod 1 like eval, and the
-    # zeta weight takes its limit pi**sigma at t = 0
-    t = np.array([0.0, 1.0, 1.3, -0.2])
-    for k in (kernel_one(), kernel_fsigma(2.5), kernel_bernoulli_weight(6),
-              kernel_trig([0, 1])):
+    # t is a point of the torus: eval_many gives f at t mod 1, and the zeta
+    # weight takes its limit pi**sigma at t = 0.  A weight has one float
+    # path, so eval is eval_many at one double, bit for bit
+    t = np.array([0.0, 0.1, 1 / 3, 0.5, 0.77, 1.0, 1.3, -0.2, 1 - 1e-9])
+    for k in (kernel_one(), FSigma(2.5), kernel_bernoulli_weight(6), Trig((0, 1))):
         many = k.eval_many(t)
         assert np.all(np.isfinite(many)), k.name
         for x, v in zip(t, many):
-            assert v == pytest.approx(k.eval(float(x)), rel=1e-12), (k.name, x)
+            got = k.eval(float(x))
+            assert type(got) is float and got == v, (k.name, x)
         # so does eval_mp, and every family takes f(0) there
         with mpmath.workprec(80):
             for x in t:
                 got = k.eval_mp(mpmath.mpf(float(x)))
                 assert float(got) == pytest.approx(k.eval(float(x)), rel=1e-12), (k.name, x)
             assert float(k.eval_mp(0)) == pytest.approx(k.value_at_zero, rel=1e-15), k.name
-    assert kernel_fsigma(2.5).eval_many(t)[0] == math.pi ** 2.5
+    assert FSigma(2.5).eval_many(t)[0] == math.pi ** 2.5
 
 
 def test_eval_many_keeps_the_input_dtype():
     x = np.array([0.05, 0.2, 1 / 3, 0.45, 0.5])
-    for k in (kernel_one(), kernel_fsigma(2.5), kernel_bernoulli_weight(4)):
+    for k in (kernel_one(), FSigma(2.5), kernel_bernoulli_weight(4)):
         assert k.eval_many(x).dtype == np.float64
         wide = k.eval_many(x.astype(np.longdouble))
         assert wide.dtype == np.longdouble
         assert np.allclose(wide.astype(np.float64), k.eval_many(x), rtol=1e-14)
-    assert kernel_trig([2, 4]).eval_many(np.array([0, 1])).tolist() == [6.0, 6.0]
+    assert Trig([2, 4]).eval_many(np.array([0, 1])).tolist() == [6.0, 6.0]
 
 
 def _horner_expr(coeffs, x):
@@ -168,15 +156,15 @@ def test_kernel_values_at_zero_and_smoothness_class():
     assert kernel_bernoulli_weight(6).coeffs == (16, 88, 16)
     assert kernel_bernoulli_weight(4).value_at_zero == 6.0
     assert kernel_bernoulli_weight(6).value_at_zero == 120.0
-    assert kernel_fsigma(2.5).value_at_zero == pytest.approx(math.pi ** 2.5)
+    assert FSigma(2.5).value_at_zero == pytest.approx(math.pi ** 2.5)
     assert kernel_one().holder_alpha == 1.0
-    assert kernel_trig([1, 2]).holder_alpha == 1.0
-    assert kernel_fsigma(1.5).holder_alpha == 0.5
-    assert kernel_fsigma(4.0).holder_alpha == 1.0
+    assert Trig([1, 2]).holder_alpha == 1.0
+    assert FSigma(1.5).holder_alpha == 0.5
+    assert FSigma(4.0).holder_alpha == 1.0
 
 
 def test_trig_kernel_evaluates_cosine_polynomial():
-    k = kernel_trig([2, 4])
+    k = Trig([2, 4])
     for t in (0.0, 0.1, 0.33, 0.5, 0.91):
         u = math.cos(math.pi * t) ** 2
         assert k.eval(t) == pytest.approx(2 + 4 * u, rel=1e-15)
@@ -208,16 +196,16 @@ def test_each_family_is_a_kernel_class():
     # one is trig:1 under its own name, evaluated without arrays
     assert isinstance(kernel_one(), Trig) and kernel_one().coeffs == (1,)
     assert kernel_one().pair(np.full(3, 0.25), np.full(3, 0.5)) == 1.0
-    assert kernel_fsigma(2.5).coeffs is None and kernel_one().sigma is None
+    assert FSigma(2.5).coeffs is None and kernel_one().sigma is None
 
 
 def test_oversized_weights_are_rejected():
     # sum |a_j| must fit in a float64; bern:2s has f(0) = (2s-1)!, which
     # overflows from bern:172 on
     with pytest.raises(ValueError, match="too large"):
-        kernel_trig([1, 10 ** 400])
+        Trig([1, 10 ** 400])
     with pytest.raises(ValueError, match="too large"):
-        kernel_trig([10 ** 308, -(10 ** 308)])
+        Trig([10 ** 308, -(10 ** 308)])
     assert kernel_bernoulli_weight(170).value_at_zero == float(math.factorial(169))
     for two_s in (172, 200, 1990):
         with pytest.raises(ValueError, match="too large"):
@@ -300,7 +288,7 @@ def test_f_sigma_is_accurate_near_one():
         with mpmath.workprec(120):
             x = mpmath.mpf(a)
             want = mpmath.sinpi(x) ** 2.5 * (mpmath.zeta(2.5, x) + mpmath.zeta(2.5, 1 - x))
-        for got in (f_sigma(2.5, a), f_sigma_many(2.5, np.array([a]))[0]):
+        for got in (FSigma(2.5).eval(a), f_sigma_many(2.5, np.array([a]))[0]):
             assert abs(got - want) <= 4e-15 * want, a
 
 
@@ -316,25 +304,24 @@ def test_pair_coeffs_are_built_once_per_sigma():
 
 
 def test_f_sigma_outside_float64_is_a_value_error():
-    # zeta(40, 1e-9) ~ 1e360; f_sigma itself is finite there, ~pi**40,
-    # but both routes form the zeta values and refuse instead of
-    # raising OverflowError or returning nan
-    with pytest.raises(ValueError, match="overflows float64"):
-        hurwitz_zeta(40.0, 1e-9)
-    for call in (lambda: f_sigma(40.0, 1e-9), lambda: f_sigma(40.0, 1 - 1e-9)):
-        with pytest.raises(ValueError, match="float64"):
-            call()
+    # zeta(40, 1e-9) ~ 1e360; the weight itself is finite there, ~pi**40,
+    # but it forms the zeta values and refuses instead of raising
+    # OverflowError or returning nan
+    for t in (1e-9, 1 - 1e-9):
+        with pytest.raises(ValueError, match="leaves float64"):
+            FSigma(40.0).eval(t)
     for a in ([1e-9], [0.3, 1 - 1e-9]):
         with pytest.raises(ValueError, match="leaves float64"):
             f_sigma_many(40.0, np.array(a))
     # pi**sigma, the value at 0, leaves float64 above sigma ~ 620
-    for call in (lambda: f_sigma(700.0, 0.0), lambda: f_sigma_many(700.0, np.array([0.5])),
-                 lambda: kernel_fsigma(700.0).value_at_zero):
+    for call in (lambda: FSigma(700.0).eval(0.0), lambda: f_sigma_many(700.0, np.array([0.5])),
+                 lambda: FSigma(700.0).value_at_zero):
         with pytest.raises(ValueError, match="pi\\*\\*sigma"):
             call()
-    # just inside the range both stay finite and agree
-    assert f_sigma_many(40.0, np.array([1e-7]))[0] == pytest.approx(
-        f_sigma(40.0, 1e-7), rel=1e-12)
+    # just inside the range it stays finite and matches the oracle
+    with mpmath.workprec(80):
+        want = FSigma(40.0).eval_mp(mpmath.mpf(1e-7))
+    assert f_sigma_many(40.0, np.array([1e-7]))[0] == pytest.approx(float(want), rel=1e-12)
 
 
 def test_pair_table_routes_are_capped():
@@ -395,12 +382,12 @@ def test_exact_coefficient_sum_equals_potential_at_zero():
 
 def test_trig_kernel_rejects_non_integral_coefficients():
     with pytest.raises(ValueError, match="got 0.5"):
-        kernel_trig([0.5, 1.7])
+        Trig([0.5, 1.7])
     with pytest.raises(ValueError, match="got 2.0"):
-        kernel_trig((1, 2.0))
+        Trig((1, 2.0))
     # integral types of any kind are kept, as plain ints
-    assert kernel_trig(np.array([0, 1])).coeffs == (0, 1)
-    assert kernel_trig(c for c in (2, 4)) == kernel_trig([2, 4])
+    assert Trig(np.array([0, 1])).coeffs == (0, 1)
+    assert Trig(c for c in (2, 4)) == Trig([2, 4])
     assert parse_kernel("trig:0, 1").coeffs == (0, 1)
 
 
@@ -416,14 +403,17 @@ def test_kernel_classes_validate_themselves():
         Trig((0.5,))
     with pytest.raises(ValueError, match="weight big has coefficients too large"):
         Trig((1, 10 ** 400), "big")
-    assert Trig((np.int64(2), 4)) == Trig((2, 4)) == kernel_trig([2, 4])
-    assert FSigma(2.5) == kernel_fsigma(2.5)
+    assert Trig((np.int64(2), 4)) == Trig((2, 4)) == Trig([2, 4])
+    # and sigma is stored as a float, whatever number it came as
+    for sigma in (np.float64(2.5), 2.5, 5, np.int64(5)):
+        assert type(FSigma(sigma).sigma) is float and FSigma(sigma) == FSigma(float(sigma))
+    assert FSigma(5).name == "fsigma:5"
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
 def test_exponent_must_be_finite(sigma):
-    for call in (lambda: hurwitz_zeta(sigma, 0.5), lambda: zeta(sigma),
-                 lambda: kernel_fsigma(sigma), lambda: dft_coeffs(sigma, 1.0, 8)):
+    for call in (lambda: zeta(sigma), lambda: FSigma(sigma),
+                 lambda: dft_coeffs(sigma, 1.0, 8)):
         with pytest.raises(ValueError, match="finite"):
             call()
 
@@ -433,4 +423,4 @@ def test_trig_coeffs_name_the_function():
     assert parse_kernel("trig:1,0,0").trig_coeffs == (1,)
     assert kernel_bernoulli_weight(4).trig_coeffs == parse_kernel("trig:2,4").trig_coeffs == (2, 4)
     assert parse_kernel("trig:0").trig_coeffs == (0,)
-    assert kernel_fsigma(2.5).trig_coeffs is None
+    assert FSigma(2.5).trig_coeffs is None

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fiblat import wythoff
-from fiblat.golden import GoldenInt, fib, golden_compare, phi_power
+from fiblat.golden import GoldenInt, fib, phi_power
 from fiblat.wythoff import (
     RowTable,
     WythoffRow,
@@ -63,16 +63,16 @@ def test_growth_root_window():
         r = row(i)
         assert PHI ** -2 - 1e-12 < float(-r.w_minus) < 1.0
         # phi*i <= w_plus < (phi+2)*i, checked exactly in the ring
-        assert golden_compare(r.w_plus, GoldenInt(0, i)) >= 0
-        assert golden_compare(r.w_plus, GoldenInt(2 * i, i)) < 0
+        assert r.w_plus >= GoldenInt(0, i)
+        assert r.w_plus < GoldenInt(2 * i, i)
 
 
 def test_threshold_brackets_twice_w_plus_exactly():
     for i in range(1, 500):
         r = row(i)
         two_wp = 2 * r.w_plus
-        assert golden_compare(two_wp, phi_power(r.mu)) >= 0
-        assert golden_compare(two_wp, phi_power(r.mu + 1)) < 0
+        assert two_wp >= phi_power(r.mu)
+        assert two_wp < phi_power(r.mu + 1)
 
 
 def test_scalar_threshold_is_exact_past_the_column_edge():
@@ -83,8 +83,8 @@ def test_scalar_threshold_is_exact_past_the_column_edge():
     for i in rows:
         r = WythoffRow.from_index(i)
         two_wp = 2 * r.w_plus
-        assert golden_compare(two_wp, phi_power(r.mu)) > 0, i
-        assert golden_compare(two_wp, phi_power(r.mu + 1)) < 0, i
+        assert two_wp > phi_power(r.mu), i
+        assert two_wp < phi_power(r.mu + 1), i
 
 
 def test_scalar_rows_are_slotted():
@@ -271,7 +271,7 @@ def test_row_columns_exact_near_the_int64_edge():
     a, b = 2 * (i - 1), 2 * L
     for dm in (-1, 0, 1, 2):
         got = _phi_pow_below(F, mu + dm, a, b)
-        want = [golden_compare(phi_power(int(m)), GoldenInt(int(x), int(y))) < 0
+        want = [phi_power(int(m)) < GoldenInt(int(x), int(y))
                 for m, x, y in zip(mu + dm, a, b)]
         assert got.tolist() == want, dm
         # and the scalar rule of row(i), on Python ints
@@ -284,7 +284,7 @@ def test_scalar_sign_rule_matches_the_ring_on_generic_elements():
     rng = random.Random(11)
     for _ in range(3000):
         m, a, b = rng.randint(1, 40), rng.randint(-10 ** 8, 10 ** 8), rng.randint(-10 ** 8, 10 ** 8)
-        want = golden_compare(phi_power(m), GoldenInt(a, b)) < 0
+        want = phi_power(m) < GoldenInt(a, b)
         assert _phi_pow_below_int(m, a, b) == want, (m, a, b)
 
 
