@@ -85,8 +85,6 @@ from .verify import SUITE_NAMES, SuiteResult, run_suite
 from .wythoff import (
     RowTable,
     WythoffRow,
-    dual_entry,
-    dual_slot,
     floor_phi_plus_inv,
     half_fib_witness,
     row,
@@ -106,7 +104,7 @@ __all__ = [
     "bernoulli_poly", "constant_C", "constant_C_closed", "constant_D",
     "cos2sin4_closed", "cot_power_sums", "dedekind_zeta", "delta_mp",
     "delta_star_mp", "dft_coeff_sum_exact", "dft_coeffs", "dft_coeffs_even",
-    "dual_entry", "dual_slot", "energy", "energy_dft", "energy_direct",
+    "energy", "energy_dft", "energy_direct",
     "exact_constants", "fib", "fib_sum", "fib_sum_grouped",
     "floor_phi_plus_inv", "floor_phi_times", "gen_dedekind_sum",
     "half_fib_witness", "hwz_check", "kernel_bernoulli_weight", "kernel_one",

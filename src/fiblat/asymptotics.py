@@ -52,7 +52,7 @@ from .kernels import (
     kernel_one,
     parse_kernel,
 )
-from .wythoff import dual_slot, row, row_table
+from .wythoff import WythoffRow, row, row_table
 
 __all__ = [
     "PHI",
@@ -104,14 +104,14 @@ def _pref_mp(sigma: float, f0) -> mpmath.mpf:
 # the two one-sided series behind D
 
 
-def _one_sided_mp(i: int, sigma: float, kernel: Kernel, terms, prec: int) -> mpmath.mpf:
+def _one_sided_mp(r: WythoffRow, sigma: float, kernel: Kernel, terms, prec: int) -> mpmath.mpf:
     """Sum of f0*f(x)/(pi*w*sin(pi*x))**sigma - base over the pairs
     (x, w) of terms, x exact in Z[phi] and w an integer entry, in
     prec-bit arithmetic; base = f(0)**2 * 5**(sigma/2)/(pi**(2*sigma) *
-    eta_i**sigma) is the flat per-slot weight of row i."""
+    eta_i**sigma) is the flat per-slot weight of row r."""
     with mpmath.workprec(prec):
         f0 = kernel.eval_mp(0)
-        base = _pref_mp(sigma, f0) / mpmath.mpf(row(i).eta) ** sigma
+        base = _pref_mp(sigma, f0) / mpmath.mpf(r.eta) ** sigma
         total = mpmath.mpf(0)
         for x, w in terms:
             x = _to_mpf(x)
@@ -133,7 +133,7 @@ def delta_mp(i: int, sigma: float, kernel: Kernel | None = None,
     """
     r = row(i)
     terms = ((-r.w_minus * phi_power(-k), r.entry(k)) for k in range(1, k_max + 1))
-    return _one_sided_mp(i, sigma, kernel or kernel_one(), terms, prec)
+    return _one_sided_mp(r, sigma, kernel or kernel_one(), terms, prec)
 
 
 def delta_star_mp(i: int, sigma: float, kernel: Kernel | None = None,
@@ -147,9 +147,9 @@ def delta_star_mp(i: int, sigma: float, kernel: Kernel | None = None,
     as delta_mp.
     """
     r = row(i)
-    terms = ((r.w_plus * phi_power(-m), dual_slot(i, m))
+    terms = ((r.w_plus * phi_power(-m), r.dual(m))
              for m in range(r.mu + 1, r.mu + j_max + 1))
-    return _one_sided_mp(i, sigma, kernel or kernel_one(), terms, prec)
+    return _one_sided_mp(r, sigma, kernel or kernel_one(), terms, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +626,7 @@ def approximation_errors(i: int, n: int, k: int, sigma: float,
     fn = fib(n)
     f0 = kernel.value_at_zero
     w = r.entry(k)
-    wd = dual_slot(i, n - k)
+    wd = r.dual(n - k)
     t1 = w / fn
     t2 = wd / fn
     exact = (kernel.eval(t1) * kernel.eval(t2)

@@ -14,6 +14,7 @@ affinity mask.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -26,7 +27,7 @@ from .energy import RationalLattice, energy, fib_sum, fib_sum_grouped
 from .golden import fib
 from .kernels import KERNEL_GRAMMAR, parse_kernel
 from .verify import SUITE_NAMES, run_suite
-from .wythoff import dual_slot, row, wythoff_row_entries
+from .wythoff import row, wythoff_row_entries
 
 SCHEMA_VERSION = 1
 
@@ -115,8 +116,8 @@ def cmd_wythoff(rows, cols, dual, fmt):
     if dual:
         out = []
         for i in range(1, rows + 1):
-            mu = row(i).mu
-            out.append((i, mu, [dual_slot(i, mu + j) for j in range(1, cols + 1)]))
+            r = row(i)
+            out.append((i, r.mu, [r.dual(r.mu + j) for j in range(1, cols + 1)]))
         if fmt == "json":
             _echo_json({
                 "schema_version": SCHEMA_VERSION,
@@ -332,7 +333,7 @@ def cmd_verify(ctx, suites, limit, fmt):
             "schema_version": SCHEMA_VERSION,
             "passed": ok,
             "suites": [
-                {**r.as_dict(), "seconds": round(r.seconds, 3)} for r in results
+                {**dataclasses.asdict(r), "seconds": round(r.seconds, 3)} for r in results
             ],
         })
     else:

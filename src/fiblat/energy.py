@@ -70,10 +70,7 @@ class RationalLattice:
     h: int
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"size must be >= 1, got {self.N}")
-        if math.gcd(self.h, self.N) != 1:
-            raise ValueError(f"generator {self.h} not coprime to {self.N}")
+        _check_lattice(self.N, self.h)
 
     @classmethod
     def fibonacci(cls, n: int) -> RationalLattice:

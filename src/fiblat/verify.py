@@ -51,8 +51,6 @@ from .dedekind import (
 from .golden import GoldenInt, fib
 from .kernels import dft_coeff_sum_exact, dft_coeffs, dft_coeffs_even, potential_K
 from .wythoff import (
-    dual_entry,
-    dual_slot,
     floor_phi_plus_inv,
     floor_phi_times,
     half_fib_witness,
@@ -75,16 +73,6 @@ class SuiteResult:
     limit: int
     seconds: float
     counterexample: str | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "checks": self.checks,
-            "limit": self.limit,
-            "seconds": self.seconds,
-            "counterexample": self.counterexample,
-        }
 
 
 class _Counterexample(Exception):
@@ -173,35 +161,46 @@ def _suite_wythoff(run: _Run, limit: int) -> None:
 def _suite_dual(run: _Run, limit: int) -> None:
     # Bracketing: the slot-m dual entry sits in [F_{m-2}, F_m).
     for i in range(1, limit + 1):
-        mu = row(i).mu
-        for m in range(mu + 1, mu + 41):
-            wd = dual_slot(i, m)
+        r = row(i)
+        for m in range(r.mu + 1, r.mu + 41):
+            wd = r.dual(m)
             run.ok(
                 fib(m - 2) <= wd < fib(m),
                 "dual entry out of bracket at row %d slot %d: %d", i, m, wd,
             )
 
-    # Signed two-term combination telescopes to the closed form.
+    # Signed two-term combination telescopes to the closed form:
+    # (-1)**k * (F_{n-1} W[i, k] - F_n W[i, k-1]) = Wd[i, n-k], the row
+    # entries taken from the recurrence.
     for i in range(1, min(limit, 60) + 1):
-        mu = row(i).mu
-        for n in range(mu + 2, 41):
-            for k in range(1, n - mu):
+        r = row(i)
+        ws = wythoff_row_entries(i, 40 - r.mu)
+        w = [ws[1] - ws[0], *ws]  # W[i, 0], ..., W[i, 40 - mu_i]
+        for n in range(r.mu + 2, 41):
+            fn, fn1 = fib(n), fib(n - 1)
+            for k in range(1, n - r.mu):
+                signed = fn1 * w[k] - fn * w[k - 1]
                 run.ok(
-                    dual_entry(i, n, k) == dual_slot(i, n - k),
+                    (-signed if k & 1 else signed) == r.dual(n - k),
                     "dual forms disagree at row %d level %d depth %d", i, n, k,
                 )
 
     # Modular pairing: multiplying a primal entry by F_{n-1} mod F_n
     # gives the dual entry up to reflection (the residue or its
-    # complement; both sit under the same sine).
+    # complement; both sit under the same sine).  Each level's rows are
+    # 1..I_n, so every row is built once for all levels.
+    rows: list = []
     for n in range(5, 27):
         fn, fn1 = fib(n), fib(n - 1)
         for i, k_max in rows_below_half_fib(n):
+            while len(rows) < i:
+                rows.append(row(len(rows) + 1))
+            r = rows[i - 1]
             for k, w in enumerate(wythoff_row_entries(i, k_max), start=1):
-                r = (w * fn1) % fn
-                wd = dual_slot(i, n - k)
+                res = (w * fn1) % fn
+                wd = r.dual(n - k)
                 run.ok(
-                    wd == r or wd == fn - r,
+                    wd == res or wd == fn - res,
                     "pairing fails at level %d row %d depth %d", n, i, k,
                 )
 

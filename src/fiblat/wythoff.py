@@ -17,6 +17,11 @@ row entries cross half of a Fibonacci number.  The dual array
     Wd[i, m] = F_{m-1} * floor(phi*i) - F_m * (i - 1),    m > mu_i,
 
 collects the mirrored tails W[i, -m] up to sign.
+
+row(i) is the one scalar path to a row's data: W[i, k], eta_i, mu_i
+and Wd[i, m] are row(i).entry(k), .eta, .mu and .dual(m).  It keeps no
+state, so a caller that reads one row many times holds the row itself;
+RowTable and row_table serve the same columns as arrays.
 """
 from __future__ import annotations
 
@@ -31,8 +36,6 @@ from .golden import GoldenInt, fib, floor_phi_times
 __all__ = [
     "WythoffRow",
     "wythoff_row_entries",
-    "dual_entry",
-    "dual_slot",
     "rows_below_half_fib",
     "half_fib_witness",
     "floor_phi_plus_inv",
@@ -73,25 +76,16 @@ def floor_phi_plus_inv(x: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class WythoffRow:
-    """Cached per-row data: i, floor(phi*i), eta and mu.
+    """Per-row data: i, floor(phi*i), eta and mu.
 
     The conjugate pair w_plus, w_minus is derived from (i, floor(phi*i))
-    on each access, so a cached row holds four ints and no ring
-    elements.
+    on each access, so a row holds four ints and no ring elements.
     """
 
     i: int
     floor_phi_i: int
     eta: int
     mu: int
-
-    @classmethod
-    def from_index(cls, i: int) -> WythoffRow:
-        if i < 1:
-            raise ValueError(f"row index must be >= 1, got {i}")
-        L = floor_phi_times(i)
-        eta = L * L - (i - 1) * (i - 1 + L)
-        return cls(i, L, eta, _mu_exact(i, L))
 
     @property
     def w_plus(self) -> GoldenInt:
@@ -107,13 +101,24 @@ class WythoffRow:
         """W[i, k] for k >= 0; W[i, 0] = floor(phi*i)."""
         return fib(k + 1) * self.floor_phi_i + fib(k) * (self.i - 1)
 
+    def dual(self, m: int) -> int:
+        """Dual-array entry Wd[i, m] = F_{m-1}*floor(phi*i) - F_m*(i-1).
 
-# bounded: a walk over 10**5 rows would otherwise keep every row; 2**15
-# rows (about 240 bytes each with their cache entry) hold the 23184
-# distinct rows the verify suites use
-@functools.lru_cache(maxsize=1 << 15)
+        Defined (positive) for m > mu_i; the slot index m plays the role
+        of n - k when the entry is paired with W[i, k] at level n.
+        """
+        if m <= self.mu:
+            raise ValueError(f"slot {m} not above threshold mu_{self.i} = {self.mu}")
+        return fib(m - 1) * self.floor_phi_i - fib(m) * (self.i - 1)
+
+
 def row(i: int) -> WythoffRow:
-    return WythoffRow.from_index(i)
+    """Row i >= 1 of the Wythoff array, built afresh on each call."""
+    if i < 1:
+        raise ValueError(f"row index must be >= 1, got {i}")
+    L = floor_phi_times(i)
+    eta = L * L - (i - 1) * (i - 1 + L)
+    return WythoffRow(i, L, eta, _mu_exact(i, L))
 
 
 def _mu_exact(i: int, L: int) -> int:
@@ -153,34 +158,6 @@ def wythoff_row_entries(i: int, k_max: int) -> list[int]:
         prev, cur = cur, prev + cur
         out.append(cur)
     return out
-
-
-def dual_slot(i: int, m: int) -> int:
-    """Dual-array entry Wd[i, m] = F_{m-1}*floor(phi*i) - F_m*(i-1).
-
-    Defined (positive) for m > mu_i; the slot index m plays the role
-    of n - k when the entry is paired with W[i, k] at level n.
-    """
-    r = row(i)
-    if m <= r.mu:
-        raise ValueError(f"slot {m} not above threshold mu_{i} = {r.mu}")
-    return fib(m - 1) * r.floor_phi_i - fib(m) * (i - 1)
-
-
-def dual_entry(i: int, n: int, k: int) -> int:
-    """Wd[i, n-k] via the signed combination of adjacent row entries.
-
-    Requires k >= 1 and n - k > mu_i.  Computed as
-    (-1)**k * (F_{n-1} * W[i, k] - F_n * W[i, k-1]), which telescopes to
-    the closed form used by dual_slot.
-    """
-    if k < 1:
-        raise ValueError(f"depth must be >= 1, got {k}")
-    r = row(i)
-    if n - k <= r.mu:
-        raise ValueError(f"slot {n - k} not above threshold mu_{i} = {r.mu}")
-    val = fib(n - 1) * r.entry(k) - fib(n) * r.entry(k - 1)
-    return -val if k & 1 else val
 
 
 def rows_below_half_fib(n: int) -> list[tuple[int, int]]:

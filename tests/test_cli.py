@@ -256,6 +256,8 @@ def test_verify_subcommand_json():
     assert doc["passed"] is True
     assert doc["suites"][0]["suite"] == "floor"
     assert doc["suites"][0]["checks"] > 0
+    assert list(doc["suites"][0]) == ["suite", "passed", "checks", "limit", "seconds",
+                                      "counterexample"]
 
 
 def test_verify_subcommand_csv():

@@ -28,13 +28,13 @@ from fiblat.kernels import (
     parse_kernel,
     potential_K,
 )
-from fiblat.wythoff import dual_slot, row, wythoff_row_entries
+from fiblat.wythoff import row, wythoff_row_entries
 
 
 def test_lattice_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="generator 4 not coprime to 10"):
         RationalLattice(10, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="modulus must be >= 1, got 0"):
         RationalLattice(0, 1)
     with pytest.raises(ValueError):
         RationalLattice.fibonacci(1)
@@ -158,10 +158,10 @@ def _row_entries(n):
     mu_i <= n - 2, from the scalar row objects."""
     out = []
     i = 1
-    while row(i).mu <= n - 2:
-        k_max = n - row(i).mu - 1
+    while (r := row(i)).mu <= n - 2:
+        k_max = n - r.mu - 1
         w = np.array(wythoff_row_entries(i, k_max), dtype=np.int64)
-        wd = np.array([dual_slot(i, n - k) for k in range(1, k_max + 1)],
+        wd = np.array([r.dual(n - k) for k in range(1, k_max + 1)],
                       dtype=np.int64)
         out.append((w, wd))
         i += 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ def test_suite_names_are_stable():
 
 def test_result_dict_shape():
     res = run_suite("floor", 25)
-    d = res.as_dict()
+    d = dataclasses.asdict(res)
     assert d["suite"] == "floor"
     assert d["passed"] is True
     assert d["checks"] == res.checks
@@ -38,7 +40,7 @@ def test_failures_carry_a_counterexample():
     bad = SuiteResult("floor", False, 7, 10, 0.01, "N=3: identity broke")
     assert not bad.passed
     assert "N=3" in bad.counterexample
-    assert bad.as_dict()["counterexample"] == "N=3: identity broke"
+    assert dataclasses.asdict(bad)["counterexample"] == "N=3: identity broke"
 
 
 def test_grid_check_reaches_its_last_block():

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -17,8 +18,6 @@ from fiblat.wythoff import (
     _mu_many,
     _phi_pow_below,
     _phi_pow_below_int,
-    dual_entry,
-    dual_slot,
     floor_phi_plus_inv,
     floor_phi_times,
     half_fib_witness,
@@ -81,7 +80,7 @@ def test_scalar_threshold_is_exact_past_the_column_edge():
     rows = [*range(_EDGE - 50, _EDGE + 50), *(fib(k) + d for k in (45, 60, 90) for d in (-1, 0, 1)),
             10 ** 12 + 7, 3 * 10 ** 20]
     for i in rows:
-        r = WythoffRow.from_index(i)
+        r = row(i)
         two_wp = 2 * r.w_plus
         assert two_wp > phi_power(r.mu), i
         assert two_wp < phi_power(r.mu + 1), i
@@ -107,11 +106,11 @@ def test_scalar_rows_keep_their_values_equality_and_hash():
         assert r.w_minus == GoldenInt(i - 1 + L, -L)
         assert r.w_minus == r.w_plus.conjugate()
         assert [r.entry(k) for k in range(1, 25)] == wythoff_row_entries(i, 24)
-        fresh = WythoffRow.from_index(i)
+        fresh = row(i)
         assert fresh is not r and fresh == r and hash(fresh) == hash(r)
         assert WythoffRow(i, L, r.eta, r.mu) == r
-        assert fresh != WythoffRow.from_index(i + 1)
-    assert len({row(i) for i in range(1, 100)} | {WythoffRow.from_index(i) for i in range(1, 100)}) == 99
+        assert fresh != row(i + 1)
+    assert len({row(i) for i in range(1, 100)} | {row(i) for i in range(1, 100)}) == 99
 
 
 def test_rows_below_half_fib_partitions_prefix():
@@ -126,11 +125,10 @@ def test_rows_below_half_fib_partitions_prefix():
 
 def test_rows_below_half_fib_matches_scalar_rows():
     # the row-column scan against the definition by scalar row objects;
-    # mu_i is taken once per row up to the level-30 bound, as a walk per
-    # level would pass the row cache's bound
+    # each row is built once, up to the level-30 bound
     mus = []
-    while row(len(mus) + 1).mu <= 28:
-        mus.append(row(len(mus) + 1).mu)
+    while (mu := row(len(mus) + 1).mu) <= 28:
+        mus.append(mu)
     for n in range(1, 31):
         want = [(i, n - mu - 1)
                 for i, mu in enumerate(itertools.takewhile(lambda mu: mu <= n - 2, mus), 1)]
@@ -154,32 +152,33 @@ def test_half_fib_witnesses():
 
 def test_dual_entries_bracketed_by_fibonacci():
     for i in range(1, 200):
-        mu = row(i).mu
-        for m in range(mu + 1, mu + 30):
-            wd = dual_slot(i, m)
+        r = row(i)
+        for m in range(r.mu + 1, r.mu + 30):
+            wd = r.dual(m)
             assert fib(m - 2) <= wd < fib(m)
-    with pytest.raises(ValueError):
-        dual_slot(3, row(3).mu)
+    r = row(3)
+    with pytest.raises(ValueError, match=f"slot {r.mu} not above threshold mu_3 = {r.mu}"):
+        r.dual(r.mu)
 
 
 def test_dual_signed_form_matches_closed_form():
+    # (-1)**k * (F_{n-1} W[i, k] - F_n W[i, k-1]) telescopes to Wd[i, n-k]
     for i in range(1, 40):
-        mu = row(i).mu
-        for n in range(mu + 2, 38):
-            for k in range(1, n - mu):
-                assert dual_entry(i, n, k) == dual_slot(i, n - k)
-    # slot 20 is above mu_1 = 2, so only the depth is at fault
-    with pytest.raises(ValueError, match="depth must be >= 1"):
-        dual_entry(1, 20, 0)
+        r = row(i)
+        for n in range(r.mu + 2, 38):
+            for k in range(1, n - r.mu):
+                signed = fib(n - 1) * r.entry(k) - fib(n) * r.entry(k - 1)
+                assert (-signed if k & 1 else signed) == r.dual(n - k)
 
 
 def test_dual_entry_is_residue_up_to_reflection():
     for n in range(5, 24):
         fn, fn1 = fib(n), fib(n - 1)
         for i, k_max in rows_below_half_fib(n):
+            r = row(i)
             for k, w in enumerate(wythoff_row_entries(i, k_max), start=1):
-                r = (w * fn1) % fn
-                assert dual_slot(i, n - k) in (r, fn - r)
+                res = (w * fn1) % fn
+                assert r.dual(n - k) in (res, fn - res)
 
 
 def test_floor_phi_plus_inv_matches_high_precision():
@@ -189,15 +188,18 @@ def test_floor_phi_plus_inv_matches_high_precision():
             assert floor_phi_plus_inv(x) == int(mpmath.floor(phi * x + 1 / phi))
 
 
-def test_row_cache_is_bounded():
-    # a walk past the bound evicts instead of keeping every row
-    start = row.cache_info().misses
-    for i in range(10 ** 6, 10 ** 6 + 40000):
-        row(i)
-    info = row.cache_info()
-    assert info.misses - start == 40000
-    assert info.maxsize == 1 << 15
-    assert info.currsize == info.maxsize
+def test_row_walk_keeps_no_rows():
+    # row(i) keeps no state: 40000 rows past 10**6 leave nothing behind
+    # (a cache of them would hold several MB)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(10 ** 6, 10 ** 6 + 40000):
+            row(i)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20, held
 
 
 def test_row_table_columns_are_narrow():
@@ -303,5 +305,5 @@ def test_row_columns_correct_a_wrong_estimate(monkeypatch, phi_scale, log_scale)
     w = (i - 1) + L * wythoff._PHI
     assert np.any(np.floor(np.log(2 * w) / wythoff._LOG_PHI).astype(np.int64) != mu_exact)
     assert np.array_equal(_mu_many(i, L), mu_exact)
-    # the scalar rows settle the same skewed estimate (fresh, not cached)
-    assert [WythoffRow.from_index(int(x)).mu for x in i] == mu_exact.tolist()
+    # the scalar rows settle the same skewed estimate
+    assert [row(int(x)).mu for x in i] == mu_exact.tolist()
