@@ -20,19 +20,17 @@ geometric-ratio estimates and its outer tail a fitted dyadic decay,
 both reported rather than certified.
 
 The sweep cuts the rows into fixed chunks of _CHUNK rows, and the
-chunks of both precision passes form one task list.  When there is
-more than one chunk, a thread pool runs the list, by default one
-worker per CPU in the process's affinity mask (threads= overrides it);
-NumPy releases the GIL in the elementwise loops that take the time.
-Each pass adds its chunk sums in row order, so every output is
-bit-identical for any worker count.
+chunks of both precision passes form one task list.  It runs on
+energy._sweep_map, the ordered thread pool the level sums share: when
+there is more than one chunk, by default one worker per CPU in the
+process's affinity mask (threads= overrides it).  Each pass adds its
+chunk sums in row order, so every output is bit-identical for any
+worker count.
 """
 from __future__ import annotations
 
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +39,7 @@ import numpy as np
 from mpmath import libmp
 
 from .dedekind import CLOSED_FAMILIES
-from .energy import fib_sum
+from .energy import _sweep_map, _workers, fib_sum
 from .golden import _to_mpf, fib, phi_power
 from .kernels import (
     _PI_STR,
@@ -355,19 +353,6 @@ class DConstant:
         return self.inner_tail + self.outer_tail + self.precision_gap
 
 
-def _thread_count(threads: int | None) -> int:
-    """Requested worker count: threads, else the number of CPUs in the
-    process's affinity mask.  A count that is not a positive integer
-    raises ValueError."""
-    if threads is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if threads < 1 or int(threads) != threads:
-        raise ValueError(f"thread count must be a positive integer, got {threads!r}")
-    return int(threads)
-
-
 def _tail_mass(last: np.ndarray, prev: np.ndarray) -> float:
     last = np.abs(last)
     prev = np.abs(prev)
@@ -505,7 +490,7 @@ def constant_D(sigma: float, kernel: Kernel | None = None,
         raise ValueError(f"need at least two inner terms, got k_max={k_max}")
     kernel = kernel or kernel_one()
     spans = [(lo, min(lo + _CHUNK, i_max)) for lo in range(0, i_max, _CHUNK)]
-    nthreads = min(_thread_count(threads), len(spans))
+    nthreads = _workers(threads, len(spans))
     tab = row_table(i_max)
     _check_sweep_range(sigma, kernel, tab, k_max)
 
@@ -513,14 +498,9 @@ def constant_D(sigma: float, kernel: Kernel | None = None,
         dtype, (lo, hi) = task
         return _d_chunk(tab, lo, hi, sigma, kernel, k_max, i_max, dtype)
 
-    # the slow extended-precision chunks come first; both runners start
-    # tasks in list order and return their results in list order
+    # the slow extended-precision chunks come first
     tasks = [(dtype, span) for dtype in (np.longdouble, np.float64) for span in spans]
-    if nthreads == 1:
-        parts = list(map(run, tasks))
-    else:
-        with ThreadPoolExecutor(nthreads) as ex:
-            parts = list(ex.map(run, tasks))
+    parts = _sweep_map(run, tasks, nthreads)
     value, inner, outer = _d_pass(parts[:len(spans)], np.longdouble)
     lo_value, _, _ = _d_pass(parts[len(spans):], np.float64)
     if not (math.isfinite(value) and math.isfinite(lo_value)):
@@ -584,8 +564,9 @@ def residual_fit(sigma: float, kernel: Kernel | None = None,
     Constants are passed in, or exact where a closed family covers
     (sigma, kernel) (exact_constants), else from the truncated series;
     threads is passed to constant_D (default: every CPU in the
-    process's affinity mask) and does not change the result.  The
-    scaled residual multiplies by phi**(beta*n/2) with
+    process's affinity mask) and bounds only the D sweep: the level sums
+    at n >= 27 run on every CPU in the affinity mask.  Neither changes
+    the result.  The scaled residual multiplies by phi**(beta*n/2) with
     beta = min(alpha, sigma-1), the claimed decay normalization.
     """
     if n_max > 32:

@@ -8,7 +8,7 @@ documents carry a ``schema_version`` field.  Exit status: 0 on success,
 
 Options take their values from the command line only.  The D row
 sweep runs on --threads workers, else on every CPU in the process's
-affinity mask.
+affinity mask; level sums at n >= 27 always run on every CPU in it.
 """
 
 from __future__ import annotations
@@ -82,7 +82,8 @@ def _format_option(default: str):
 
 _threads_option = click.option(
     "--threads", type=int, default=None, callback=_at_least(1),
-    help="worker threads for the D row sweep; results do not depend on it "
+    help="worker threads for the D row sweep only (level sums at n >= 27 "
+         "use every CPU in the affinity mask); results do not depend on it "
          "[default: all CPUs in the process's affinity mask]",
 )
 

@@ -18,16 +18,28 @@ fib_sum evaluates the weighted trigonometric sums
 normalized by F_n^sigma, either over the flat grid (fib_sum, levels
 n < 48) or grouped along Wythoff rows paired with dual-array entries
 (fib_sum_grouped, levels n < 44).  Both are whole-array sweeps in fixed
-blocks and evaluate each mirror pair m, F_n - m once.  The flat sum adds
-its blocks on a grid symmetric about F_n/2, and is bit-identical to one
-flat block in index order at levels with F_n - 1 <= 2**16; the grouped
-sum is bit-identical to a loop over rows.  The dft
-and wce energy routes share a Hurwitz pair table capped at
+blocks of about 2**16 terms and evaluate each mirror pair m, F_n - m
+once.  The flat sum adds its blocks on a grid symmetric about F_n/2,
+and is bit-identical to one flat block in index order at levels with
+F_n - 1 <= 2**16; the grouped sum is bit-identical to a loop over rows.
+
+The flat sum's blocks are tasks for _sweep_map, the ordered thread
+pool the D row sweep of asymptotics.constant_D also runs on, with one
+worker per CPU in the process's affinity mask (_workers) and results
+in task order.  Levels with F_n - 1 > 2 * 2**16 (n >= 27) use it;
+smaller levels run inline and start no pool.  The caller adds the
+block sums in the same fixed order whatever the worker count, so every
+sum is bit-identical for any count.  The grouped sum runs inline.
+
+The dft and wce energy routes share a Hurwitz pair table capped at
 N = kernels._PAIR_TABLE_MAX_N; "direct" is capped at N = _DIRECT_MAX_N.
 """
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -199,6 +211,35 @@ def energy(lat: RationalLattice, sigma: float, p: float,
     return EnergyReport(float(val), method, lat.N, lat.h, sigma, float(p))
 
 
+def _workers(threads: int | None, tasks: int) -> int:
+    """The worker count of a sweep with this many tasks: threads, else
+    the number of CPUs in the process's affinity mask, capped at tasks.
+    A count that is not a positive integer raises ValueError."""
+    if threads is None:
+        if hasattr(os, "sched_getaffinity"):
+            threads = len(os.sched_getaffinity(0))
+        else:
+            threads = os.cpu_count() or 1
+    elif threads < 1 or int(threads) != threads:
+        raise ValueError(f"thread count must be a positive integer, got {threads!r}")
+    return min(int(threads), tasks)
+
+
+def _sweep_map(fn, tasks, workers: int) -> list:
+    """[fn(t) for t in tasks], in task order: one worker runs the list
+    inline and starts no pool, more run it on a thread pool of that
+    many.  Both start tasks in list order.
+
+    The sweeps' tasks are NumPy array kernels, which release the GIL in
+    the elementwise loops that take the time.  Pool threads start with
+    NumPy's default floating-point error state, so a task that needs
+    another sets it itself (as _quiet_overflow does)."""
+    if workers <= 1:
+        return list(map(fn, tasks))
+    with ThreadPoolExecutor(workers) as ex:
+        return list(ex.map(fn, tasks))
+
+
 def _level_scale(n: int, sigma: float) -> float:
     """F_n**sigma, the normalization of a level sum; ValueError where it
     leaves float64."""
@@ -209,9 +250,17 @@ def _level_scale(n: int, sigma: float) -> float:
             f"F_n**sigma overflows float64 at n={n}, sigma={sigma:g}") from None
 
 
-# A term past float64 is inf, and the total then fails _finite_sum with
-# a ValueError; numpy's divide and overflow warnings would only repeat it.
-_quiet_overflow = np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _quiet_overflow(fn):
+    """fn with NumPy's divide, overflow and invalid warnings off.  A term
+    past float64 is inf, and the total then fails _finite_sum with a
+    ValueError; the warnings would only repeat it.  Each call enters a
+    fresh errstate and restores the caller's state on return, so the
+    decorated function may also run on the sweep pool's threads."""
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+    return quiet
 
 
 def _finite_sum(total: float, n: int, sigma: float) -> float:
@@ -220,7 +269,6 @@ def _finite_sum(total: float, n: int, sigma: float) -> float:
     return total
 
 
-@_quiet_overflow
 def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
             *, normalized: bool = True) -> float:
     """The Fibonacci lattice sum at level n >= 2 for the given weight.
@@ -235,8 +283,11 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
     values reversed), around one middle block of 1 to 2B terms.  Each
     block is summed with numpy's pairwise bracketing in index order and
     the block sums are added in ascending m, so memory stays bounded and
-    the result does not depend on the machine.  Levels with
-    F_n - 1 <= 2B are a single block, and those with F_n - 1 <= B
+    the result does not depend on the machine.  Each outer pair and the
+    middle block is one task of _sweep_map, so levels with more than one
+    block run on every CPU in the affinity mask, with a bit-identical
+    result for any worker count.  Levels with F_n - 1 <= 2B (n <= 26)
+    are a single block and run inline, and those with F_n - 1 <= B
     (n <= 24) are bit-identical to one flat block in index order.
     Levels n >= 48 are rejected: the residue m * F_{n-1} overflows int64
     there.  So are sums whose F_n**sigma (when normalized) or total
@@ -257,13 +308,16 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
     def terms(lo: int, hi: int) -> np.ndarray:
         # m <= F_n/2 here, so min(m, F_n - m) = m; the weight and the
         # sine product are formed in the argument arrays, with the
-        # operations of pair(t1, t2) / (sin(pi t1) * sin(pi t2))**sigma
+        # operations of pair(t1, t2) / (sin(pi t1) * sin(pi t2))**sigma,
+        # and m and r go once used, so a block holds three float arrays
         m = np.arange(lo, hi, dtype=np.int64)
         r = m * fn1
         r %= fn
         np.minimum(r, fn - r, out=r)
         t1 = m / fn
+        del m
         t2 = r / fn
+        del r
         num = kernel.pair(t1, t2)
         for t in (t1, t2):
             t *= np.pi
@@ -274,17 +328,23 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
 
     B = _SUM_CHUNK
     pairs = (fn - 2) // (2 * B)  # leaves 1 to 2B of the F_n - 1 terms in the middle
-    lower, upper = [], []
-    for j in range(pairs):
-        vals = terms(1 + j * B, 1 + (j + 1) * B)
-        lower.append(float(np.sum(vals)))
-        upper.append(float(np.sum(vals[::-1])))
-    # middle block [1 + pairs*B, F_n - pairs*B); half keeps the midpoint
-    # F_n/2 when F_n is even, which has no mirror
-    half = terms(1 + pairs * B, fn // 2 + 1)
-    mirror = half[: len(half) - 1 + fn % 2][::-1]
+
+    @_quiet_overflow
+    def block(j: int) -> tuple:
+        if j < pairs:
+            # outer block j and its mirror, the same values reversed
+            vals = terms(1 + j * B, 1 + (j + 1) * B)
+            return float(np.sum(vals)), float(np.sum(vals[::-1]))
+        # middle block [1 + pairs*B, F_n - pairs*B); half keeps the midpoint
+        # F_n/2 when F_n is even, which has no mirror
+        half = terms(1 + pairs * B, fn // 2 + 1)
+        mirror = half[: len(half) - 1 + fn % 2][::-1]
+        return (float(np.sum(np.concatenate((half, mirror)))),)
+
+    tasks = range(pairs + 1)
+    *outer, (middle,) = _sweep_map(block, tasks, _workers(None, len(tasks)))
     total = 0.0
-    for s in (*lower, float(np.sum(np.concatenate((half, mirror)))), *upper[::-1]):
+    for s in (*(lo for lo, _ in outer), middle, *(up for _, up in outer[::-1])):
         total += s
     return _finite_sum(total, n, sigma) / scale
 

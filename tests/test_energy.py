@@ -1,4 +1,5 @@
 import functools
+import importlib
 import math
 import warnings
 from fractions import Fraction
@@ -29,6 +30,15 @@ from fiblat.kernels import (
     potential_K,
 )
 from fiblat.wythoff import row, wythoff_row_entries
+
+# the module, not the energy() function fiblat exports under its name
+energy_module = importlib.import_module("fiblat.energy")
+
+
+def _use_workers(monkeypatch, workers):
+    """Run the level sums' pool on this many workers, whatever the CPUs."""
+    monkeypatch.setattr(energy_module, "_workers",
+                        lambda threads, tasks: min(threads or workers, tasks))
 
 
 def test_lattice_validation():
@@ -274,14 +284,17 @@ def test_lattice_sums_reject_float64_overflow():
             f(30, 60.0, normalized=False)
 
 
-def test_lattice_sum_overflow_raises_without_numpy_warnings():
+def test_lattice_sum_overflow_raises_without_numpy_warnings(monkeypatch):
     # the terms pass float64 (1/0 and overflow in numpy); only the
-    # ValueError of the finite check on the total reaches the caller
-    for f in (fib_sum, fib_sum_grouped):
+    # ValueError of the finite check on the total reaches the caller,
+    # also from pool threads (the flat sweep at n = 30 and at n = 34,
+    # with 7 and 44 tasks), which start with numpy's default error state
+    _use_workers(monkeypatch, 2)
+    for f, n in ((fib_sum, 30), (fib_sum_grouped, 30), (fib_sum, 34)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="leaves float64"):
-                f(30, 60.0, normalized=False)
+                f(n, 60.0, normalized=False)
 
 
 def test_one_is_bit_equal_to_trig_1():
@@ -372,6 +385,54 @@ def test_fib_sum_large_levels_within_roundoff_scale(closed, sigma, spec):
         roundoff = 2.0 ** -52 * max(1, math.ceil(math.log2(terms))) * abs(value)
         err = abs(Fraction(value) - closed(n) / Fraction(fib(n)) ** sigma)
         assert err <= Fraction(roundoff), (n, float(err), roundoff)
+
+
+@pytest.mark.parametrize("spec,sigma", FLAT_KERNELS)
+def test_level_sums_are_the_same_on_any_worker_count(monkeypatch, spec, sigma):
+    # n = 27, 28, 30: 2, 3 and 7 tasks (outer pairs and the middle block)
+    kernel = parse_kernel(spec, sigma=sigma)
+    pools = []
+
+    class Spy(energy_module.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(energy_module, "ThreadPoolExecutor", Spy)
+    runs = {}
+    for workers in (1, 2, 3):
+        _use_workers(monkeypatch, workers)
+        pools.clear()
+        runs[workers] = [fib_sum(n, sigma, kernel, normalized=normalized)
+                         for n in (27, 28, 30) for normalized in (True, False)]
+        assert max(pools, default=1) == workers, pools  # one worker starts no pool
+    assert runs[2] == runs[1] and runs[3] == runs[1]
+
+
+def test_one_block_levels_start_no_pool(monkeypatch):
+    # F_n - 1 <= 2 * 2**16 up to n = 26: the flat sum runs inline, and
+    # the grouped sum always does
+    def no_pool(workers):
+        raise AssertionError(f"a pool of {workers} workers was started")
+
+    _use_workers(monkeypatch, 3)
+    monkeypatch.setattr(energy_module, "ThreadPoolExecutor", no_pool)
+    for n in range(2, 27):
+        assert math.isfinite(fib_sum(n, 2.0))
+    assert math.isfinite(fib_sum_grouped(30, 2.0))
+    # n = 27 has two blocks: a pool of two
+    with pytest.raises(AssertionError, match="pool of 2 workers"):
+        fib_sum(27, 2.0)
+
+
+def test_level_sums_keep_the_callers_error_state():
+    # each quiet call enters a fresh errstate and restores the caller's,
+    # inline (n = 20) and with the flat sweep on the pool (n = 30)
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        for f, n in ((fib_sum, 20), (fib_sum_grouped, 20), (fib_sum, 30)):
+            f(n, 2.0)
+            assert np.geterr() == before, f
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
