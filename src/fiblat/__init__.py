@@ -36,7 +36,6 @@ from .dedekind import (
     CLOSED_FAMILIES,
     ClosedFamily,
     apostol_check,
-    cos2sin4_closed,
     gen_dedekind_sum,
     hwz_check,
     s13_closed,
@@ -45,8 +44,6 @@ from .dedekind import (
     sigma2_closed,
     sigma2_closed_abstract,
     sigma4_closed,
-    sigma6_closed,
-    sin4_closed,
 )
 from .energy import (
     EnergyReport,
@@ -102,7 +99,7 @@ __all__ = [
     "SuiteResult", "SUITE_NAMES", "WythoffRow", "ZETA_ROUTES", "ZetaRoute",
     "apostol_check", "approximation_errors", "bernoulli_number",
     "bernoulli_poly", "constant_C", "constant_C_closed", "constant_D",
-    "cos2sin4_closed", "cot_power_sums", "dedekind_zeta", "delta_mp",
+    "cot_power_sums", "dedekind_zeta", "delta_mp",
     "delta_star_mp", "dft_coeff_sum_exact", "dft_coeffs", "dft_coeffs_even",
     "energy", "energy_dft", "energy_direct",
     "exact_constants", "fib", "fib_sum", "fib_sum_grouped",
@@ -112,5 +109,5 @@ __all__ = [
     "prefactor", "residual_fit", "row", "row_table", "rows_below_half_fib",
     "run_suite", "s13_closed", "s22_closed", "s22_from_trig_sum",
     "sigma2_closed", "sigma2_closed_abstract", "sigma4_closed",
-    "sigma6_closed", "sin4_closed", "wce_e", "wythoff_row_entries", "zeta",
+    "wce_e", "wythoff_row_entries", "zeta",
 ]

@@ -21,9 +21,11 @@ both reported rather than certified.
 
 The sweep cuts the rows into fixed chunks of _CHUNK rows, and the
 chunks of both precision passes form one task list.  It runs on
-energy._sweep_map, the ordered thread pool the level sums share: when
-there is more than one chunk, by default one worker per CPU in the
-process's affinity mask (threads= overrides it).  Each pass adds its
+energy._sweep_map, the ordered thread pool the level sums share, by
+the same rule: one worker per CPU in the process's affinity mask,
+capped at the number of chunks, so i_max <= _CHUNK runs inline.  The
+affinity mask is the one control; constant_D's threads= is kept only
+for timing one worker count against another.  Each pass adds its
 chunk sums in row order, so every output is bit-identical for any
 worker count.
 """
@@ -474,14 +476,14 @@ def constant_D(sigma: float, kernel: Kernel | None = None,
     the difference as the rounding proxy.  Rows are cut into chunks of
     _CHUNK rows, and the chunks of both passes form one task list,
     extended precision first.  One worker runs the list inline; more
-    run it on a pool of threads workers (default: every CPU in the
-    process's affinity mask), capped at the number of chunks, so
-    i_max <= _CHUNK runs inline.  Each pass adds its chunk sums in row
-    order, so the result is bit-identical for any worker count;
-    DConstant.threads records the count used.  A thread count that is
-    not a positive integer raises ValueError, and so does a sigma, weight
-    and i_max whose powers leave float64 (_check_sweep_range), or a
-    non-finite pass total.
+    run it on a pool of one worker per CPU in the process's affinity
+    mask (threads= sets another count, for timing), capped at the
+    number of chunks, so i_max <= _CHUNK runs inline.  Each pass adds
+    its chunk sums in row order, so the result is bit-identical for any
+    worker count; DConstant.threads records the count used.  A thread
+    count that is not a positive integer raises ValueError, and so does
+    a sigma, weight and i_max whose powers leave float64
+    (_check_sweep_range), or a non-finite pass total.
     """
     _check_exponent(sigma)
     if i_max < 8:
@@ -557,16 +559,14 @@ class ResidualRow:
 def residual_fit(sigma: float, kernel: Kernel | None = None,
                  n_min: int = 5, n_max: int = 25, *,
                  c: float | None = None, d: float | None = None,
-                 i_max: int = 100000, k_max: int = 64,
-                 threads: int | None = None) -> list[ResidualRow]:
+                 i_max: int = 100000, k_max: int = 64) -> list[ResidualRow]:
     """Level sums against the fitted line c*n + d.
 
     Constants are passed in, or exact where a closed family covers
-    (sigma, kernel) (exact_constants), else from the truncated series;
-    threads is passed to constant_D (default: every CPU in the
-    process's affinity mask) and bounds only the D sweep: the level sums
-    at n >= 27 run on every CPU in the affinity mask.  Neither changes
-    the result.  The scaled residual multiplies by phi**(beta*n/2) with
+    (sigma, kernel) (exact_constants), else from the truncated series.
+    The D sweep and the level sums at n >= 27 run on every CPU in the
+    process's affinity mask, which does not change the result.  The
+    scaled residual multiplies by phi**(beta*n/2) with
     beta = min(alpha, sigma-1), the claimed decay normalization.
     """
     if n_max > 32:
@@ -579,7 +579,7 @@ def residual_fit(sigma: float, kernel: Kernel | None = None,
         c = exact.c if exact else constant_C(sigma, kernel, i_max).value
     if d is None:
         d = (float(exact.d) if exact
-             else constant_D(sigma, kernel, i_max, k_max, threads=threads).value)
+             else constant_D(sigma, kernel, i_max, k_max).value)
     beta = min(kernel.holder_alpha, sigma - 1)
     out = []
     for n in range(n_min, n_max + 1):

@@ -7,8 +7,9 @@ documents carry a ``schema_version`` field.  Exit status: 0 on success,
 1 when a verification suite fails, 2 on usage errors.
 
 Options take their values from the command line only.  The D row
-sweep runs on --threads workers, else on every CPU in the process's
-affinity mask; level sums at n >= 27 always run on every CPU in it.
+sweep and the level sums at n >= 27 run on one worker per CPU in the
+process's affinity mask, so ``taskset`` is the one control of where
+they run; no output depends on it.
 """
 
 from __future__ import annotations
@@ -78,14 +79,6 @@ def _format_option(default: str):
         "--format", "fmt", type=click.Choice(["csv", "json"]), default=default,
         show_default=True, help="output format",
     )
-
-
-_threads_option = click.option(
-    "--threads", type=int, default=None, callback=_at_least(1),
-    help="worker threads for the D row sweep only (level sums at n >= 27 "
-         "use every CPU in the affinity mask); results do not depend on it "
-         "[default: all CPUs in the process's affinity mask]",
-)
 
 
 def _kernel_arg(spec: str, sigma: float):
@@ -232,15 +225,14 @@ def cmd_energy(points, gen, fib_level, sigma, p, method, fmt):
               callback=_at_least(8), help="rows kept in both series")
 @click.option("--k-max", type=int, default=64, show_default=True,
               callback=_at_least(2), help="inner terms per row")
-@_threads_option
 @_format_option("json")
-def cmd_constants(sigma, kernel_spec, i_max, k_max, threads, fmt):
+def cmd_constants(sigma, kernel_spec, i_max, k_max, fmt):
     """Slope and intercept of the large-level growth law, with the tail
     and rounding bounds produced alongside them."""
     kernel = _kernel_arg(kernel_spec, sigma)
     try:
         c = constant_C(sigma, kernel, i_max)
-        d = constant_D(sigma, kernel, i_max, k_max, threads=threads)
+        d = constant_D(sigma, kernel, i_max, k_max)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     doc = {
@@ -298,6 +290,8 @@ def cmd_closed(family, n_min, n_max, sigma, fmt):
             _echo_csv(["sigma", "coefficient", "value"],
                       [[sigma, _frac(closed.coefficient), _f(closed.value)]])
         return
+    if sigma is not None:
+        raise click.UsageError(f"--sigma is for family c only, not {family}")
     if n_max < n_min:
         raise click.UsageError(f"empty level range {n_min}..{n_max}")
     try:
@@ -361,17 +355,15 @@ def cmd_verify(ctx, suites, limit, fmt):
               help="slope to subtract (default: computed)")
 @click.option("--d", "d_override", type=float, default=None,
               help="intercept to subtract (default: computed)")
-@_threads_option
 @_format_option("csv")
 def cmd_fit(sigma, kernel_spec, n_min, n_max, i_max, k_max, c_override,
-            d_override, threads, fmt):
+            d_override, fmt):
     """Level sums against the fitted growth line; the last column is the
     residual rescaled by the claimed decay rate."""
     kernel = _kernel_arg(kernel_spec, sigma)
     try:
         table = residual_fit(sigma, kernel, n_min, n_max, c=c_override,
-                             d=d_override, i_max=i_max, k_max=k_max,
-                             threads=threads)
+                             d=d_override, i_max=i_max, k_max=k_max)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     if fmt == "json":

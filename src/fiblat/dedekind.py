@@ -43,9 +43,6 @@ __all__ = [
     "sigma2_closed",
     "sigma2_closed_abstract",
     "sigma4_closed",
-    "sigma6_closed",
-    "sin4_closed",
-    "cos2sin4_closed",
     "apostol_check",
     "hwz_check",
 ]
@@ -361,22 +358,6 @@ def sigma4_closed(n: int) -> Fraction:
     """Closed form of the sum with (2 + 4cos^2)/sin^4 factors on both
     arguments of the Fibonacci lattice, n >= 2."""
     return CLOSED_FAMILIES["sigma4"].value(n)
-
-
-def sigma6_closed(n: int) -> Fraction:
-    """Closed form of the sum with (16 + 88cos^2 + 16cos^4)/sin^6 factors
-    on both arguments, n >= 2."""
-    return CLOSED_FAMILIES["sigma6"].value(n)
-
-
-def sin4_closed(n: int) -> Fraction:
-    """Closed form of sum 1/(sin^4 sin^4) over the Fibonacci lattice."""
-    return CLOSED_FAMILIES["sin4"].value(n)
-
-
-def cos2sin4_closed(n: int) -> Fraction:
-    """Closed form of sum cos^2 cos^2/(sin^4 sin^4) over the lattice."""
-    return CLOSED_FAMILIES["cos2sin4"].value(n)
 
 
 def _coprime_pair(b: int, c: int) -> tuple[int, int]:

@@ -311,9 +311,7 @@ def _suite_reciprocity(run: _Run, limit: int) -> None:
 
 
 def _suite_closedform(run: _Run, limit: int) -> None:
-    # each level costs O(n) floor-sum steps on O(n)-bit integers; the
-    # cap of 100 keeps the largest sweep near a second
-    for n in range(3, min(limit, 100) + 1):
+    for n in range(3, limit + 1):
         b, c = fib(n - 1), fib(n)
         run.ok(
             s22_closed(n) == gen_dedekind_sum(2, 2, 1, b, c),

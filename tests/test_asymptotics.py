@@ -321,6 +321,9 @@ def test_residual_fit_exact_line():
         residual_fit(2.0, n_max=33)
     with pytest.raises(ValueError):
         residual_fit(2.0, n_min=1)
+    # the affinity mask alone sets where the sweeps run
+    with pytest.raises(TypeError, match="threads"):
+        residual_fit(2.0, threads=2)
 
 
 def test_residual_fit_with_supplied_constants():

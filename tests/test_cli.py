@@ -181,19 +181,22 @@ def test_precision_bits_flag_is_a_floor():
 
 def test_threads_env_and_flag_precedence():
     # 24600 rows are four sweep chunks, so up to four workers are used;
-    # FIBLAT_THREADS is not read, so only the flag moves the count
+    # the affinity mask alone sets the count: FIBLAT_THREADS is not read
     args = ("constants", "--sigma", "2", "--i-max", "24600", "--k-max", "8")
-    env = {"FIBLAT_THREADS": "3"}
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert json.loads(run(*args, env=env).output)["threads"] == min(cpus, 4)
-    assert json.loads(run(*args, "--threads", "2", env=env).output)["threads"] == 2
+    doc = json.loads(run(*args).output)
+    assert doc["threads"] == min(cpus, 4)
+    assert json.loads(run(*args, env={"FIBLAT_THREADS": "3"}).output) == doc
 
 
 def test_threads_field_reports_the_workers_used():
-    # one chunk runs inline whatever was asked for
-    doc = json.loads(run("constants", "--sigma", "2", "--i-max", "64", "--k-max", "8",
-                         "--threads", "4").output)
-    assert doc["threads"] == 1
+    # the count is capped at the chunks of one pass: up to 8192 rows
+    # (one chunk) run inline, 8193 rows are two chunks
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    for i_max, workers in (("64", 1), ("8192", 1), ("8193", min(cpus, 2))):
+        doc = json.loads(run("constants", "--sigma", "2", "--i-max", i_max,
+                             "--k-max", "8").output)
+        assert doc["threads"] == workers, i_max
 
 
 def test_bad_thread_env_is_usage_error():
@@ -206,11 +209,12 @@ def test_bad_thread_env_is_usage_error():
 
 
 def test_bad_thread_flag_is_usage_error():
+    # the affinity mask is the one control: no option sets a thread count
     for cmd in (("constants", "--sigma", "2.5"), ("fit", "--sigma", "2.5")):
-        for flag in ("0", "-3"):
+        for flag in ("0", "-3", "2"):
             r = run(*cmd, "--i-max", "64", "--threads", flag)
             assert r.exit_code == 2, (cmd, flag)
-            assert "--threads" in r.output
+            assert "no such option" in r.output.lower() and "--threads" in r.output, r.output
 
 
 def test_closed_family_table_exact():
@@ -238,6 +242,16 @@ def test_closed_family_c():
 def test_closed_family_c_needs_even_sigma():
     assert run("closed", "--family", "c", "--sigma", "3").exit_code == 2
     assert run("closed", "--family", "c").exit_code == 2
+
+
+def test_closed_table_family_rejects_sigma():
+    # only family c takes an exponent; each table family fixes its own
+    from fiblat.dedekind import CLOSED_FAMILIES
+
+    for family in CLOSED_FAMILIES:
+        r = run("closed", "--family", family, "--sigma", "4", "--n-min", "3", "--n-max", "4")
+        assert r.exit_code == 2, family
+        assert "--sigma" in r.output and family in r.output, r.output
 
 
 def test_fit_csv_shape():

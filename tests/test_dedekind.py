@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from fiblat.dedekind import (
+    CLOSED_FAMILIES,
     apostol_check,
-    cos2sin4_closed,
     gen_dedekind_sum,
     hwz_check,
     s13_closed,
@@ -15,8 +15,6 @@ from fiblat.dedekind import (
     sigma2_closed,
     sigma2_closed_abstract,
     sigma4_closed,
-    sigma6_closed,
-    sin4_closed,
 )
 from fiblat.golden import fib
 from fiblat.kernels import bernoulli_poly
@@ -147,9 +145,11 @@ def test_trig_closed_forms_match_float_lattice_sums():
         pairs = [
             (sigma2_closed(n), fib_sum(n, 2, kernel_one(), normalized=False)),
             (sigma4_closed(n), fib_sum(n, 4, kernel_bernoulli_weight(4), normalized=False)),
-            (sigma6_closed(n), fib_sum(n, 6, kernel_bernoulli_weight(6), normalized=False)),
-            (sin4_closed(n), fib_sum(n, 4, kernel_one(), normalized=False)),
-            (cos2sin4_closed(n), fib_sum(n, 4, Trig([0, 1]), normalized=False)),
+            (CLOSED_FAMILIES["sigma6"].value(n),
+             fib_sum(n, 6, kernel_bernoulli_weight(6), normalized=False)),
+            (CLOSED_FAMILIES["sin4"].value(n), fib_sum(n, 4, kernel_one(), normalized=False)),
+            (CLOSED_FAMILIES["cos2sin4"].value(n),
+             fib_sum(n, 4, Trig([0, 1]), normalized=False)),
         ]
         for exact, approx in pairs:
             assert approx == pytest.approx(float(exact), rel=1e-10)
@@ -166,8 +166,6 @@ def test_reciprocity_checks_on_small_pairs():
 
 
 def test_closed_family_table_shape():
-    from fiblat.dedekind import CLOSED_FAMILIES
-
     assert list(CLOSED_FAMILIES) == [
         "s22", "s13", "sigma2", "sigma4", "sigma6", "sin4", "cos2sin4"]
     for name, fam in CLOSED_FAMILIES.items():
@@ -192,7 +190,7 @@ def test_higher_closed_forms_bridge_to_gen_sums_exactly():
         b, c = fib(n - 1), fib(n)
         assert sigma4_closed(n) == (
             16 * c ** 7 * gen_dedekind_sum(4, 4, 1, b, c) - Fraction(4, 225)), n
-        assert sigma6_closed(n) == (
+        assert CLOSED_FAMILIES["sigma6"].value(n) == (
             Fraction(1024, 9) * c ** 11 * gen_dedekind_sum(6, 6, 1, b, c)
             - Fraction(256, 3969)), n
 

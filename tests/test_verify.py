@@ -65,3 +65,10 @@ def test_ineq_suite_checks_each_exponent_once():
     # one check per exponent for each grid bound, as before the blocking
     r = run_suite("ineq", limit=10)
     assert r.passed and r.checks == 4 * 10 + 1 + 3 * 5
+
+
+def test_closedform_suite_sweeps_its_whole_limit():
+    # five checks per level n = 3..limit, with no cap on the limit
+    assert run_suite("closedform").checks == 5 * 23
+    r = run_suite("closedform", 120)
+    assert r.passed and r.limit == 120 and r.checks == 5 * 118
