@@ -51,6 +51,7 @@ from .energy import (
     energy,
     energy_dft,
     energy_direct,
+    energy_exact,
     fib_sum,
     fib_sum_grouped,
     lattice_points,
@@ -68,8 +69,6 @@ from .kernels import (
     Kernel,
     bernoulli_number,
     bernoulli_poly,
-    cot_power_sums,
-    dft_coeff_sum_exact,
     dft_coeffs,
     dft_coeffs_even,
     kernel_bernoulli_weight,
@@ -99,9 +98,8 @@ __all__ = [
     "SuiteResult", "SUITE_NAMES", "WythoffRow", "ZETA_ROUTES", "ZetaRoute",
     "apostol_check", "approximation_errors", "bernoulli_number",
     "bernoulli_poly", "constant_C", "constant_C_closed", "constant_D",
-    "cot_power_sums", "dedekind_zeta", "delta_mp",
-    "delta_star_mp", "dft_coeff_sum_exact", "dft_coeffs", "dft_coeffs_even",
-    "energy", "energy_dft", "energy_direct",
+    "dedekind_zeta", "delta_mp", "delta_star_mp", "dft_coeffs",
+    "dft_coeffs_even", "energy", "energy_dft", "energy_direct", "energy_exact",
     "exact_constants", "fib", "fib_sum", "fib_sum_grouped",
     "floor_phi_plus_inv", "floor_phi_times", "gen_dedekind_sum",
     "half_fib_witness", "hwz_check", "kernel_bernoulli_weight", "kernel_one",

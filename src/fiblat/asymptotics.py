@@ -567,12 +567,16 @@ def residual_fit(sigma: float, kernel: Kernel | None = None,
     The D sweep and the level sums at n >= 27 run on every CPU in the
     process's affinity mask, which does not change the result.  The
     scaled residual multiplies by phi**(beta*n/2) with
-    beta = min(alpha, sigma-1), the claimed decay normalization.
+    beta = min(alpha, sigma-1), the claimed decay normalization.  A
+    non-finite c or d raises ValueError.
     """
     if n_max > 32:
         raise ValueError(f"level cap is 32, got {n_max}")
     if n_min < 2 or n_min > n_max:
         raise ValueError(f"bad level range [{n_min}, {n_max}]")
+    for name, given in (("slope c", c), ("intercept d", d)):
+        if given is not None and not math.isfinite(given):
+            raise ValueError(f"{name} must be finite, got {given}")
     kernel = kernel or kernel_one()
     exact = exact_constants(sigma, kernel)
     if c is None:

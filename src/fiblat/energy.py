@@ -8,7 +8,9 @@ For a one-dimensional potential c the tensor energy is
 
 computable either directly (O(N^2) pairs) or, since the lattice is a
 cyclic group, from the DFT coefficients of c as
-E = N^2 sum_m chat(m) chat(h m mod N).
+E = N^2 sum_m chat(m) chat(h m mod N).  At even sigma = 2s the energy
+of K_{2s,p} is also one generalized Dedekind sum (energy_exact), an
+exact rational at any N.
 
 fib_sum evaluates the weighted trigonometric sums
 
@@ -45,11 +47,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from .dedekind import gen_dedekind_sum
 from .golden import fib
 from .kernels import (
     Kernel,
+    _check_coefficient,
     _check_exponent,
     _hurwitz_pair_table,
+    bernoulli_number,
     dft_coeffs,
     kernel_one,
     potential_K,
@@ -62,6 +67,7 @@ __all__ = [
     "EnergyReport",
     "lattice_points",
     "energy_direct",
+    "energy_exact",
     "energy_dft",
     "wce_e",
     "energy",
@@ -133,6 +139,34 @@ def _check_lattice(N: int, h: int) -> None:
         raise ValueError(f"generator {h} not coprime to {N}")
 
 
+def energy_exact(sigma, p, N: int, h: int) -> Fraction:
+    """The energy of K_{sigma,p} on Lambda_{N,h} as an exact Fraction, for
+    even integer sigma = 2s.
+
+    There K_{2s,p}(t) = 1 + c B_{2s}({t}) with c = p (-1)**(s-1)/(2s)!,
+    each coordinate sums B_{2s} over a full residue system, and the
+    lattice is a group, so
+
+        E = N (N + 2 c N**(1-2s) B_{2s} + c**2 s_{2s,2s}(1, h; N)),
+
+    one generalized Dedekind sum in O(log N) steps.  p is taken exactly
+    (a float as its binary value).  Any other sigma, a non-finite p, N < 1
+    and gcd(h, N) != 1 raise ValueError.
+    """
+    try:
+        two_s = int(sigma)
+    except (TypeError, ValueError, OverflowError):
+        two_s = 0
+    if two_s != sigma or two_s < 2 or two_s % 2:
+        raise ValueError(f"exact energy needs an even integer exponent >= 2, got {sigma!r}")
+    _check_coefficient(p)
+    _check_lattice(N, h)
+    s = two_s // 2
+    c = Fraction(p) * (-1) ** (s - 1) / math.factorial(two_s)
+    return N * (N + 2 * c * Fraction(N) ** (1 - two_s) * bernoulli_number(two_s)
+                + c * c * gen_dedekind_sum(two_s, two_s, 1, h, N))
+
+
 def energy_dft(coeffs, N: int, h: int) -> float:
     """E = N^2 sum_m chat(m) chat(h m mod N) from an N-periodic table;
     ValueError unless Lambda_{N,h} is a lattice (N >= 1, gcd(h, N) = 1)."""
@@ -155,9 +189,10 @@ def wce_e(sigma: float, p: float, N: int, h: int) -> float:
     The table is scaled by (2 pi N)**-sigma before the pairing sum so
     the products stay in range; sizes where (2 pi N)**sigma overflows
     float64, or above kernels._PAIR_TABLE_MAX_N, raise ValueError, and so
-    do N < 1 and gcd(h, N) != 1.
+    do N < 1, gcd(h, N) != 1 and a non-finite p.
     """
     _check_exponent(sigma)
+    _check_coefficient(p)
     _check_lattice(N, h)
     z = zeta(sigma)
     scale = (_TWO_PI * N) ** -sigma
@@ -179,6 +214,21 @@ class EnergyReport:
     p: float
 
 
+def _quiet_overflow(fn):
+    """fn with NumPy's divide, overflow and invalid warnings off.  A term
+    past float64 is inf, and the total then fails a finiteness check
+    (_finite_sum, or energy's own) with a ValueError; the warnings would
+    only repeat it.  Each call enters a fresh errstate and restores the
+    caller's state on return, so the decorated function may also run on
+    the sweep pool's threads."""
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+    return quiet
+
+
+@_quiet_overflow
 def energy(lat: RationalLattice, sigma: float, p: float,
            method: str = "dft") -> EnergyReport:
     """Energy of K_{sigma,p} on the lattice by the chosen route:
@@ -190,7 +240,8 @@ def energy(lat: RationalLattice, sigma: float, p: float,
     N = 2 * 10**7 (kernels._PAIR_TABLE_MAX_N, for memory).  "direct"
     sums the potential's cosine series to 1e-13, visits all N**2 pairs
     in Python and is refused with ValueError above N = 1000.  A
-    non-finite sigma, or sigma <= 1, raises ValueError on every route."""
+    non-finite sigma or p, sigma <= 1, and an energy that leaves float64
+    raise ValueError on every route."""
     _check_exponent(sigma)
     if method == "direct":
         if lat.N > _DIRECT_MAX_N:
@@ -208,6 +259,8 @@ def energy(lat: RationalLattice, sigma: float, p: float,
         val = lat.N ** 2 * (1.0 + wce_e(sigma, p, lat.N, lat.h))
     else:
         raise ValueError(f"unknown method {method!r}; use direct, dft or wce")
+    if not math.isfinite(val):
+        raise ValueError(f"energy leaves float64 at N={lat.N}, sigma={sigma:g}, p={p}")
     return EnergyReport(float(val), method, lat.N, lat.h, sigma, float(p))
 
 
@@ -248,19 +301,6 @@ def _level_scale(n: int, sigma: float) -> float:
     except OverflowError:
         raise ValueError(
             f"F_n**sigma overflows float64 at n={n}, sigma={sigma:g}") from None
-
-
-def _quiet_overflow(fn):
-    """fn with NumPy's divide, overflow and invalid warnings off.  A term
-    past float64 is inf, and the total then fails _finite_sum with a
-    ValueError; the warnings would only repeat it.  Each call enters a
-    fresh errstate and restores the caller's state on return, so the
-    decorated function may also run on the sweep pool's threads."""
-    @functools.wraps(fn)
-    def quiet(*args, **kwargs):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return fn(*args, **kwargs)
-    return quiet
 
 
 def _finite_sum(total: float, n: int, sigma: float) -> float:

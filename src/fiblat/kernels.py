@@ -52,8 +52,6 @@ __all__ = [
     "potential_K",
     "dft_coeffs",
     "dft_coeffs_even",
-    "dft_coeff_sum_exact",
-    "cot_power_sums",
 ]
 
 _TWO_PI = 2 * math.pi
@@ -73,6 +71,13 @@ def _check_exponent(sigma) -> None:
     """Raise ValueError unless 1 < sigma < inf; NaN is refused too."""
     if not 1 < sigma < math.inf:
         raise ValueError(f"exponent must be finite and exceed 1, got {sigma}")
+
+
+def _check_coefficient(p) -> None:
+    """Raise ValueError unless the potential coefficient p is finite;
+    exact rationals always are."""
+    if not isinstance(p, numbers.Rational) and not math.isfinite(p):
+        raise ValueError(f"potential coefficient must be finite, got {p}")
 
 
 def _as_int(name: str, value) -> int:
@@ -461,9 +466,11 @@ def potential_K(sigma: float, p, t):
     p and t are exact.  Otherwise the cosine series is summed until an
     Abel-bounded tail drops below _K_SERIES_TOL; where that takes more than
     _K_SERIES_MAX_TERMS terms (sigma near 1, t near 0) it raises
-    ValueError, and the dft and wce routes of energy take the input.
+    ValueError, and the dft and wce routes of energy take the input.  A
+    non-finite p raises ValueError.
     """
     _check_exponent(sigma)
+    _check_coefficient(p)
     if isinstance(sigma, int) or (isinstance(sigma, float) and sigma.is_integer()):
         s2 = int(sigma)
         if s2 % 2 == 0:
@@ -500,12 +507,13 @@ def dft_coeffs(sigma: float, p: float, N: int) -> np.ndarray:
 
     zeta(sigma) is the scalar mpmath value; the m >= 1 entries come from
     the vectorized Hurwitz pair table, relative error ~1e-15.  Raises
-    ValueError where (2 pi N)**sigma overflows float64 and above
-    N = _PAIR_TABLE_MAX_N (peak memory under 1 GB).
+    ValueError where (2 pi N)**sigma overflows float64, above
+    N = _PAIR_TABLE_MAX_N (peak memory under 1 GB) and for a non-finite p.
     """
     if N < 1:
         raise ValueError(f"modulus must be >= 1, got {N}")
     _check_exponent(sigma)
+    _check_coefficient(p)
     scale = (_TWO_PI * N) ** -sigma
     out = np.empty(N, dtype=np.float64)
     out[0] = 1.0 + 2 * p * zeta(sigma) * scale
@@ -533,65 +541,3 @@ def dft_coeffs_even(two_s: int, p: float, N: int) -> np.ndarray:
         c = 1.0 / math.tan(math.pi * m / N) if 2 * m != N else 0.0
         out[m] = scale * _horner(g, c)
     return out
-
-
-def cot_power_sums(N: int, r_max: int) -> list[Fraction]:
-    """[S_0, ..., S_r_max] with S_r = sum_{m=1}^{N-1} cot(pi m/N)**(2r),
-    exact rationals via Newton's identities.
-
-    The nonzero cot values are roots of the polynomial obtained from the
-    expansion of sin(N theta) in powers of cot(theta).
-    """
-    if N < 2:
-        raise ValueError(f"modulus must be >= 2, got {N}")
-    # P(c) = sum_{j odd} (-1)^((j-1)/2) C(N, j) c^(N-j) has roots
-    # cot(pi m/N), m = 1..N-1; pair m with N-m and drop the zero root
-    # (present when N is even) to get a polynomial R in y = c^2 of
-    # degree d.  Newton's identities only consume the elementary
-    # symmetric functions e_1..e_r_max, so only the leading r_max + 1
-    # coefficients of R are ever materialized; the signs cancel to
-    # e_k = C(N, 2k+1) / N.
-    d = (N + 1) // 2 - 1
-    e = [Fraction(0)] * (r_max + 1)
-    e[0] = Fraction(1)
-    for k in range(1, min(r_max, d) + 1):
-        e[k] = Fraction(math.comb(N, 2 * k + 1), N)
-    pw = [Fraction(d)] + [Fraction(0)] * r_max
-    for k in range(1, r_max + 1):
-        acc = Fraction(0)
-        for j in range(1, k):
-            acc += (-1) ** (j - 1) * e[j] * pw[k - j]
-        acc += (-1) ** (k - 1) * k * e[k] if k <= min(r_max, d) else 0
-        pw[k] = acc
-    out = [Fraction(N - 1)]
-    out.extend(2 * pw[r] for r in range(1, r_max + 1))
-    return out
-
-
-def dft_coeff_sum_exact(two_s: int, p, N: int) -> tuple[Fraction, Fraction]:
-    """(sum of all N DFT coefficients, K_{2s,p}(0)), both exact.
-
-    The two agree: the coefficient table inverse-transforms to the
-    potential samples, and the k = 0 sample is K(0).
-    """
-    if two_s < 2 or two_s % 2 != 0:
-        raise ValueError(f"even exponent required, got {two_s}")
-    s = two_s // 2
-    p = Fraction(p)
-    sign = 1 if s % 2 == 1 else -1
-    c0 = 1 + p * sign * bernoulli_number(two_s) / (
-        math.factorial(two_s) * Fraction(N) ** two_s
-    )
-    g = cot_derivative_poly(2 * s - 1)
-    if N == 1:
-        total = c0
-    else:
-        sums = cot_power_sums(N, s)
-        series = Fraction(0)
-        for j in range(s + 1):
-            q = g[2 * j] if 2 * j < len(g) else 0
-            if q:
-                series += q * sums[j]
-        total = c0 + p * series / (math.factorial(2 * s - 1) * Fraction(2 * N) ** two_s)
-    k0 = 1 + p * sign * bernoulli_number(two_s) / math.factorial(two_s)
-    return total, k0

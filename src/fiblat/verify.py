@@ -21,8 +21,8 @@ Suites:
                  pairs
     closedform   closed forms of the generalized sums against their
                  defining sums, parity relation, trigonometric bridge
-    dft          coefficient-table routes agree; exact coefficient sums
-                 match the potential at zero
+    dft          coefficient-table routes agree; the dft energy of the
+                 Fibonacci lattices matches the exact even-sigma energy
     zeta-routes  the three number-field zeta routes agree within their
                  certified errors
 """
@@ -48,8 +48,9 @@ from .dedekind import (
     sigma2_closed,
     sigma2_closed_abstract,
 )
+from .energy import energy_dft, energy_exact
 from .golden import GoldenInt, fib
-from .kernels import dft_coeff_sum_exact, dft_coeffs, dft_coeffs_even, potential_K
+from .kernels import dft_coeffs, dft_coeffs_even, potential_K
 from .wythoff import (
     floor_phi_plus_inv,
     floor_phi_times,
@@ -311,6 +312,8 @@ def _suite_reciprocity(run: _Run, limit: int) -> None:
 
 
 def _suite_closedform(run: _Run, limit: int) -> None:
+    if limit < 3:
+        raise ValueError(f"closedform sweeps levels 3..limit; limit must be >= 3, got {limit}")
     for n in range(3, limit + 1):
         b, c = fib(n - 1), fib(n)
         run.ok(
@@ -334,19 +337,23 @@ def _suite_closedform(run: _Run, limit: int) -> None:
 
 
 def _suite_dft(run: _Run, limit: int) -> None:
-    sizes = [N for N in (1, 2, 3, 5, 8, 13, 21, 34) if N <= limit] or [limit]
+    # the Fibonacci lattices Lambda_{F_n, F_{n-1}}, N = F_2 = 1 to F_9 = 34,
+    # up to the limit
+    levels = [n for n in range(2, 10) if fib(n) <= limit]
+    sizes = [fib(n) for n in levels]
     for two_s in (2, 4, 6):
         for p in (1, 6):
-            for N in sizes:
-                total, k0 = dft_coeff_sum_exact(two_s, Fraction(p), N)
+            for n in levels:
+                N, h = fib(n), fib(n - 1)
+                a = dft_coeffs(float(two_s), float(p), N)
+                want = energy_exact(two_s, p, N, h)
                 run.ok(
-                    total == k0,
-                    "coefficient sum misses potential at (%d, %d, %d)",
+                    abs(Fraction(energy_dft(a, N, h)) - want) <= Fraction(1e-12) * abs(want),
+                    "dft energy misses the exact energy at (%d, %d, %d)",
                     two_s, p, N,
                 )
                 if N < 2:
                     continue
-                a = dft_coeffs(float(two_s), float(p), N)
                 b = dft_coeffs_even(two_s, float(p), N)
                 run.ok(
                     float(np.max(np.abs(a - b))) <= 1e-12,

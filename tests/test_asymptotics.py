@@ -331,6 +331,11 @@ def test_residual_fit_with_supplied_constants():
     for r in rows:
         assert r.asymptote == 0.5 * r.n
         assert r.residual == r.total - r.asymptote
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="slope c must be finite"):
+            residual_fit(2.0, n_min=8, n_max=14, c=bad)
+        with pytest.raises(ValueError, match="intercept d must be finite"):
+            residual_fit(2.0, n_min=8, n_max=14, d=bad)
 
 
 def test_two_sided_approximation_errors():

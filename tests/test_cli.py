@@ -138,6 +138,12 @@ def test_verify_bad_limit_is_usage_error():
     assert "truncation too small" in r.output
 
 
+def test_closedform_limit_below_three_is_usage_error():
+    for limit in ("1", "2"):
+        r = run("verify", "--suite", "closedform", "--limit", limit)
+        assert r.exit_code == 2 and "limit must be >= 3" in r.output, r.output
+
+
 def test_energy_flag_conflict_is_usage_error():
     r = run("energy", "--fib-level", "7", "-N", "10", "--sigma", "2")
     assert r.exit_code == 2
@@ -316,6 +322,27 @@ def test_energy_non_finite_sigma_is_usage_error(sigma):
     for method in ("direct", "dft", "wce"):
         r = run("energy", "--fib-level", "5", "--sigma", sigma, "--method", method)
         assert r.exit_code == 2 and "finite" in r.output, (method, r.output)
+
+
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+def test_energy_non_finite_p_is_usage_error(p):
+    for method in ("direct", "dft", "wce"):
+        r = run("energy", "--fib-level", "5", "--sigma", "2", "--p", p, "--method", method)
+        assert r.exit_code == 2 and "must be finite" in r.output, (method, r.output)
+
+
+def test_energy_past_float64_is_usage_error():
+    # p = 1e300 squares past float64; the JSON would read Infinity
+    for method in ("direct", "dft", "wce"):
+        r = run("energy", "--fib-level", "5", "--sigma", "2", "--p", "1e300", "--method", method)
+        assert r.exit_code == 2 and "leaves float64" in r.output, (method, r.output)
+
+
+@pytest.mark.parametrize("flag", ["--c", "--d"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_fit_non_finite_constant_is_usage_error(flag, value):
+    r = run("fit", "--sigma", "2", "--n-max", "12", flag, value)
+    assert r.exit_code == 2 and "must be finite" in r.output, r.output
 
 
 def test_closed_families_come_from_the_table():

@@ -1,19 +1,21 @@
 import functools
 import importlib
 import math
+import random
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fiblat.dedekind import sigma2_closed, sigma4_closed
+from fiblat.dedekind import CLOSED_FAMILIES, sigma2_closed, sigma4_closed
 from fiblat.energy import (
     _SUM_CHUNK,
     RationalLattice,
     energy,
     energy_dft,
     energy_direct,
+    energy_exact,
     fib_sum,
     fib_sum_grouped,
     lattice_points,
@@ -23,6 +25,7 @@ from fiblat.golden import fib, lucas
 from fiblat.kernels import (
     FSigma,
     Trig,
+    bernoulli_number,
     dft_coeffs,
     kernel_bernoulli_weight,
     kernel_one,
@@ -108,6 +111,95 @@ def test_energy_routes_need_a_lattice():
         wce_e(2.0, 1.0, 10, 2)
     with pytest.raises(ValueError, match="generator 2 not coprime to 10"):
         energy_dft(dft_coeffs(2.0, 1.0, 10), 10, 2)
+
+
+def test_exact_energy_equals_direct_on_fractions():
+    # every coprime (N, h) with N <= 13, and two Fibonacci lattices
+    lattices = [(N, h) for N in range(1, 14) for h in range(N) if math.gcd(h, N) == 1]
+    for N, h in lattices + [(21, 13), (34, 21)]:
+        pts = lattice_points(RationalLattice(N, h), exact=True)
+        for two_s in (2, 4, 6):
+            want = energy_direct(lambda t: potential_K(two_s, Fraction(1), t), pts)
+            assert energy_exact(two_s, 1, N, h) == want, (N, h, two_s)
+
+
+def test_exact_energy_of_fibonacci_lattices_is_the_closed_family():
+    # E/N^2 - 1 = 4pZ/N^2s + 4p^2 Z^2/N^4s + p^2 T_n/(4^2s ((2s-1)!)^2 N^4s)
+    # with Z = (-1)^(s+1) B_2s/(2 (2s)!) and T_n the sigma2s lattice sum
+    for two_s in (2, 4, 6):
+        s = two_s // 2
+        Z = (-1) ** (s + 1) * bernoulli_number(two_s) / (2 * math.factorial(two_s))
+        family = CLOSED_FAMILIES[f"sigma{two_s}"]
+        for n in range(3, 40):
+            N = Fraction(fib(n))
+            T = family.value(n)
+            for p in (1, 6):
+                want = (4 * p * Z / N ** two_s + 4 * p * p * Z * Z / N ** (2 * two_s)
+                        + p * p * T / (4 ** two_s * math.factorial(two_s - 1) ** 2
+                                       * N ** (2 * two_s)))
+                got = energy_exact(two_s, p, fib(n), fib(n - 1)) / N ** 2 - 1
+                assert got == want, (two_s, n, p)
+
+
+def _float_route_lattices():
+    # Fibonacci lattices F_5..F_25 and 20 seeded coprime pairs, N < 2e5
+    rng = random.Random(20260)
+    pairs = [(fib(n), fib(n - 1)) for n in range(5, 26)]
+    while len(pairs) < 21 + 20:
+        N = rng.randrange(2, 200000)
+        h = rng.randrange(1, N)
+        if math.gcd(h, N) == 1:
+            pairs.append((N, h))
+    return pairs
+
+
+@pytest.mark.parametrize("two_s", [2, 4, 6])
+def test_float_energy_routes_are_within_2e15_of_exact(two_s):
+    for N, h in _float_route_lattices():
+        for p in (1, 6):
+            want = energy_exact(two_s, p, N, h)
+            dft = energy_dft(dft_coeffs(float(two_s), float(p), N), N, h)
+            wce = N * N * (1.0 + wce_e(float(two_s), float(p), N, h))
+            for route, got in (("dft", dft), ("wce", wce)):
+                assert abs(Fraction(got) - want) <= Fraction(2e-15) * want, (route, N, h, p)
+
+
+def test_exact_energy_refusals():
+    for sigma in (3, 2.5, 0, -2, math.nan, math.inf):
+        with pytest.raises(ValueError, match="even integer exponent"):
+            energy_exact(sigma, 1, 5, 3)
+    with pytest.raises(ValueError, match="generator 4 not coprime to 10"):
+        energy_exact(2, 1, 10, 4)
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        energy_exact(2, 1, 0, 1)
+    # float exponents and coefficients are taken at their exact values
+    assert energy_exact(4.0, 0.5, 13, 8) == energy_exact(4, Fraction(1, 2), 13, 8)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficient_is_refused(p):
+    lat = RationalLattice.fibonacci(5)
+    calls = [lambda m=m: energy(lat, 2.0, p, m) for m in ("direct", "dft", "wce")]
+    calls += [lambda: wce_e(2.5, p, 5, 3), lambda: dft_coeffs(2.5, p, 5),
+              lambda: potential_K(2.5, p, 0.3), lambda: potential_K(2, p, 0.3),
+              lambda: energy_exact(2, p, 5, 3)]
+    for call in calls:
+        with pytest.raises(ValueError, match="coefficient must be finite"):
+            call()
+
+
+def test_energy_past_float64_raises_without_numpy_warnings():
+    # |p| = 1e300 squares past float64 on every route (an overflow in
+    # numpy on the dft route); only the finite check's ValueError gets
+    # out.  At sigma = 2.5 direct refuses the series first.
+    lat = RationalLattice.fibonacci(5)
+    for sigma, p, methods in ((2.0, 1e300, ("direct", "dft", "wce")),
+                              (2.5, -1e300, ("dft", "wce"))):
+        for method in methods:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="energy leaves float64"):
+                    energy(lat, sigma, p, method)
 
 
 def test_wce_shift_identity():

@@ -18,8 +18,6 @@ from fiblat.kernels import (
     _pair_coeffs,
     bernoulli_number,
     bernoulli_poly,
-    cot_power_sums,
-    dft_coeff_sum_exact,
     dft_coeffs,
     dft_coeffs_even,
     f_sigma_many,
@@ -352,32 +350,6 @@ def test_pair_table_routes_refuse_float64_overflow():
     # sum is dominated by c(1)**2 + c(N-1)**2
     e = wce_e(80.0, 1.0, 987, 1)
     assert e == pytest.approx(2 * (2 * math.pi) ** -160, rel=1e-13)
-
-
-def test_cot_power_sums_match_float_sums():
-    for N in (2, 3, 4, 7, 12, 31):
-        S = cot_power_sums(N, 3)
-        assert S[0] == N - 1
-        for r in range(1, 4):
-            want = sum(
-                (1 / math.tan(math.pi * m / N)) ** (2 * r)
-                for m in range(1, N) if 2 * m != N
-            )
-            assert float(S[r]) == pytest.approx(want, rel=1e-11, abs=1e-11)
-    # quartic sum has a classical closed form
-    for N in (5, 9, 14):
-        assert cot_power_sums(N, 2)[2] == Fraction(
-            (N - 1) * (N - 2) * (N * N + 3 * N - 13), 45
-        )
-
-
-def test_exact_coefficient_sum_equals_potential_at_zero():
-    for two_s in (2, 4, 6):
-        for p in (1, Fraction(6)):
-            for N in (1, 2, 5, 13, 55):
-                total, k0 = dft_coeff_sum_exact(two_s, p, N)
-                assert total == k0
-                assert k0 == potential_K(two_s, Fraction(p), Fraction(0))
 
 
 def test_trig_kernel_rejects_non_integral_coefficients():

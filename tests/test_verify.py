@@ -29,6 +29,16 @@ def test_result_dict_shape():
     assert "seconds" in d
 
 
+def test_every_suite_at_limit_one_checks_something_or_raises():
+    # a suite that ran no check must not read as a pass
+    for name in SUITE_NAMES:
+        try:
+            res = run_suite(name, 1)
+        except ValueError:
+            continue
+        assert res.passed and res.checks > 0, name
+
+
 def test_unknown_suite_and_bad_limit():
     with pytest.raises(ValueError):
         run_suite("sine")
@@ -72,3 +82,16 @@ def test_closedform_suite_sweeps_its_whole_limit():
     assert run_suite("closedform").checks == 5 * 23
     r = run_suite("closedform", 120)
     assert r.passed and r.limit == 120 and r.checks == 5 * 118
+    # it starts at level 3, so a smaller limit would check nothing
+    for limit in (1, 2):
+        with pytest.raises(ValueError, match="limit must be >= 3"):
+            run_suite("closedform", limit)
+    assert run_suite("closedform", 3).checks == 5
+
+
+def test_dft_suite_checks_the_table_against_the_exact_energy():
+    # per (2s, p): 8 Fibonacci lattices F_2..F_9 against energy_exact and
+    # 7 against the even coefficient route; 2 x 7 quadrature sums
+    r = run_suite("dft")
+    assert r.passed and r.limit == 34 and r.checks == 6 * (8 + 7) + 2 * 7
+    assert run_suite("dft", 1).checks == 6
