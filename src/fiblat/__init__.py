@@ -40,7 +40,6 @@ from .dedekind import (
     hwz_check,
     s13_closed,
     s22_closed,
-    s22_from_trig_sum,
     sigma2_closed,
     sigma2_closed_abstract,
     sigma4_closed,
@@ -105,7 +104,6 @@ __all__ = [
     "half_fib_witness", "hwz_check", "kernel_bernoulli_weight", "kernel_one",
     "lattice_points", "lucas", "parse_kernel", "phi_power", "potential_K",
     "prefactor", "residual_fit", "row", "row_table", "rows_below_half_fib",
-    "run_suite", "s13_closed", "s22_closed", "s22_from_trig_sum",
-    "sigma2_closed", "sigma2_closed_abstract", "sigma4_closed",
-    "wce_e", "wythoff_row_entries", "zeta",
+    "run_suite", "s13_closed", "s22_closed", "sigma2_closed", "sigma2_closed_abstract",
+    "sigma4_closed", "wce_e", "wythoff_row_entries", "zeta",
 ]

@@ -46,7 +46,9 @@ from .golden import _to_mpf, fib, phi_power
 from .kernels import (
     _PI_STR,
     Kernel,
+    _bernoulli_coeff,
     _check_exponent,
+    _even_exponent,
     bernoulli_number,
     bernoulli_poly,
     kernel_one,
@@ -251,15 +253,12 @@ class ClosedConstant:
 
 
 def constant_C_closed(sigma: int, f0=1) -> ClosedConstant:
-    """C at sigma = 2s in closed form:
-    f0**2 * 80**s * (B_{2s}(1/5) - B_{2s}(2/5)) * B_{2s} / ((2s)!**2 * sqrt5)."""
-    if sigma != int(sigma) or int(sigma) < 2 or int(sigma) % 2:
-        raise ValueError(f"closed form needs a positive even integer exponent, got {sigma}")
-    two_s = int(sigma)
-    s = two_s // 2
+    """C at sigma = 2s in closed form, c**2 * 80**s * (B_{2s}(1/5) - B_{2s}(2/5))
+    * B_{2s} / sqrt5 with c = f0 (-1)**(s-1) / (2s)! taken exactly."""
+    two_s = _even_exponent(sigma)
+    c = _bernoulli_coeff(two_s, Fraction(f0))
     db = bernoulli_poly(two_s, Fraction(1, 5)) - bernoulli_poly(two_s, Fraction(2, 5))
-    coeff = (Fraction(f0) ** 2 * Fraction(80) ** s * db * bernoulli_number(two_s)
-             / Fraction(math.factorial(two_s)) ** 2)
+    coeff = c * c * Fraction(80) ** (two_s // 2) * db * bernoulli_number(two_s)
     with mpmath.workprec(120):
         v = mpmath.mpf(coeff.numerator) / coeff.denominator / mpmath.sqrt(5)
     return ClosedConstant(coeff, float(v), v)
@@ -303,8 +302,8 @@ def dedekind_zeta(sigma: float, route: str = "eta-series",
         raise ValueError(f"unknown route {route!r}; expected one of {ZETA_ROUTES}")
     if route == "bernoulli-closed-form":
         # C = 2 * 5**(sigma/2) / pi**(2*sigma) * zeta_K at unit weight
-        c = constant_C_closed(sigma)  # rejects all but even integer sigma
-        two_s = int(sigma)
+        two_s = _even_exponent(sigma)
+        c = constant_C_closed(two_s)
         with mpmath.workprec(120):
             v = (c.value_mp * mpmath.pi ** (2 * two_s)
                  / (2 * mpmath.mpf(5) ** (two_s // 2)))

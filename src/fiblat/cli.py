@@ -14,6 +14,7 @@ they run; no output depends on it.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -252,10 +253,11 @@ def cmd_constants(sigma, kernel_spec, i_max, k_max, fmt):
         "d_error_estimate": d.error_estimate,
     }
     f0 = kernel.value_at_zero
-    if sigma == int(sigma) and int(sigma) % 2 == 0 and float(f0).is_integer():
-        closed = constant_C_closed(int(sigma), int(f0))
-        doc["c_closed"] = closed.value
-        doc["c_closed_coefficient"] = _frac(closed.coefficient)
+    if float(f0).is_integer():
+        with contextlib.suppress(ValueError):  # no closed form unless sigma is even
+            closed = constant_C_closed(sigma, int(f0))
+            doc["c_closed"] = closed.value
+            doc["c_closed_coefficient"] = _frac(closed.coefficient)
     _echo_doc(doc, fmt)
 
 

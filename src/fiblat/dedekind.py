@@ -39,7 +39,6 @@ __all__ = [
     "CLOSED_FAMILIES",
     "s22_closed",
     "s13_closed",
-    "s22_from_trig_sum",
     "sigma2_closed",
     "sigma2_closed_abstract",
     "sigma4_closed",
@@ -341,17 +340,6 @@ def sigma2_closed_abstract(n: int) -> Fraction:
         - Fraction(sgn * 2, 15)
         - Fraction(1, 9)
     )
-
-
-def s22_from_trig_sum(n: int) -> Fraction:
-    """Bridge between the trigonometric and the Bernoulli closed forms:
-    s_{2,2}(1, F_{n-1}; F_n) = (sigma2_closed(n) + 1/9) / (4 F_n^3).
-
-    The 1/9 absorbs the constant DFT coefficient; at n = 2 it alone
-    produces the value 1/36 of the one-term Bernoulli sum while the
-    trigonometric sum is empty.
-    """
-    return (sigma2_closed(n) + Fraction(1, 9)) / (4 * fib(n) ** 3)
 
 
 def sigma4_closed(n: int) -> Fraction:

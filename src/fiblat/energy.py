@@ -51,8 +51,10 @@ from .dedekind import gen_dedekind_sum
 from .golden import fib
 from .kernels import (
     Kernel,
+    _bernoulli_coeff,
     _check_coefficient,
     _check_exponent,
+    _even_exponent,
     _hurwitz_pair_table,
     bernoulli_number,
     dft_coeffs,
@@ -153,29 +155,47 @@ def energy_exact(sigma, p, N: int, h: int) -> Fraction:
     (a float as its binary value).  Any other sigma, a non-finite p, N < 1
     and gcd(h, N) != 1 raise ValueError.
     """
-    try:
-        two_s = int(sigma)
-    except (TypeError, ValueError, OverflowError):
-        two_s = 0
-    if two_s != sigma or two_s < 2 or two_s % 2:
-        raise ValueError(f"exact energy needs an even integer exponent >= 2, got {sigma!r}")
+    two_s = _even_exponent(sigma)
     _check_coefficient(p)
     _check_lattice(N, h)
-    s = two_s // 2
-    c = Fraction(p) * (-1) ** (s - 1) / math.factorial(two_s)
+    c = _bernoulli_coeff(two_s, Fraction(p))
     return N * (N + 2 * c * Fraction(N) ** (1 - two_s) * bernoulli_number(two_s)
                 + c * c * gen_dedekind_sum(two_s, two_s, 1, h, N))
 
 
+def _quiet_overflow(fn):
+    """fn with NumPy's divide, overflow and invalid warnings off.  A term
+    past float64 is inf, and the total then fails a finiteness check
+    (_finite_sum or _finite_energy) with a ValueError; the warnings would
+    only repeat it.  Each call enters a fresh errstate and restores the
+    caller's state on return, so the decorated function may also run on
+    the sweep pool's threads."""
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+    return quiet
+
+
+def _finite_energy(value: float, N: int, sigma=None, p=None) -> float:
+    """value, or ValueError naming the input when it has left float64."""
+    if not math.isfinite(value):
+        at = "" if sigma is None else f", sigma={sigma:g}, p={p}"
+        raise ValueError(f"energy leaves float64 at N={N}{at}")
+    return value
+
+
+@_quiet_overflow
 def energy_dft(coeffs, N: int, h: int) -> float:
     """E = N^2 sum_m chat(m) chat(h m mod N) from an N-periodic table;
-    ValueError unless Lambda_{N,h} is a lattice (N >= 1, gcd(h, N) = 1)."""
+    ValueError unless Lambda_{N,h} is a lattice (N >= 1, gcd(h, N) = 1),
+    and where E leaves float64."""
     _check_lattice(N, h)
     if len(coeffs) != N:
         raise ValueError(f"coefficient table has length {len(coeffs)}, expected {N}")
     c = np.asarray(coeffs, dtype=np.float64)
     idx = (h * np.arange(N)) % N
-    return float(N) ** 2 * float(np.sum(c * c[idx]))
+    return _finite_energy(float(N) ** 2 * float(np.sum(c * c[idx])), N)
 
 
 def wce_e(sigma: float, p: float, N: int, h: int) -> float:
@@ -189,7 +209,8 @@ def wce_e(sigma: float, p: float, N: int, h: int) -> float:
     The table is scaled by (2 pi N)**-sigma before the pairing sum so
     the products stay in range; sizes where (2 pi N)**sigma overflows
     float64, or above kernels._PAIR_TABLE_MAX_N, raise ValueError, and so
-    do N < 1, gcd(h, N) != 1 and a non-finite p.
+    do N < 1, gcd(h, N) != 1, a non-finite p and a result that leaves
+    float64.
     """
     _check_exponent(sigma)
     _check_coefficient(p)
@@ -201,7 +222,7 @@ def wce_e(sigma: float, p: float, N: int, h: int) -> float:
         A = scale * _hurwitz_pair_table(sigma, N)
         idx = ((h % N) * np.arange(1, N, dtype=np.int64)) % N
         acc += p * p * float(np.sum(A[1:] * A[idx]))
-    return acc
+    return _finite_energy(acc, N, sigma, p)
 
 
 @dataclass(frozen=True)
@@ -214,20 +235,6 @@ class EnergyReport:
     p: float
 
 
-def _quiet_overflow(fn):
-    """fn with NumPy's divide, overflow and invalid warnings off.  A term
-    past float64 is inf, and the total then fails a finiteness check
-    (_finite_sum, or energy's own) with a ValueError; the warnings would
-    only repeat it.  Each call enters a fresh errstate and restores the
-    caller's state on return, so the decorated function may also run on
-    the sweep pool's threads."""
-    @functools.wraps(fn)
-    def quiet(*args, **kwargs):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return fn(*args, **kwargs)
-    return quiet
-
-
 @_quiet_overflow
 def energy(lat: RationalLattice, sigma: float, p: float,
            method: str = "dft") -> EnergyReport:
@@ -238,10 +245,11 @@ def energy(lat: RationalLattice, sigma: float, p: float,
     The dft and wce routes share the vectorized Hurwitz pair table
     (relative error ~1e-15) and are refused with ValueError above
     N = 2 * 10**7 (kernels._PAIR_TABLE_MAX_N, for memory).  "direct"
-    sums the potential's cosine series to 1e-13, visits all N**2 pairs
-    in Python and is refused with ValueError above N = 1000.  A
-    non-finite sigma or p, sigma <= 1, and an energy that leaves float64
-    raise ValueError on every route."""
+    sums the potential's cosine series to 1e-13 relative to
+    max(1, |2p/(2 pi)**sigma|), visits all N**2 pairs in Python and is
+    refused with ValueError above N = 1000.  A non-finite sigma or p,
+    sigma <= 1, and an energy that leaves float64 raise ValueError on
+    every route."""
     _check_exponent(sigma)
     if method == "direct":
         if lat.N > _DIRECT_MAX_N:
@@ -249,18 +257,14 @@ def energy(lat: RationalLattice, sigma: float, p: float,
                 f"direct route is O(N**2) and capped at N = {_DIRECT_MAX_N}, "
                 f"got N = {lat.N}; use dft or wce"
             )
-        pts = lattice_points(lat)
-        val = energy_direct(
-            lambda t: float(potential_K(sigma, p, t)), pts
-        )
+        val = energy_direct(lambda t: float(potential_K(sigma, p, t)), lattice_points(lat))
     elif method == "dft":
         val = energy_dft(dft_coeffs(sigma, p, lat.N), lat.N, lat.h)
     elif method == "wce":
         val = lat.N ** 2 * (1.0 + wce_e(sigma, p, lat.N, lat.h))
     else:
         raise ValueError(f"unknown method {method!r}; use direct, dft or wce")
-    if not math.isfinite(val):
-        raise ValueError(f"energy leaves float64 at N={lat.N}, sigma={sigma:g}, p={p}")
+    _finite_energy(val, lat.N, sigma, p)
     return EnergyReport(float(val), method, lat.N, lat.h, sigma, float(p))
 
 

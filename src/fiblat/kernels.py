@@ -63,7 +63,7 @@ _PI_STR = "3.14159265358979323846264338327950288420"
 _PAIR_TABLE_MAX_N = 2 * 10 ** 7
 # most terms potential_K's cosine series may take (32 MB per work array)
 _K_SERIES_MAX_TERMS = 1 << 22
-# potential_K stops its cosine series once the Abel bound on the tail is below this
+# potential_K's cosine series stops at an Abel tail bound of this times max(1, |pref|)
 _K_SERIES_TOL = 1e-13
 
 
@@ -78,6 +78,22 @@ def _check_coefficient(p) -> None:
     exact rationals always are."""
     if not isinstance(p, numbers.Rational) and not math.isfinite(p):
         raise ValueError(f"potential coefficient must be finite, got {p}")
+
+
+def _even_exponent(sigma) -> int:
+    """2s for any real sigma (int, float, Fraction, NumPy scalar) equal to
+    an even integer >= 2; ValueError for anything else, inf and NaN too."""
+    if isinstance(sigma, numbers.Rational) or (
+            isinstance(sigma, numbers.Real) and math.isfinite(sigma)):
+        two_s = math.floor(sigma)
+        if two_s == sigma and two_s >= 2 and two_s % 2 == 0:
+            return two_s
+    raise ValueError(f"needs an even integer exponent >= 2, got {sigma!r}")
+
+
+def _bernoulli_coeff(two_s: int, p):
+    """c = p (-1)**(s-1) / (2s)! in K_{2s,p}(t) = 1 + c B_{2s}({t}); exact for rational p."""
+    return Fraction((-1) ** (two_s // 2 - 1), math.factorial(two_s)) * p
 
 
 def _as_int(name: str, value) -> int:
@@ -264,17 +280,11 @@ def even_weight_coeffs(two_s: int) -> tuple[int, ...]:
     sin(pi t)**(2s) * G_{2s-1}(cot(pi t)); the weight that turns the even
     potential K_{2s,p} into a trigonometric-polynomial numerator.
     """
-    if two_s < 2 or two_s % 2 != 0:
-        raise ValueError(f"even exponent required, got {two_s}")
-    s = two_s // 2
-    g = cot_derivative_poly(2 * s - 1)
-    # g has only even powers; g[2j] multiplies cos^{2j} sin^{2s-2j}
+    s = _even_exponent(two_s) // 2
     out = [0] * (s + 1)
-    for j in range(s + 1):
-        q = g[2 * j] if 2 * j < len(g) else 0
-        if q == 0:
-            continue
-        # expand sin^{2(s-j)} = (1 - u)^{s-j} with u = cos^2
+    # G_{2s-1} has only even powers: its c^{2j} coefficient q multiplies
+    # cos^{2j} sin^{2s-2j}, and sin^{2(s-j)} = (1 - u)^{s-j} with u = cos^2
+    for j, q in enumerate(cot_derivative_poly(2 * s - 1)[::2]):
         for t in range(s - j + 1):
             out[j + t] += q * (-1) ** t * math.comb(s - j, t)
     while len(out) > 1 and out[-1] == 0:
@@ -418,9 +428,10 @@ def kernel_bernoulli_weight(two_s: int) -> Kernel:
     """The even-potential weight as a trig kernel; bern:2 is 1, bern:4 is
     2 + 4 cos^2, bern:6 is 16 + 88 cos^2 + 16 cos^4.  Raises ValueError
     from bern:172 on, whose coefficients leave float64."""
+    two_s = _even_exponent(two_s)
     # the weight's value at 0 is (2s-1)!, a lower bound of sum |a_j|:
     # refuse before building G_{2s-1} where that alone overflows
-    if two_s >= 2 and math.lgamma(two_s) > math.log(sys.float_info.max):
+    if math.lgamma(two_s) > math.log(sys.float_info.max):
         raise ValueError(f"weight bern:{two_s} has coefficients too large for float64")
     return Trig(even_weight_coeffs(two_s), f"bern:{two_s}")
 
@@ -462,33 +473,31 @@ def potential_K(sigma: float, p, t):
     """K_{sigma,p}(t) = 1 + p sum_{m != 0} e(mt)/|2 pi m|**sigma.
 
     For even integer sigma = 2s this is the exact polynomial path
-    1 + p (-1)**(s-1) B_{2s}({t}) / (2s)!, returning a Fraction when both
-    p and t are exact.  Otherwise the cosine series is summed until an
-    Abel-bounded tail drops below _K_SERIES_TOL; where that takes more than
+    1 + c B_{2s}({t}) with c = p (-1)**(s-1) / (2s)!, returning a Fraction
+    when both p and t are exact.  Otherwise the cosine series is summed
+    until an Abel-bounded tail drops below _K_SERIES_TOL times
+    max(1, |2p/(2 pi)**sigma|); where that takes more than
     _K_SERIES_MAX_TERMS terms (sigma near 1, t near 0) it raises
     ValueError, and the dft and wce routes of energy take the input.  A
     non-finite p raises ValueError.
     """
     _check_exponent(sigma)
     _check_coefficient(p)
-    if isinstance(sigma, int) or (isinstance(sigma, float) and sigma.is_integer()):
-        s2 = int(sigma)
-        if s2 % 2 == 0:
-            s = s2 // 2
-            tt = t % 1 if isinstance(t, (Fraction, int)) else float(t) % 1.0
-            b = bernoulli_poly(s2, tt)
-            sign = 1 if s % 2 == 1 else -1
-            val = 1 + p * sign * b / math.factorial(s2)
-            if isinstance(b, Fraction) and isinstance(p, (int, Fraction)):
-                return Fraction(val)
-            return float(val)
+    try:
+        two_s = _even_exponent(sigma)
+    except ValueError:  # the cosine series below
+        pass
+    else:
+        tt = t % 1 if isinstance(t, (Fraction, int)) else float(t) % 1.0
+        val = 1 + _bernoulli_coeff(two_s, p) * bernoulli_poly(two_s, tt)
+        return val if isinstance(val, Fraction) else float(val)
     t = float(t) % 1.0
     pref = 2 * float(p) / _TWO_PI ** sigma
     if t == 0.0:
         return 1.0 + pref * zeta(sigma)
     tr = min(t, 1.0 - t)
     bound = 1.0 / math.sin(math.pi * tr)  # Abel bound on cosine partial sums
-    terms = (abs(pref) * bound / _K_SERIES_TOL) ** (1.0 / sigma)
+    terms = (min(abs(pref), 1.0) * bound / _K_SERIES_TOL) ** (1.0 / sigma)
     if terms > _K_SERIES_MAX_TERMS:
         raise ValueError(
             f"cosine series of K needs {terms:.3g} terms at sigma={sigma:g}, "
@@ -523,20 +532,17 @@ def dft_coeffs(sigma: float, p: float, N: int) -> np.ndarray:
 
 
 def dft_coeffs_even(two_s: int, p: float, N: int) -> np.ndarray:
-    """The even-sigma route to the same table: index 0 from B_{2s}, index
-    m >= 1 from the (2s-1)-th cotangent derivative at m/N."""
-    if two_s < 2 or two_s % 2 != 0:
-        raise ValueError(f"even exponent required, got {two_s}")
+    """The even-sigma route to the same table: 1 + c B_{2s} / N**(2s) rounded
+    once at index 0, the (2s-1)-th cotangent derivative at m/N at m >= 1."""
+    two_s = _even_exponent(two_s)
     if N < 1:
         raise ValueError(f"modulus must be >= 1, got {N}")
-    s = two_s // 2
-    g = cot_derivative_poly(2 * s - 1)
+    _check_coefficient(p)
+    g = cot_derivative_poly(two_s - 1)
     out = np.empty(N, dtype=np.float64)
-    sign = 1 if s % 2 == 1 else -1
-    out[0] = 1.0 + p * sign * float(bernoulli_number(two_s)) / (
-        math.factorial(two_s) * float(N) ** two_s
-    )
-    scale = p / (math.factorial(2 * s - 1) * float(2 * N) ** two_s)
+    out[0] = float(1 + _bernoulli_coeff(two_s, Fraction(p)) * bernoulli_number(two_s)
+                   / N ** two_s)
+    scale = p / (math.factorial(two_s - 1) * float(2 * N) ** two_s)
     for m in range(1, N):
         c = 1.0 / math.tan(math.pi * m / N) if 2 * m != N else 0.0
         out[m] = scale * _horner(g, c)

@@ -20,7 +20,8 @@ Suites:
                  seeded random coprime pairs and consecutive Fibonacci
                  pairs
     closedform   closed forms of the generalized sums against their
-                 defining sums, parity relation, trigonometric bridge
+                 defining sums, parity relation, trigonometric bridge:
+                 the exact sigma = 2 energy from the sigma2 closed form
     dft          coefficient-table routes agree; the dft energy of the
                  Fibonacci lattices matches the exact even-sigma energy
     zeta-routes  the three number-field zeta routes agree within their
@@ -44,7 +45,6 @@ from .dedekind import (
     hwz_check,
     s13_closed,
     s22_closed,
-    s22_from_trig_sum,
     sigma2_closed,
     sigma2_closed_abstract,
 )
@@ -331,7 +331,8 @@ def _suite_closedform(run: _Run, limit: int) -> None:
             "quadratic closed forms disagree at %d", n,
         )
         run.ok(
-            s22_from_trig_sum(n) == s22_closed(n),
+            energy_exact(2, 1, c, b)
+            == c * c + Fraction(1, 6) + (sigma2_closed(n) + Fraction(1, 9)) / (16 * c * c),
             "trigonometric bridge fails at %d", n,
         )
 

@@ -332,10 +332,14 @@ def test_energy_non_finite_p_is_usage_error(p):
 
 
 def test_energy_past_float64_is_usage_error():
-    # p = 1e300 squares past float64; the JSON would read Infinity
-    for method in ("direct", "dft", "wce"):
-        r = run("energy", "--fib-level", "5", "--sigma", "2", "--p", "1e300", "--method", method)
-        assert r.exit_code == 2 and "leaves float64" in r.output, (method, r.output)
+    # p = 1e300 squares past float64; the JSON would read Infinity.  At
+    # sigma = 2.5 direct's series tolerance is relative to |p|, so the
+    # series cap does not refuse a large p first
+    for sigma in ("2", "2.5"):
+        for method in ("direct", "dft", "wce"):
+            r = run("energy", "--fib-level", "5", "--sigma", sigma, "--p", "1e300",
+                    "--method", method)
+            assert r.exit_code == 2 and "leaves float64" in r.output, (sigma, method, r.output)
 
 
 @pytest.mark.parametrize("flag", ["--c", "--d"])

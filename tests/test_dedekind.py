@@ -11,11 +11,11 @@ from fiblat.dedekind import (
     hwz_check,
     s13_closed,
     s22_closed,
-    s22_from_trig_sum,
     sigma2_closed,
     sigma2_closed_abstract,
     sigma4_closed,
 )
+from fiblat.energy import energy_exact
 from fiblat.golden import fib
 from fiblat.kernels import bernoulli_poly
 
@@ -134,7 +134,14 @@ def test_degenerate_level_value():
 def test_quadratic_closed_forms_agree():
     for n in range(2, 30):
         assert sigma2_closed(n) == sigma2_closed_abstract(n)
-        assert s22_from_trig_sum(n) == s22_closed(n)
+    # the trigonometric bridge: the exact sigma = 2 energy of Phi_n is
+    # F_n^2 + 1/6 + (T_n + 1/9)/(16 F_n^2), T_n the sigma2 lattice sum; at
+    # n = 2 the sum is empty and the 1/9 alone gives the one-term energy
+    for n in range(2, 40):
+        N = fib(n)
+        T = CLOSED_FAMILIES["sigma2"].value(n)
+        want = N * N + Fraction(1, 6) + (T + Fraction(1, 9)) / (16 * N * N)
+        assert energy_exact(2, 1, N, fib(n - 1)) == want, n
 
 
 def test_trig_closed_forms_match_float_lattice_sums():

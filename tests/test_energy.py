@@ -142,10 +142,10 @@ def test_exact_energy_of_fibonacci_lattices_is_the_closed_family():
 
 
 def _float_route_lattices():
-    # Fibonacci lattices F_5..F_25 and 20 seeded coprime pairs, N < 2e5
+    # Fibonacci lattices F_5..F_30 and 20 seeded coprime pairs, N < 2e5
     rng = random.Random(20260)
-    pairs = [(fib(n), fib(n - 1)) for n in range(5, 26)]
-    while len(pairs) < 21 + 20:
+    pairs = [(fib(n), fib(n - 1)) for n in range(5, 31)]
+    while len(pairs) < 26 + 20:
         N = rng.randrange(2, 200000)
         h = rng.randrange(1, N)
         if math.gcd(h, N) == 1:
@@ -191,15 +191,19 @@ def test_non_finite_coefficient_is_refused(p):
 def test_energy_past_float64_raises_without_numpy_warnings():
     # |p| = 1e300 squares past float64 on every route (an overflow in
     # numpy on the dft route); only the finite check's ValueError gets
-    # out.  At sigma = 2.5 direct refuses the series first.
+    # out, also from energy_dft and wce_e called directly.  At sigma = 2.5
+    # direct's series tolerance is relative to |p|, so it does not take
+    # more terms for a large p.
     lat = RationalLattice.fibonacci(5)
-    for sigma, p, methods in ((2.0, 1e300, ("direct", "dft", "wce")),
-                              (2.5, -1e300, ("dft", "wce"))):
-        for method in methods:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="energy leaves float64"):
-                    energy(lat, sigma, p, method)
+    calls = [lambda s=s, p=p, m=m: energy(lat, s, p, m)
+             for s, p in ((2.0, 1e300), (2.5, -1e300)) for m in ("direct", "dft", "wce")]
+    calls += [lambda: wce_e(2.0, 1e300, 5, 3),
+              lambda: energy_dft(dft_coeffs(2.0, 1e300, 5), 5, 3)]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="energy leaves float64"):
+                call()
 
 
 def test_wce_shift_identity():

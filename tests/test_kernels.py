@@ -5,7 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from fiblat.energy import wce_e
+from fiblat.asymptotics import constant_C_closed, dedekind_zeta
+from fiblat.energy import energy_exact, wce_e
 from fiblat.kernels import (
     KERNEL_GRAMMAR,
     FSigma,
@@ -20,6 +21,7 @@ from fiblat.kernels import (
     bernoulli_poly,
     dft_coeffs,
     dft_coeffs_even,
+    even_weight_coeffs,
     f_sigma_many,
     kernel_bernoulli_weight,
     kernel_one,
@@ -216,6 +218,39 @@ def test_potential_even_exponent_is_exact_bernoulli_path():
     assert val == 1 + Fraction(1, 2) * bernoulli_poly(2, Fraction(1, 3))
     # float route approaches the exact one for even sigma
     assert float(val) == pytest.approx(potential_K(2.0, 1.0, 1.0 / 3.0), rel=1e-12)
+
+
+def _exact_potential(sigma):
+    # potential_K's exact path is the one that returns a Fraction for exact
+    # p and t; every other sigma takes the float cosine series or is refused
+    val = potential_K(sigma, 1, Fraction(1, 3))
+    if not isinstance(val, Fraction):
+        raise ValueError(f"no exact path at sigma={sigma!r}")
+    return val
+
+
+EVEN_SIGMA_ENTRY_POINTS = {
+    "constant_C_closed": lambda s: constant_C_closed(s, 6),
+    "dedekind_zeta": lambda s: dedekind_zeta(s, "bernoulli-closed-form"),
+    "energy_exact": lambda s: energy_exact(s, 1, 13, 8),
+    "even_weight_coeffs": even_weight_coeffs,
+    "dft_coeffs_even": lambda s: dft_coeffs_even(s, 1.0, 8).tolist(),
+    "kernel_bernoulli_weight": kernel_bernoulli_weight,
+    "potential_K": _exact_potential,
+}
+
+
+@pytest.mark.parametrize("name", EVEN_SIGMA_ENTRY_POINTS)
+def test_even_sigma_entry_points_share_one_rule(name):
+    # every even-sigma entry point takes any real equal to an even integer
+    # >= 2 and refuses everything else with ValueError
+    call = EVEN_SIGMA_ENTRY_POINTS[name]
+    want = call(4)
+    for sigma in (4.0, Fraction(4), np.float64(4.0), np.int64(4)):
+        assert call(sigma) == want, (name, sigma)
+    for sigma in (3, 4.5, 0, -2, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            call(sigma)
 
 
 def test_potential_series_past_its_term_cap_is_refused():
