@@ -7,10 +7,12 @@ row (one along the row, one along its dual) minus a counting term.
 
 C carries a certified tail (eta_i >= i, so the remainder is dominated
 by an integral) and is summed at the precision that tail needs, by the
-same eta sum as the eta-series route of dedekind_zeta.  eta_i =
--N(w_plus(i)) is a norm and repeats, so that sum takes one power per
-distinct eta, weighted by its row count; the L-series of the Euler
-product route goes through the same weighted power sum, _power_sum.
+same eta sum as the eta-series route of dedekind_zeta.  That sum forms
+the int32 eta column alone, block by block, and builds or caches no
+RowTable.  eta_i = -N(w_plus(i)) is a norm and repeats, so it takes
+one power per distinct eta, weighted by its row count; the L-series of
+the Euler product route goes through the same weighted power sum,
+_power_sum.
 For even sigma C also has an exact Bernoulli closed form, which the
 closed route of dedekind_zeta reuses.  D has one production path, a
 vectorized row sweep run at extended and at double precision (the gap
@@ -31,6 +33,7 @@ worker count.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -54,7 +57,7 @@ from .kernels import (
     kernel_one,
     parse_kernel,
 )
-from .wythoff import WythoffRow, row, row_table
+from .wythoff import WythoffRow, _eta_column, row, row_table
 
 __all__ = [
     "PHI",
@@ -79,6 +82,7 @@ __all__ = [
 
 PHI = (1 + 5 ** 0.5) / 2
 _CHUNK = 8192  # fixed chunk size keeps the reduction order independent of threading
+_POWER_BLOCK = 4096  # terms per block _power_sum turns into Python ints
 
 ZETA_ROUTES = (
     "eta-series",
@@ -184,18 +188,24 @@ def _power_sum(sigma: float, values: np.ndarray, weights: np.ndarray) -> mpmath.
     sigma take one mpf_pow per v, rounded at prec as mpf(v)**-sigma is;
     each is multiplied by w_v exactly, and mpf_sum adds them exactly and
     rounds once at prec, so the result equals fsum over the occurrences
-    bit for bit.
+    bit for bit.  Either way the arrays become Python ints
+    _POWER_BLOCK at a time, never as whole lists.
     """
     prec = mpmath.mp.prec
-    pairs = zip(values.tolist(), weights.tolist())
+    blocks = [slice(lo, lo + _POWER_BLOCK) for lo in range(0, len(values), _POWER_BLOCK)]
     if float(sigma).is_integer():
         s = int(sigma)
         P = prec + int(np.abs(weights).sum()).bit_length() + 2
         one = 1 << P
-        total = sum(w * (one // v ** s) for v, w in pairs)
+        total = 0
+        for b in blocks:
+            total += sum(w * (one // v ** s)
+                         for v, w in zip(values[b].tolist(), weights[b].tolist()))
         return mpmath.ldexp(mpmath.mpf(total), -P)
     t = libmp.from_float(-float(sigma))
     rnd = libmp.round_nearest
+    pairs = itertools.chain.from_iterable(
+        zip(values[b].tolist(), weights[b].tolist()) for b in blocks)
     terms = (libmp.mpf_mul(libmp.mpf_pow(libmp.from_int(v), t, prec, rnd), libmp.from_int(w))
              for v, w in pairs)
     return mpmath.mp.make_mpf(libmp.mpf_sum(terms, prec, rnd))
@@ -210,9 +220,11 @@ def _eta_power_sum(sigma: float, n_top: int) -> tuple[mpmath.mpf, int]:
 
     eta_i = -N(w_plus(i)) is a norm and repeats (44598 distinct values
     in the first 10**5 rows), so _power_sum takes one power per distinct
-    eta, weighted by its row count."""
+    eta, weighted by its row count.  The eta column is formed on its own
+    (_eta_column, int32), with no RowTable built or cached; past
+    RowTable's exact range it raises ValueError, as RowTable does."""
     prec = max(60, int((sigma - 1) * math.log2(n_top)) + 30)
-    eta, count = np.unique(row_table(n_top).eta, return_counts=True)
+    eta, count = np.unique(_eta_column(n_top), return_counts=True)
     with mpmath.workprec(prec):
         return _power_sum(sigma, eta, count), prec
 

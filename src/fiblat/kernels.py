@@ -533,11 +533,15 @@ def dft_coeffs(sigma: float, p: float, N: int) -> np.ndarray:
 
 def dft_coeffs_even(two_s: int, p: float, N: int) -> np.ndarray:
     """The even-sigma route to the same table: 1 + c B_{2s} / N**(2s) rounded
-    once at index 0, the (2s-1)-th cotangent derivative at m/N at m >= 1."""
+    once at index 0, the (2s-1)-th cotangent derivative at m/N at m >= 1.
+    Raises ValueError where (2N)**(2s) * (2s-1)!, the scale of the m >= 1
+    entries, overflows float64, and for a non-finite p."""
     two_s = _even_exponent(two_s)
     if N < 1:
         raise ValueError(f"modulus must be >= 1, got {N}")
     _check_coefficient(p)
+    if two_s * math.log(2 * N) + math.lgamma(two_s) >= math.log(sys.float_info.max):
+        raise ValueError(f"(2N)**(2s) * (2s-1)! overflows float64 at 2s={two_s}, N={N}")
     g = cot_derivative_poly(two_s - 1)
     out = np.empty(N, dtype=np.float64)
     out[0] = float(1 + _bernoulli_coeff(two_s, Fraction(p)) * bernoulli_number(two_s)

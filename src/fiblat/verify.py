@@ -30,6 +30,8 @@ Suites:
 
 from __future__ import annotations
 
+import array
+import itertools
 import math
 import random
 import time
@@ -52,6 +54,7 @@ from .energy import energy_dft, energy_exact
 from .golden import GoldenInt, fib
 from .kernels import dft_coeffs, dft_coeffs_even, potential_K
 from .wythoff import (
+    _eta,
     floor_phi_plus_inv,
     floor_phi_times,
     half_fib_witness,
@@ -64,6 +67,7 @@ __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite"]
 
 _GRID_SLACK = 1e-15
 _GRID_BLOCK = 100  # grid rows per block of a two-dimensional bound
+_INT_BLOCK = 4096  # array entries per block turned into Python ints
 
 
 @dataclass(frozen=True)
@@ -96,15 +100,16 @@ class _Run:
 
 def _suite_wythoff(run: _Run, limit: int) -> None:
     # Every row entry at most `limit`, generated row by row.  The union
-    # must be exactly 1..limit, each value once.
-    seen: list[int] = []
+    # must be exactly 1..limit, each value once; the entries are kept as
+    # int64, not as a list of ints.
+    seen = array.array("q")
     i = 1
     while True:
         L = floor_phi_times(i)
         start = L + i - 1
         if start > limit:
             break
-        eta = L * L - (i - 1) * (i - 1 + L)
+        eta = _eta(i, L)
         prev, cur, k = L, start, 1
         while cur <= limit:
             seen.append(cur)
@@ -119,9 +124,11 @@ def _suite_wythoff(run: _Run, limit: int) -> None:
             )
             prev, cur, k = cur, prev + cur, k + 1
         i += 1
-    seen.sort()
+    seen = np.sort(np.frombuffer(seen, dtype=np.int64))
     run.ok(len(seen) == limit, "array covers %d of %d integers", len(seen), limit)
-    for pos, val in enumerate(seen, start=1):
+    vals = itertools.chain.from_iterable(
+        seen[lo:lo + _INT_BLOCK].tolist() for lo in range(0, len(seen), _INT_BLOCK))
+    for pos, val in enumerate(vals, start=1):
         run.ok(val == pos, "partition breaks at %d (got %d)", pos, val)
 
     # Threshold index: an entry is below half the level-n modulus

@@ -117,8 +117,13 @@ def row(i: int) -> WythoffRow:
     if i < 1:
         raise ValueError(f"row index must be >= 1, got {i}")
     L = floor_phi_times(i)
-    eta = L * L - (i - 1) * (i - 1 + L)
-    return WythoffRow(i, L, eta, _mu_exact(i, L))
+    return WythoffRow(i, L, _eta(i, L), _mu_exact(i, L))
+
+
+def _eta(i, L):
+    """eta_i = -w_plus(i) * w_minus(i) = L**2 - (i - 1) * (i - 1 + L) for
+    L = floor(phi*i): on Python ints, or elementwise on int64 arrays."""
+    return L * L - (i - 1) * (i - 1 + L)
 
 
 def _mu_exact(i: int, L: int) -> int:
@@ -225,22 +230,21 @@ def half_fib_witness(ell: int) -> tuple[int, int, int]:
 class RowTable:
     """Columnar row data for 1 <= i <= i_max (numpy arrays).
 
-    Built once and cached; used by the asymptotic-constant series where
+    Built once and cached (row_table); used by the D row sweep, where
     per-row Python objects would dominate the runtime.  Every column is
     computed by whole-array operations; the integer columns are exact
     (float estimates settled by exact int64 comparisons), which needs
-    floor(phi*i_max) < 2**27.  That cap lets i and floor_phi_i be int32
-    and mu (below 45) int8; eta stays int64, and w_plus and w_minus_neg
-    are float64: 33 bytes per row.
+    floor(phi*i_max) < 2**27.  That cap lets i, floor_phi_i and eta
+    (below w_plus(i) < 3.62*i, so under 3.1e8) be int32 and mu (below 45)
+    int8; w_plus and w_minus_neg are float64: 29 bytes per row.
     """
 
     def __init__(self, i_max: int):
-        if i_max >= 1 and floor_phi_times(i_max) >= 1 << 27:
-            raise ValueError(f"table size must keep floor(phi*i) < 2**27, got {i_max}")
+        _check_table_size(i_max)
         self.i_max = i_max
         self.i = np.arange(1, i_max + 1, dtype=np.int32)
         self.floor_phi_i = np.empty(i_max, dtype=np.int32)
-        self.eta = np.empty(i_max, dtype=np.int64)
+        self.eta = np.empty(i_max, dtype=np.int32)
         self.mu = np.empty(i_max, dtype=np.int8)
         self.w_plus = np.empty(i_max)
         self.w_minus_neg = np.empty(i_max)
@@ -252,7 +256,7 @@ class RowTable:
             i = self.i[s].astype(np.int64)
             L = _floor_phi_many(i)
             self.floor_phi_i[s] = L
-            self.eta[s] = L * L - (i - 1) * (i - 1 + L)
+            self.eta[s] = _eta(i, L)
             self.mu[s] = _mu_many(i, L)
             self.w_plus[s] = (i - 1) + L * _PHI
             # -w_minus(i) = 1 - phi^-1 * frac(phi*i) = L * phi^-1 - (i - 1),
@@ -264,6 +268,26 @@ class RowTable:
             wmn += mid * L
             wmn += lo * L
             self.w_minus_neg[s] = wmn
+
+
+def _check_table_size(i_max: int) -> None:
+    """ValueError unless 0 <= i_max and floor(phi*i_max) < 2**27, the
+    range where the array row columns are exact."""
+    if i_max < 0:
+        raise ValueError(f"table size must be >= 0, got {i_max}")
+    if i_max >= 1 and floor_phi_times(i_max) >= 1 << 27:
+        raise ValueError(f"table size must keep floor(phi*i) < 2**27, got {i_max}")
+
+
+def _eta_column(i_max: int) -> np.ndarray:
+    """RowTable(i_max).eta, int32, without the table's other columns:
+    built in the same blocks by the same formula."""
+    _check_table_size(i_max)
+    eta = np.empty(i_max, dtype=np.int32)
+    for start in range(0, i_max, _TABLE_BLOCK):
+        i = np.arange(start + 1, min(start + _TABLE_BLOCK, i_max) + 1, dtype=np.int64)
+        eta[start:start + len(i)] = _eta(i, _floor_phi_many(i))
+    return eta
 
 
 def _floor_phi_many(i: np.ndarray) -> np.ndarray:

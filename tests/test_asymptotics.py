@@ -1,13 +1,16 @@
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from fiblat import asymptotics
 from fiblat.asymptotics import (
     PHI,
+    _eta_power_sum,
     _power_sum,
     approximation_errors,
     constant_C,
@@ -275,6 +278,52 @@ def test_noninteger_zeta_routes_keep_their_values():
     for (sigma, route), man_exp in _NONINTEGER_ZETA.items():
         z = dedekind_zeta(sigma, route, truncation=2000)
         assert (z.value_mp.man, z.value_mp.exp) == man_exp, (sigma, route)
+
+
+def test_power_sum_blocks_do_not_move_the_sum(monkeypatch):
+    # the arrays become Python ints a block at a time; the integer sum
+    # is exact and mpf_sum rounds once, so the block size moves no bit
+    eta, count = np.unique(row_table(20000).eta, return_counts=True)
+    n = np.arange(1, 20001)
+    n = n[n % 5 != 0]
+    cases = [(eta, count), (n, np.array((0, 1, -1, -1, 1))[n % 5])]
+    for sigma in (2, 2.5, 6):
+        with mpmath.workprec(90):
+            want = [_power_sum(sigma, v, w) for v, w in cases]
+            monkeypatch.setattr(asymptotics, "_POWER_BLOCK", 7)
+            got = [_power_sum(sigma, v, w) for v, w in cases]
+            monkeypatch.undo()
+        assert [(x.man, x.exp) for x in got] == [(x.man, x.exp) for x in want], sigma
+
+
+def test_eta_sums_build_no_row_table():
+    row_table.cache_clear()
+    constant_C(2.0, i_max=2000)
+    dedekind_zeta(2.5, "eta-series", 2000)
+    assert row_table.cache_info().currsize == 0
+
+
+def test_eta_sums_past_the_exact_rows_are_a_value_error():
+    # 82951118 is the first row with floor(phi*i) >= 2**27, where the
+    # array eta column stops being exact; refused before allocating
+    for call in (lambda: constant_C(2.0, i_max=82951118),
+                 lambda: dedekind_zeta(2.0, "eta-series", 82951118)):
+        with pytest.raises(ValueError, match="floor\\(phi\\*i\\) < 2\\*\\*27"):
+            call()
+
+
+def test_eta_power_sum_peak_memory():
+    # the int32 eta column, its np.unique and int blocks: no RowTable
+    # and no whole lists of Python ints (6.2 MiB with both)
+    _eta_power_sum(2.0, 10 ** 5)
+    row_table.cache_clear()
+    tracemalloc.start()
+    try:
+        _eta_power_sum(2.0, 10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2 ** 20, peak
 
 
 def test_constant_c_precision_is_pinned():

@@ -298,6 +298,17 @@ def test_dft_even_route_matches_quadrature_route():
                 assert float(np.max(np.abs(a - b))) < 1e-12
 
 
+def test_dft_even_route_outside_float64_is_a_value_error():
+    # (2N)**(2s) * (2s-1)! scales the m >= 1 entries, as (2 pi N)**sigma
+    # scales dft_coeffs; both refuse where it leaves float64
+    for call in (dft_coeffs, dft_coeffs_even):
+        with pytest.raises(ValueError, match="overflows float64"):
+            call(200, 1.0, 1000)
+    with pytest.raises(ValueError, match="overflows float64"):
+        dft_coeffs_even(100, 1.0, 10 ** 4)
+    assert np.all(np.isfinite(dft_coeffs_even(40, 1.0, 987)))
+
+
 def test_hurwitz_pair_table_against_mpmath():
     # a = 1/F_25, 1/2 and 1 - 1/F_25 at 2e-15; at the other offsets the
     # rounding of m/N to a double adds up to sigma * 2**-53

@@ -13,6 +13,8 @@ from fiblat.golden import GoldenInt, fib, phi_power
 from fiblat.wythoff import (
     RowTable,
     WythoffRow,
+    _eta,
+    _eta_column,
     _floor_phi_many,
     _level_rows,
     _mu_many,
@@ -22,6 +24,7 @@ from fiblat.wythoff import (
     floor_phi_times,
     half_fib_witness,
     row,
+    row_table,
     rows_below_half_fib,
     wythoff_row_entries,
 )
@@ -203,13 +206,28 @@ def test_row_walk_keeps_no_rows():
 
 
 def test_row_table_columns_are_narrow():
-    # floor(phi*i) < 2**27 bounds i and floor_phi_i in int32; mu < 45
+    # floor(phi*i) < 2**27 bounds i, floor_phi_i and eta (< 3.62*i) in
+    # int32; mu < 45
     tab = RowTable(5000)
     dtypes = {name: getattr(tab, name).dtype
               for name in ("i", "floor_phi_i", "eta", "mu", "w_plus", "w_minus_neg")}
-    assert dtypes == {"i": np.int32, "floor_phi_i": np.int32, "eta": np.int64,
+    assert dtypes == {"i": np.int32, "floor_phi_i": np.int32, "eta": np.int32,
                       "mu": np.int8, "w_plus": np.float64, "w_minus_neg": np.float64}
-    assert sum(getattr(tab, name).nbytes for name in dtypes) == 33 * tab.i_max
+    assert sum(getattr(tab, name).nbytes for name in dtypes) == 29 * tab.i_max
+
+
+def test_eta_column_is_the_row_table_column():
+    # block edges included: 2**13 rows per block
+    for n in (0, 1, 8, 8191, 8192, 8193, 30000):
+        eta = _eta_column(n)
+        assert eta.dtype == np.int32
+        assert np.array_equal(eta, RowTable(n).eta), n
+
+
+def test_negative_table_size_is_a_value_error():
+    for build in (RowTable, row_table, _eta_column):
+        with pytest.raises(ValueError, match="table size must be >= 0"):
+            build(-5)
 
 
 def test_row_table_matches_scalar_rows():
@@ -261,11 +279,13 @@ def test_row_columns_exact_near_the_int64_edge():
     i = _edge_rows()
     L = _floor_phi_many(i)
     mu = _mu_many(i, L)
+    eta = _eta(i, L)
     assert L.tolist() == [floor_phi_times(int(x)) for x in i]
     assert mu.tolist() == [row(int(x)).mu for x in i]
+    assert eta.tolist() == [row(int(x)).eta for x in i]
     # RowTable's narrow columns hold the int64 values unchanged here
     tab = RowTable(8)
-    for ref, col in ((i, tab.i), (L, tab.floor_phi_i), (mu, tab.mu)):
+    for ref, col in ((i, tab.i), (L, tab.floor_phi_i), (eta, tab.eta), (mu, tab.mu)):
         assert np.array_equal(ref.astype(col.dtype).astype(np.int64), ref)
     # the comparison on both sides of the threshold, where |t| and |v|
     # are largest, against exact ring arithmetic
