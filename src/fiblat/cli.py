@@ -2,9 +2,11 @@
 
 Every subcommand emits either CSV or JSON (``--format``); floats are
 printed with %.17g so a round trip through text preserves the double,
-and exact rationals are printed as ``numerator/denominator``.  JSON
-documents carry a ``schema_version`` field.  Exit status: 0 on success,
-1 when a verification suite fails, 2 on usage errors.
+and exact rationals are printed as ``numerator/denominator``; exact
+integers and rationals print in full at any length (Python's int-to-str
+digit cap is lifted while output is formed).  JSON documents carry a
+``schema_version`` field.  Exit status: 0 on success, 1 when a
+verification suite fails, 2 on usage errors.
 
 Options take their values from the command line only.  The D row
 sweep and the level sums at n >= 27 run on one worker per CPU in the
@@ -20,6 +22,7 @@ import dataclasses
 import io
 import json
 import math
+import sys
 
 import click
 
@@ -40,19 +43,38 @@ def _f(x) -> str:
     return format(float(x), ".17g")
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift Python's int-to-str digit cap (4300 digits by default, where
+    the interpreter has one) for the duration, so exact values print in
+    full."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def _frac(q) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    with _all_digits():
+        return f"{q.numerator}/{q.denominator}"
 
 
 def _echo_json(doc) -> None:
-    click.echo(json.dumps(doc, indent=2))
+    with _all_digits():
+        click.echo(json.dumps(doc, indent=2))
 
 
 def _echo_csv(header, rows) -> None:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
+    with _all_digits():
+        w.writerow(header)
+        w.writerows(rows)
     click.echo(buf.getvalue(), nl=False)
 
 

@@ -26,12 +26,21 @@ Suites:
                  Fibonacci lattices matches the exact even-sigma energy
     zeta-routes  the three number-field zeta routes agree within their
                  certified errors
+
+Two bulk sweeps test an identity rather than a scalar function, so they
+run on whole arrays (``_Run.ok_many``, which counts and reports exactly
+as the one-call-per-entry loop would): the wythoff partition, as the
+sorted entries against 1..limit, and the dual suite's modular pairing,
+one equal-depth group of level rows at a time, with the row entries from
+the two-term recurrence.  The other checks are there to test the scalar
+path itself, so they stay one call per entry: bracketing and the two-term
+form read row(i).dual, and the successor rule and the invariant read
+floor_phi_plus_inv and the integer eta.
 """
 
 from __future__ import annotations
 
 import array
-import itertools
 import math
 import random
 import time
@@ -55,11 +64,11 @@ from .golden import GoldenInt, fib
 from .kernels import dft_coeffs, dft_coeffs_even, potential_K
 from .wythoff import (
     _eta,
+    _level_rows,
     floor_phi_plus_inv,
     floor_phi_times,
     half_fib_witness,
     row,
-    rows_below_half_fib,
     wythoff_row_entries,
 )
 
@@ -67,7 +76,6 @@ __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite"]
 
 _GRID_SLACK = 1e-15
 _GRID_BLOCK = 100  # grid rows per block of a two-dimensional bound
-_INT_BLOCK = 4096  # array entries per block turned into Python ints
 
 
 @dataclass(frozen=True)
@@ -96,6 +104,17 @@ class _Run:
         self.checks += 1
         if not cond:
             raise _Counterexample(label % args if args else label)
+
+    def ok_many(self, cond: np.ndarray, label: str, args) -> None:
+        """ok on each entry of a boolean array, in order: len(cond) checks
+        when all hold, else j + 1 checks for the first False entry j, then
+        raise with label % args(j)."""
+        if cond.all():
+            self.checks += cond.size
+            return
+        j = int(np.argmin(cond))
+        self.checks += j + 1
+        raise _Counterexample(label % args(j))
 
 
 def _suite_wythoff(run: _Run, limit: int) -> None:
@@ -126,10 +145,8 @@ def _suite_wythoff(run: _Run, limit: int) -> None:
         i += 1
     seen = np.sort(np.frombuffer(seen, dtype=np.int64))
     run.ok(len(seen) == limit, "array covers %d of %d integers", len(seen), limit)
-    vals = itertools.chain.from_iterable(
-        seen[lo:lo + _INT_BLOCK].tolist() for lo in range(0, len(seen), _INT_BLOCK))
-    for pos, val in enumerate(vals, start=1):
-        run.ok(val == pos, "partition breaks at %d (got %d)", pos, val)
+    run.ok_many(seen == np.arange(1, limit + 1), "partition breaks at %d (got %d)",
+                lambda j: (j + 1, seen[j]))
 
     # Threshold index: an entry is below half the level-n modulus
     # exactly when its slot depth n - k stays above the row threshold.
@@ -195,22 +212,38 @@ def _suite_dual(run: _Run, limit: int) -> None:
 
     # Modular pairing: multiplying a primal entry by F_{n-1} mod F_n
     # gives the dual entry up to reflection (the residue or its
-    # complement; both sit under the same sine).  Each level's rows are
-    # 1..I_n, so every row is built once for all levels.
-    rows: list = []
+    # complement; both sit under the same sine).
     for n in range(5, 27):
-        fn, fn1 = fib(n), fib(n - 1)
-        for i, k_max in rows_below_half_fib(n):
-            while len(rows) < i:
-                rows.append(row(len(rows) + 1))
-            r = rows[i - 1]
-            for k, w in enumerate(wythoff_row_entries(i, k_max), start=1):
-                res = (w * fn1) % fn
-                wd = r.dual(n - k)
-                run.ok(
-                    wd == res or wd == fn - res,
-                    "pairing fails at level %d row %d depth %d", n, i, k,
-                )
+        for i, L, k_max in _level_rows(n):
+            _check_pairing(run, n, fib(n - 1), i, L, k_max)
+
+
+def _check_pairing(run: _Run, n: int, multiplier: int, i, L, k_max) -> None:
+    """The modular pairing at level n on one block of _level_rows(n):
+    W[i, k] * multiplier mod F_n against Wd[i, n - k] for 1 <= k <= k_max,
+    in (i, k) order.  Rows of equal depth are contiguous, and each such
+    group is checked as one array: W column by column from the two-term
+    recurrence, Wd from its closed form.  For n <= 26 and a multiplier
+    below F_n, every product stays below 2**33, well inside int64."""
+    fn = fib(n)
+    F = np.array([fib(m) for m in range(n)], dtype=np.int64)
+    edges = [0, *(np.flatnonzero(np.diff(k_max)) + 1).tolist(), len(i)]
+    for a, b in zip(edges, edges[1:]):
+        depth = int(k_max[a])
+        ig, Lg = i[a:b], L[a:b]
+        w = np.empty((b - a, depth), dtype=np.int64)
+        prev, cur = Lg, Lg + ig - 1  # W[i, 0], W[i, 1]
+        for k in range(depth):
+            w[:, k] = cur
+            prev, cur = cur, prev + cur
+        res = w * multiplier % fn
+        m = n - np.arange(1, depth + 1)  # the dual slot n - k
+        wd = F[m - 1] * Lg[:, None] - F[m] * (ig[:, None] - 1)
+        run.ok_many(
+            ((wd == res) | (wd == fn - res)).ravel(),
+            "pairing fails at level %d row %d depth %d",
+            lambda j: (n, ig[j // depth], j % depth + 1),
+        )
 
 
 def _suite_floor(run: _Run, limit: int) -> None:

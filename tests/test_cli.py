@@ -1,13 +1,18 @@
 import json
 import os
+import re
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 import fiblat.cli as cli
+from fiblat.asymptotics import constant_C_closed
 from fiblat.cli import main
+from fiblat.dedekind import CLOSED_FAMILIES
 from fiblat.golden import fib
 from fiblat.verify import SuiteResult
+from fiblat.wythoff import wythoff_row_entries
 
 PRIMAL_TABLE = (
     "i,eta,W1,W2,W3,W4,W5,W6\n"
@@ -252,8 +257,6 @@ def test_closed_family_c_needs_even_sigma():
 
 def test_closed_table_family_rejects_sigma():
     # only family c takes an exponent; each table family fixes its own
-    from fiblat.dedekind import CLOSED_FAMILIES
-
     for family in CLOSED_FAMILIES:
         r = run("closed", "--family", family, "--sigma", "4", "--n-min", "3", "--n-max", "4")
         assert r.exit_code == 2, family
@@ -350,8 +353,6 @@ def test_fit_non_finite_constant_is_usage_error(flag, value):
 
 
 def test_closed_families_come_from_the_table():
-    from fiblat.dedekind import CLOSED_FAMILIES
-
     for family, fam in CLOSED_FAMILIES.items():
         r = run("closed", "--family", family, "--n-min", "2", "--n-max", "5")
         assert r.exit_code == 0, family
@@ -391,3 +392,65 @@ def test_lattice_sum_overflow_is_usage_error():
     r = run("fit", "--sigma", "60", "--n-min", "28", "--n-max", "30",
             "--i-max", "100", "--k-max", "4")
     assert r.exit_code == 2 and "float64" in r.output, r.output
+
+
+@pytest.fixture
+def int_digit_cap():
+    """sys.set_int_max_str_digits for one test; the cap is restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit cap")
+    cap = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(cap)
+
+
+def _exact_tokens(output):
+    return set(re.findall(r"-?\d+(?:/\d+)?", output))
+
+
+def _frac_text(q):
+    return f"{q.numerator}/{q.denominator}"
+
+
+# Each command prints an integer past the cap of 640 digits, the least
+# the interpreter allows: the same overflow as the default cap of 4300
+# digits at level 21000, sigma 1000 or 21000 columns, where these
+# commands take 2 to 6 s.
+PAST_THE_CAP = {
+    "sigma2": (("closed", "--family", "sigma2", "--n-min", "3200", "--n-max", "3200"),
+               lambda: [_frac_text(CLOSED_FAMILIES["sigma2"].value(3200))]),
+    "c": (("closed", "--family", "c", "--sigma", "200"),
+          lambda: [_frac_text(constant_C_closed(200).coefficient)]),
+    "wythoff": (("wythoff", "--rows", "1", "--cols", "3200"),
+                lambda: [str(w) for w in wythoff_row_entries(1, 3200)]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(PAST_THE_CAP))
+def test_exact_values_past_the_int_digit_cap_print_in_full(case, fmt, int_digit_cap):
+    args, expected = PAST_THE_CAP[case]
+    int_digit_cap(640)
+    r = run(*args, "--format", fmt)
+    assert sys.get_int_max_str_digits() == 640  # lifted for the output only
+    int_digit_cap(0)
+    assert r.exit_code == 0, r.output
+    if fmt == "json":
+        json.loads(r.output, parse_constant=pytest.fail)  # no NaN or Infinity
+    want = expected()
+    assert max(len(d) for t in want for d in t.lstrip("-").split("/")) > 640
+    assert set(want) <= _exact_tokens(r.output)
+
+
+def test_level_past_the_default_digit_cap_prints_in_full(int_digit_cap):
+    # the level-21000 sigma2 value has over 4300 digits in its numerator
+    int_digit_cap(4300)
+    out = {fmt: run("closed", "--family", "sigma2", "--n-min", "21000", "--n-max", "21000",
+                    "--format", fmt) for fmt in ("csv", "json")}
+    int_digit_cap(0)
+    want = _frac_text(CLOSED_FAMILIES["sigma2"].value(21000))
+    assert len(want.split("/")[0]) > 4300
+    for fmt, r in out.items():
+        assert r.exit_code == 0, (fmt, r.output)
+        assert want in _exact_tokens(r.output), fmt
+    assert json.loads(out["json"].output)["rows"] == [{"n": 21000, "value": want}]

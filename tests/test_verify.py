@@ -3,7 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fiblat.verify import _GRID_BLOCK, SUITE_NAMES, SuiteResult, _grid_holds, run_suite
+from fiblat.golden import fib
+from fiblat.verify import (
+    _GRID_BLOCK,
+    SUITE_NAMES,
+    SuiteResult,
+    _check_pairing,
+    _Counterexample,
+    _grid_holds,
+    _Run,
+    run_suite,
+)
+from fiblat.wythoff import _level_rows, row, rows_below_half_fib, wythoff_row_entries
 
 
 def test_every_suite_passes_at_reduced_sweep():
@@ -95,3 +106,104 @@ def test_dft_suite_checks_the_table_against_the_exact_energy():
     r = run_suite("dft")
     assert r.passed and r.limit == 34 and r.checks == 6 * (8 + 7) + 2 * 7
     assert run_suite("dft", 1).checks == 6
+
+
+def test_array_check_counts_like_the_scalar_loop():
+    run = _Run()
+    run.ok_many(np.ones(7, dtype=bool), "never %d", lambda j: (j,))
+    assert run.checks == 7
+    run.ok_many(np.ones(0, dtype=bool), "never %d", lambda j: (j,))
+    assert run.checks == 7
+    cond = np.ones(10, dtype=bool)
+    cond[[4, 8]] = False
+    with pytest.raises(_Counterexample, match=r"^fails at 4 of 10$"):
+        run.ok_many(cond, "fails at %d of %d", lambda j: (j, len(cond)))
+    assert run.checks == 7 + 5
+    run = _Run()
+    with pytest.raises(_Counterexample, match="^first$"):
+        run.ok_many(np.zeros(3, dtype=bool), "%s", lambda j: ("first",))
+    assert run.checks == 1
+
+
+def _outcome(check) -> tuple[int, str | None]:
+    """check(run) on a fresh counter: its check count and counterexample."""
+    run = _Run()
+    try:
+        check(run)
+    except _Counterexample as ex:
+        return run.checks, str(ex)
+    return run.checks, None
+
+
+def _pairing_scalar(run, levels, multiplier):
+    """The pairing check one entry at a time, as the dual suite ran it
+    before the array form: rows_below_half_fib, the row recurrence and
+    row(i).dual."""
+    for n in levels:
+        fn, m = fib(n), multiplier(n)
+        for i, k_max in rows_below_half_fib(n):
+            r = row(i)
+            for k, w in enumerate(wythoff_row_entries(i, k_max), start=1):
+                res = (w * m) % fn
+                wd = r.dual(n - k)
+                run.ok(wd == res or wd == fn - res,
+                       "pairing fails at level %d row %d depth %d", n, i, k)
+
+
+def _pairing_arrays(run, levels, multiplier):
+    for n in levels:
+        for i, L, k_max in _level_rows(n):
+            _check_pairing(run, n, multiplier(n), i, L, k_max)
+
+
+def test_pairing_arrays_count_one_check_per_row_entry():
+    for n in range(5, 21):
+        pairs = sum(k_max for _, k_max in rows_below_half_fib(n))
+        got = _outcome(lambda run: _pairing_arrays(run, [n], lambda n: fib(n - 1)))
+        assert got == (pairs, None), n
+
+
+def test_pairing_arrays_report_the_scalar_loops_first_failure():
+    levels = range(5, 21)
+    for multiplier in (
+        lambda n: fib(n - 1),
+        # F_{n-2} = -F_{n-1} mod F_n: the reflection absorbs it, and both pass
+        lambda n: fib(n - 2),
+        lambda n: fib(n - 1) + 1,
+        # wrong at one level only: the levels before it count in full
+        lambda n: fib(n - 1) + (n == 13),
+    ):
+        want = _outcome(lambda run: _pairing_scalar(run, levels, multiplier))
+        assert _outcome(lambda run: _pairing_arrays(run, levels, multiplier)) == want
+
+
+def _pairing_scalar_on(run, n, i, L, k_max):
+    """_check_pairing at multiplier F_{n-1}, one entry at a time on
+    Python ints."""
+    fn, fn1 = fib(n), fib(n - 1)
+    for i, L, k_max in zip(i.tolist(), L.tolist(), k_max.tolist()):
+        prev, cur = L, L + i - 1
+        for k in range(1, k_max + 1):
+            res = cur * fn1 % fn
+            wd = fib(n - k - 1) * L - fib(n - k) * (i - 1)
+            run.ok(wd == res or wd == fn - res,
+                   "pairing fails at level %d row %d depth %d", n, i, k)
+            prev, cur = cur, prev + cur
+
+
+def test_pairing_arrays_find_a_bad_row_inside_a_group():
+    # floor(phi*i) one or two too small on one row takes some of its dual
+    # entries out of [0, F_n]: the first bad entry can then sit inside an
+    # equal-depth group, whose entries are checked in (i, k) order
+    inside = 0
+    for n, step in ((12, 1), (20, 97)):
+        (i, L, k_max), = _level_rows(n)
+        for r in range(0, len(i), step):
+            for d in (1, 2):
+                bad = L.copy()
+                bad[r] -= d
+                want = _outcome(lambda run: _pairing_scalar_on(run, n, i, bad, k_max))
+                got = _outcome(lambda run: _check_pairing(run, n, fib(n - 1), i, bad, k_max))
+                assert got == want, (n, r, d)
+                inside += want[1] is not None and r > 0 and k_max[r] == k_max[r - 1] > 1
+    assert inside > 0
