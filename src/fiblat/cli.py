@@ -26,7 +26,7 @@ import sys
 
 import click
 
-from .asymptotics import constant_C, constant_C_closed, constant_D, residual_fit
+from .asymptotics import PHI, constant_C, constant_C_closed, constant_D, residual_fit
 from .dedekind import CLOSED_FAMILIES
 from .energy import RationalLattice, energy, fib_sum, fib_sum_grouped
 from .golden import fib
@@ -120,6 +120,19 @@ def main():
     closed forms behind them."""
 
 
+# the most digits a wythoff table may print, about 10 MB of output; the
+# size grows with rows * cols**2 (--rows 1 --cols 21000 would print 46 MB)
+_WYTHOFF_DIGITS = 10 ** 7
+
+
+def _table_digits(rows: int, cols: int) -> float:
+    """An upper estimate of the digits in a rows x cols table of either
+    array: entry j of row i <= rows is below 10 * rows * phi**j, so it
+    has at most log10(10 rows) + j log10(phi) + 1 digits."""
+    per_row = cols * (math.log10(rows) + 2) + math.log10(PHI) * cols * (cols + 1) / 2
+    return rows * per_row
+
+
 @main.command("wythoff")
 @click.option("--rows", type=int, default=8, show_default=True,
               callback=_at_least(1), help="number of rows to print")
@@ -129,7 +142,15 @@ def main():
               help="dual array; row i starts at slot mu_i + 1")
 @_format_option("csv")
 def cmd_wythoff(rows, cols, dual, fmt):
-    """Print the row array (or its dual) with the row invariants."""
+    """Print the row array (or its dual) with the row invariants.
+
+    A table past 10**7 digits (about 10 MB) is a usage error."""
+    # every entry prints a digit or more, so rows * cols past the budget
+    # is refused before the estimate takes floats of rows and cols
+    if rows * cols > _WYTHOFF_DIGITS or _table_digits(rows, cols) > _WYTHOFF_DIGITS:
+        raise click.UsageError(
+            f"a {rows} x {cols} table is past the budget of {_WYTHOFF_DIGITS:.0e} "
+            f"digits; ask for fewer rows or columns")
     if dual:
         out = []
         for i in range(1, rows + 1):

@@ -18,12 +18,18 @@ fib_sum evaluates the weighted trigonometric sums
         / |sin(pi m/F_n) sin(pi F_{n-1} m/F_n)|^sigma,
 
 normalized by F_n^sigma, either over the flat grid (fib_sum, levels
-n < 48) or grouped along Wythoff rows paired with dual-array entries
-(fib_sum_grouped, levels n < 44).  Both are whole-array sweeps in fixed
-blocks of about 2**16 terms and evaluate each mirror pair m, F_n - m
-once.  The flat sum adds its blocks on a grid symmetric about F_n/2,
-and is bit-identical to one flat block in index order at levels with
-F_n - 1 <= 2**16; the grouped sum is bit-identical to a loop over rows.
+n < 48, a cost bound of about 3e9 terms) or grouped along Wythoff rows
+paired with dual-array entries (fib_sum_grouped, levels n < 44).  Both
+are whole-array sweeps in fixed blocks of about 2**16 terms and
+evaluate each mirror pair m, F_n - m once.  The flat sum adds its
+blocks on a grid symmetric about F_n/2, and is bit-identical to one
+flat block in index order at levels with F_n - 1 <= 2**16; the grouped
+sum is bit-identical to a loop over rows.  The flat sum's residues
+m F_{n-1} mod F_n come from a table of one block's residues, built
+once per call and shifted per block in exact float64, not from an
+integer division per term, and its blocks work in per-call buffers,
+one pair of arrays per worker, so a block allocates no work arrays
+beyond its weight's values.
 
 The flat sum's blocks are tasks for _sweep_map, the ordered thread
 pool the D row sweep of asymptotics.constant_D also runs on, with one
@@ -41,6 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -321,26 +328,35 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
     grid before any float division: the term at m is built from the
     integers min(m, F_n - m) and min(r, F_n - r), r = m F_{n-1} mod F_n,
     so the term at F_n - m is bit-equal to it.  Each mirror pair is
-    therefore computed once, for m <= F_n/2.  The sum runs over a fixed
-    block grid symmetric about F_n/2: pairs of outer blocks of
-    B = _SUM_CHUNK terms, [1 + jB, 1 + (j+1)B) and its mirror (the same
-    values reversed), around one middle block of 1 to 2B terms.  Each
-    block is summed with numpy's pairwise bracketing in index order and
-    the block sums are added in ascending m, so memory stays bounded and
-    the result does not depend on the machine.  Each outer pair and the
+    therefore computed once, for m <= F_n/2.  The integers come from a
+    residue table built once per call, k and k F_{n-1} mod F_n for k
+    below one block: a block at lo adds lo and lo F_{n-1} mod F_n and
+    folds, in float64, where every value is an integer of magnitude below
+    2 F_n < 2**53 and so exact; no term pays an integer division.  The
+    sum runs over a fixed block grid symmetric about F_n/2: pairs of
+    outer blocks of B = _SUM_CHUNK terms, [1 + jB, 1 + (j+1)B) and its
+    mirror (the same values reversed), around one middle block of 1 to
+    2B terms.  Each block is summed with numpy's pairwise bracketing in
+    index order and the block sums are added in ascending m, so the
+    result does not depend on the machine.  Each outer pair and the
     middle block is one task of _sweep_map, so levels with more than one
     block run on every CPU in the affinity mask, with a bit-identical
-    result for any worker count.  Levels with F_n - 1 <= 2B (n <= 26)
-    are a single block and run inline, and those with F_n - 1 <= B
-    (n <= 24) are bit-identical to one flat block in index order.
-    Levels n >= 48 are rejected: the residue m * F_{n-1} overflows int64
-    there.  So are sums whose F_n**sigma (when normalized) or total
-    leaves float64.
+    result for any worker count.  A task works in one of the call's
+    pairs of work arrays, one pair per worker, and hands it back once
+    its block sums are formed: a call allocates its memory once, about
+    1 MiB per worker plus 1 MiB of tables at n >= 25, and holds none
+    after it returns.  Levels with F_n - 1 <= 2B (n <= 26) are a single
+    block and run inline, and those with F_n - 1 <= B (n <= 24) are
+    bit-identical to one flat block in index order.  Levels n >= 48 are
+    refused by a cost bound: F_48 - 1 is about 4.8e9 terms.  So are sums
+    whose F_n**sigma (when normalized) or total leaves float64.
     """
     if n < 2:
         raise ValueError(f"level must be >= 2, got {n}")
     if n >= 48:
-        raise ValueError(f"level must be < 48 (int64 residues overflow), got {n}")
+        raise ValueError(
+            f"level must be < 48 (F_48 - 1, about 4.8e9 terms, is past the "
+            f"flat sweep's cost bound), got {n}")
     if not 0 < sigma < math.inf:
         raise ValueError(f"exponent must be finite and positive, got {sigma}")
     kernel = kernel or kernel_one()
@@ -348,20 +364,32 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
     if fn == 1:
         return 0.0
     scale = _level_scale(n, sigma) if normalized else 1.0
+    B = _SUM_CHUNK
+    pairs = (fn - 2) // (2 * B)  # leaves 1 to 2B of the F_n - 1 terms in the middle
+    span = min(B, fn // 2)  # the most terms one block computes
+    # k and k F_{n-1} mod F_n - F_n for k < span, as doubles: every value
+    # here and in terms() is an integer of magnitude below 2 F_n < 2**53,
+    # so each is exact (k F_{n-1} < 2**16 F_46 stays in int64)
+    shifted = np.arange(span, dtype=np.int64)
+    shifted *= fn1
+    shifted %= fn
+    shifted = np.subtract(shifted, fn, dtype=np.float64)
+    ks = np.arange(span, dtype=np.float64)
 
-    def terms(lo: int, hi: int) -> np.ndarray:
-        # m <= F_n/2 here, so min(m, F_n - m) = m; the weight and the
-        # sine product are formed in the argument arrays, with the
-        # operations of pair(t1, t2) / (sin(pi t1) * sin(pi t2))**sigma,
-        # and m and r go once used, so a block holds three float arrays
-        m = np.arange(lo, hi, dtype=np.int64)
-        r = m * fn1
-        r %= fn
-        np.minimum(r, fn - r, out=r)
-        t1 = m / fn
-        del m
-        t2 = r / fn
-        del r
+    def terms(t1: np.ndarray, t2: np.ndarray, lo: int) -> np.ndarray:
+        # m = lo + k <= F_n/2 here, so min(m, F_n - m) = m.  With
+        # r = k F_{n-1} mod F_n + lo F_{n-1} mod F_n in [0, 2 F_n) and
+        # d = |r - F_n|, the folded residue min(r mod F_n, F_n - r mod F_n)
+        # is min(d, F_n - d), formed with t1 as scratch.  The weight and
+        # the sine product are then formed in t1 and t2, with the
+        # operations of pair(t1, t2) / (sin(pi t1) * sin(pi t2))**sigma
+        np.add(shifted[: len(t2)], lo * fn1 % fn, out=t2)
+        np.abs(t2, out=t2)
+        np.subtract(fn, t2, out=t1)
+        np.minimum(t2, t1, out=t2)
+        t2 /= fn
+        np.add(ks[: len(t1)], lo, out=t1)
+        t1 /= fn
         num = kernel.pair(t1, t2)
         for t in (t1, t2):
             t *= np.pi
@@ -370,23 +398,33 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
         t1 **= sigma
         return np.divide(num, t1, out=t1)
 
-    B = _SUM_CHUNK
-    pairs = (fn - 2) // (2 * B)  # leaves 1 to 2B of the F_n - 1 terms in the middle
+    # one (t1, t2) pair of work arrays per worker, for this call only: a
+    # block takes a free pair and puts it back once its sums are formed
+    workers = _workers(None, pairs + 1)
+    free = queue.SimpleQueue()
+    for pair in np.empty((workers, 2, span)):
+        free.put(pair)
 
     @_quiet_overflow
     def block(j: int) -> tuple:
-        if j < pairs:
-            # outer block j and its mirror, the same values reversed
-            vals = terms(1 + j * B, 1 + (j + 1) * B)
-            return float(np.sum(vals)), float(np.sum(vals[::-1]))
-        # middle block [1 + pairs*B, F_n - pairs*B); half keeps the midpoint
-        # F_n/2 when F_n is even, which has no mirror
-        half = terms(1 + pairs * B, fn // 2 + 1)
-        mirror = half[: len(half) - 1 + fn % 2][::-1]
-        return (float(np.sum(np.concatenate((half, mirror)))),)
+        t1, t2 = buf = free.get()
+        try:
+            if j < pairs:
+                # outer block j and its mirror, the same values reversed
+                vals = terms(t1, t2, 1 + j * B)
+                return float(np.sum(vals)), float(np.sum(vals[::-1]))
+            # middle block [1 + pairs*B, F_n - pairs*B): its half in t1
+            # and, right after it in the pair's memory, the mirror, which
+            # leaves out the midpoint F_n/2 when F_n is even
+            size = fn // 2 - pairs * B  # at most span
+            half = terms(t1[:size], t2[:size], 1 + pairs * B)
+            whole = buf.reshape(-1)[: 2 * size - 1 + fn % 2]
+            whole[size:] = half[: size - 1 + fn % 2][::-1]
+            return (float(np.sum(whole)),)
+        finally:
+            free.put(buf)  # on an error too, or later blocks would wait forever
 
-    tasks = range(pairs + 1)
-    *outer, (middle,) = _sweep_map(block, tasks, _workers(None, len(tasks)))
+    *outer, (middle,) = _sweep_map(block, range(pairs + 1), workers)
     total = 0.0
     for s in (*(lo for lo, _ in outer), middle, *(up for _, up in outer[::-1])):
         total += s

@@ -62,6 +62,28 @@ def test_row_array_json():
     assert doc["rows"][0] == {"i": 1, "eta": 1, "entries": [1, 2, 3, 5, 8, 13]}
 
 
+def test_wythoff_past_the_digit_budget_is_usage_error():
+    # 1 x 21000 would print 46 MB; the budget is 10**7 digits, and the
+    # refusal comes before any row is built, also for a count past float
+    for args in (("--rows", "1", "--cols", "21000"), ("--rows", "12", "--cols", "3000"),
+                 ("--dual", "--rows", str(10 ** 6)), ("--cols", str(10 ** 400))):
+        r = run("wythoff", *args)
+        assert r.exit_code == 2, args
+        errors = [line for line in r.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "is past the budget of 1e+07 digits" in errors[0], r.output
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_wythoff_digit_estimate_bounds_the_table(dual):
+    for rows, cols in ((1, 1), (8, 6), (12, 8), (40, 60), (300, 3)):
+        args = ["--dual"] * dual + ["--rows", str(rows), "--cols", str(cols)]
+        r = run("wythoff", *args)
+        assert r.exit_code == 0, r.output
+        body = r.output.splitlines()[1:]  # the header has no table digits
+        digits = sum(len(field) for line in body for field in line.split(",")[2:])
+        assert digits <= cli._table_digits(rows, cols), (dual, rows, cols)
+
+
 def test_sum_json_with_cross_check():
     r = run("sum", "-n", "12", "--sigma", "2")
     assert r.exit_code == 0
@@ -414,8 +436,9 @@ def _frac_text(q):
 
 # Each command prints an integer past the cap of 640 digits, the least
 # the interpreter allows: the same overflow as the default cap of 4300
-# digits at level 21000, sigma 1000 or 21000 columns, where these
-# commands take 2 to 6 s.
+# digits at level 21000 or sigma 1000, where these commands take about
+# half a second (21000 columns would too, but that table is past the
+# wythoff command's digit budget).
 PAST_THE_CAP = {
     "sigma2": (("closed", "--family", "sigma2", "--n-min", "3200", "--n-max", "3200"),
                lambda: [_frac_text(CLOSED_FAMILIES["sigma2"].value(3200))]),

@@ -2,6 +2,8 @@ import functools
 import importlib
 import math
 import random
+import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -332,9 +334,10 @@ def test_fib_sum_rejects_bad_arguments():
         fib_sum(5, 0.0)
     with pytest.raises(ValueError):
         fib_sum_grouped(1, 2.0)
-    # m * F_{n-1} exceeds 2**63 from n = 48 on
-    assert fib(48) * fib(47) > 2 ** 63 > fib(47) * fib(46)
-    with pytest.raises(ValueError):
+    # the residue table is exact while |r - F_n| < 2 F_n and k F_{n-1}
+    # (k < 2**16) stay below 2**53: far past the cap, which is one of cost
+    assert 2 * fib(47) < 2 ** 53 and _SUM_CHUNK * fib(46) < 2 ** 53
+    with pytest.raises(ValueError, match="cost bound"):
         fib_sum(48, 2.0)
     for sigma in (0.0, -1.0):
         with pytest.raises(ValueError):
@@ -462,12 +465,56 @@ def test_fib_sum_equals_single_block_oracle(spec, sigma):
 
 
 @pytest.mark.parametrize("spec,sigma", [("one", 2.0), ("bern:4", 4.0)])
-def test_fib_sum_equals_symmetric_grid_oracle(spec, sigma):
+def test_fib_sum_equals_symmetric_grid_oracle(monkeypatch, spec, sigma):
     # n = 25, 26: one middle block of up to 2 * 2**16 terms; n = 27: one
-    # outer pair; n = 28: two outer pairs
+    # outer pair; n = 28..31: 2, 3, 6 and 10 outer pairs, so each pair of
+    # work arrays serves several blocks.  Three workers is more than the
+    # CPUs of a small runner, and with a thread switch every microsecond
+    # a pair handed to two blocks at once would show as a wrong sum
     kernel = parse_kernel(spec, sigma=sigma)
-    for n in range(25, 29):
-        assert fib_sum(n, sigma, kernel, normalized=False) == _flat_grid(n, sigma, kernel), n
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in range(25, 32):
+            want = _flat_grid(n, sigma, kernel)
+            for workers in (1, 2, 3):
+                _use_workers(monkeypatch, workers)
+                assert fib_sum(n, sigma, kernel, normalized=False) == want, (n, workers)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_fib_sum_middle_block_fits_the_work_arrays():
+    # the work arrays hold span = min(B, F_n // 2) terms; the middle
+    # block computes its half, F_n // 2 - pairs * B terms, in them
+    B = _SUM_CHUNK
+    for n in range(3, 48):
+        fn = fib(n)
+        pairs = (fn - 2) // (2 * B)
+        assert 1 <= fn // 2 - pairs * B <= min(B, fn // 2), n
+        assert pairs == 0 or fn // 2 >= B, n  # outer blocks fill the arrays
+
+
+def test_fib_sum_peak_memory(monkeypatch):
+    # the k and residue tables and one pair of work arrays per worker:
+    # 3.1 MiB at n = 34 on 2 workers, all of it freed when the call returns
+    _use_workers(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        fib_sum(34, 2.0)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * 2 ** 20, peak
+    assert current < 2 ** 16, current
+
+
+def test_fib_sum_block_that_raises_hands_its_work_arrays_back(monkeypatch):
+    # the fsigma weight leaves float64 in the blocks at sigma = 300; a
+    # block that kept its arrays would leave later blocks waiting forever
+    _use_workers(monkeypatch, 2)
+    with pytest.raises(ValueError, match="leaves float64"):
+        fib_sum(30, 300.0, FSigma(300.0), normalized=False)
 
 
 @pytest.mark.parametrize("closed,sigma,spec", [(sigma2_closed, 2, "one"),

@@ -41,6 +41,14 @@ def test_bernoulli_numbers():
         assert bernoulli_number(m) == 0
 
 
+def test_bernoulli_numbers_match_mpmath():
+    # B_2k from the tangent numbers, against mpmath's exact fractions;
+    # m = 1000 extends the table well past the small indices
+    for m in (*range(61), 1000, 998):
+        num, den = mpmath.bernfrac(m)
+        assert bernoulli_number(m) == Fraction(int(num), int(den)), m
+
+
 def test_bernoulli_polynomials_exact():
     t = Fraction(1, 5)
     assert bernoulli_poly(2, t) == t * t - t + Fraction(1, 6)
