@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,6 +84,9 @@ __all__ = [
 PHI = (1 + 5 ** 0.5) / 2
 _CHUNK = 8192  # fixed chunk size keeps the reduction order independent of threading
 _POWER_BLOCK = 4096  # terms per block _power_sum turns into Python ints
+# most bits a power sum is formed at (_series_prec): sigma near 2600 at
+# 1e5 rows, where integer sigma already takes 48,000-bit powers
+_SERIES_PREC_MAX = 1 << 16
 
 ZETA_ROUTES = (
     "eta-series",
@@ -93,13 +97,17 @@ ZETA_ROUTES = (
 
 def prefactor(sigma: float, f0: float) -> float:
     """f(0)**2 * 5**(sigma/2) / pi**(2*sigma): the weight every row term
-    in C and D is measured against.  ValueError where a power leaves
-    float64 (pi**(2*sigma) does above sigma ~ 310)."""
+    in C and D is measured against.  ValueError where it leaves float64
+    (pi**(2*sigma) does above sigma ~ 310, f(0)**2 above f(0) ~ 1e154)."""
     try:
-        return f0 * f0 * 5.0 ** (sigma / 2) / math.pi ** (2 * sigma)
-    except OverflowError:
+        value = f0 * f0 * 5.0 ** (sigma / 2) / math.pi ** (2 * sigma)
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
         raise ValueError(
-            f"pi**(2*sigma) overflows float64 at sigma={sigma:g}") from None
+            f"prefactor f(0)**2 * 5**(sigma/2) / pi**(2*sigma) overflows float64 "
+            f"at sigma={sigma:g}, f(0)={f0:g}")
+    return value
 
 
 def _pref_mp(sigma: float, f0) -> mpmath.mpf:
@@ -211,19 +219,32 @@ def _power_sum(sigma: float, values: np.ndarray, weights: np.ndarray) -> mpmath.
     return mpmath.mp.make_mpf(libmp.mpf_sum(terms, prec, rnd))
 
 
+def _series_prec(decay: float, n_top: int) -> int:
+    """max(60, decay*log2(n_top) + 30) bits: the precision that puts the
+    rounding of a sum over n <= n_top some 2**-30 below a tail of order
+    n_top**-decay.  ValueError past _SERIES_PREC_MAX bits (inf and NaN
+    too), where the powers would grow without bound."""
+    bits = decay * math.log2(n_top)
+    if not bits <= _SERIES_PREC_MAX - 30:
+        raise ValueError(
+            f"a sum to {n_top} at this exponent needs {bits + 30:.3g} bits "
+            f"(cap {_SERIES_PREC_MAX}); lower sigma or the truncation")
+    return max(60, int(bits) + 30)
+
+
 def _eta_power_sum(sigma: float, n_top: int) -> tuple[mpmath.mpf, int]:
     """sum_{i <= n_top} eta_i**-sigma and the precision prec it is
-    formed at, max(60, (sigma-1)*log2(n_top) + 30) bits, so that its
-    rounding sits some 2**-30 below the certified tail
-    n_top**(1-sigma)/(sigma-1).  constant_C and the eta-series route of
-    dedekind_zeta both take their sum from here.
+    formed at, _series_prec(sigma - 1, n_top) bits, so that its rounding
+    sits some 2**-30 below the certified tail n_top**(1-sigma)/(sigma-1).
+    constant_C and the eta-series route of dedekind_zeta both take their
+    sum from here.
 
     eta_i = -N(w_plus(i)) is a norm and repeats (44598 distinct values
     in the first 10**5 rows), so _power_sum takes one power per distinct
     eta, weighted by its row count.  The eta column is formed on its own
     (_eta_column, int32), with no RowTable built or cached; past
     RowTable's exact range it raises ValueError, as RowTable does."""
-    prec = max(60, int((sigma - 1) * math.log2(n_top)) + 30)
+    prec = _series_prec(sigma - 1, n_top)
     eta, count = np.unique(_eta_column(n_top), return_counts=True)
     with mpmath.workprec(prec):
         return _power_sum(sigma, eta, count), prec
@@ -245,10 +266,12 @@ def constant_C(sigma: float, kernel: Kernel | None = None,
     if i_max < 8:
         raise ValueError(f"row truncation too small: {i_max}")
     f0 = kernel.value_at_zero if kernel is not None else 1.0
+    # first, so that a sigma whose prefactor leaves float64 is refused
+    # before the sum
+    tail = 2 * prefactor(sigma, f0) * i_max ** (1 - sigma) / (sigma - 1)
     total, prec = _eta_power_sum(sigma, i_max)
     with mpmath.workprec(prec):
         c_mp = 2 * _pref_mp(sigma, mpmath.mpf(f0)) * total
-    tail = 2 * prefactor(sigma, f0) * i_max ** (1 - sigma) / (sigma - 1)
     return CConstant(float(c_mp), tail, float(sigma), float(f0), i_max, prec, c_mp)
 
 
@@ -266,14 +289,20 @@ class ClosedConstant:
 
 def constant_C_closed(sigma: int, f0=1) -> ClosedConstant:
     """C at sigma = 2s in closed form, c**2 * 80**s * (B_{2s}(1/5) - B_{2s}(2/5))
-    * B_{2s} / sqrt5 with c = f0 (-1)**(s-1) / (2s)! taken exactly."""
+    * B_{2s} / sqrt5 with c = f0 (-1)**(s-1) / (2s)! taken exactly.  A
+    non-finite f0, and a C that leaves float64, raise ValueError."""
     two_s = _even_exponent(sigma)
+    if not isinstance(f0, numbers.Rational) and not math.isfinite(f0):
+        raise ValueError(f"weight value f(0) must be finite, got {f0}")
     c = _bernoulli_coeff(two_s, Fraction(f0))
     db = bernoulli_poly(two_s, Fraction(1, 5)) - bernoulli_poly(two_s, Fraction(2, 5))
     coeff = c * c * Fraction(80) ** (two_s // 2) * db * bernoulli_number(two_s)
     with mpmath.workprec(120):
         v = mpmath.mpf(coeff.numerator) / coeff.denominator / mpmath.sqrt(5)
-    return ClosedConstant(coeff, float(v), v)
+    value = float(v)
+    if not math.isfinite(value):
+        raise ValueError(f"C leaves float64 at sigma={sigma}, f(0)={f0}")
+    return ClosedConstant(coeff, value, v)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +360,7 @@ def dedekind_zeta(sigma: float, route: str = "eta-series",
         return ZetaRoute(route, float(sigma), float(total), err, n_top, total)
 
     # euler-product-L-times-zeta
-    prec = max(60, int(sigma * math.log2(n_top)) + 30)
+    prec = _series_prec(sigma, n_top)
     n = np.arange(1, n_top + 1)
     n = n[n % 5 != 0]
     with mpmath.workprec(prec):
@@ -579,7 +608,8 @@ def residual_fit(sigma: float, kernel: Kernel | None = None,
     process's affinity mask, which does not change the result.  The
     scaled residual multiplies by phi**(beta*n/2) with
     beta = min(alpha, sigma-1), the claimed decay normalization.  A
-    non-finite c or d raises ValueError.
+    non-finite c or d, and a row whose asymptote, residual or scaled
+    residual leaves float64, raise ValueError.
     """
     if n_max > 32:
         raise ValueError(f"level cap is 32, got {n_max}")
@@ -602,6 +632,10 @@ def residual_fit(sigma: float, kernel: Kernel | None = None,
         asym = c * n + d
         res = total - asym
         scaled = res * PHI ** (beta * n / 2)
+        if not all(map(math.isfinite, (asym, res, scaled))):
+            raise ValueError(
+                f"the fitted line leaves float64 at level {n}: asymptote {asym:g}, "
+                f"residual {res:g}, scaled residual {scaled:g}")
         out.append(ResidualRow(n, total, asym, res, scaled))
     return out
 
@@ -613,8 +647,10 @@ def approximation_errors(i: int, n: int, k: int, sigma: float,
 
     Requires 1 <= k < n - mu_i so the dual slot n - k is defined.  Used
     to check that the errors decay like phi**(-alpha*(n-k))*i**(alpha-sigma)
-    and phi**(-alpha*k)*i**(alpha-sigma) respectively.
+    and phi**(-alpha*k)*i**(alpha-sigma) respectively.  sigma <= 1, and
+    terms that leave float64, raise ValueError.
     """
+    _check_exponent(sigma)
     kernel = kernel or kernel_one()
     r = row(i)
     if not 1 <= k < n - r.mu:
@@ -625,12 +661,18 @@ def approximation_errors(i: int, n: int, k: int, sigma: float,
     wd = r.dual(n - k)
     t1 = w / fn
     t2 = wd / fn
-    exact = (kernel.eval(t1) * kernel.eval(t2)
-             / (fn * math.sin(math.pi * t1) * math.sin(math.pi * t2)) ** sigma)
     x = float(-r.w_minus * phi_power(-k))
-    row_side = (f0 * kernel.eval(x)
-                / (math.pi * w * math.sin(math.pi * x)) ** sigma)
     xd = float(r.w_plus * phi_power(-(n - k)))
-    dual_side = (f0 * kernel.eval(xd)
-                 / (math.pi * wd * math.sin(math.pi * xd)) ** sigma)
-    return abs(exact - row_side), abs(exact - dual_side)
+    try:
+        exact = (kernel.eval(t1) * kernel.eval(t2)
+                 / (fn * math.sin(math.pi * t1) * math.sin(math.pi * t2)) ** sigma)
+        row_side = (f0 * kernel.eval(x)
+                    / (math.pi * w * math.sin(math.pi * x)) ** sigma)
+        dual_side = (f0 * kernel.eval(xd)
+                     / (math.pi * wd * math.sin(math.pi * xd)) ** sigma)
+        errors = abs(exact - row_side), abs(exact - dual_side)
+    except (OverflowError, ZeroDivisionError):
+        errors = (math.inf,)
+    if not all(map(math.isfinite, errors)):
+        raise ValueError(f"terms leave float64 at row {i}, level {n}, sigma={sigma:g}")
+    return errors

@@ -295,10 +295,9 @@ def cmd_constants(sigma, kernel_spec, i_max, k_max, fmt):
         "d_precision_gap": d.precision_gap,
         "d_error_estimate": d.error_estimate,
     }
-    f0 = kernel.value_at_zero
-    if float(f0).is_integer():
+    if kernel.trig_coeffs is not None:  # f(0) = sum a_j, exactly
         with contextlib.suppress(ValueError):  # no closed form unless sigma is even
-            closed = constant_C_closed(sigma, int(f0))
+            closed = constant_C_closed(sigma, sum(kernel.trig_coeffs))
             doc["c_closed"] = closed.value
             doc["c_closed_coefficient"] = _frac(closed.coefficient)
     _echo_doc(doc, fmt)
@@ -357,7 +356,8 @@ def cmd_closed(family, n_min, n_max, sigma, fmt):
 @click.option("--suite", "suites", multiple=True, type=click.Choice(SUITE_NAMES),
               help="suite to run (repeatable; default: all)")
 @click.option("--limit", type=int, default=None, callback=_at_least(1),
-              help="override every selected suite's sweep size")
+              help="override every selected suite's sweep size (the dual "
+                   "suite's modular pairing checks levels 5..26 at any limit)")
 @_format_option("json")
 @click.pass_context
 def cmd_verify(ctx, suites, limit, fmt):

@@ -201,7 +201,7 @@ def energy_dft(coeffs, N: int, h: int) -> float:
     if len(coeffs) != N:
         raise ValueError(f"coefficient table has length {len(coeffs)}, expected {N}")
     c = np.asarray(coeffs, dtype=np.float64)
-    idx = (h * np.arange(N)) % N
+    idx = ((h % N) * np.arange(N)) % N  # h % N keeps h * m inside int64
     return _finite_energy(float(N) ** 2 * float(np.sum(c * c[idx])), N)
 
 
@@ -222,11 +222,13 @@ def wce_e(sigma: float, p: float, N: int, h: int) -> float:
     _check_exponent(sigma)
     _check_coefficient(p)
     _check_lattice(N, h)
+    # first, so that the table's size checks come before N is a float
+    table = _hurwitz_pair_table(sigma, N) if N > 1 else None
     z = zeta(sigma)
     scale = (_TWO_PI * N) ** -sigma
     acc = 4 * p * z * scale + 4 * p * p * z * z * scale * scale
     if N > 1:
-        A = scale * _hurwitz_pair_table(sigma, N)
+        A = scale * table
         idx = ((h % N) * np.arange(1, N, dtype=np.int64)) % N
         acc += p * p * float(np.sum(A[1:] * A[idx]))
     return _finite_energy(acc, N, sigma, p)
@@ -456,10 +458,11 @@ def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
     fn = fib(n)
     if fn == 1:
         return 0.0
+    rows = _level_rows(n)  # refuses n >= 44 before F_0..F_n are built
     scale = _level_scale(n, sigma) if normalized else 1.0
     F = np.array([fib(k) for k in range(n + 1)], dtype=np.int64)
     total = 0.0
-    for i, L, k_max in _level_rows(n):
+    for i, L, k_max in rows:
         # k_max is nonincreasing in i: rows of equal depth are contiguous
         edges = [0, *(np.flatnonzero(np.diff(k_max)) + 1).tolist(), len(i)]
         for a, b in zip(edges, edges[1:]):
@@ -475,5 +478,8 @@ def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
                 doubled = 2.0 * vals.sum(axis=1)
                 total = float(np.add.accumulate(np.r_[total, doubled])[-1])
     if fn % 2 == 0:
-        total += kernel.eval(0.5) ** 2 / scale
+        try:
+            total += kernel.eval(0.5) ** 2 / scale
+        except OverflowError:  # f(1/2)**2 past float64
+            total = math.inf
     return _finite_sum(total, n, sigma)

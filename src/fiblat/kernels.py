@@ -5,9 +5,10 @@ The central potential is
     K_{sigma,p}(t) = 1 + p * sum_{m != 0} e(m t) / |2 pi m|**sigma,
 
 whose lattice DFT coefficients come either from Hurwitz zeta values
-(any sigma > 1) or, for even sigma = 2s, from derivatives of the
-cotangent and Bernoulli polynomials.  Scalar zeta values are
-mpmath.zeta, which is also the oracle; the pair
+(any sigma > 1) or, for even sigma = 2s <= 2000, from derivatives of
+the cotangent and Bernoulli polynomials.  Exact Bernoulli numbers are
+mpmath.bernfrac's.  Scalar zeta values are mpmath.zeta, which is also
+the oracle; the pair
 zeta(sigma, a) + zeta(sigma, 1-a) has one float64 engine, _hurwitz_pair,
 behind the DFT tables and f_sigma_many.  Weight functions f enter the
 energy sums as f(t1) f(t2) / |sin sin|**sigma; each family is a Kernel
@@ -27,7 +28,6 @@ import itertools
 import math
 import numbers
 import sys
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -66,6 +66,9 @@ _PAIR_TABLE_MAX_N = 2 * 10 ** 7
 _K_SERIES_MAX_TERMS = 1 << 22
 # potential_K's cosine series stops at an Abel tail bound of this times max(1, |pref|)
 _K_SERIES_TOL = 1e-13
+# largest 2s of the even-sigma routes: each builds B_{2s}, B_{2s}(t) or
+# G_{2s-1}, and B_0..B_2000 alone take about 2 s
+_EVEN_EXPONENT_MAX = 2000
 
 
 def _check_exponent(sigma) -> None:
@@ -83,13 +86,15 @@ def _check_coefficient(p) -> None:
 
 def _even_exponent(sigma) -> int:
     """2s for any real sigma (int, float, Fraction, NumPy scalar) equal to
-    an even integer >= 2; ValueError for anything else, inf and NaN too."""
+    an even integer in [2, _EVEN_EXPONENT_MAX]; ValueError for anything
+    else, inf and NaN too."""
     if isinstance(sigma, numbers.Rational) or (
             isinstance(sigma, numbers.Real) and math.isfinite(sigma)):
         two_s = math.floor(sigma)
-        if two_s == sigma and two_s >= 2 and two_s % 2 == 0:
+        if two_s == sigma and 2 <= two_s <= _EVEN_EXPONENT_MAX and two_s % 2 == 0:
             return two_s
-    raise ValueError(f"needs an even integer exponent >= 2, got {sigma!r}")
+    raise ValueError(
+        f"needs an even integer exponent in [2, {_EVEN_EXPONENT_MAX}], got {sigma!r}")
 
 
 def _bernoulli_coeff(two_s: int, p):
@@ -114,55 +119,14 @@ def _horner(coeffs, x):
     return acc
 
 
-# the tangent numbers T_1, T_2, ... as far as asked, and the last column
-# of the Brent-Harvey triangle they come from, which extends the list by
-# one number in O(k) integer steps
-_tangent = [1]
-_tangent_column = [1]
-_tangent_lock = threading.Lock()
-
-
-def _tangent_number(k: int) -> int:
-    """T_k, k >= 1 (1, 2, 16, 272, ...), exact.
-
-    Pass p of Brent and Harvey's in-place algorithm sets
-    T_j <- (j - p) T_{j-1} + (j - p + 2) T_j for j >= p, starting from
-    T_j = (j - 1)!; column j of that triangle holds entry j after each
-    pass, and its last entry is T_j.  Column j + 1 follows from column j
-    alone, so the table grows one index at a time, O(k**2) integer steps
-    to k in all, whatever order the indices are asked in."""
-    global _tangent_column
-    with _tangent_lock:
-        col = _tangent_column
-        for j in range(len(_tangent), k):
-            new = [j * col[0]]
-            for i in range(1, j):
-                new.append((j - i) * col[i] + (j - i + 2) * new[-1])
-            new.append(2 * new[-1])
-            col = new
-            _tangent.append(col[-1])
-        _tangent_column = col
-        return _tangent[k - 1]
-
-
 @functools.lru_cache(maxsize=None)
 def bernoulli_number(m: int) -> Fraction:
-    """B_m with the B_1 = -1/2 convention, exact.
-
-    B_{2k} = (-1)**(k-1) 2k T_k / (4**k (4**k - 1)) from the tangent
-    number T_k, whose table costs O(k**2) integer steps: B_1000 takes
-    about 0.1 s."""
+    """B_m with the B_1 = -1/2 convention, exact: mpmath.bernfrac, which
+    rounds a numerical B_m to the denominator von Staudt-Clausen fixes.
+    B_1000 takes about 0.3 s with the smaller indices."""
     if m < 0:
         raise ValueError(f"negative index: {m}")
-    if m == 0:
-        return Fraction(1)
-    if m == 1:
-        return Fraction(-1, 2)
-    if m % 2 == 1:
-        return Fraction(0)
-    k = m // 2
-    q = 4 ** k
-    return Fraction((-1) ** (k - 1) * m * _tangent_number(k), q * (q - 1))
+    return Fraction(*mpmath.bernfrac(m))
 
 
 @functools.lru_cache(maxsize=None)
@@ -506,17 +470,31 @@ def parse_kernel(spec: str, *, sigma: float | None = None) -> Kernel:
 def potential_K(sigma: float, p, t):
     """K_{sigma,p}(t) = 1 + p sum_{m != 0} e(mt)/|2 pi m|**sigma.
 
-    For even integer sigma = 2s this is the exact polynomial path
-    1 + c B_{2s}({t}) with c = p (-1)**(s-1) / (2s)!, returning a Fraction
-    when both p and t are exact.  Otherwise the cosine series is summed
-    until an Abel-bounded tail drops below _K_SERIES_TOL times
-    max(1, |2p/(2 pi)**sigma|); where that takes more than
-    _K_SERIES_MAX_TERMS terms (sigma near 1, t near 0) it raises
+    For even integer sigma = 2s <= _EVEN_EXPONENT_MAX this is the exact
+    polynomial path 1 + c B_{2s}({t}) with c = p (-1)**(s-1) / (2s)!,
+    returning a Fraction when both p and t are exact.  Otherwise the
+    cosine series is summed until an Abel-bounded tail drops below
+    _K_SERIES_TOL times max(1, |2p/(2 pi)**sigma|); where that takes more
+    than _K_SERIES_MAX_TERMS terms (sigma near 1, t near 0) it raises
     ValueError, and the dft and wce routes of energy take the input.  A
-    non-finite p raises ValueError.
+    non-finite p or t, a (2 pi)**sigma past float64 and a float value
+    past it raise ValueError.
     """
     _check_exponent(sigma)
     _check_coefficient(p)
+    if not isinstance(t, numbers.Rational) and not math.isfinite(t):
+        raise ValueError(f"argument must be finite, got {t}")
+    try:
+        val = _potential_K(sigma, p, t)
+    except OverflowError:  # a float step past float64
+        val = math.inf
+    if not isinstance(val, Fraction) and not math.isfinite(val):
+        raise ValueError(f"K overflows float64 in its evaluation at sigma={sigma:g}, p={p}, t={t}")
+    return val
+
+
+def _potential_K(sigma: float, p, t):
+    """potential_K's value, before its check that a float one is finite."""
     try:
         two_s = _even_exponent(sigma)
     except ValueError:  # the cosine series below
@@ -526,10 +504,13 @@ def potential_K(sigma: float, p, t):
         val = 1 + _bernoulli_coeff(two_s, p) * bernoulli_poly(two_s, tt)
         return val if isinstance(val, Fraction) else float(val)
     t = float(t) % 1.0
-    pref = 2 * float(p) / _TWO_PI ** sigma
-    if t == 0.0:
+    try:
+        pref = 2 * float(p) / _TWO_PI ** sigma
+    except OverflowError:
+        raise ValueError(f"(2 pi)**sigma overflows float64 at sigma={sigma:g}") from None
+    tr = min(t, 1.0 - t)  # 0 also where a tiny negative t rounds to t = 1
+    if tr == 0.0:
         return 1.0 + pref * zeta(sigma)
-    tr = min(t, 1.0 - t)
     bound = 1.0 / math.sin(math.pi * tr)  # Abel bound on cosine partial sums
     terms = (min(abs(pref), 1.0) * bound / _K_SERIES_TOL) ** (1.0 / sigma)
     if terms > _K_SERIES_MAX_TERMS:
@@ -539,7 +520,8 @@ def potential_K(sigma: float, p, t):
         )
     M = max(32, math.ceil(terms))
     m = np.arange(1, M + 1, dtype=np.float64)
-    series = float(np.sum(np.cos(_TWO_PI * t * m) / m ** sigma))
+    with np.errstate(over="ignore"):  # m**sigma = inf is a zero term
+        series = float(np.sum(np.cos(_TWO_PI * t * m) / m ** sigma))
     return 1.0 + pref * series
 
 
@@ -550,26 +532,29 @@ def dft_coeffs(sigma: float, p: float, N: int) -> np.ndarray:
 
     zeta(sigma) is the scalar mpmath value; the m >= 1 entries come from
     the vectorized Hurwitz pair table, relative error ~1e-15.  Raises
-    ValueError where (2 pi N)**sigma overflows float64, above
+    ValueError where (2 pi N)**sigma or an entry overflows float64, above
     N = _PAIR_TABLE_MAX_N (peak memory under 1 GB) and for a non-finite p.
     """
     if N < 1:
         raise ValueError(f"modulus must be >= 1, got {N}")
     _check_exponent(sigma)
     _check_coefficient(p)
+    # first, so that the table's size checks come before N is a float
+    table = _hurwitz_pair_table(sigma, N) if N > 1 else None
     scale = (_TWO_PI * N) ** -sigma
     out = np.empty(N, dtype=np.float64)
     out[0] = 1.0 + 2 * p * zeta(sigma) * scale
     if N > 1:
-        out[1:] = p * scale * _hurwitz_pair_table(sigma, N)[1:]
-    return out
+        with np.errstate(over="ignore"):
+            out[1:] = p * scale * table[1:]
+    return _finite_table(out, sigma, p)
 
 
 def dft_coeffs_even(two_s: int, p: float, N: int) -> np.ndarray:
     """The even-sigma route to the same table: 1 + c B_{2s} / N**(2s) rounded
     once at index 0, the (2s-1)-th cotangent derivative at m/N at m >= 1.
     Raises ValueError where (2N)**(2s) * (2s-1)!, the scale of the m >= 1
-    entries, overflows float64, and for a non-finite p."""
+    entries, or an entry overflows float64, and for a non-finite p."""
     two_s = _even_exponent(two_s)
     if N < 1:
         raise ValueError(f"modulus must be >= 1, got {N}")
@@ -584,4 +569,12 @@ def dft_coeffs_even(two_s: int, p: float, N: int) -> np.ndarray:
     for m in range(1, N):
         c = 1.0 / math.tan(math.pi * m / N) if 2 * m != N else 0.0
         out[m] = scale * _horner(g, c)
+    return _finite_table(out, two_s, p)
+
+
+def _finite_table(out: np.ndarray, sigma, p) -> np.ndarray:
+    """out, or ValueError where an entry has left float64."""
+    if not np.isfinite(out).all():
+        raise ValueError(
+            f"DFT coefficients overflow float64 at sigma={sigma:g}, p={p:g}, N={len(out)}")
     return out

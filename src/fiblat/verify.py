@@ -12,7 +12,7 @@ Suites:
                  index vs half-Fibonacci cutoff; exact half witnesses
     dual         dual array bracketing by Fibonacci numbers; signed
                  two-term form vs closed form; modular pairing with the
-                 primal array
+                 primal array (levels 5..26, whatever the limit)
     floor        golden-ratio floor identities on an integer range
     ineq         golden-ratio floor inequalities (exact, denominators
                  cleared) and sine/power calculus bounds on grids

@@ -59,8 +59,9 @@ def _inv_phi_split() -> tuple[float, float, float]:
 
 
 _INV_PHI_SPLIT = _inv_phi_split()
-_ROW_BLOCK = 1 << 16  # rows per block of the level-row scan
-_TABLE_BLOCK = 1 << 13  # rows per block of the RowTable build
+# rows per block of every row scan (_row_blocks), so that int64
+# temporaries stay small beside the columns they fill
+_ROW_BLOCK = 1 << 13
 
 
 def floor_phi_plus_inv(x: int) -> int:
@@ -181,15 +182,15 @@ def rows_below_half_fib(n: int) -> list[tuple[int, int]]:
 
 def _level_rows(n: int):
     """The rows of rows_below_half_fib(n) as int64 arrays
-    (i, floor(phi*i), k_max), in ascending i and in blocks of at most
-    _ROW_BLOCK rows.
+    (i, floor(phi*i), k_max), in ascending i and in the blocks of
+    _row_blocks.
 
     Row i qualifies iff W[i, 1] = floor(phi*i) + i - 1 < F_n / 2, which
-    bounds i below (F_n + 4) / (2 phi**2).  The columns come from the
-    RowTable helpers block by block; mu_i is nondecreasing in i, so each
-    block is cut by searchsorted at mu_i <= n - 2 and the scan stops at
-    the first row past it.  Levels whose bound leaves the exact row
-    columns (floor(phi*i) < 2**27, so n >= 44) raise ValueError.
+    bounds i below (F_n + 4) / (2 phi**2).  mu_i is nondecreasing in i,
+    so each block is cut by searchsorted at mu_i <= n - 2 and the scan
+    stops at the first row past it.  Levels whose bound leaves the exact
+    row columns (floor(phi*i) < 2**27, so n >= 44) raise ValueError at
+    the call, before the first block.
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
@@ -201,15 +202,16 @@ def _level_rows(n: int):
             f"level must be < 44 (its rows pass the exact row "
             f"columns, floor(phi*i) < 2**27), got {n}"
         )
-    for lo in range(1, i_bound + 1, _ROW_BLOCK):
-        i = np.arange(lo, min(lo + _ROW_BLOCK, i_bound + 1), dtype=np.int64)
-        L = _floor_phi_many(i)
-        mu = _mu_many(i, L)
-        cut = int(np.searchsorted(mu, n - 2, side="right"))
-        if cut:
-            yield i[:cut], L[:cut], n - 1 - mu[:cut]
-        if cut < len(i):
-            return
+
+    def blocks():
+        for _, i, L in _row_blocks(i_bound):
+            mu = _mu_many(i, L)
+            cut = int(np.searchsorted(mu, n - 2, side="right"))
+            if cut:
+                yield i[:cut], L[:cut], n - 1 - mu[:cut]
+            if cut < len(i):
+                return
+    return blocks()
 
 
 def half_fib_witness(ell: int) -> tuple[int, int, int]:
@@ -249,12 +251,7 @@ class RowTable:
         self.w_plus = np.empty(i_max)
         self.w_minus_neg = np.empty(i_max)
         hi, mid, lo = _INV_PHI_SPLIT
-        # filled in blocks, so the temporaries stay small beside the
-        # columns; each block is widened to int64, as 5*i*i leaves int32
-        for start in range(0, i_max, _TABLE_BLOCK):
-            s = slice(start, start + _TABLE_BLOCK)
-            i = self.i[s].astype(np.int64)
-            L = _floor_phi_many(i)
+        for s, i, L in _row_blocks(i_max):
             self.floor_phi_i[s] = L
             self.eta[s] = _eta(i, L)
             self.mu[s] = _mu_many(i, L)
@@ -284,10 +281,19 @@ def _eta_column(i_max: int) -> np.ndarray:
     built in the same blocks by the same formula."""
     _check_table_size(i_max)
     eta = np.empty(i_max, dtype=np.int32)
-    for start in range(0, i_max, _TABLE_BLOCK):
-        i = np.arange(start + 1, min(start + _TABLE_BLOCK, i_max) + 1, dtype=np.int64)
-        eta[start:start + len(i)] = _eta(i, _floor_phi_many(i))
+    for s, i, L in _row_blocks(i_max):
+        eta[s] = _eta(i, L)
     return eta
+
+
+def _row_blocks(i_max: int):
+    """(s, i, floor(phi*i)) for rows 1..i_max in blocks of _ROW_BLOCK
+    rows: s is the block's slice of a 0-based row column, and i and
+    floor(phi*i) are int64 arrays (5*i*i leaves int32).  The caller keeps
+    floor(phi*i_max) < 2**27, where _floor_phi_many is exact."""
+    for start in range(0, i_max, _ROW_BLOCK):
+        i = np.arange(start + 1, min(start + _ROW_BLOCK, i_max) + 1, dtype=np.int64)
+        yield slice(start, start + len(i)), i, _floor_phi_many(i)
 
 
 def _floor_phi_many(i: np.ndarray) -> np.ndarray:

@@ -428,6 +428,14 @@ def test_exact_constants_cover_only_closed_families():
     assert exact_constants(6, kernel_one()) is None
 
 
+def test_residual_fit_refuses_rows_past_float64():
+    # the asymptote c*n + d overflows; with d alone near the float64 edge
+    # the asymptote is finite and the scaled residual is not
+    for c, d in ((1e308, 1e308), (0.0, 1.7e308)):
+        with pytest.raises(ValueError, match="leaves float64 at level 5"):
+            residual_fit(2.0, n_min=5, n_max=5, c=c, d=d)
+
+
 def test_residual_fit_takes_table_constants_for_bern4():
     ex = exact_constants(4, kernel_bernoulli_weight(4))
     rows = residual_fit(4.0, kernel_bernoulli_weight(4), n_min=8, n_max=12)

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -197,6 +198,17 @@ def test_constants_json_includes_closed_form():
     assert doc["threads"] == 1
 
 
+def test_constants_closed_coefficient_is_exact_for_a_big_weight():
+    # f(0) = 2**53 + 1 is not a double: the coefficient takes it as the
+    # exact sum of the trig coefficients, (4/15) f(0)**2
+    r = run("constants", "--sigma", "2", "--kernel", "trig:9007199254740993",
+            "--i-max", "100", "--k-max", "4")
+    assert r.exit_code == 0, r.output
+    doc = json.loads(r.output)
+    assert doc["c_closed_coefficient"] == "108172851219475599613583352834732/5"
+    assert Fraction(doc["c_closed_coefficient"]) == Fraction(4, 15) * (2 ** 53 + 1) ** 2
+
+
 def test_constants_no_closed_form_for_odd_sigma():
     doc = json.loads(
         run("constants", "--sigma", "2.5", "--i-max", "200", "--k-max", "8").output)
@@ -372,6 +384,16 @@ def test_energy_past_float64_is_usage_error():
 def test_fit_non_finite_constant_is_usage_error(flag, value):
     r = run("fit", "--sigma", "2", "--n-max", "12", flag, value)
     assert r.exit_code == 2 and "must be finite" in r.output, r.output
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fit_row_past_float64_is_usage_error(fmt):
+    # c*n + d overflows; the CSV would read inf and the JSON Infinity
+    r = run("fit", "--sigma", "2", "--n-min", "5", "--n-max", "5", "--c", "1e308",
+            "--d", "1e308", "--format", fmt)
+    errors = [line for line in r.output.splitlines() if line.startswith("Error:")]
+    assert r.exit_code == 2 and len(errors) == 1, r.output
+    assert "leaves float64 at level 5" in errors[0]
 
 
 def test_closed_families_come_from_the_table():

@@ -208,6 +208,13 @@ def test_energy_past_float64_raises_without_numpy_warnings():
                 call()
 
 
+def test_dft_energy_takes_the_generator_mod_n():
+    # h * m would wrap int64 (or raise, for h past it) where h % N does not
+    for N, h in ((997, 2 ** 62 + 1), (1, 10 ** 30), (13, 10 ** 30 + 8)):
+        want = energy(RationalLattice(N, h % N), 2.0, 1.0, "dft").value
+        assert energy(RationalLattice(N, h), 2.0, 1.0, "dft").value == want, (N, h)
+
+
 def test_wce_shift_identity():
     # energy = N^2 (1 + e) definitionally ties the two reports together
     for N, h in ((5, 3), (13, 8)):
@@ -309,7 +316,7 @@ def test_fib_sum_grouped_equals_row_loop(spec, sigma, n_max):
 
 
 def test_fib_sum_grouped_streams_several_blocks():
-    # F_29: ~98k rows in two row blocks, depth groups split into several
+    # F_29: ~98k rows in twelve row blocks, depth groups split into several
     # chunks of at most 2**16 terms
     want = sigma2_closed(29) / Fraction(fib(29)) ** 2
     assert fib_sum_grouped(29, 2.0) == pytest.approx(float(want), rel=1e-12)

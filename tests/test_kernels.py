@@ -14,6 +14,7 @@ from fiblat.kernels import (
     One,
     Trig,
     _PI_STR,
+    _even_exponent,
     _horner,
     _hurwitz_pair_table,
     _pair_coeffs,
@@ -42,11 +43,31 @@ def test_bernoulli_numbers():
 
 
 def test_bernoulli_numbers_match_mpmath():
-    # B_2k from the tangent numbers, against mpmath's exact fractions;
-    # m = 1000 extends the table well past the small indices
-    for m in (*range(61), 1000, 998):
-        num, den = mpmath.bernfrac(m)
-        assert bernoulli_number(m) == Fraction(int(num), int(den)), m
+    # bernoulli_number is mpmath.bernfrac, so the oracles avoid it: the
+    # exact recurrence sum_{j <= m} C(m+1, j) B_j = 0 for m >= 1, and the
+    # zeta value B_2k = (-1)**(k+1) 2 (2k)! zeta(2k) / (2 pi)**(2k)
+    for m in range(1, 121):
+        assert sum(math.comb(m + 1, j) * bernoulli_number(j) for j in range(m + 1)) == 0, m
+    with mpmath.workdps(250):
+        for m in (998, 1000):
+            k = m // 2
+            want = ((-1) ** (k + 1) * 2 * mpmath.factorial(m) * mpmath.zeta(m)
+                    / (2 * mpmath.pi) ** m)
+            b = bernoulli_number(m)
+            got = mpmath.mpf(b.numerator) / b.denominator
+            assert abs(got - want) <= mpmath.mpf(10) ** -60 * abs(want), m
+
+
+def test_even_exponent_stops_at_its_cap():
+    # every even-sigma route builds B_{2s}, B_{2s}(t) or G_{2s-1}: past
+    # 2s = 2000 they refuse rather than build for minutes (or overflow
+    # math.factorial, as at 10**400)
+    assert _even_exponent(2000) == 2000 and _even_exponent(2000.0) == 2000
+    for sigma in (2002, 10 ** 400, 1e300):
+        with pytest.raises(ValueError, match=r"even integer exponent in \[2, 2000\]"):
+            _even_exponent(sigma)
+    with pytest.raises(ValueError, match="even integer exponent"):
+        constant_C_closed(10 ** 400)
 
 
 def test_bernoulli_polynomials_exact():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fiblat import wythoff
+from fiblat.energy import fib_sum_grouped
 from fiblat.golden import GoldenInt, fib, phi_power
 from fiblat.wythoff import (
     RowTable,
@@ -28,6 +29,8 @@ from fiblat.wythoff import (
     rows_below_half_fib,
     wythoff_row_entries,
 )
+from fiblat.kernels import parse_kernel
+from fiblat.verify import run_suite
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -222,6 +225,31 @@ def test_eta_column_is_the_row_table_column():
         eta = _eta_column(n)
         assert eta.dtype == np.int32
         assert np.array_equal(eta, RowTable(n).eta), n
+
+
+def _row_scan_outputs():
+    """What the three row scans feed: RowTable's columns, the eta column,
+    the level rows, the grouped level sums (as hex) and the dual suite."""
+    tab = RowTable(3000)
+    columns = [getattr(tab, name).tobytes()
+               for name in ("i", "floor_phi_i", "eta", "mu", "w_plus", "w_minus_neg")]
+    # level 30 alone is 1.4 s at 7 rows per block; 1..26 cover the cuts
+    levels = [rows_below_half_fib(n) for n in (*range(1, 27), 30)]
+    sums = [fib_sum_grouped(n, sigma, parse_kernel(spec, sigma=sigma),
+                            normalized=normalized).hex()
+            for spec, sigma in (("one", 2.0), ("bern:4", 4.0), ("fsigma", 2.5))
+            for n in range(2, 21) for normalized in (True, False)]
+    dual = run_suite("dual", 1)
+    return columns, _eta_column(20000).tobytes(), levels, sums, (dual.passed, dual.checks)
+
+
+def test_row_block_size_moves_no_value(monkeypatch):
+    # every row scan takes its blocks from _row_blocks; at 7 rows per
+    # block, with a cut inside nearly every block, each output is the
+    # default run's bit for bit
+    want = _row_scan_outputs()
+    monkeypatch.setattr(wythoff, "_ROW_BLOCK", 7)
+    assert _row_scan_outputs() == want
 
 
 def test_negative_table_size_is_a_value_error():
