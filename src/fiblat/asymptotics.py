@@ -10,9 +10,9 @@ by an integral) and is summed at the precision that tail needs, by the
 same eta sum as the eta-series route of dedekind_zeta.  That sum forms
 the int32 eta column alone, block by block, and builds or caches no
 RowTable.  eta_i = -N(w_plus(i)) is a norm and repeats, so it takes
-one power per distinct eta, weighted by its row count; the L-series of
-the Euler product route goes through the same weighted power sum,
-_power_sum.
+one power per distinct eta, weighted by its row count (_power_sum).
+The Euler product route of dedekind_zeta takes the same zeta value
+untruncated, from the Riemann zeta and four Hurwitz zeta values.
 For even sigma C also has an exact Bernoulli closed form, which the
 closed route of dedekind_zeta reuses.  D has one production path, a
 vectorized row sweep run at extended and at double precision (the gap
@@ -84,9 +84,12 @@ __all__ = [
 PHI = (1 + 5 ** 0.5) / 2
 _CHUNK = 8192  # fixed chunk size keeps the reduction order independent of threading
 _POWER_BLOCK = 4096  # terms per block _power_sum turns into Python ints
-# most bits a power sum is formed at (_series_prec): sigma near 2600 at
-# 1e5 rows, where integer sigma already takes 48,000-bit powers
+# most bits the eta sum is formed at (_series_prec): sigma near 3900 at
+# 1e5 rows, where integer sigma already takes 73,000-bit powers of eta
 _SERIES_PREC_MAX = 1 << 16
+# largest sigma of the Euler product route: mpmath's 120-bit Hurwitz values
+# lose about log2(sigma) of its 18 spare bits, and past ~1e300 all of them
+_HURWITZ_SIGMA_MAX = 1 << 16
 
 ZETA_ROUTES = (
     "eta-series",
@@ -185,12 +188,12 @@ class CConstant:
 
 def _power_sum(sigma: float, values: np.ndarray, weights: np.ndarray) -> mpmath.mpf:
     """sum_v w_v * v**-sigma over distinct positive integers v (values)
-    with integer weights w_v (weights), at the current working precision
-    prec and rounded once there.  A weight counts the occurrences of v in
-    a sum over terms, or is the sign of a character value.
+    with positive integer weights w_v (weights), at the current working
+    precision prec and rounded once there.  A weight counts the
+    occurrences of v in a sum over terms.
 
     Integer sigma is summed exactly in integers: each occurrence is
-    floor(2**P / v**sigma) with P = prec + bit_length(sum |w_v|) + 2, so
+    floor(2**P / v**sigma) with P = prec + bit_length(sum w_v) + 2, so
     the occurrences together round down by less than 2**-(prec+2) and
     the integer does not depend on the grouping or the order.  Other
     sigma take one mpf_pow per v, rounded at prec as mpf(v)**-sigma is;
@@ -203,7 +206,7 @@ def _power_sum(sigma: float, values: np.ndarray, weights: np.ndarray) -> mpmath.
     blocks = [slice(lo, lo + _POWER_BLOCK) for lo in range(0, len(values), _POWER_BLOCK)]
     if float(sigma).is_integer():
         s = int(sigma)
-        P = prec + int(np.abs(weights).sum()).bit_length() + 2
+        P = prec + int(weights.sum()).bit_length() + 2
         one = 1 << P
         total = 0
         for b in blocks:
@@ -319,24 +322,19 @@ class ZetaRoute:
     value_mp: mpmath.mpf
 
 
-_CHI5 = np.array((0, 1, -1, -1, 1))  # the quadratic character mod 5
-
-
 def dedekind_zeta(sigma: float, route: str = "eta-series",
                   truncation: int = 100000) -> ZetaRoute:
     """The zeta value sum_i eta_i**-sigma by one of three routes.
 
-    eta-series sums the row invariants directly (tail certified via
-    eta_i >= i).  euler-product-L-times-zeta multiplies the Riemann
-    zeta by the character L-series mod 5, whose partial character sums
-    are bounded by 1, giving the tail 2*(N+1)**-sigma.  Both series go
-    through _power_sum at the working precision prec: one power per
-    distinct eta (weighted by its row count) or per n with chi_5(n) != 0
-    (weighted by chi_5(n)).  For integer sigma that is an exact integer
-    fixed-point sum (error below 2**-(prec+2) before one rounding);
-    other sigma add mpmath powers exactly and round once.  The
-    Bernoulli closed form (even integer sigma only) rescales
-    constant_C_closed and is exact up to arithmetic rounding.
+    eta-series sums the row invariants to truncation >= 8 (tail certified
+    via eta_i >= i) through _power_sum at the working precision prec: an
+    exact integer fixed-point sum for integer sigma, mpmath powers added
+    exactly and rounded once otherwise.  euler-product-L-times-zeta is
+    zeta(sigma) * 5**-sigma * sum_a chi_5(a) zeta(sigma, a/5) exactly
+    (Apostol, ch. 12), at 120 bits and untruncated; its error scales with
+    sum_a zeta(sigma, a/5), which covers their cancellation near the pole,
+    and it refuses sigma > 2**16.  The Bernoulli closed form (even integer
+    sigma only) rescales constant_C_closed.
     """
     _check_exponent(sigma)
     if route not in ZETA_ROUTES:
@@ -350,26 +348,24 @@ def dedekind_zeta(sigma: float, route: str = "eta-series",
                  / (2 * mpmath.mpf(5) ** (two_s // 2)))
         return ZetaRoute(route, float(sigma), float(v), float(abs(v)) * 2.0 ** -100, 0, v)
 
+    if route == "euler-product-L-times-zeta":
+        if not sigma <= _HURWITZ_SIGMA_MAX:
+            raise ValueError(f"Hurwitz zeta values lose their digits past sigma = 2**16: {sigma}")
+        with mpmath.workprec(120):
+            s = mpmath.mpf(sigma)
+            h1, h2, h3, h4 = (mpmath.zeta(s, mpmath.mpf(a) / 5) for a in range(1, 5))
+            scale = mpmath.zeta(s) / mpmath.power(5, s)
+            v = scale * (h1 - h2 - h3 + h4)
+            size = scale * (h1 + h2 + h3 + h4)  # every zeta(s, a) > 0
+        return ZetaRoute(route, float(sigma), float(v), float(size) * 2.0 ** (18 - 120), 0, v)
+
     n_top = int(truncation)
     if n_top < 8:
         raise ValueError(f"truncation too small: {n_top}")
-    if route == "eta-series":
-        total, prec = _eta_power_sum(sigma, n_top)
-        tail = n_top ** (1 - sigma) / (sigma - 1)
-        err = tail + float(total) * 2.0 ** (18 - prec)
-        return ZetaRoute(route, float(sigma), float(total), err, n_top, total)
-
-    # euler-product-L-times-zeta
-    prec = _series_prec(sigma, n_top)
-    n = np.arange(1, n_top + 1)
-    n = n[n % 5 != 0]
-    with mpmath.workprec(prec):
-        lser = _power_sum(sigma, n, _CHI5[n % 5])
-        z = mpmath.zeta(mpmath.mpf(sigma))
-        v = z * lser
-    tail = 2.0 * float(z) * (n_top + 1) ** (-sigma)
-    err = tail + float(abs(v)) * 2.0 ** (18 - prec)
-    return ZetaRoute(route, float(sigma), float(v), err, n_top, v)
+    total, prec = _eta_power_sum(sigma, n_top)
+    tail = n_top ** (1 - sigma) / (sigma - 1)
+    err = tail + float(total) * 2.0 ** (18 - prec)
+    return ZetaRoute(route, float(sigma), float(total), err, n_top, total)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 
 import click
 
@@ -120,9 +121,15 @@ def main():
     closed forms behind them."""
 
 
-# the most digits a wythoff table may print, about 10 MB of output; the
-# size grows with rows * cols**2 (--rows 1 --cols 21000 would print 46 MB)
-_WYTHOFF_DIGITS = 10 ** 7
+# the most digits a wythoff table or a closed-form level range may print,
+# about 10 MB of output; a table grows with rows * cols**2 (--rows 1
+# --cols 21000 would print 46 MB), a level range with n_max**2
+_DIGIT_BUDGET = 10 ** 7
+
+
+def _past_budget(what: str, advice: str) -> click.UsageError:
+    return click.UsageError(
+        f"{what} is past the budget of {_DIGIT_BUDGET:.0e} digits; {advice}")
 
 
 def _table_digits(rows: int, cols: int) -> float:
@@ -131,6 +138,30 @@ def _table_digits(rows: int, cols: int) -> float:
     has at most log10(10 rows) + j log10(phi) + 1 digits."""
     per_row = cols * (math.log10(rows) + 2) + math.log10(PHI) * cols * (cols + 1) / 2
     return rows * per_row
+
+
+def _closed_digits(family: str, n_min: int, n_max: int) -> float:
+    """An upper estimate of the digits `closed` prints for levels
+    n_min..n_max of a table family, level numbers included; inf where
+    it leaves float64.
+
+    Over the least common denominator D of its coefficients, the
+    level-n value is an integer of magnitude below
+    D * A * (n + 2) * phi**(k n), A the sum of the coefficients'
+    magnitudes and k the top row, over D * F_n**den < D * phi**(den n);
+    reducing the fraction only shortens both.  Each integer x >= 1 has
+    at most log10(x) + 1 digits."""
+    fam = CLOSED_FAMILIES[family]
+    coeffs = [*fam.const, *(q for r in fam.rows for q in r[1:])]
+    lcd = math.lcm(*(Fraction(q).denominator for q in coeffs))
+    mag = sum(abs(Fraction(q)) for q in coeffs)
+    slope = (max(r[0] for r in fam.rows) + fam.den) * math.log10(PHI)
+    count = n_max - n_min + 1
+    try:
+        per_level = 2 * math.log10(lcd) + math.log10(mag) + 2 * math.log10(n_max + 2) + 3
+        return count * per_level + slope * (n_min + n_max) * count / 2
+    except OverflowError:
+        return math.inf
 
 
 @main.command("wythoff")
@@ -147,10 +178,8 @@ def cmd_wythoff(rows, cols, dual, fmt):
     A table past 10**7 digits (about 10 MB) is a usage error."""
     # every entry prints a digit or more, so rows * cols past the budget
     # is refused before the estimate takes floats of rows and cols
-    if rows * cols > _WYTHOFF_DIGITS or _table_digits(rows, cols) > _WYTHOFF_DIGITS:
-        raise click.UsageError(
-            f"a {rows} x {cols} table is past the budget of {_WYTHOFF_DIGITS:.0e} "
-            f"digits; ask for fewer rows or columns")
+    if rows * cols > _DIGIT_BUDGET or _table_digits(rows, cols) > _DIGIT_BUDGET:
+        raise _past_budget(f"a {rows} x {cols} table", "ask for fewer rows or columns")
     if dual:
         out = []
         for i in range(1, rows + 1):
@@ -314,7 +343,9 @@ def cmd_constants(sigma, kernel_spec, i_max, k_max, fmt):
               help="even exponent (family c only)")
 @_format_option("csv")
 def cmd_closed(family, n_min, n_max, sigma, fmt):
-    """Exact rational closed forms, one value per level."""
+    """Exact rational closed forms, one value per level.
+
+    A level range past 10**7 digits (about 10 MB) is a usage error."""
     if family == "c":
         if sigma is None:
             raise click.UsageError("family c needs --sigma")
@@ -338,6 +369,12 @@ def cmd_closed(family, n_min, n_max, sigma, fmt):
         raise click.UsageError(f"--sigma is for family c only, not {family}")
     if n_max < n_min:
         raise click.UsageError(f"empty level range {n_min}..{n_max}")
+    # every level prints a digit or more, so a level count past the budget
+    # is refused in integers, as wythoff's table size is
+    if (n_max - n_min + 1 > _DIGIT_BUDGET
+            or _closed_digits(family, n_min, n_max) > _DIGIT_BUDGET):
+        raise _past_budget(f"the level range {n_min}..{n_max} of {family}",
+                           "ask for fewer or lower levels")
     try:
         table = [(n, CLOSED_FAMILIES[family].value(n)) for n in range(n_min, n_max + 1)]
     except ValueError as exc:

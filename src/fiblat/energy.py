@@ -462,21 +462,17 @@ def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
     scale = _level_scale(n, sigma) if normalized else 1.0
     F = np.array([fib(k) for k in range(n + 1)], dtype=np.int64)
     total = 0.0
-    for i, L, k_max in rows:
-        # k_max is nonincreasing in i: rows of equal depth are contiguous
-        edges = [0, *(np.flatnonzero(np.diff(k_max)) + 1).tolist(), len(i)]
-        for a, b in zip(edges, edges[1:]):
-            k = np.arange(1, int(k_max[a]) + 1)
-            step = _SUM_CHUNK // len(k)  # depths stay below 44
-            for lo in range(a, b, step):
-                rows = slice(lo, min(lo + step, b))
-                Lc, ic = L[rows, None], i[rows, None] - 1
-                t1 = (F[k + 1] * Lc + F[k] * ic) / fn
-                t2 = (F[n - k - 1] * Lc - F[n - k] * ic) / fn
-                vals = kernel.pair(t1, t2) / (np.sin(np.pi * t1) * np.sin(np.pi * t2)) ** sigma
-                vals /= scale
-                doubled = 2.0 * vals.sum(axis=1)
-                total = float(np.add.accumulate(np.r_[total, doubled])[-1])
+    for i, L, depth in rows:
+        k = np.arange(1, depth + 1)
+        step = _SUM_CHUNK // depth  # depths stay below 44
+        for lo in range(0, len(i), step):
+            Lc, ic = L[lo:lo + step, None], i[lo:lo + step, None] - 1
+            t1 = (F[k + 1] * Lc + F[k] * ic) / fn
+            t2 = (F[n - k - 1] * Lc - F[n - k] * ic) / fn
+            vals = kernel.pair(t1, t2) / (np.sin(np.pi * t1) * np.sin(np.pi * t2)) ** sigma
+            vals /= scale
+            doubled = 2.0 * vals.sum(axis=1)
+            total = float(np.add.accumulate(np.r_[total, doubled])[-1])
     if fn % 2 == 0:
         try:
             total += kernel.eval(0.5) ** 2 / scale

@@ -470,9 +470,10 @@ def parse_kernel(spec: str, *, sigma: float | None = None) -> Kernel:
 def potential_K(sigma: float, p, t):
     """K_{sigma,p}(t) = 1 + p sum_{m != 0} e(mt)/|2 pi m|**sigma.
 
-    For even integer sigma = 2s <= _EVEN_EXPONENT_MAX this is the exact
+    For even integer sigma = 2s <= _EVEN_EXPONENT_MAX this is the
     polynomial path 1 + c B_{2s}({t}) with c = p (-1)**(s-1) / (2s)!,
-    returning a Fraction when both p and t are exact.  Otherwise the
+    exact (a Fraction) when both p and t are, else p times Horner's rule
+    on the float coefficients of c B_{2s} at p = 1.  Otherwise the
     cosine series is summed until an Abel-bounded tail drops below
     _K_SERIES_TOL times max(1, |2p/(2 pi)**sigma|); where that takes more
     than _K_SERIES_MAX_TERMS terms (sigma near 1, t near 0) it raises
@@ -493,6 +494,16 @@ def potential_K(sigma: float, p, t):
     return val
 
 
+@functools.lru_cache(maxsize=None)
+def _k_poly_coeffs(two_s: int) -> tuple[float, ...]:
+    """Coefficients of c B_{2s}(t) at p = 1, ascending powers of t:
+    (-1)**(s-1) C(2s, j) B_{2s-j} / (2s)!, exact Fractions below 1 in
+    magnitude rounded once to float, so none leaves float64 (the
+    coefficients of B_{2s} alone do from 2s near 260)."""
+    c = _bernoulli_coeff(two_s, 1)
+    return tuple(float(c * q) for q in bernoulli_poly_coeffs(two_s))
+
+
 def _potential_K(sigma: float, p, t):
     """potential_K's value, before its check that a float one is finite."""
     try:
@@ -500,9 +511,11 @@ def _potential_K(sigma: float, p, t):
     except ValueError:  # the cosine series below
         pass
     else:
-        tt = t % 1 if isinstance(t, (Fraction, int)) else float(t) % 1.0
-        val = 1 + _bernoulli_coeff(two_s, p) * bernoulli_poly(two_s, tt)
-        return val if isinstance(val, Fraction) else float(val)
+        exact_t = isinstance(t, (Fraction, int))
+        tt = t % 1 if exact_t else float(t) % 1.0
+        if exact_t and isinstance(p, (Fraction, int)):
+            return 1 + _bernoulli_coeff(two_s, p) * bernoulli_poly(two_s, tt)
+        return 1.0 + float(p) * _horner(_k_poly_coeffs(two_s), float(tt))
     t = float(t) % 1.0
     try:
         pref = 2 * float(p) / _TWO_PI ** sigma

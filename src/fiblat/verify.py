@@ -214,36 +214,32 @@ def _suite_dual(run: _Run, limit: int) -> None:
     # gives the dual entry up to reflection (the residue or its
     # complement; both sit under the same sine).
     for n in range(5, 27):
-        for i, L, k_max in _level_rows(n):
-            _check_pairing(run, n, fib(n - 1), i, L, k_max)
+        for i, L, depth in _level_rows(n):
+            _check_pairing(run, n, fib(n - 1), i, L, depth)
 
 
-def _check_pairing(run: _Run, n: int, multiplier: int, i, L, k_max) -> None:
-    """The modular pairing at level n on one block of _level_rows(n):
-    W[i, k] * multiplier mod F_n against Wd[i, n - k] for 1 <= k <= k_max,
-    in (i, k) order.  Rows of equal depth are contiguous, and each such
-    group is checked as one array: W column by column from the two-term
-    recurrence, Wd from its closed form.  For n <= 26 and a multiplier
-    below F_n, every product stays below 2**33, well inside int64."""
+def _check_pairing(run: _Run, n: int, multiplier: int, i, L, depth: int) -> None:
+    """The modular pairing at level n on one run of _level_rows(n):
+    W[i, k] * multiplier mod F_n against Wd[i, n - k] for 1 <= k <= depth,
+    in (i, k) order, checked as one array: W column by column from the
+    two-term recurrence, Wd from its closed form.  For n <= 26 and a
+    multiplier below F_n, every product stays below 2**33, well inside
+    int64."""
     fn = fib(n)
     F = np.array([fib(m) for m in range(n)], dtype=np.int64)
-    edges = [0, *(np.flatnonzero(np.diff(k_max)) + 1).tolist(), len(i)]
-    for a, b in zip(edges, edges[1:]):
-        depth = int(k_max[a])
-        ig, Lg = i[a:b], L[a:b]
-        w = np.empty((b - a, depth), dtype=np.int64)
-        prev, cur = Lg, Lg + ig - 1  # W[i, 0], W[i, 1]
-        for k in range(depth):
-            w[:, k] = cur
-            prev, cur = cur, prev + cur
-        res = w * multiplier % fn
-        m = n - np.arange(1, depth + 1)  # the dual slot n - k
-        wd = F[m - 1] * Lg[:, None] - F[m] * (ig[:, None] - 1)
-        run.ok_many(
-            ((wd == res) | (wd == fn - res)).ravel(),
-            "pairing fails at level %d row %d depth %d",
-            lambda j: (n, ig[j // depth], j % depth + 1),
-        )
+    w = np.empty((len(i), depth), dtype=np.int64)
+    prev, cur = L, L + i - 1  # W[i, 0], W[i, 1]
+    for k in range(depth):
+        w[:, k] = cur
+        prev, cur = cur, prev + cur
+    res = w * multiplier % fn
+    m = n - np.arange(1, depth + 1)  # the dual slot n - k
+    wd = F[m - 1] * L[:, None] - F[m] * (i[:, None] - 1)
+    run.ok_many(
+        ((wd == res) | (wd == fn - res)).ravel(),
+        "pairing fails at level %d row %d depth %d",
+        lambda j: (n, i[j // depth], j % depth + 1),
+    )
 
 
 def _suite_floor(run: _Run, limit: int) -> None:

@@ -175,22 +175,24 @@ def rows_below_half_fib(n: int) -> list[tuple[int, int]]:
     (see _level_rows).
     """
     out = []
-    for i, _, k_max in _level_rows(n):
-        out.extend(zip(i.tolist(), k_max.tolist()))
+    for i, _, depth in _level_rows(n):
+        out.extend((r, depth) for r in i.tolist())
     return out
 
 
 def _level_rows(n: int):
-    """The rows of rows_below_half_fib(n) as int64 arrays
-    (i, floor(phi*i), k_max), in ascending i and in the blocks of
+    """The rows of rows_below_half_fib(n) as runs (i, floor(phi*i),
+    depth) of equal depth k_max = n - mu_i - 1, with i and floor(phi*i)
+    int64 arrays, in ascending i; a run never crosses a block of
     _row_blocks.
 
     Row i qualifies iff W[i, 1] = floor(phi*i) + i - 1 < F_n / 2, which
     bounds i below (F_n + 4) / (2 phi**2).  mu_i is nondecreasing in i,
-    so each block is cut by searchsorted at mu_i <= n - 2 and the scan
-    stops at the first row past it.  Levels whose bound leaves the exact
-    row columns (floor(phi*i) < 2**27, so n >= 44) raise ValueError at
-    the call, before the first block.
+    so each block is cut by searchsorted at mu_i <= n - 2, the rows of
+    equal depth in it are contiguous, and the scan stops at the first
+    row past the cut.  Levels whose bound leaves the exact row columns
+    (floor(phi*i) < 2**27, so n >= 44) raise ValueError at the call,
+    before the first block.
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
@@ -203,15 +205,17 @@ def _level_rows(n: int):
             f"columns, floor(phi*i) < 2**27), got {n}"
         )
 
-    def blocks():
+    def runs():
         for _, i, L in _row_blocks(i_bound):
             mu = _mu_many(i, L)
             cut = int(np.searchsorted(mu, n - 2, side="right"))
             if cut:
-                yield i[:cut], L[:cut], n - 1 - mu[:cut]
+                edges = [0, *(np.flatnonzero(np.diff(mu[:cut])) + 1).tolist(), cut]
+                for a, b in zip(edges, edges[1:]):
+                    yield i[a:b], L[a:b], n - 1 - int(mu[a])
             if cut < len(i):
                 return
-    return blocks()
+    return runs()
 
 
 def half_fib_witness(ell: int) -> tuple[int, int, int]:

@@ -218,59 +218,30 @@ def _eta_sum_mp(eta, sigma):
     return mpmath.fsum(int(c) * mpmath.mpf(int(v)) ** -sigma for v, c in zip(vals, counts))
 
 
-def _l_partial_sum_mp(sigma, n):
-    """sum_{m <= n} chi_5(m) m**-sigma from Hurwitz zeta differences:
-    the m = a (mod 5) terms are 5**-sigma (zeta(sigma, a/5) - zeta(sigma, a/5 + k))."""
-    s = mpmath.mpf(sigma)
-    total = mpmath.mpf(0)
-    for a, chi in ((1, 1), (2, -1), (3, -1), (4, 1)):
-        k = (n - a) // 5 + 1
-        x = mpmath.mpf(a) / 5
-        total += chi * (mpmath.zeta(s, x) - mpmath.zeta(s, x + k))
-    return total / mpmath.mpf(5) ** s
-
-
-def _grouped(plus, minus):
-    """The distinct values of plus and minus with signed occurrence counts."""
-    v, inv = np.unique(np.array([*plus, *minus], dtype=np.int64), return_inverse=True)
-    w = np.bincount(inv, weights=[1] * len(plus) + [-1] * len(minus))
-    return v, w.astype(np.int64)
-
-
 @pytest.mark.parametrize("sigma", [2, 3, 4, 6, 18])
 def test_fixed_point_power_sum_against_mpmath(sigma):
-    # both routes' term sets at the routes' own precision, against
-    # references 64 bits finer: the integer sum plus its one rounding
+    # the eta route's term set at the route's own precision, against a
+    # reference 64 bits finer: the integer sum plus its one rounding
     # stays within 2**-prec relative
     for n in (8, 2000, 100000):
         eta = row_table(n).eta
-        plus = [*range(1, n + 1, 5), *range(4, n + 1, 5)]
-        minus = [*range(2, n + 1, 5), *range(3, n + 1, 5)]
-        cases = (
-            (max(60, int((sigma - 1) * math.log2(n)) + 30), eta.tolist(), [],
-             lambda: _eta_sum_mp(eta, sigma)),
-            (max(60, int(sigma * math.log2(n)) + 30), plus, minus,
-             lambda: _l_partial_sum_mp(sigma, n)),
-        )
-        for prec, pos, neg, reference in cases:
-            with mpmath.workprec(prec):
-                got = _power_sum(sigma, *_grouped(pos, neg))
-            with mpmath.workprec(prec + 64):
-                want = reference()
-                assert abs(got - want) <= abs(want) * mpmath.mpf(2) ** -prec, (n, prec)
+        prec = max(60, int((sigma - 1) * math.log2(n)) + 30)
+        with mpmath.workprec(prec):
+            got = _power_sum(sigma, *np.unique(eta, return_counts=True))
+        with mpmath.workprec(prec + 64):
+            want = _eta_sum_mp(eta, sigma)
+            assert abs(got - want) <= abs(want) * mpmath.mpf(2) ** -prec, (n, prec)
     # the eta route returns the sum itself
     z = dedekind_zeta(sigma, "eta-series", truncation=2000)
     with mpmath.workprec(max(60, int((sigma - 1) * math.log2(2000)) + 30)):
-        assert z.value_mp == _power_sum(sigma, *_grouped(row_table(2000).eta.tolist(), []))
+        assert z.value_mp == _power_sum(sigma, *np.unique(row_table(2000).eta, return_counts=True))
 
 
 # value_mp (mantissa, exponent) of the per-term mpmath branch at
 # truncation 2000; non-integer sigma keeps it bit for bit
 _NONINTEGER_ZETA = {
     (1.3, "eta-series"): (566985345994459015, -58),
-    (1.3, "euler-product-L-times-zeta"): (600316586873938045, -58),
     (2.5, "eta-series"): (613101074113283155, -59),
-    (2.5, "euler-product-L-times-zeta"): (613101676407854803, -59),
 }
 
 
@@ -284,16 +255,13 @@ def test_power_sum_blocks_do_not_move_the_sum(monkeypatch):
     # the arrays become Python ints a block at a time; the integer sum
     # is exact and mpf_sum rounds once, so the block size moves no bit
     eta, count = np.unique(row_table(20000).eta, return_counts=True)
-    n = np.arange(1, 20001)
-    n = n[n % 5 != 0]
-    cases = [(eta, count), (n, np.array((0, 1, -1, -1, 1))[n % 5])]
     for sigma in (2, 2.5, 6):
         with mpmath.workprec(90):
-            want = [_power_sum(sigma, v, w) for v, w in cases]
+            want = _power_sum(sigma, eta, count)
             monkeypatch.setattr(asymptotics, "_POWER_BLOCK", 7)
-            got = [_power_sum(sigma, v, w) for v, w in cases]
+            got = _power_sum(sigma, eta, count)
             monkeypatch.undo()
-        assert [(x.man, x.exp) for x in got] == [(x.man, x.exp) for x in want], sigma
+        assert (got.man, got.exp) == (want.man, want.exp), sigma
 
 
 def test_eta_sums_build_no_row_table():
@@ -345,6 +313,12 @@ def test_zeta_route_validation():
         dedekind_zeta(2.0, "riemann")
     with pytest.raises(ValueError):
         dedekind_zeta(1.0)
+    # mpmath's Hurwitz values lose their digits at large sigma (at 1e300
+    # the route gave 0 for zeta_K = 1); 2**16 itself is fine
+    assert dedekind_zeta(2.0 ** 16, "euler-product-L-times-zeta").value == 1.0
+    for sigma in (2.0 ** 16 + 1, 1e300):
+        with pytest.raises(ValueError, match="lose their digits"):
+            dedekind_zeta(sigma, "euler-product-L-times-zeta")
 
 
 def test_exact_constants():

@@ -85,6 +85,29 @@ def test_wythoff_digit_estimate_bounds_the_table(dual):
         assert digits <= cli._table_digits(rows, cols), (dual, rows, cols)
 
 
+def test_closed_past_the_digit_budget_is_usage_error():
+    # levels 3..10**6 would print about 10**11 digits, 3..8000 about
+    # 1.3e7; refused before any level is formed, also for levels past float
+    for args in (("--n-max", str(10 ** 6)), ("--n-max", str(10 ** 400)),
+                 ("--n-min", str(10 ** 400), "--n-max", str(10 ** 400)),
+                 ("--n-max", "8000")):
+        r = run("closed", "--family", "sigma2", *args)
+        assert r.exit_code == 2, args
+        errors = [line for line in r.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "is past the budget of 1e+07 digits" in errors[0], r.output
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_digit_estimate_bounds_the_output(fmt):
+    for family in CLOSED_FAMILIES:
+        for lo, hi in ((2, 2), (3, 25), (3, 300), (290, 300)):
+            r = run("closed", "--family", family, "--n-min", str(lo), "--n-max", str(hi),
+                    "--format", fmt)
+            assert r.exit_code == 0, r.output
+            digits = sum(ch.isdigit() for ch in r.output)
+            assert digits <= cli._closed_digits(family, lo, hi), (family, lo, hi)
+
+
 def test_sum_json_with_cross_check():
     r = run("sum", "-n", "12", "--sigma", "2")
     assert r.exit_code == 0

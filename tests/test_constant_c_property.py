@@ -1,9 +1,10 @@
-"""Property tests of C's eta sum.
+"""Property tests of C's eta sum and of the zeta value behind it.
 
-The grouped power sum behind constant_C and both series routes of
-dedekind_zeta must equal, bit for bit, the per-occurrence sums it
-replaced, which are kept here as the oracle.  C's reported tail bound
-must cover the distance to C from the Hurwitz zeta decomposition.
+The grouped power sum behind constant_C and the eta-series route of
+dedekind_zeta must equal, bit for bit, the per-occurrence sum it
+replaced, which is kept here as the oracle.  C's reported tail bound,
+and the reported error of the Euler product route, must cover the
+distance to the Hurwitz zeta decomposition taken at a finer precision.
 
 Kept apart from test_asymptotics.py so those tests never depend on
 hypothesis; this module is skipped where it is not installed.
@@ -24,13 +25,12 @@ from fiblat.wythoff import row_table
 _CHI5 = (0, 1, -1, -1, 1)
 
 
-def _floor_sum(s, plus, minus=()):
+def _floor_sum(s, terms):
     """Per-occurrence fixed-point sum at the working precision: each term
     floor(2**P / v**s), P = prec + bit_length(#terms) + 2, one rounding."""
-    P = mpmath.mp.prec + (len(plus) + len(minus)).bit_length() + 2
+    P = mpmath.mp.prec + len(terms).bit_length() + 2
     one = 1 << P
-    total = sum(one // v ** s for v in plus) - sum(one // v ** s for v in minus)
-    return mpmath.ldexp(mpmath.mpf(total), -P)
+    return mpmath.ldexp(mpmath.mpf(sum(one // v ** s for v in terms)), -P)
 
 
 def _eta_oracle(sigma, n):
@@ -41,28 +41,12 @@ def _eta_oracle(sigma, n):
     return mpmath.fsum(mpmath.mpf(int(e)) ** (-sigma) for e in eta[::-1])
 
 
-def _l_oracle(sigma, n):
-    """sum_{m <= n} chi_5(m) m**-sigma, one term per m."""
-    if float(sigma).is_integer():
-        return _floor_sum(int(sigma),
-                          [*range(1, n + 1, 5), *range(4, n + 1, 5)],
-                          [*range(2, n + 1, 5), *range(3, n + 1, 5)])
-    return mpmath.fsum(_CHI5[m % 5] * mpmath.mpf(m) ** (-sigma)
-                       for m in range(n, 0, -1) if m % 5)
-
-
 def _check_routes(sigma, n):
     eta_route = dedekind_zeta(sigma, "eta-series", truncation=n)
     with mpmath.workprec(max(60, int((sigma - 1) * math.log2(n)) + 30)):
         want = _eta_oracle(sigma, n)
     got = eta_route.value_mp
-    assert (got.man, got.exp) == (want.man, want.exp), ("eta", sigma, n)
-
-    l_route = dedekind_zeta(sigma, "euler-product-L-times-zeta", truncation=n)
-    with mpmath.workprec(max(60, int(sigma * math.log2(n)) + 30)):
-        want = mpmath.zeta(mpmath.mpf(sigma)) * _l_oracle(sigma, n)
-    got = l_route.value_mp
-    assert (got.man, got.exp) == (want.man, want.exp), ("chi5", sigma, n)
+    assert (got.man, got.exp) == (want.man, want.exp), (sigma, n)
 
 
 _N = st.integers(8, 20000)
@@ -84,13 +68,19 @@ def test_noninteger_sigma_power_sum_is_the_per_term_fsum(sigma, n):
     _check_routes(sigma, n)
 
 
+def _zeta_k_hurwitz(sigma):
+    """zeta(sigma) 5**-sigma sum_a chi_5(a) zeta(sigma, a/5), in the
+    caller's precision."""
+    s = mpmath.mpf(sigma)
+    lser = mpmath.fsum(_CHI5[a] * mpmath.zeta(s, mpmath.mpf(a) / 5) for a in range(1, 5))
+    return mpmath.zeta(s) * lser / mpmath.mpf(5) ** s
+
+
 def _c_hurwitz(sigma, f0):
-    """C = 2 prefactor zeta(sigma) 5**-sigma sum_a chi_5(a) zeta(sigma, a/5),
-    in the caller's precision."""
+    """C = 2 prefactor zeta_K(sigma), in the caller's precision."""
     s = mpmath.mpf(sigma)
     pref = mpmath.mpf(f0) ** 2 * mpmath.mpf(5) ** (s / 2) / mpmath.pi ** (2 * s)
-    lser = mpmath.fsum(_CHI5[a] * mpmath.zeta(s, mpmath.mpf(a) / 5) for a in range(1, 5))
-    return 2 * pref * mpmath.zeta(s) * lser / mpmath.mpf(5) ** s
+    return 2 * pref * _zeta_k_hurwitz(sigma)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -103,3 +93,39 @@ def test_constant_c_tail_bound_holds(sigma, i_max, spec):
     with mpmath.workprec(c.prec + 64):
         gap = _c_hurwitz(sigma, c.f0) - c.value_mp
         assert 0 <= gap <= c.tail_bound, (sigma, i_max, spec, float(gap), c.tail_bound)
+
+
+_EULER = "euler-product-L-times-zeta"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sigma=st.floats(1.5, 8.0), n=_N)
+def test_euler_route_lies_above_the_eta_series(sigma, n):
+    # the eta terms are positive, so the truncated sum lies below zeta_K;
+    # eta's reported error holds its tail
+    euler = dedekind_zeta(sigma, _EULER)
+    eta = dedekind_zeta(sigma, "eta-series", truncation=n)
+    with mpmath.workprec(300):
+        gap = euler.value_mp - eta.value_mp
+    budget = eta.certified_error + euler.certified_error
+    assert 0 <= gap <= budget, (sigma, n, float(gap), budget)
+
+
+def test_euler_route_agrees_with_the_closed_form():
+    for sigma in range(2, 19, 2):
+        euler = dedekind_zeta(sigma, _EULER)
+        closed = dedekind_zeta(sigma, "bernoulli-closed-form")
+        with mpmath.workprec(300):
+            gap = abs(euler.value_mp - closed.value_mp)
+        assert gap <= euler.certified_error + closed.certified_error, (sigma, float(gap))
+
+
+@pytest.mark.parametrize("sigma", [1 + 1e-8, 1.0001, 2.5, 40.0, 1000.0])
+def test_euler_route_is_within_its_error_of_300_bits(sigma):
+    # near the pole the four Hurwitz values cancel (by 1.9e8 at 1 + 1e-8),
+    # and the error scales with their sum, not with the value
+    euler = dedekind_zeta(sigma, _EULER)
+    assert euler.truncation == 0
+    with mpmath.workprec(300):
+        gap = abs(euler.value_mp - _zeta_k_hurwitz(sigma))
+    assert gap <= euler.certified_error, (sigma, float(gap), euler.certified_error)

@@ -249,6 +249,22 @@ def test_potential_even_exponent_is_exact_bernoulli_path():
     assert float(val) == pytest.approx(potential_K(2.0, 1.0, 1.0 / 3.0), rel=1e-12)
 
 
+def test_potential_even_exponent_float_path_is_the_rounded_exact_one():
+    # p or t a float: Horner on the rounded coefficients of c B_{2s}, a
+    # few ulps from the exact value and finite where B_{2s}'s own
+    # coefficients leave float64 (from 2s near 260)
+    for two_s in (2, 4, 6, 40):
+        for p in (1.0, 0.3, -2.5):
+            for t in (0.0, 0.3, 0.5, 0.77, 1 / 3, -0.1, 2.7):
+                got = potential_K(float(two_s), p, t)
+                want = float(potential_K(two_s, Fraction(p), Fraction(t)))
+                assert abs(got - want) <= 4 * math.ulp(want), (two_s, p, t)
+    for two_s in (262, 1000):
+        for p, t in ((1.0, 0.3), (0.3, Fraction(1, 3)), (Fraction(1), 0.0)):
+            got = potential_K(float(two_s), p, t)
+            assert isinstance(got, float) and got == pytest.approx(1.0, abs=1e-100)
+
+
 def _exact_potential(sigma):
     # potential_K's exact path is the one that returns a Fraction for exact
     # p and t; every other sigma takes the float cosine series or is refused

@@ -152,8 +152,8 @@ def _pairing_scalar(run, levels, multiplier):
 
 def _pairing_arrays(run, levels, multiplier):
     for n in levels:
-        for i, L, k_max in _level_rows(n):
-            _check_pairing(run, n, multiplier(n), i, L, k_max)
+        for i, L, depth in _level_rows(n):
+            _check_pairing(run, n, multiplier(n), i, L, depth)
 
 
 def test_pairing_arrays_count_one_check_per_row_entry():
@@ -177,13 +177,13 @@ def test_pairing_arrays_report_the_scalar_loops_first_failure():
         assert _outcome(lambda run: _pairing_arrays(run, levels, multiplier)) == want
 
 
-def _pairing_scalar_on(run, n, i, L, k_max):
+def _pairing_scalar_on(run, n, i, L, depth):
     """_check_pairing at multiplier F_{n-1}, one entry at a time on
     Python ints."""
     fn, fn1 = fib(n), fib(n - 1)
-    for i, L, k_max in zip(i.tolist(), L.tolist(), k_max.tolist()):
+    for i, L in zip(i.tolist(), L.tolist()):
         prev, cur = L, L + i - 1
-        for k in range(1, k_max + 1):
+        for k in range(1, depth + 1):
             res = cur * fn1 % fn
             wd = fib(n - k - 1) * L - fib(n - k) * (i - 1)
             run.ok(wd == res or wd == fn - res,
@@ -194,16 +194,16 @@ def _pairing_scalar_on(run, n, i, L, k_max):
 def test_pairing_arrays_find_a_bad_row_inside_a_group():
     # floor(phi*i) one or two too small on one row takes some of its dual
     # entries out of [0, F_n]: the first bad entry can then sit inside an
-    # equal-depth group, whose entries are checked in (i, k) order
+    # equal-depth run, whose entries are checked in (i, k) order
     inside = 0
     for n, step in ((12, 1), (20, 97)):
-        (i, L, k_max), = _level_rows(n)
-        for r in range(0, len(i), step):
-            for d in (1, 2):
-                bad = L.copy()
-                bad[r] -= d
-                want = _outcome(lambda run: _pairing_scalar_on(run, n, i, bad, k_max))
-                got = _outcome(lambda run: _check_pairing(run, n, fib(n - 1), i, bad, k_max))
-                assert got == want, (n, r, d)
-                inside += want[1] is not None and r > 0 and k_max[r] == k_max[r - 1] > 1
+        for i, L, depth in _level_rows(n):
+            for r in range(0, len(i), step):
+                for d in (1, 2):
+                    bad = L.copy()
+                    bad[r] -= d
+                    want = _outcome(lambda run: _pairing_scalar_on(run, n, i, bad, depth))
+                    got = _outcome(lambda run: _check_pairing(run, n, fib(n - 1), i, bad, depth))
+                    assert got == want, (n, r, d)
+                    inside += want[1] is not None and r > 0 and depth > 1
     assert inside > 0

@@ -143,8 +143,8 @@ def test_rows_below_half_fib_matches_scalar_rows():
 
 def test_level_rows_are_capped_at_the_int64_columns():
     # level 43 needs rows up to i ~ 8.3e7, still inside floor(phi*i) < 2**27
-    i, L, k_max = next(_level_rows(43))
-    assert (i[0], L[0], k_max[0]) == (1, 1, 40)
+    i, L, depth = next(_level_rows(43))
+    assert (i[0], L[0], depth) == (1, 1, 40)
     for n in (44, 60):
         with pytest.raises(ValueError, match="level must be < 44"):
             rows_below_half_fib(n)
