@@ -29,7 +29,9 @@ capped at the number of chunks, so i_max <= _CHUNK runs inline.  The
 affinity mask is the one control; constant_D's threads= is kept only
 for timing one worker count against another.  Each pass adds its
 chunk sums in row order, so every output is bit-identical for any
-worker count.
+worker count.  A chunk forms its terms in place, in five chunk-length
+work arrays shared by its two series, so a worker's memory does not
+grow with k_max and stays near a dozen chunk-length arrays.
 """
 from __future__ import annotations
 
@@ -402,25 +404,39 @@ def _tail_mass(last: np.ndarray, prev: np.ndarray) -> float:
 
 
 def _one_sided(acc, x0, w0, sign, kernel: Kernel, k_max: int, sg, f0, base,
-               pi, phi, sqrt5) -> float:
+               pi, phi, sqrt5, work) -> float:
     """Add terms k = 1..k_max of one one-sided series into acc in place;
     return their inner tail mass.
 
     Term k has argument x = x0*phi**-k and integer entry
     w = (w0*phi**k + (-1)**k*sign*x)/sqrt5, and is
-    f0*f(x)/(pi*w*sin(pi*x))**sigma - base.
+    f0*f(x)/(pi*w*sin(pi*x))**sigma - base.  The terms are formed in
+    the five chunk-length arrays of work, term k in t[k % 2], by the
+    operations of that expression in its order (a - b for a + (-b)),
+    so no term allocates an array beyond its weight's values.
     """
-    prev_t = last_t = None
+    x, w, g, *t = work
     for k in range(1, k_max + 1):
         pk = phi ** k
-        x = x0 * (1 / pk)
-        sx = sign * x
-        w = (w0 * pk + (sx if k % 2 == 0 else -sx)) / sqrt5
-        g = pi * w * np.sin(pi * x)
-        t = f0 * kernel.eval_many(x) / g ** sg - base
-        acc += t
-        prev_t, last_t = last_t, t
-    return _tail_mass(last_t, prev_t)
+        np.multiply(x0, 1 / pk, out=x)
+        np.multiply(sign, x, out=g)  # sign * x
+        np.multiply(w0, pk, out=w)
+        if k % 2 == 0:
+            w += g
+        else:
+            w -= g
+        w /= sqrt5
+        w *= pi
+        np.multiply(pi, x, out=g)
+        np.sin(g, out=g)
+        g *= w  # pi * w * sin(pi * x)
+        g **= sg
+        tk = t[k % 2]
+        np.multiply(f0, kernel.eval_many(x), out=tk)
+        tk /= g
+        tk -= base
+        acc += tk
+    return _tail_mass(t[k_max % 2], t[(k_max - 1) % 2])
 
 
 def _d_chunk(tab, lo: int, hi: int, sigma: float, kernel: Kernel,
@@ -429,7 +445,10 @@ def _d_chunk(tab, lo: int, hi: int, sigma: float, kernel: Kernel,
     (lo, hi] (0-based slice), all in the requested dtype.
 
     Returns (sum, inner tail mass, |term| mass over i > i_max/2,
-    |term| mass over i_max/4 < i <= i_max/2).
+    |term| mass over i_max/4 < i <= i_max/2).  Every array is formed in
+    place, in the order of the expressions it stands for, and the two
+    series share one set of five work arrays: a chunk holds about a
+    dozen chunk-length arrays at a time, its weight's values included.
     """
     pi = dtype(_PI_STR)
     sqrt5 = np.sqrt(dtype(5))
@@ -439,26 +458,40 @@ def _d_chunk(tab, lo: int, hi: int, sigma: float, kernel: Kernel,
     pref = f0 * f0 * dtype(5) ** (sg / 2) / pi ** (2 * sg)
 
     iv = tab.i[lo:hi]
-    idx = iv.astype(dtype)
-    L = tab.floor_phi_i[lo:hi].astype(dtype)
-    eta = tab.eta[lo:hi].astype(dtype)
     mu = tab.mu[lo:hi]
-    wp = (idx - 1) + L * phi
-    wmn = (phi - 1) * L - (idx - 1)  # -w_minus, in (phi**-2, 1)
-    base = pref / eta ** sg
-    acc = -(mu.astype(dtype) + 1) * base
+    idx = iv.astype(dtype)
+    idx -= 1
+    L = tab.floor_phi_i[lo:hi].astype(dtype)
+    wp = np.multiply(L, phi)
+    np.add(idx, wp, out=wp)  # (i - 1) + L * phi
+    wmn = L
+    wmn *= phi - 1
+    wmn -= idx  # -w_minus, in (phi**-2, 1)
+    del idx
+    base = tab.eta[lo:hi].astype(dtype)
+    base **= sg
+    np.divide(pref, base, out=base)  # pref / eta**sigma
+    acc = mu.astype(dtype)
+    acc += 1
+    np.negative(acc, out=acc)
+    acc *= base  # -(mu + 1) * base
 
-    inner = _one_sided(acc, wmn, wp, 1, kernel, k_max, sg, f0, base, pi, phi, sqrt5)
+    work = np.empty((5, len(acc)), dtype)
+    inner = _one_sided(acc, wmn, wp, 1, kernel, k_max, sg, f0, base, pi, phi, sqrt5, work)
 
-    pmu = np.power(phi, mu)
     smu = np.where(mu % 2 == 0, dtype(1), dtype(-1))
-    inner += _one_sided(acc, wp / pmu, wmn * pmu, smu, kernel, k_max, sg, f0, base,
-                        pi, phi, sqrt5)
+    pmu = np.power(phi, mu)
+    wp /= pmu
+    wmn *= pmu
+    del pmu
+    inner += _one_sided(acc, wp, wmn, smu, kernel, k_max, sg, f0, base, pi, phi, sqrt5,
+                        work)
 
-    rabs = np.abs(acc)
+    total = acc.sum()
+    rabs = np.abs(acc, out=acc)
     m_hi = float(rabs[2 * iv > i_max].sum())
     m_mid = float(rabs[(4 * iv > i_max) & (2 * iv <= i_max)].sum())
-    return acc.sum(), inner, m_hi, m_mid
+    return total, inner, m_hi, m_mid
 
 
 def _check_sweep_range(sigma: float, kernel: Kernel, tab, k_max: int) -> None:

@@ -32,7 +32,7 @@ from .dedekind import CLOSED_FAMILIES
 from .energy import RationalLattice, energy, fib_sum, fib_sum_grouped
 from .golden import fib
 from .kernels import KERNEL_GRAMMAR, parse_kernel
-from .verify import SUITE_NAMES, run_suite
+from .verify import LIMIT_CAPS, SUITE_NAMES, check_limits, run_suite
 from .wythoff import row, wythoff_row_entries
 
 SCHEMA_VERSION = 1
@@ -394,13 +394,18 @@ def cmd_closed(family, n_min, n_max, sigma, fmt):
               help="suite to run (repeatable; default: all)")
 @click.option("--limit", type=int, default=None, callback=_at_least(1),
               help="override every selected suite's sweep size (the dual "
-                   "suite's modular pairing checks levels 5..26 at any limit)")
+                   "suite's modular pairing checks levels 5..26 at any limit); "
+                   "capped at " + ", ".join(f"{n} {c}" for n, c in LIMIT_CAPS.items()))
 @_format_option("json")
 @click.pass_context
 def cmd_verify(ctx, suites, limit, fmt):
-    """Run identity suites; exit 1 if any check fails."""
+    """Run identity suites; exit 1 if any check fails.
+
+    A --limit above a selected suite's cap (ten times its default, listed
+    under --limit) is refused before any suite runs."""
     names = list(suites) if suites else list(SUITE_NAMES)
     try:
+        check_limits(names, limit)
         results = [run_suite(n, limit) for n in names]
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc

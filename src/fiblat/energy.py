@@ -29,7 +29,9 @@ m F_{n-1} mod F_n come from a table of one block's residues, built
 once per call and shifted per block in exact float64, not from an
 integer division per term, and its blocks work in per-call buffers,
 one pair of arrays per worker, so a block allocates no work arrays
-beyond its weight's values.
+beyond its weight's values.  Kernel.pair forms those a slice of
+kernels._PAIR_SLICE = 2**14 terms at a time, so the weight's
+temporaries do not grow with the block either.
 
 The flat sum's blocks are tasks for _sweep_map, the ordered thread
 pool the D row sweep of asymptotics.constant_D also runs on, with one

@@ -19,7 +19,11 @@ arrays; and FSigma, the zeta-family weight
     f(a) = sin(pi a)**sigma * (zeta(sigma, a) + zeta(sigma, 1-a)).
 
 A weight's float values, scalar or array, come from its eval_many, and
-its oracle is eval_mp.
+its oracle is eval_mp.  The numerator f(t1) f(t2) of a lattice-sum term
+comes from Kernel.pair, which forms it a slice of _PAIR_SLICE terms at
+a time, and f_sigma_many and _hurwitz_pair form their values in place:
+a weight's temporaries stay the size of a slice, bit for bit the values
+of the whole-array expressions.
 """
 from __future__ import annotations
 
@@ -66,6 +70,11 @@ _PAIR_TABLE_MAX_N = 2 * 10 ** 7
 _K_SERIES_MAX_TERMS = 1 << 22
 # potential_K's cosine series stops at an Abel tail bound of this times max(1, |pref|)
 _K_SERIES_TOL = 1e-13
+# terms per slice of Kernel.pair: the weight's temporaries stay at about
+# 128 KiB each.  The finer the slices, the more the level sum's workers
+# contend for the GIL: on two workers its fsigma sum runs about 10% slower
+# at 2**14 than at 2**16, and about twice as slow at 2**12
+_PAIR_SLICE = 1 << 14
 # largest 2s of the even-sigma routes: each builds B_{2s}, B_{2s}(t) or
 # G_{2s-1}, and B_0..B_2000 alone take about 2 s
 _EVEN_EXPONENT_MAX = 2000
@@ -185,13 +194,15 @@ def _hurwitz_pair(sigma: float, a: np.ndarray) -> np.ndarray:
     cached _pair_coeffs; at b <= 1/2 its terms shrink by 4 or more.  1 - b
     is carried as a double plus its exact rounding error.  Relative error
     below 5e-16 against zeta at the double a for 1 < sigma <= 40; a term
-    past float64 is inf, without numpy's warning.  The head
-    b**-sigma + u**-sigma * (1 - sigma*du/u) + (1+b)**-sigma is formed
-    in place, in that order.
+    past float64 is inf, without numpy's warning.  Every array is formed
+    in place, a's own left as it is: the head
+    b**-sigma + u**-sigma * (1 - sigma*du/u) + (1+b)**-sigma in that
+    order, then the series, so it holds at most four arrays of a's size.
     """
-    b = np.atleast_1d(np.minimum(a, 1.0 - a))
-    u = 1.0 - b
-    du = 1.0 - u
+    b = np.atleast_1d(np.subtract(1.0, a))
+    np.minimum(a, b, out=b)
+    u = np.subtract(1.0, b)
+    du = np.subtract(1.0, u)
     du -= b  # 1 - b = u + du exactly (Fast2Sum)
     du *= sigma
     du /= u
@@ -204,6 +215,7 @@ def _hurwitz_pair(sigma: float, a: np.ndarray) -> np.ndarray:
         np.add(1.0, b, out=du)
         np.power(du, -sigma, out=du)
         head += du
+    del u, du
     b *= b
     head += _horner(_pair_coeffs(sigma), b)
     return head.reshape(np.shape(a))
@@ -241,16 +253,28 @@ def f_sigma_many(sigma: float, a: np.ndarray) -> np.ndarray:
     """The fsigma weight in float64: sin(pi b)**sigma * _hurwitz_pair with
     b = min(a, 1 - a), a reduced mod 1, so the sine never carries the
     rounding of pi*a near a = 1; a = 0 gives the limit pi**sigma.
-    ValueError where pi**sigma or the pair leaves float64."""
+    ValueError where pi**sigma or the pair leaves float64.  The values
+    are formed in place, in a's reduced copy and in b, so with the
+    pair's own arrays at most six arrays of a's size are live."""
     at_zero = _pi_power(sigma)
-    a = np.mod(np.asarray(a, dtype=np.float64), 1.0)
+    shape = np.shape(a)
+    a = np.atleast_1d(np.mod(np.asarray(a, dtype=np.float64), 1.0))
     zero = a == 0.0
-    b = np.minimum(a, 1.0 - a)
-    pair = _hurwitz_pair(sigma, np.where(zero, 0.5, b))  # 0.5: replaced below
+    b = np.subtract(1.0, a)
+    np.minimum(a, b, out=b)
+    np.copyto(a, b)
+    a[zero] = 0.5  # the pair's argument; replaced below
+    pair = _hurwitz_pair(sigma, a)
+    del a
     if np.isinf(pair).any():
         a_min = b[np.isinf(pair)].min()
         raise ValueError(f"the fsigma weight leaves float64 at sigma={sigma:g}, a={a_min:g}")
-    return np.where(zero, at_zero, np.sin(np.pi * b) ** sigma * pair)
+    b *= np.pi
+    np.sin(b, out=b)
+    b **= sigma
+    b *= pair  # sin(pi b)**sigma * pair
+    b[zero] = at_zero
+    return b.reshape(shape)
 
 
 @functools.lru_cache(maxsize=None)
@@ -311,8 +335,18 @@ class Kernel:
         return float(self.eval_many(np.float64(t)))
 
     def pair(self, t1, t2):
-        """The numerator f(t1) * f(t2) of a lattice-sum term, for arrays."""
-        return self.eval_many(t1) * self.eval_many(t2)
+        """The numerator f(t1) * f(t2) of a lattice-sum term, for arrays:
+        eval_many(t1) * eval_many(t2), bit for bit, broadcast to one
+        shape.  One output array is filled a slice of _PAIR_SLICE terms
+        at a time, so the weight's temporaries stay the size of a slice,
+        whatever the size of the input."""
+        t1, t2 = np.broadcast_arrays(_float_array(t1), _float_array(t2))
+        out = np.empty(t1.shape, np.result_type(t1, t2))
+        flat, a, b = out.reshape(-1), t1.reshape(-1), t2.reshape(-1)
+        for lo in range(0, flat.size, _PAIR_SLICE):
+            s = slice(lo, lo + _PAIR_SLICE)
+            np.multiply(self.eval_many(a[s]), self.eval_many(b[s]), out=flat[s])
+        return out
 
 
 @dataclass(frozen=True)

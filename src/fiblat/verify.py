@@ -27,6 +27,12 @@ Suites:
     zeta-routes  the three number-field zeta routes agree within their
                  certified errors
 
+The limit rescales a suite's sweep.  The six suites whose work grows
+with it take at most ten times their default limit (LIMIT_CAPS), and
+check_limits refuses a larger limit with ValueError before any check
+runs.  dft reads no more than F_9 = 34 of its limit, and zeta-routes
+refuses a truncation past its eta table's own cap.
+
 Two bulk sweeps test an identity rather than a scalar function, so they
 run on whole arrays (``_Run.ok_many``, which counts and reports exactly
 as the one-call-per-entry loop would): the wythoff partition, as the
@@ -438,19 +444,32 @@ _SUITES: dict[str, tuple] = {
 
 SUITE_NAMES = tuple(_SUITES)
 
+# the largest limit of each suite whose work grows with it: ten times its default
+LIMIT_CAPS = {name: 10 * _SUITES[name][1]
+              for name in ("wythoff", "dual", "floor", "ineq", "reciprocity", "closedform")}
+
+
+def check_limits(names, limit: int | None = None) -> None:
+    """ValueError unless every suite of names runs at limit: an unknown
+    suite, a limit below 1 or one above a suite's LIMIT_CAPS entry.
+    A limit of None takes each suite's default."""
+    for name in names:
+        if name not in _SUITES:
+            raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)}")
+        lim = _SUITES[name][1] if limit is None else limit
+        if lim < 1:
+            raise ValueError(f"limit must be >= 1, got {lim}")
+        if lim > LIMIT_CAPS.get(name, lim):
+            raise ValueError(f"suite {name} is capped at limit {LIMIT_CAPS[name]}, got {lim}")
+
 
 def run_suite(name: str, limit: int | None = None) -> SuiteResult:
     """Run one named suite; `limit` rescales its sweep (suite default
-    when omitted)."""
-    try:
-        fn, default = _SUITES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown suite {name!r}; choose from {', '.join(_SUITES)}"
-        ) from None
+    when omitted).  A limit check_limits refuses raises ValueError
+    before any check runs."""
+    check_limits([name], limit)
+    fn, default = _SUITES[name]
     lim = default if limit is None else limit
-    if lim < 1:
-        raise ValueError(f"limit must be >= 1, got {lim}")
     run = _Run()
     t0 = time.perf_counter()
     try:

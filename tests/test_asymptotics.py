@@ -454,3 +454,131 @@ def test_constant_D_of_one_is_bit_equal_to_trig_1():
     trig1 = constant_D(2.0, parse_kernel("trig:1"), 3000, 16, threads=1)
     for field in ("value", "inner_tail", "outer_tail", "precision_gap", "error_estimate"):
         assert getattr(one, field) == getattr(trig1, field), field
+
+
+# (value, inner_tail, outer_tail) of the constants requests in the cli
+# benchmark's menu (k_max 64) as float.hex, and the precision_gap values
+# seen.  The first three come from the extended-precision pass alone.
+# precision_gap also takes the double pass, whose np.power at sigma 4
+# and 6 rounds differently in numpy's AVX-512 loops and in its baseline
+# ones (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"), so it
+# has one pinned value per loop.
+_D_PINS = {
+    (2, "one", 250): ("-0x1.3020293c6a4f0p-4", "0x1.eec4ede2be2c0p-61", "0x1.85856bc8d98b6p-9",
+                      ("0x1.3a80000000000p-47",)),
+    (2, "one", 500): ("-0x1.328a419fe93fap-4", "0x1.01c74df95f160p-60", "0x1.65dfe765e5345p-10",
+                      ("0x1.4f80000000000p-47",)),
+    (2, "one", 1000): ("-0x1.33e5f9da03d65p-4", "0x1.0c1be9295f160p-60", "0x1.bf30531ec43e0p-11",
+                       ("0x1.6480000000000p-47",)),
+    (2, "one", 2000): ("-0x1.349f7f767ba37p-4", "0x1.16ecf6ed5f160p-60", "0x1.a8667be8bf303p-12",
+                       ("0x1.7a00000000000p-47",)),
+    (4, "bern:4", 250): ("-0x1.64ce9e5c2e1dap-3", "0x1.8d720636b945ap-59", "0x1.0b5d16fb73fc4p-27",
+                         ("0x1.c000000000000p-47", "0x1.ea00000000000p-47")),
+    (4, "bern:4", 500): ("-0x1.64ce9ec4d1986p-3", "0x1.8d720982ec2b0p-59", "0x1.f0d5c334604cep-31",
+                         ("0x1.c000000000000p-47", "0x1.ea00000000000p-47")),
+    (4, "bern:4", 1000): ("-0x1.64ce9ed33da8cp-3", "0x1.8d720a56202b3p-59",
+                          "0x1.271bf17df9523p-33",
+                          ("0x1.c100000000000p-47", "0x1.eb00000000000p-47")),
+    (4, "bern:4", 2000): ("-0x1.64ce9ed5261bdp-3", "0x1.8d720a8fa3dc0p-59",
+                          "0x1.29e45a2e45d1dp-36",
+                          ("0x1.c100000000000p-47", "0x1.eb00000000000p-47")),
+    (6, "bern:6", 250): ("0x1.7a8beba8cd88dp-2", "0x1.7a11448684033p-54", "0x1.277e7d357d4a2p-41",
+                         ("0x1.ca00000000000p-42", "0x1.ca80000000000p-42")),
+    (6, "bern:6", 500): ("0x1.7a8beba8cc8adp-2", "0x1.7a11448684bbep-54", "0x1.04ff04f72f47ep-46",
+                         ("0x1.ca00000000000p-42", "0x1.ca80000000000p-42")),
+    (6, "bern:6", 1000): ("0x1.7a8beba8cc822p-2", "0x1.7a11448684c7ap-54",
+                          "0x1.38cf82173ae9bp-51",
+                          ("0x1.ca00000000000p-42", "0x1.ca80000000000p-42")),
+    (6, "bern:6", 2000): ("0x1.7a8beba8cc81ep-2", "0x1.7a11448684c87p-54",
+                          "0x1.3b1f38aae4745p-56",
+                          ("0x1.ca10000000000p-42", "0x1.ca90000000000p-42")),
+}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                    reason="the pins are of an 80-bit long double pass")
+@pytest.mark.parametrize("case", sorted(_D_PINS))
+def test_d_sweep_bits_are_pinned(case):
+    sigma, spec, i_max = case
+    d = constant_D(float(sigma), parse_kernel(spec), i_max, 64)
+    *pins, gaps = _D_PINS[case]
+    assert [d.value.hex(), d.inner_tail.hex(), d.outer_tail.hex()] == pins
+    assert d.precision_gap.hex() in gaps, d.precision_gap.hex()
+
+
+def _one_sided_expr(acc, x0, w0, sign, kernel, k_max, sg, f0, base, pi, phi, sqrt5):
+    """The row sweep's terms as whole-array expressions: the form
+    asymptotics._one_sided works in place."""
+    prev_t = last_t = None
+    for k in range(1, k_max + 1):
+        pk = phi ** k
+        x = x0 * (1 / pk)
+        sx = sign * x
+        w = (w0 * pk + (sx if k % 2 == 0 else -sx)) / sqrt5
+        g = pi * w * np.sin(pi * x)
+        t = f0 * kernel.eval_many(x) / g ** sg - base
+        acc += t
+        prev_t, last_t = last_t, t
+    return asymptotics._tail_mass(last_t, prev_t)
+
+
+def _d_chunk_expr(tab, lo, hi, sigma, kernel, k_max, i_max, dtype):
+    """asymptotics._d_chunk as whole-array expressions."""
+    pi = dtype(asymptotics._PI_STR)
+    sqrt5 = np.sqrt(dtype(5))
+    phi = (1 + sqrt5) / 2
+    sg = dtype(sigma)
+    f0 = dtype(kernel.value_at_zero)
+    pref = f0 * f0 * dtype(5) ** (sg / 2) / pi ** (2 * sg)
+    iv = tab.i[lo:hi]
+    idx = iv.astype(dtype)
+    L = tab.floor_phi_i[lo:hi].astype(dtype)
+    eta = tab.eta[lo:hi].astype(dtype)
+    mu = tab.mu[lo:hi]
+    wp = (idx - 1) + L * phi
+    wmn = (phi - 1) * L - (idx - 1)
+    base = pref / eta ** sg
+    acc = -(mu.astype(dtype) + 1) * base
+    inner = _one_sided_expr(acc, wmn, wp, 1, kernel, k_max, sg, f0, base, pi, phi, sqrt5)
+    pmu = np.power(phi, mu)
+    smu = np.where(mu % 2 == 0, dtype(1), dtype(-1))
+    inner += _one_sided_expr(acc, wp / pmu, wmn * pmu, smu, kernel, k_max, sg, f0, base,
+                             pi, phi, sqrt5)
+    rabs = np.abs(acc)
+    m_hi = float(rabs[2 * iv > i_max].sum())
+    m_mid = float(rabs[(4 * iv > i_max) & (2 * iv <= i_max)].sum())
+    return acc.sum(), inner, m_hi, m_mid
+
+
+def _exact(x):
+    return type(x), bool(np.signbit(x)), x.as_integer_ratio()
+
+
+@pytest.mark.parametrize("sigma,spec", [(2.0, "one"), (4.0, "bern:4"), (4.0, "trig:0,1"),
+                                        (2.5, "fsigma")])
+def test_d_chunk_in_place_is_bit_equal_to_the_expression(sigma, spec):
+    # 8193 rows end in a chunk of one row
+    kernel = parse_kernel(spec, sigma=sigma)
+    for i_max in (8191, 8193):
+        tab = row_table(i_max)
+        for lo in range(0, i_max, asymptotics._CHUNK):
+            hi = min(lo + asymptotics._CHUNK, i_max)
+            for dtype in (np.longdouble, np.float64):
+                args = (tab, lo, hi, sigma, kernel, 6, i_max, dtype)
+                got = asymptotics._d_chunk(*args)
+                want = _d_chunk_expr(*args)
+                assert list(map(_exact, got)) == list(map(_exact, want)), (i_max, lo, dtype)
+
+
+def test_d_chunk_peak_memory():
+    # one 8192-row chunk per pass, its terms formed in five work arrays
+    # (2.9 MiB when each term allocated its own)
+    kernel = parse_kernel("bern:4")
+    row_table(8192)
+    tracemalloc.start()
+    try:
+        constant_D(4.0, kernel, 8192, 8, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.4 * 2 ** 20, peak

@@ -189,6 +189,34 @@ def test_verify_bad_limit_is_usage_error():
     assert "truncation too small" in r.output
 
 
+@pytest.mark.parametrize("suite,cap", [("wythoff", 10 ** 6), ("dual", 5000),
+                                       ("floor", 10 ** 5), ("ineq", 10 ** 5),
+                                       ("reciprocity", 2000), ("closedform", 250)])
+def test_verify_limit_past_cap_is_usage_error(suite, cap):
+    r = run("verify", "--suite", suite, "--limit", str(cap + 1))
+    assert r.exit_code == 2
+    errors = [line for line in r.output.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: suite {suite} is capped at limit {cap}, got {cap + 1}"], r.output
+
+
+def test_verify_help_lists_every_cap():
+    r = run("verify", "--help")
+    text = " ".join(r.output.split())
+    assert r.exit_code == 0
+    for suite, cap in (("wythoff", 10 ** 6), ("dual", 5000), ("floor", 10 ** 5),
+                       ("ineq", 10 ** 5), ("reciprocity", 2000), ("closedform", 250)):
+        assert f"{suite} {cap}" in text, text
+
+
+def test_verify_checks_every_limit_before_any_suite_runs(monkeypatch):
+    # 200000 is under the wythoff cap and past the floor cap
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda name, limit=None: ran.append(name))
+    r = run("verify", "--suite", "wythoff", "--suite", "floor", "--limit", "200000")
+    assert r.exit_code == 2 and "capped at limit 100000" in r.output, r.output
+    assert ran == []
+
+
 def test_closedform_limit_below_three_is_usage_error():
     for limit in ("1", "2"):
         r = run("verify", "--suite", "closedform", "--limit", limit)

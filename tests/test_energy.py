@@ -516,6 +516,21 @@ def test_fib_sum_peak_memory(monkeypatch):
     assert current < 2 ** 16, current
 
 
+@pytest.mark.parametrize("n,workers,cap_mib", [(26, 1, 4), (30, 2, 7)])
+def test_fib_sum_fsigma_peak_memory(monkeypatch, n, workers, cap_mib):
+    # the weight is formed a slice of 2**14 terms at a time, so its
+    # temporaries do not grow with the block: 3.2 and 5.8 MiB (6.1 and
+    # 11.2 MiB when each block formed its weight whole)
+    _use_workers(monkeypatch, workers)
+    tracemalloc.start()
+    try:
+        fib_sum(n, 2.5, FSigma(2.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cap_mib * 2 ** 20, peak
+
+
 def test_fib_sum_block_that_raises_hands_its_work_arrays_back(monkeypatch):
     # the fsigma weight leaves float64 in the blocks at sigma = 300; a
     # block that kept its arrays would leave later blocks waiting forever

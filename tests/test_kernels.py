@@ -13,9 +13,11 @@ from fiblat.kernels import (
     Kernel,
     One,
     Trig,
+    _PAIR_SLICE,
     _PI_STR,
     _even_exponent,
     _horner,
+    _hurwitz_pair,
     _hurwitz_pair_table,
     _pair_coeffs,
     bernoulli_number,
@@ -487,3 +489,46 @@ def test_trig_coeffs_name_the_function():
     assert kernel_bernoulli_weight(4).trig_coeffs == parse_kernel("trig:2,4").trig_coeffs == (2, 4)
     assert parse_kernel("trig:0").trig_coeffs == (0,)
     assert FSigma(2.5).trig_coeffs is None
+
+
+@pytest.mark.parametrize("spec", ["bern:4", "trig:0,1", "fsigma"])
+def test_sliced_pair_is_bit_equal_to_the_product(spec):
+    k = parse_kernel(spec, sigma=2.5)
+    rng = np.random.default_rng(11)
+    S = _PAIR_SLICE
+    shapes = [(S - 1,), (S,), (S + 1,), (3 * S + 7,), (), (3, S + 5)]
+    for shape in shapes:
+        t1, t2 = rng.random(shape), rng.random(shape)
+        for a, b in ((t1, t2), (np.transpose(t1), np.transpose(t2))):
+            want = k.eval_many(a) * k.eval_many(b)
+            assert _same_bits(np.asarray(k.pair(a, b)), np.asarray(want)), (spec, shape)
+    # arguments of two shapes are broadcast to one
+    for a, b in ((rng.random(S + 3), np.float64(0.25)), (rng.random((3, 1)), rng.random(S + 5))):
+        want = k.eval_many(a) * k.eval_many(b)
+        assert _same_bits(k.pair(a, b), want), (spec, np.shape(a), np.shape(b))
+    assert kernel_one().pair(t1, t2) == 1.0
+
+
+def _f_sigma_expr(sigma, a):
+    """f_sigma_many as whole-array expressions: the form it works in place."""
+    a = np.mod(np.asarray(a, dtype=np.float64), 1.0)
+    zero = a == 0.0
+    b = np.minimum(a, 1.0 - a)
+    pair = _hurwitz_pair(sigma, np.where(zero, 0.5, b))
+    return np.where(zero, math.pi ** sigma, np.sin(np.pi * b) ** sigma * pair)
+
+
+def test_f_sigma_many_in_place_is_bit_equal_to_the_expression():
+    rng = np.random.default_rng(5)
+    a = np.concatenate([[0.0, 0.5, 1.0, -0.25, 2.75, 1 - 2.0 ** -40, 1 - 1e-9, 2.0 ** -40],
+                        rng.random(3000), 1 - 1e-6 * rng.random(200), rng.uniform(-3, 3, 200)])
+    for sigma in (1.5, 2.0, 2.5, 4.0, 7.3):
+        for x in (a, a[:3400].reshape(34, 100), np.float64(0.3), 0.0):
+            got, want = f_sigma_many(sigma, x), _f_sigma_expr(sigma, x)
+            assert _same_bits(got, want), (sigma, np.shape(x))
+    # the argument is left as it was
+    b = rng.random(100)
+    copy = b.copy()
+    _hurwitz_pair(2.5, b)
+    f_sigma_many(2.5, b)
+    assert np.array_equal(b, copy)

@@ -208,6 +208,11 @@ def _check_output(args, result):
 @example(["closed", "--family", "c", "--sigma", str(10 ** 400)])
 @example(["sum", "--method", "grouped", "--level", str(10 ** 4), "--raw", "--sigma", "2"])
 @example(["energy", "--fib-level", str(10 ** 4), "--sigma", "171", "--method", "wce"])
+# past every suite's cap: refused before any suite runs, or ignored (dft)
+@example(["verify", "--limit", str(10 ** 9)])
+@example(["verify", "--suite", "dft", "--suite", "closedform", "--limit", str(10 ** 9)])
+@example(["verify", "--suite", "dft", "--limit", str(10 ** 9)])
+@example(["verify", "--suite", "zeta-routes", "--limit", str(10 ** 9)])
 def test_every_command_succeeds_cleanly_or_is_a_usage_error(args):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fiblat.golden import fib
+from fiblat import verify
 from fiblat.verify import (
     _GRID_BLOCK,
     SUITE_NAMES,
@@ -48,6 +49,32 @@ def test_every_suite_at_limit_one_checks_something_or_raises():
         except ValueError:
             continue
         assert res.passed and res.checks > 0, name
+
+
+_CAPS = {"wythoff": 10 ** 6, "dual": 5000, "floor": 10 ** 5, "ineq": 10 ** 5,
+         "reciprocity": 2000, "closedform": 250}
+
+
+@pytest.mark.parametrize("name", sorted(_CAPS))
+def test_limit_cap_runs_and_one_more_is_refused_before_any_check(monkeypatch, name):
+    # a stub in place of the suite: the caps themselves take 0.3 to 1.8 s
+    fn, default = verify._SUITES[name]
+    cap = verify.LIMIT_CAPS[name]
+    assert cap == _CAPS[name] and cap >= 10 * default
+    ran = []
+    monkeypatch.setitem(verify._SUITES, name, (lambda run, limit: ran.append(limit), default))
+    assert run_suite(name, cap).limit == cap
+    with pytest.raises(ValueError, match=f"capped at limit {cap}, got {cap + 1}"):
+        run_suite(name, cap + 1)
+    assert ran == [cap]
+
+
+def test_uncapped_suites_take_any_limit():
+    # dft reads no more than F_9 = 34 of its limit; zeta-routes refuses
+    # a truncation past its eta table's cap itself
+    assert run_suite("dft", 10 ** 9).checks == run_suite("dft").checks
+    with pytest.raises(ValueError, match="table size"):
+        run_suite("zeta-routes", 10 ** 9)
 
 
 def test_unknown_suite_and_bad_limit():
