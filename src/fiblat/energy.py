@@ -18,31 +18,38 @@ fib_sum evaluates the weighted trigonometric sums
         / |sin(pi m/F_n) sin(pi F_{n-1} m/F_n)|^sigma,
 
 normalized by F_n^sigma, either over the flat grid (fib_sum, levels
-n < 48, a cost bound of about 3e9 terms) or grouped along Wythoff rows
-paired with dual-array entries (fib_sum_grouped, levels n < 44).  Both
-are whole-array sweeps in fixed blocks of about 2**16 terms and
-evaluate each mirror pair m, F_n - m once.  The flat sum adds its
-blocks on a grid symmetric about F_n/2, and is bit-identical to one
-flat block in index order at levels with F_n - 1 <= 2**16; the grouped
-sum is bit-identical to a loop over rows.  The flat sum's residues
-m F_{n-1} mod F_n come from a table of one block's residues, built
-once per call and shifted per block in exact float64, not from an
-integer division per term, and its blocks work in per-call buffers,
-one pair of arrays per worker, so a block allocates no work arrays
-beyond its weight's values.  Kernel.pair forms those a slice of
-kernels._PAIR_SLICE = 2**14 terms at a time, so the weight's
-temporaries do not grow with the block either.
+n < 48, a cost bound of about 4.8e9 terms) or grouped along Wythoff
+rows paired with dual-array entries (fib_sum_grouped, levels n < 44).
+Both are whole-array sweeps in fixed blocks of about 2**16 terms and
+evaluate each mirror pair m, F_n - m once; the grouped sum is
+bit-identical to a loop over rows.
 
-The flat sum's blocks are tasks for _sweep_map, the ordered thread
-pool the D row sweep of asymptotics.constant_D also runs on, with one
+The flat sum is one instance of _pair_sum, the engine of every pair
+sum sum_{m=1}^{N-1} term(m/N, h m mod N/N) over a rank-1 lattice: the
+other is wce_e's pairing sum A(m/N) A(h m mod N/N), which on
+(F_n, F_{n-1}) is the raw fsigma level sum.  The engine adds its
+blocks on a grid symmetric about N/2, bit-identical to one flat block
+in index order while N - 1 <= 2**16.  Its residues h m mod N come from
+a table of one block's residues, built once per call and shifted per
+block in exact float64, not from an integer division per term, and
+its blocks work in per-call buffers, one pair of arrays per worker, so
+a block allocates no work arrays beyond its term's values.  Kernel.pair
+and wce_e form those a slice of kernels._PAIR_SLICE = 2**14 terms at a
+time, so the term's temporaries do not grow with the block either.
+
+The engine's blocks are tasks for _sweep_map, the ordered thread pool
+the D row sweep of asymptotics.constant_D also runs on, with one
 worker per CPU in the process's affinity mask (_workers) and results
-in task order.  Levels with F_n - 1 > 2 * 2**16 (n >= 27) use it;
-smaller levels run inline and start no pool.  The caller adds the
-block sums in the same fixed order whatever the worker count, so every
-sum is bit-identical for any count.  The grouped sum runs inline.
+in task order.  Sizes with N - 1 > 2 * 2**16 (levels n >= 27) use it;
+smaller ones run inline and start no pool.  The caller adds the block
+sums in the same fixed order whatever the worker count, so every sum
+has the same bits for any count.  numpy picks its SIMD loops by CPU at
+run time, and across those loop families a sum may differ by a few
+ulp.  The grouped sum runs inline.
 
-The dft and wce energy routes share a Hurwitz pair table capped at
-N = kernels._PAIR_TABLE_MAX_N; "direct" is capped at N = _DIRECT_MAX_N.
+Only the dft energy route reads the whole-N Hurwitz pair table, capped
+at N = kernels._PAIR_TABLE_MAX_N; wce takes N < F_48, the engine's
+cost bound, and "direct" is capped at N = _DIRECT_MAX_N.
 """
 from __future__ import annotations
 
@@ -63,8 +70,10 @@ from .kernels import (
     _bernoulli_coeff,
     _check_coefficient,
     _check_exponent,
+    _check_scale,
     _even_exponent,
-    _hurwitz_pair_table,
+    _hurwitz_pair,
+    _pair_product,
     bernoulli_number,
     dft_coeffs,
     kernel_one,
@@ -87,7 +96,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2 * math.pi
-_SUM_CHUNK = 1 << 16  # terms per block of the flat fib_sum sweep
+_SUM_CHUNK = 1 << 16  # terms per block of the pair sum
 _DIRECT_MAX_N = 1000  # "direct" runs N**2 Python steps: 5.2 s at N = 987 on one Xeon core
 
 
@@ -213,27 +222,31 @@ def wce_e(sigma: float, p: float, N: int, h: int) -> float:
     p*4*zeta(sigma)/(2 pi N)**sigma + p^2*4*zeta(sigma)^2/(2 pi N)**(2 sigma)
     + p^2/(2 pi N)**(2 sigma) * sum_{m=1}^{N-1} A(m) A(h m mod N),
 
-    with A(m) = zeta(sigma, m/N) + zeta(sigma, 1 - m/N) from the same
-    vectorized Hurwitz pair table as dft_coeffs (relative error ~1e-15).
-    The table is scaled by (2 pi N)**-sigma before the pairing sum so
-    the products stay in range; sizes where (2 pi N)**sigma overflows
-    float64, or above kernels._PAIR_TABLE_MAX_N, raise ValueError, and so
-    do N < 1, gcd(h, N) != 1, a non-finite p and a result that leaves
-    float64.
+    with A(m) = zeta(sigma, m/N) + zeta(sigma, 1 - m/N) from
+    kernels._hurwitz_pair (relative error ~1e-15).  The pairing sum is
+    _pair_sum's, the engine of the flat level sum (on (F_n, F_{n-1}) it is
+    the raw fsigma level sum), with the term (s A(t1)) (s A(t2)),
+    s = (2 pi N)**-sigma, so the products stay in range; A is formed a
+    slice of kernels._PAIR_SLICE terms at a time, and a call holds about
+    1.6 MiB per worker plus 1 MiB of tables.  Sizes N >= F_48 (the
+    engine's cost bound) and those where (2 pi N)**sigma overflows
+    float64 raise ValueError, and so do N < 1, gcd(h, N) != 1, a
+    non-finite p and a result that leaves float64.
     """
     _check_exponent(sigma)
     _check_coefficient(p)
     _check_lattice(N, h)
-    # first, so that the table's size checks come before N is a float
-    table = _hurwitz_pair_table(sigma, N) if N > 1 else None
-    z = zeta(sigma)
+    if N >= fib(48):  # fib_sum's level bound; first, so that N is a float only below it
+        raise ValueError(f"N must be < F_48, the pair sum's cost bound (4.8e9 terms), got {N}")
+    _check_scale(sigma, N)
     scale = (_TWO_PI * N) ** -sigma
+
+    def term(t1: np.ndarray, t2: np.ndarray) -> None:
+        _pair_product(lambda t: scale * _hurwitz_pair(sigma, t), t1, t2, t1)
+
+    z = zeta(sigma)
     acc = 4 * p * z * scale + 4 * p * p * z * z * scale * scale
-    if N > 1:
-        A = scale * table
-        idx = ((h % N) * np.arange(1, N, dtype=np.int64)) % N
-        acc += p * p * float(np.sum(A[1:] * A[idx]))
-    return _finite_energy(acc, N, sigma, p)
+    return _finite_energy(acc + p * p * _pair_sum(N, h % N, term), N, sigma, p)
 
 
 @dataclass(frozen=True)
@@ -253,9 +266,12 @@ def energy(lat: RationalLattice, sigma: float, p: float,
     "direct" (pairwise), "dft" (coefficient table), or "wce"
     (N^2 * (1 + wce_e)).
 
-    The dft and wce routes share the vectorized Hurwitz pair table
-    (relative error ~1e-15) and are refused with ValueError above
-    N = 2 * 10**7 (kernels._PAIR_TABLE_MAX_N, for memory).  "direct"
+    The dft and wce routes both take the vectorized Hurwitz pair
+    (relative error ~1e-15).  Only dft reads it from the whole-N table,
+    and is refused with ValueError above N = 2 * 10**7
+    (kernels._PAIR_TABLE_MAX_N, for memory); wce runs on the pair-sum
+    engine in bounded memory and is refused from N = F_48 on (a cost
+    bound, about 4.8e9 terms).  "direct"
     sums the potential's cosine series to 1e-13 relative to
     max(1, |2p/(2 pi)**sigma|), visits all N**2 pairs in Python and is
     refused with ValueError above N = 1000.  A non-finite sigma or p,
@@ -324,83 +340,52 @@ def _finite_sum(total: float, n: int, sigma: float) -> float:
     return total
 
 
-def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
-            *, normalized: bool = True) -> float:
-    """The Fibonacci lattice sum at level n >= 2 for the given weight.
+def _pair_sum(N: int, h: int, term) -> float:
+    """The pair sum sum_{m=1}^{N-1} term(t1, t2) over Lambda_{N,h},
+    1 <= N < F_48 and 0 <= h < N, at t1 = min(m, N - m)/N and
+    t2 = min(r, N - r)/N, r = h m mod N: the one engine of the flat level
+    sum and of wce_e.  N < F_48 (about 4.8e9 terms) is the engine's cost
+    bound, which each caller checks before it forms an array or turns N
+    into a float.
 
-    Arguments of sine and weight are reduced exactly on the rational
-    grid before any float division: the term at m is built from the
-    integers min(m, F_n - m) and min(r, F_n - r), r = m F_{n-1} mod F_n,
-    so the term at F_n - m is bit-equal to it.  Each mirror pair is
-    therefore computed once, for m <= F_n/2.  The integers come from a
-    residue table built once per call, k and k F_{n-1} mod F_n for k
-    below one block: a block at lo adds lo and lo F_{n-1} mod F_n and
-    folds, in float64, where every value is an integer of magnitude below
-    2 F_n < 2**53 and so exact; no term pays an integer division.  The
-    sum runs over a fixed block grid symmetric about F_n/2: pairs of
-    outer blocks of B = _SUM_CHUNK terms, [1 + jB, 1 + (j+1)B) and its
-    mirror (the same values reversed), around one middle block of 1 to
-    2B terms.  Each block is summed with numpy's pairwise bracketing in
-    index order and the block sums are added in ascending m, so the
-    result does not depend on the machine.  Each outer pair and the
-    middle block is one task of _sweep_map, so levels with more than one
-    block run on every CPU in the affinity mask, with a bit-identical
-    result for any worker count.  A task works in one of the call's
-    pairs of work arrays, one pair per worker, and hands it back once
-    its block sums are formed: a call allocates its memory once, about
-    1 MiB per worker plus 1 MiB of tables at n >= 25, and holds none
-    after it returns.  Levels with F_n - 1 <= 2B (n <= 26) are a single
-    block and run inline, and those with F_n - 1 <= B (n <= 24) are
-    bit-identical to one flat block in index order.  Levels n >= 48 are
-    refused by a cost bound: F_48 - 1 is about 4.8e9 terms.  So are sums
-    whose F_n**sigma (when normalized) or total leaves float64.
+    term(t1, t2) takes two float64 work arrays that hold a block's folded
+    arguments and leaves that block's terms in t1; t2 is its scratch.
+    Both arguments are reduced exactly on the rational grid before the
+    one float division, so the term at N - m is bit-equal to the term at
+    m, and each mirror pair is computed once, for m <= N/2.  The
+    residues come from a table built once per call, k and k h mod N for
+    k below one block: a block at lo adds lo and lo h mod N and folds, in
+    float64, where every value is an integer of magnitude below 2 N <
+    2**53 and so exact; no term pays an integer division.  The sum runs
+    over a fixed block grid symmetric about N/2: pairs of outer blocks of
+    B = _SUM_CHUNK terms, [1 + jB, 1 + (j+1)B) and its mirror (the same
+    values reversed), around one middle block of 1 to 2B terms.  Each
+    block is summed with numpy's pairwise bracketing in index order and
+    the block sums are added in ascending m, so for N - 1 <= B the sum is
+    bit-identical to one flat block in index order.  Each outer pair and
+    the middle block is one task of _sweep_map: sizes with more than one
+    block (N - 1 > 2B) run on every CPU in the affinity mask, smaller
+    ones inline.  The bits are the same for any worker count; numpy's
+    SIMD loop families (picked by CPU at run time) may round a term
+    differently, and the sum then by a few ulp.  A task works in one of
+    the call's pairs of work arrays, one pair per worker, and hands it
+    back once its block sums are formed: a call allocates its memory
+    once, about 1 MiB per worker plus 1 MiB of tables at N > 2B, beyond
+    the term's own temporaries, and holds none after it returns.
     """
-    if n < 2:
-        raise ValueError(f"level must be >= 2, got {n}")
-    if n >= 48:
-        raise ValueError(
-            f"level must be < 48 (F_48 - 1, about 4.8e9 terms, is past the "
-            f"flat sweep's cost bound), got {n}")
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"exponent must be finite and positive, got {sigma}")
-    kernel = kernel or kernel_one()
-    fn, fn1 = fib(n), fib(n - 1)
-    if fn == 1:
+    if N == 1:
         return 0.0
-    scale = _level_scale(n, sigma) if normalized else 1.0
     B = _SUM_CHUNK
-    pairs = (fn - 2) // (2 * B)  # leaves 1 to 2B of the F_n - 1 terms in the middle
-    span = min(B, fn // 2)  # the most terms one block computes
-    # k and k F_{n-1} mod F_n - F_n for k < span, as doubles: every value
-    # here and in terms() is an integer of magnitude below 2 F_n < 2**53,
-    # so each is exact (k F_{n-1} < 2**16 F_46 stays in int64)
+    pairs = (N - 2) // (2 * B)  # leaves 1 to 2B of the N - 1 terms in the middle
+    span = min(B, N // 2)  # the most terms one block computes
+    # k and k h mod N - N for k < span, as doubles: every value here and
+    # in block() is an integer of magnitude below 2 N < 2**53, so each is
+    # exact (k h < 2**16 F_48 stays in int64)
     shifted = np.arange(span, dtype=np.int64)
-    shifted *= fn1
-    shifted %= fn
-    shifted = np.subtract(shifted, fn, dtype=np.float64)
+    shifted *= h
+    shifted %= N
+    shifted = np.subtract(shifted, N, dtype=np.float64)
     ks = np.arange(span, dtype=np.float64)
-
-    def terms(t1: np.ndarray, t2: np.ndarray, lo: int) -> np.ndarray:
-        # m = lo + k <= F_n/2 here, so min(m, F_n - m) = m.  With
-        # r = k F_{n-1} mod F_n + lo F_{n-1} mod F_n in [0, 2 F_n) and
-        # d = |r - F_n|, the folded residue min(r mod F_n, F_n - r mod F_n)
-        # is min(d, F_n - d), formed with t1 as scratch.  The weight and
-        # the sine product are then formed in t1 and t2, with the
-        # operations of pair(t1, t2) / (sin(pi t1) * sin(pi t2))**sigma
-        np.add(shifted[: len(t2)], lo * fn1 % fn, out=t2)
-        np.abs(t2, out=t2)
-        np.subtract(fn, t2, out=t1)
-        np.minimum(t2, t1, out=t2)
-        t2 /= fn
-        np.add(ks[: len(t1)], lo, out=t1)
-        t1 /= fn
-        num = kernel.pair(t1, t2)
-        for t in (t1, t2):
-            t *= np.pi
-            np.sin(t, out=t)
-        t1 *= t2
-        t1 **= sigma
-        return np.divide(num, t1, out=t1)
 
     # one (t1, t2) pair of work arrays per worker, for this call only: a
     # block takes a free pair and puts it back once its sums are formed
@@ -411,19 +396,31 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
 
     @_quiet_overflow
     def block(j: int) -> tuple:
-        t1, t2 = buf = free.get()
+        buf = free.get()
         try:
-            if j < pairs:
-                # outer block j and its mirror, the same values reversed
-                vals = terms(t1, t2, 1 + j * B)
-                return float(np.sum(vals)), float(np.sum(vals[::-1]))
-            # middle block [1 + pairs*B, F_n - pairs*B): its half in t1
-            # and, right after it in the pair's memory, the mirror, which
-            # leaves out the midpoint F_n/2 when F_n is even
-            size = fn // 2 - pairs * B  # at most span
-            half = terms(t1[:size], t2[:size], 1 + pairs * B)
-            whole = buf.reshape(-1)[: 2 * size - 1 + fn % 2]
-            whole[size:] = half[: size - 1 + fn % 2][::-1]
+            # outer block j, or the half of the middle block
+            # [1 + pairs*B, N - pairs*B) below N/2 (at most span terms)
+            lo = 1 + j * B
+            size = span if j < pairs else N // 2 - pairs * B
+            t1, t2 = buf[:, :size]
+            # m = lo + k <= N/2 here, so min(m, N - m) = m.  With
+            # r = k h mod N + lo h mod N in [0, 2N) and d = |r - N|, the
+            # folded residue min(r mod N, N - r mod N) is min(d, N - d),
+            # formed with t1 as scratch
+            np.add(shifted[:size], lo * h % N, out=t2)
+            np.abs(t2, out=t2)
+            np.subtract(N, t2, out=t1)
+            np.minimum(t2, t1, out=t2)
+            t2 /= N
+            np.add(ks[:size], lo, out=t1)
+            t1 /= N
+            term(t1, t2)
+            if j < pairs:  # and its mirror, the same values reversed
+                return float(np.sum(t1)), float(np.sum(t1[::-1]))
+            # the middle block's mirror, right after its half in the
+            # pair's memory, leaves out the midpoint N/2 when N is even
+            whole = buf.reshape(-1)[: 2 * size - 1 + N % 2]
+            whole[size:] = t1[: size - 1 + N % 2][::-1]
             return (float(np.sum(whole)),)
         finally:
             free.put(buf)  # on an error too, or later blocks would wait forever
@@ -432,7 +429,49 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
     total = 0.0
     for s in (*(lo for lo, _ in outer), middle, *(up for _, up in outer[::-1])):
         total += s
-    return _finite_sum(total, n, sigma) / scale
+    return total
+
+
+def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
+            *, normalized: bool = True) -> float:
+    """The Fibonacci lattice sum at level n >= 2 for the given weight:
+    the pair sum of _pair_sum on Phi_n = Lambda_{F_n, F_{n-1}} with the
+    term f(t1) f(t2) / (sin(pi t1) sin(pi t2))**sigma (Kernel.pair over
+    the sines), divided by F_n**sigma when normalized.
+
+    _pair_sum's block grid makes levels with F_n - 1 <= 2**16 (n <= 24)
+    bit-identical to one flat block in index order, and levels with
+    F_n - 1 > 2 * 2**16 (n >= 27) run on every CPU in the affinity mask.
+    The bits are the same for any worker count; across numpy's SIMD loop
+    families they may differ by a few ulp.  A call holds about 1 MiB per
+    worker plus 1 MiB of tables at n >= 25, and the weight's slices, and
+    none after it returns.  Levels n >= 48 are refused by the cost bound:
+    F_48 - 1 is about 4.8e9 terms.  So are sums whose F_n**sigma (when
+    normalized) or total leaves float64.
+    """
+    if n < 2:
+        raise ValueError(f"level must be >= 2, got {n}")
+    if n >= 48:
+        raise ValueError(
+            f"level must be < 48 (F_48 - 1, about 4.8e9 terms, is past the "
+            f"flat sweep's cost bound), got {n}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"exponent must be finite and positive, got {sigma}")
+    kernel = kernel or kernel_one()
+    scale = _level_scale(n, sigma) if normalized else 1.0
+
+    def term(t1: np.ndarray, t2: np.ndarray) -> None:
+        # the weight, then the sine product in t1 and t2, with the
+        # operations of pair(t1, t2) / (sin(pi t1) * sin(pi t2))**sigma
+        num = kernel.pair(t1, t2)
+        for t in (t1, t2):
+            t *= np.pi
+            np.sin(t, out=t)
+        t1 *= t2
+        t1 **= sigma
+        np.divide(num, t1, out=t1)
+
+    return _finite_sum(_pair_sum(fib(n), fib(n - 1), term), n, sigma) / scale
 
 
 @_quiet_overflow

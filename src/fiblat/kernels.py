@@ -10,9 +10,9 @@ the cotangent and Bernoulli polynomials.  Exact Bernoulli numbers are
 mpmath.bernfrac's.  Scalar zeta values are mpmath.zeta, which is also
 the oracle; the pair
 zeta(sigma, a) + zeta(sigma, 1-a) has one float64 engine, _hurwitz_pair,
-behind the DFT tables and f_sigma_many.  Weight functions f enter the
-energy sums as f(t1) f(t2) / |sin sin|**sigma; each family is a Kernel
-class: Trig, the even trigonometric polynomials
+behind the DFT tables, energy.wce_e and f_sigma_many.  Weight functions
+f enter the energy sums as f(t1) f(t2) / |sin sin|**sigma; each family
+is a Kernel class: Trig, the even trigonometric polynomials
 sum_j a_j cos(pi t)**(2j); One, the constant 1, trig:1 evaluated without
 arrays; and FSigma, the zeta-family weight
 
@@ -63,8 +63,9 @@ _TWO_PI = 2 * math.pi
 # pi to 39 digits: parsed by each float dtype, so extended-precision
 # arrays get their own correctly rounded pi rather than the double one
 _PI_STR = "3.14159265358979323846264338327950288420"
-# largest N of the Hurwitz pair table (dft_coeffs, wce_e): either route adds
-# ~35 bytes per N to the process, 721 MB peak RSS at the cap
+# largest N of the Hurwitz pair table, which only dft_coeffs reads (wce_e
+# sums the pair over the blocked engine of energy._pair_sum): the dft route
+# adds ~35 bytes per N to the process, 721 MB peak RSS at the cap
 _PAIR_TABLE_MAX_N = 2 * 10 ** 7
 # most terms potential_K's cosine series may take (32 MB per work array)
 _K_SERIES_MAX_TERMS = 1 << 22
@@ -221,26 +222,32 @@ def _hurwitz_pair(sigma: float, a: np.ndarray) -> np.ndarray:
     return head.reshape(np.shape(a))
 
 
+def _check_scale(sigma: float, N: int) -> None:
+    """ValueError where N > 1 and (2 pi N)**sigma, the scale of the
+    Hurwitz pair sums over Z/N (dft_coeffs, energy.wce_e), leaves the
+    float64 normal range; N = 1 has no pair to scale."""
+    if N > 1 and sigma * math.log10(_TWO_PI * N) > 307:
+        raise ValueError(f"(2 pi N)**sigma overflows float64 at sigma={sigma:g}, N={N}")
+
+
 def _hurwitz_pair_table(sigma: float, N: int) -> np.ndarray:
     """A(m) = zeta(sigma, m/N) + zeta(sigma, 1 - m/N) for 1 <= m < N, at
     index m of a length-N array; index 0 is unused and left at 0.
 
     _hurwitz_pair evaluates it at the double m/N for m <= N/2 and
     A(m) = A(N - m) mirrors the rest; rounding m/N adds up to
-    sigma * 2**-53 to the engine's error.  Every caller scales the table
-    by (2 pi N)**-sigma, so sizes where that factor leaves the float64
-    normal range raise ValueError; this also keeps the table, of order
-    N**sigma, finite.  So do sizes above _PAIR_TABLE_MAX_N, for memory.
+    sigma * 2**-53 to the engine's error.  Its one caller, dft_coeffs,
+    scales it by (2 pi N)**-sigma, so sizes where that factor leaves the
+    float64 normal range raise ValueError; this also keeps the table, of
+    order N**sigma, finite.  So do sizes above _PAIR_TABLE_MAX_N, for
+    memory.
     """
     _check_exponent(sigma)
     if N > _PAIR_TABLE_MAX_N:
         raise ValueError(
             f"pair table is capped at N = {_PAIR_TABLE_MAX_N} (memory), got N = {N}"
         )
-    if sigma * math.log10(_TWO_PI * N) > 307:
-        raise ValueError(
-            f"(2 pi N)**sigma overflows float64 at sigma={sigma:g}, N={N}"
-        )
+    _check_scale(sigma, N)
     m = np.arange(1, N // 2 + 1, dtype=np.int64)
     half = _hurwitz_pair(sigma, m / N)
     A = np.zeros(N, dtype=np.float64)
@@ -320,6 +327,15 @@ def _float_array(t) -> np.ndarray:
     return t if t.dtype.kind == "f" else t.astype(np.float64)
 
 
+def _pair_product(f, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = f(a) * f(b) for 1-D arrays of one size, bit for bit, filled a
+    slice of _PAIR_SLICE terms at a time, so f's temporaries stay the
+    size of a slice; out may be a or b."""
+    for lo in range(0, out.size, _PAIR_SLICE):
+        s = slice(lo, lo + _PAIR_SLICE)
+        np.multiply(f(a[s]), f(b[s]), out=out[s])
+
+
 @dataclass(frozen=True)
 class Kernel:
     """A weight function f on the torus, one subclass per family.  Each has
@@ -342,10 +358,7 @@ class Kernel:
         whatever the size of the input."""
         t1, t2 = np.broadcast_arrays(_float_array(t1), _float_array(t2))
         out = np.empty(t1.shape, np.result_type(t1, t2))
-        flat, a, b = out.reshape(-1), t1.reshape(-1), t2.reshape(-1)
-        for lo in range(0, flat.size, _PAIR_SLICE):
-            s = slice(lo, lo + _PAIR_SLICE)
-            np.multiply(self.eval_many(a[s]), self.eval_many(b[s]), out=flat[s])
+        _pair_product(self.eval_many, t1.reshape(-1), t2.reshape(-1), out.reshape(-1))
         return out
 
 

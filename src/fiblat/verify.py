@@ -27,11 +27,10 @@ Suites:
     zeta-routes  the three number-field zeta routes agree within their
                  certified errors
 
-The limit rescales a suite's sweep.  The six suites whose work grows
+The limit rescales a suite's sweep.  The seven suites whose work grows
 with it take at most ten times their default limit (LIMIT_CAPS), and
 check_limits refuses a larger limit with ValueError before any check
-runs.  dft reads no more than F_9 = 34 of its limit, and zeta-routes
-refuses a truncation past its eta table's own cap.
+runs.  dft reads no more than F_9 = 34 of its limit.
 
 Two bulk sweeps test an identity rather than a scalar function, so they
 run on whole arrays (``_Run.ok_many``, which counts and reports exactly
@@ -444,9 +443,9 @@ _SUITES: dict[str, tuple] = {
 
 SUITE_NAMES = tuple(_SUITES)
 
-# the largest limit of each suite whose work grows with it: ten times its default
-LIMIT_CAPS = {name: 10 * _SUITES[name][1]
-              for name in ("wythoff", "dual", "floor", "ineq", "reciprocity", "closedform")}
+# the largest limit of each suite whose work grows with it, every suite but
+# dft: ten times its default
+LIMIT_CAPS = {name: 10 * default for name, (_, default) in _SUITES.items() if name != "dft"}
 
 
 def check_limits(names, limit: int | None = None) -> None:

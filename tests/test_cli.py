@@ -164,10 +164,12 @@ def test_grouped_sum_above_level_cap_is_usage_error():
 
 
 def test_energy_table_routes_above_cap_are_usage_errors():
-    for method in ("dft", "wce"):
-        r = run("energy", "--fib-level", "40", "--sigma", "2", "--method", method)
+    # dft's pair table is capped at N = 2e7; wce builds no table and
+    # stops at the pair sum's cost bound, N < F_48
+    for method, level, why in (("dft", 40, "capped at N"), ("wce", 48, "cost bound")):
+        r = run("energy", "--fib-level", str(level), "--sigma", "2", "--method", method)
         assert r.exit_code == 2
-        assert "capped at N" in r.output
+        assert why in r.output
 
 
 def test_energy_direct_above_cap_is_usage_error():
@@ -191,7 +193,8 @@ def test_verify_bad_limit_is_usage_error():
 
 @pytest.mark.parametrize("suite,cap", [("wythoff", 10 ** 6), ("dual", 5000),
                                        ("floor", 10 ** 5), ("ineq", 10 ** 5),
-                                       ("reciprocity", 2000), ("closedform", 250)])
+                                       ("reciprocity", 2000), ("closedform", 250),
+                                       ("zeta-routes", 10 ** 6)])
 def test_verify_limit_past_cap_is_usage_error(suite, cap):
     r = run("verify", "--suite", suite, "--limit", str(cap + 1))
     assert r.exit_code == 2
@@ -204,7 +207,8 @@ def test_verify_help_lists_every_cap():
     text = " ".join(r.output.split())
     assert r.exit_code == 0
     for suite, cap in (("wythoff", 10 ** 6), ("dual", 5000), ("floor", 10 ** 5),
-                       ("ineq", 10 ** 5), ("reciprocity", 2000), ("closedform", 250)):
+                       ("ineq", 10 ** 5), ("reciprocity", 2000), ("closedform", 250),
+                       ("zeta-routes", 10 ** 6)):
         assert f"{suite} {cap}" in text, text
 
 

@@ -27,12 +27,14 @@ from fiblat.golden import fib, lucas
 from fiblat.kernels import (
     FSigma,
     Trig,
+    _hurwitz_pair,
     bernoulli_number,
     dft_coeffs,
     kernel_bernoulli_weight,
     kernel_one,
     parse_kernel,
     potential_K,
+    zeta,
 )
 from fiblat.wythoff import row, wythoff_row_entries
 
@@ -235,6 +237,100 @@ def test_wce_quadratic_closed_form():
                     * (n * fib(2 * n) - 17 / 60 * lucas(2 * n)
                        - (-1) ** n * 29 / 15))
             assert got == pytest.approx(want, rel=1e-10), (n, p)
+
+
+def _wce_table_route(sigma, p, N, h):
+    """wce_e's former route, the oracle of the pair-sum engine's: the
+    whole-N Hurwitz pair table scaled by (2 pi N)**-sigma, gathered at
+    h m mod N and added by np.sum in index order."""
+    z = zeta(sigma)
+    scale = (2 * math.pi * N) ** -sigma
+    acc = 4 * p * z * scale + 4 * p * p * z * z * scale * scale
+    m = np.arange(1, N // 2 + 1, dtype=np.int64)
+    half = _hurwitz_pair(sigma, m / N)
+    A = np.zeros(N)
+    A[m] = half
+    A[N - m] = half
+    A = scale * A
+    idx = ((h % N) * np.arange(1, N, dtype=np.int64)) % N
+    return acc + p * p * float(np.sum(A[1:] * A[idx]))
+
+
+def _coprime_lattices(rng, count, lo, hi):
+    """count seeded (N, h) with lo <= N <= hi and 1 <= h < N coprime to N."""
+    out = []
+    while len(out) < count:
+        N = rng.randint(lo, hi)
+        h = rng.randrange(1, N)
+        if math.gcd(h, N) == 1:
+            out.append((N, h))
+    return out
+
+
+@pytest.mark.parametrize("sigma", [2.0, 2.5, 4.0, 6.0])
+def test_wce_equals_the_table_route(sigma):
+    # one flat block in index order while N - 1 <= 2**16: bit for bit,
+    # for any h (2**62 + 1 is taken mod N); past it the block grid
+    # brackets the sum otherwise, within 4e-16
+    B = _SUM_CHUNK
+    small = [(fib(n), fib(n - 1)) for n in range(2, 25)]
+    small += [(2, 1), (3, 2), (B + 1, 2 ** 62 + 1), (B + 1, 1)]
+    small += _coprime_lattices(random.Random(31), 16, 4, B + 1)
+    for N, h in small:
+        for p in (1.0, -0.5):
+            assert wce_e(sigma, p, N, h) == _wce_table_route(sigma, p, N, h), (N, h, p)
+    for n in range(27, 31):
+        N, h = fib(n), fib(n - 1)
+        want = _wce_table_route(sigma, 1.0, N, h)
+        assert wce_e(sigma, 1.0, N, h) == pytest.approx(want, rel=4e-16, abs=0), n
+
+
+def test_wce_is_the_same_on_any_worker_count(monkeypatch):
+    # N > 2 * 2**16: two to five tasks.  With a thread switch every
+    # microsecond, a pair of work arrays handed to two blocks at once
+    # would show as a different sum
+    lattices = [(fib(27), fib(26)), (fib(28), fib(27)), (300007, 2 ** 62 + 1)]
+    lattices += _coprime_lattices(random.Random(8), 2, 2 * _SUM_CHUNK + 1, 300000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = {}
+        for workers in (1, 2, 3):
+            _use_workers(monkeypatch, workers)
+            runs[workers] = [wce_e(sigma, 1.0, N, h)
+                             for N, h in lattices for sigma in (2.0, 2.5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[2] == runs[1] and runs[3] == runs[1]
+
+
+@pytest.mark.parametrize("sigma", [2.0, 2.5, 4.0])
+def test_wce_is_the_affine_map_of_the_fsigma_level_sum(sigma):
+    # the fsigma term f(t1) f(t2) / (sin sin)**sigma is A(t1) A(t2), so on
+    # Phi_n the pairing sum of wce_e is the raw fsigma level sum
+    z = zeta(sigma)
+    for n in (10, 20, 25, 30):
+        N = fib(n)
+        s = (2 * math.pi * N) ** -sigma
+        raw = fib_sum(n, sigma, FSigma(sigma), normalized=False)
+        want = 4 * z * s + 4 * z * z * s * s + s * s * raw
+        assert wce_e(sigma, 1.0, N, fib(n - 1)) == pytest.approx(want, rel=1e-15, abs=0), n
+
+
+def test_wce_peak_memory(monkeypatch):
+    # the engine's tables and work arrays and A a slice of 2**14 terms at
+    # a time: about 4 MiB at F_30 on 2 workers (25 MiB with the whole-N
+    # table, 174 MiB at F_34), all of it freed when the call returns
+    _use_workers(monkeypatch, 2)
+    wce_e(2.5, 1.0, 13, 8)  # the series coefficients are cached per sigma
+    tracemalloc.start()
+    try:
+        wce_e(2.5, 1.0, fib(30), fib(29))
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2 ** 20, peak
+    assert current < 2 ** 16, current
 
 
 def test_fib_sum_flat_equals_grouped():

@@ -52,7 +52,7 @@ def test_every_suite_at_limit_one_checks_something_or_raises():
 
 
 _CAPS = {"wythoff": 10 ** 6, "dual": 5000, "floor": 10 ** 5, "ineq": 10 ** 5,
-         "reciprocity": 2000, "closedform": 250}
+         "reciprocity": 2000, "closedform": 250, "zeta-routes": 10 ** 6}
 
 
 @pytest.mark.parametrize("name", sorted(_CAPS))
@@ -70,11 +70,8 @@ def test_limit_cap_runs_and_one_more_is_refused_before_any_check(monkeypatch, na
 
 
 def test_uncapped_suites_take_any_limit():
-    # dft reads no more than F_9 = 34 of its limit; zeta-routes refuses
-    # a truncation past its eta table's cap itself
+    # dft reads no more than F_9 = 34 of its limit
     assert run_suite("dft", 10 ** 9).checks == run_suite("dft").checks
-    with pytest.raises(ValueError, match="table size"):
-        run_suite("zeta-routes", 10 ** 9)
 
 
 def test_unknown_suite_and_bad_limit():
