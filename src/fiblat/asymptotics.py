@@ -52,6 +52,7 @@ from .golden import _to_mpf, fib, phi_power
 from .kernels import (
     _PI_STR,
     Kernel,
+    _as_float,
     _bernoulli_coeff,
     _check_exponent,
     _even_exponent,
@@ -104,6 +105,7 @@ def prefactor(sigma: float, f0: float) -> float:
     """f(0)**2 * 5**(sigma/2) / pi**(2*sigma): the weight every row term
     in C and D is measured against.  ValueError where it leaves float64
     (pi**(2*sigma) does above sigma ~ 310, f(0)**2 above f(0) ~ 1e154)."""
+    sigma = _as_float("exponent", sigma)
     try:
         value = f0 * f0 * 5.0 ** (sigma / 2) / math.pi ** (2 * sigma)
     except (OverflowError, ZeroDivisionError):
@@ -267,7 +269,7 @@ def constant_C(sigma: float, kernel: Kernel | None = None,
     and returned both as a float and as value_mp.  i_max below 8 raises
     ValueError, as in constant_D.
     """
-    _check_exponent(sigma)
+    sigma = _check_exponent(sigma)
     if i_max < 8:
         raise ValueError(f"row truncation too small: {i_max}")
     f0 = kernel.value_at_zero if kernel is not None else 1.0

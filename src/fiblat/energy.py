@@ -33,9 +33,11 @@ in index order while N - 1 <= 2**16.  Its residues h m mod N come from
 a table of one block's residues, built once per call and shifted per
 block in exact float64, not from an integer division per term, and
 its blocks work in per-call buffers, one pair of arrays per worker, so
-a block allocates no work arrays beyond its term's values.  Kernel.pair
-and wce_e form those a slice of kernels._PAIR_SLICE = 2**14 terms at a
-time, so the term's temporaries do not grow with the block either.
+a block allocates no work arrays beyond its term's values.  The engine
+hands its term a block a slice of _PAIR_SLICE = 2**14 terms at a time,
+so the term's temporaries do not grow with the block either.  The level
+sums' term is one function, _level_terms, which the grouped sum calls
+on 2-D blocks of at most _PAIR_SLICE terms and on its midpoint.
 
 The engine's blocks are tasks for _sweep_map, the ordered thread pool
 the D row sweep of asymptotics.constant_D also runs on, with one
@@ -67,13 +69,14 @@ from .dedekind import gen_dedekind_sum
 from .golden import fib
 from .kernels import (
     Kernel,
+    _as_float,
+    _as_int,
     _bernoulli_coeff,
     _check_coefficient,
     _check_exponent,
     _check_scale,
     _even_exponent,
     _hurwitz_pair,
-    _pair_product,
     bernoulli_number,
     dft_coeffs,
     kernel_one,
@@ -97,6 +100,12 @@ __all__ = [
 
 _TWO_PI = 2 * math.pi
 _SUM_CHUNK = 1 << 16  # terms per block of the pair sum
+# terms per slice of a block handed to the pair sum's term, and per 2-D
+# block of the grouped sum: a term's temporaries stay at about 128 KiB
+# each.  The finer the slices, the more the engine's workers contend for
+# the GIL: on two workers the fsigma level sum runs about 10% slower at
+# 2**14 than at 2**16, and about twice as slow at 2**12
+_PAIR_SLICE = 1 << 14
 _DIRECT_MAX_N = 1000  # "direct" runs N**2 Python steps: 5.2 s at N = 987 on one Xeon core
 
 
@@ -134,15 +143,7 @@ def energy_direct(potential, points) -> float | Fraction:
     The potential is called on torus differences in [0, 1); values are
     cached per distinct argument, and exact inputs stay exact.
     """
-    cache: dict = {}
-
-    def pot(t):
-        v = cache.get(t)
-        if v is None:
-            v = potential(t)
-            cache[t] = v
-        return v
-
+    pot = functools.lru_cache(maxsize=None)(potential)
     total = None
     for x1, x2 in points:
         for y1, y2 in points:
@@ -151,12 +152,15 @@ def energy_direct(potential, points) -> float | Fraction:
     return total
 
 
-def _check_lattice(N: int, h: int) -> None:
-    """ValueError unless N >= 1 and gcd(h, N) = 1, so Lambda_{N,h} exists."""
+def _check_lattice(N: int, h: int) -> tuple[int, int]:
+    """(N, h) as ints; ValueError unless both are integers (NumPy ones
+    too), N >= 1 and gcd(h, N) = 1, so Lambda_{N,h} exists."""
+    N, h = _as_int("modulus", N), _as_int("generator", h)
     if N < 1:
         raise ValueError(f"modulus must be >= 1, got {N}")
     if math.gcd(h, N) != 1:
         raise ValueError(f"generator {h} not coprime to {N}")
+    return N, h
 
 
 def energy_exact(sigma, p, N: int, h: int) -> Fraction:
@@ -175,8 +179,8 @@ def energy_exact(sigma, p, N: int, h: int) -> Fraction:
     """
     two_s = _even_exponent(sigma)
     _check_coefficient(p)
-    _check_lattice(N, h)
-    c = _bernoulli_coeff(two_s, Fraction(p))
+    N, h = _check_lattice(N, h)
+    c = _bernoulli_coeff(two_s, p)
     return N * (N + 2 * c * Fraction(N) ** (1 - two_s) * bernoulli_number(two_s)
                 + c * c * gen_dedekind_sum(two_s, two_s, 1, h, N))
 
@@ -208,7 +212,7 @@ def energy_dft(coeffs, N: int, h: int) -> float:
     """E = N^2 sum_m chat(m) chat(h m mod N) from an N-periodic table;
     ValueError unless Lambda_{N,h} is a lattice (N >= 1, gcd(h, N) = 1),
     and where E leaves float64."""
-    _check_lattice(N, h)
+    N, h = _check_lattice(N, h)
     if len(coeffs) != N:
         raise ValueError(f"coefficient table has length {len(coeffs)}, expected {N}")
     c = np.asarray(coeffs, dtype=np.float64)
@@ -226,23 +230,26 @@ def wce_e(sigma: float, p: float, N: int, h: int) -> float:
     kernels._hurwitz_pair (relative error ~1e-15).  The pairing sum is
     _pair_sum's, the engine of the flat level sum (on (F_n, F_{n-1}) it is
     the raw fsigma level sum), with the term (s A(t1)) (s A(t2)),
-    s = (2 pi N)**-sigma, so the products stay in range; A is formed a
-    slice of kernels._PAIR_SLICE terms at a time, and a call holds about
+    s = (2 pi N)**-sigma, so the products stay in range; A is formed on
+    the engine's slices of _PAIR_SLICE terms, and a call holds about
     1.6 MiB per worker plus 1 MiB of tables.  Sizes N >= F_48 (the
     engine's cost bound) and those where (2 pi N)**sigma overflows
     float64 raise ValueError, and so do N < 1, gcd(h, N) != 1, a
-    non-finite p and a result that leaves float64.
+    non-finite p and a result that leaves float64.  sigma and p are
+    taken as Python floats, N and h as ints (a non-integer raises
+    ValueError).
     """
-    _check_exponent(sigma)
+    sigma = _check_exponent(sigma)
     _check_coefficient(p)
-    _check_lattice(N, h)
+    p = _as_float("p", p)
+    N, h = _check_lattice(N, h)
     if N >= fib(48):  # fib_sum's level bound; first, so that N is a float only below it
         raise ValueError(f"N must be < F_48, the pair sum's cost bound (4.8e9 terms), got {N}")
     _check_scale(sigma, N)
     scale = (_TWO_PI * N) ** -sigma
 
     def term(t1: np.ndarray, t2: np.ndarray) -> None:
-        _pair_product(lambda t: scale * _hurwitz_pair(sigma, t), t1, t2, t1)
+        np.multiply(scale * _hurwitz_pair(sigma, t1), scale * _hurwitz_pair(sigma, t2), out=t1)
 
     z = zeta(sigma)
     acc = 4 * p * z * scale + 4 * p * p * z * z * scale * scale
@@ -277,7 +284,7 @@ def energy(lat: RationalLattice, sigma: float, p: float,
     refused with ValueError above N = 1000.  A non-finite sigma or p,
     sigma <= 1, and an energy that leaves float64 raise ValueError on
     every route."""
-    _check_exponent(sigma)
+    sigma = _check_exponent(sigma)
     if method == "direct":
         if lat.N > _DIRECT_MAX_N:
             raise ValueError(
@@ -334,10 +341,34 @@ def _level_scale(n: int, sigma: float) -> float:
             f"F_n**sigma overflows float64 at n={n}, sigma={sigma:g}") from None
 
 
+def _check_level(n: int, sigma: float, kernel: Kernel | None) -> tuple[float, Kernel]:
+    """sigma as a Python float and the weight (one by default) of a level
+    sum; ValueError for a level below 2 and a sigma outside (0, inf)."""
+    if n < 2:
+        raise ValueError(f"level must be >= 2, got {n}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"exponent must be finite and positive, got {sigma}")
+    return _as_float("exponent", sigma), kernel or kernel_one()
+
+
 def _finite_sum(total: float, n: int, sigma: float) -> float:
     if not math.isfinite(total):
         raise ValueError(f"level sum leaves float64 at n={n}, sigma={sigma:g}")
     return total
+
+
+def _level_terms(kernel: Kernel, sigma: float, t1: np.ndarray, t2: np.ndarray) -> None:
+    """The level-sum terms f(t1) f(t2) / (sin(pi t1) sin(pi t2))**sigma of
+    arrays of one shape, formed in place in t1, with t2 as scratch: the
+    one term of fib_sum (on the pair-sum engine's slices) and of
+    fib_sum_grouped (on its 2-D blocks and its midpoint)."""
+    num = kernel.pair(t1, t2)
+    for t in (t1, t2):
+        t *= np.pi
+        np.sin(t, out=t)
+    t1 *= t2
+    t1 **= sigma
+    np.divide(num, t1, out=t1)
 
 
 def _pair_sum(N: int, h: int, term) -> float:
@@ -348,11 +379,14 @@ def _pair_sum(N: int, h: int, term) -> float:
     bound, which each caller checks before it forms an array or turns N
     into a float.
 
-    term(t1, t2) takes two float64 work arrays that hold a block's folded
-    arguments and leaves that block's terms in t1; t2 is its scratch.
-    Both arguments are reduced exactly on the rational grid before the
-    one float division, so the term at N - m is bit-equal to the term at
-    m, and each mirror pair is computed once, for m <= N/2.  The
+    term(t1, t2) takes two float64 views of at most _PAIR_SLICE terms of
+    a block's folded arguments and leaves their terms in t1; t2 is its
+    scratch.  The engine hands it each block a slice at a time, so the
+    term's temporaries stay the size of a slice, while the block sums
+    are taken over whole blocks as below.  Both arguments are reduced
+    exactly on the rational grid before the one float division, so the
+    term at N - m is bit-equal to the term at m, and each mirror pair is
+    computed once, for m <= N/2.  The
     residues come from a table built once per call, k and k h mod N for
     k below one block: a block at lo adds lo and lo h mod N and folds, in
     float64, where every value is an integer of magnitude below 2 N <
@@ -371,7 +405,7 @@ def _pair_sum(N: int, h: int, term) -> float:
     the call's pairs of work arrays, one pair per worker, and hands it
     back once its block sums are formed: a call allocates its memory
     once, about 1 MiB per worker plus 1 MiB of tables at N > 2B, beyond
-    the term's own temporaries, and holds none after it returns.
+    the term's temporaries on one slice, and holds none after it returns.
     """
     if N == 1:
         return 0.0
@@ -414,7 +448,8 @@ def _pair_sum(N: int, h: int, term) -> float:
             t2 /= N
             np.add(ks[:size], lo, out=t1)
             t1 /= N
-            term(t1, t2)
+            for a in range(0, size, _PAIR_SLICE):
+                term(t1[a:a + _PAIR_SLICE], t2[a:a + _PAIR_SLICE])
             if j < pairs:  # and its mirror, the same values reversed
                 return float(np.sum(t1)), float(np.sum(t1[::-1]))
             # the middle block's mirror, right after its half in the
@@ -436,41 +471,27 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
             *, normalized: bool = True) -> float:
     """The Fibonacci lattice sum at level n >= 2 for the given weight:
     the pair sum of _pair_sum on Phi_n = Lambda_{F_n, F_{n-1}} with the
-    term f(t1) f(t2) / (sin(pi t1) sin(pi t2))**sigma (Kernel.pair over
-    the sines), divided by F_n**sigma when normalized.
+    term f(t1) f(t2) / (sin(pi t1) sin(pi t2))**sigma of _level_terms,
+    formed on the engine's slices of _PAIR_SLICE terms, divided by
+    F_n**sigma when normalized.  sigma is taken as a Python float.
 
     _pair_sum's block grid makes levels with F_n - 1 <= 2**16 (n <= 24)
     bit-identical to one flat block in index order, and levels with
     F_n - 1 > 2 * 2**16 (n >= 27) run on every CPU in the affinity mask.
     The bits are the same for any worker count; across numpy's SIMD loop
     families they may differ by a few ulp.  A call holds about 1 MiB per
-    worker plus 1 MiB of tables at n >= 25, and the weight's slices, and
-    none after it returns.  Levels n >= 48 are refused by the cost bound:
-    F_48 - 1 is about 4.8e9 terms.  So are sums whose F_n**sigma (when
-    normalized) or total leaves float64.
+    worker plus 1 MiB of tables at n >= 25, and the term's temporaries on
+    one slice, and none after it returns.  Levels n >= 48 are refused by
+    the cost bound: F_48 - 1 is about 4.8e9 terms.  So are sums whose
+    F_n**sigma (when normalized) or total leaves float64.
     """
-    if n < 2:
-        raise ValueError(f"level must be >= 2, got {n}")
+    sigma, kernel = _check_level(n, sigma, kernel)
     if n >= 48:
         raise ValueError(
             f"level must be < 48 (F_48 - 1, about 4.8e9 terms, is past the "
             f"flat sweep's cost bound), got {n}")
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"exponent must be finite and positive, got {sigma}")
-    kernel = kernel or kernel_one()
     scale = _level_scale(n, sigma) if normalized else 1.0
-
-    def term(t1: np.ndarray, t2: np.ndarray) -> None:
-        # the weight, then the sine product in t1 and t2, with the
-        # operations of pair(t1, t2) / (sin(pi t1) * sin(pi t2))**sigma
-        num = kernel.pair(t1, t2)
-        for t in (t1, t2):
-            t *= np.pi
-            np.sin(t, out=t)
-        t1 *= t2
-        t1 **= sigma
-        np.divide(num, t1, out=t1)
-
+    term = functools.partial(_level_terms, kernel, sigma)
     return _finite_sum(_pair_sum(fib(n), fib(n - 1), term), n, sigma) / scale
 
 
@@ -481,42 +502,35 @@ def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
 
     Each entry W[i, k] below F_n/2 contributes twice (for m and F_n - m),
     with the companion argument taken from the dual array at slot n - k;
-    when F_n is even the midpoint m = F_n/2 adds f(1/2)^2 exactly once.
+    when F_n is even the midpoint m = F_n/2 adds its term, f(1/2)^2,
+    exactly once.  Every term is fib_sum's, from _level_terms.
 
     Vectorized over the row columns: rows of equal depth k_max form 2-D
-    blocks of at most _SUM_CHUNK terms, with W[i, k] and Wd[i, n - k]
+    blocks of at most _PAIR_SLICE terms, with W[i, k] and Wd[i, n - k]
     exact in int64.  Each row is summed by numpy's pairwise bracketing
     over that row alone, and 2 * (row sum) is added in ascending i, so
     the result is bit-identical to a per-row loop.  Levels n >= 44 raise
     ValueError: their rows leave the exact row columns, and so do
     sums whose F_n**sigma (when normalized) or total leaves float64.
     """
-    if n < 2:
-        raise ValueError(f"level must be >= 2, got {n}")
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"exponent must be finite and positive, got {sigma}")
-    kernel = kernel or kernel_one()
+    sigma, kernel = _check_level(n, sigma, kernel)
     fn = fib(n)
-    if fn == 1:
-        return 0.0
     rows = _level_rows(n)  # refuses n >= 44 before F_0..F_n are built
     scale = _level_scale(n, sigma) if normalized else 1.0
     F = np.array([fib(k) for k in range(n + 1)], dtype=np.int64)
     total = 0.0
     for i, L, depth in rows:
         k = np.arange(1, depth + 1)
-        step = _SUM_CHUNK // depth  # depths stay below 44
+        step = _PAIR_SLICE // depth  # depths stay below 44
         for lo in range(0, len(i), step):
             Lc, ic = L[lo:lo + step, None], i[lo:lo + step, None] - 1
             t1 = (F[k + 1] * Lc + F[k] * ic) / fn
             t2 = (F[n - k - 1] * Lc - F[n - k] * ic) / fn
-            vals = kernel.pair(t1, t2) / (np.sin(np.pi * t1) * np.sin(np.pi * t2)) ** sigma
-            vals /= scale
-            doubled = 2.0 * vals.sum(axis=1)
-            total = float(np.add.accumulate(np.r_[total, doubled])[-1])
-    if fn % 2 == 0:
-        try:
-            total += kernel.eval(0.5) ** 2 / scale
-        except OverflowError:  # f(1/2)**2 past float64
-            total = math.inf
+            _level_terms(kernel, sigma, t1, t2)
+            t1 /= scale
+            total = float(np.add.accumulate(np.r_[total, 2.0 * t1.sum(axis=1)])[-1])
+    if fn % 2 == 0:  # the midpoint m = F_n/2, once
+        t1, t2 = np.full((2, 1), 0.5)
+        _level_terms(kernel, sigma, t1, t2)
+        total += float(t1[0]) / scale
     return _finite_sum(total, n, sigma)

@@ -13,6 +13,7 @@ once, to a double or to the mpmath working precision.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from math import isqrt
 
@@ -109,18 +110,24 @@ def _fib_doubling(n: int) -> tuple[int, int]:
     return f2k, f2k1
 
 
+def _index(n) -> int:
+    """n as an int; ValueError unless n is an integer >= 0 (NumPy ones
+    too), so that the memo's keys are ints only."""
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"index must be an integer >= 0, got {n!r}")
+    return int(n)
+
+
 def fib(n: int) -> int:
-    """F_n with F_0 = 0, F_1 = 1.  Requires n >= 0."""
-    if n < 0:
-        raise ValueError(f"negative index: {n}")
+    """F_n with F_0 = 0, F_1 = 1.  Requires an integer n >= 0."""
+    if type(n) is not int or n < 0:  # an int n >= 0, the hot case, skips the call
+        n = _index(n)
     return _fib_doubling(n)[0]
 
 
 def lucas(n: int) -> int:
-    """L_n with L_0 = 2, L_1 = 1.  Requires n >= 0."""
-    if n < 0:
-        raise ValueError(f"negative index: {n}")
-    fn, fn1 = _fib_doubling(n)
+    """L_n with L_0 = 2, L_1 = 1.  Requires an integer n >= 0."""
+    fn, fn1 = _fib_doubling(_index(n))
     return 2 * fn1 - fn
 
 

@@ -20,10 +20,10 @@ arrays; and FSigma, the zeta-family weight
 
 A weight's float values, scalar or array, come from its eval_many, and
 its oracle is eval_mp.  The numerator f(t1) f(t2) of a lattice-sum term
-comes from Kernel.pair, which forms it a slice of _PAIR_SLICE terms at
-a time, and f_sigma_many and _hurwitz_pair form their values in place:
-a weight's temporaries stay the size of a slice, bit for bit the values
-of the whole-array expressions.
+is Kernel.pair, the plain product eval_many(t1) * eval_many(t2); the
+level sums hand it slices of bounded size, so a weight's temporaries
+stay the size of a slice.  f_sigma_many and _hurwitz_pair form their
+values in place, bit for bit the values of the whole-array expressions.
 """
 from __future__ import annotations
 
@@ -71,20 +71,27 @@ _PAIR_TABLE_MAX_N = 2 * 10 ** 7
 _K_SERIES_MAX_TERMS = 1 << 22
 # potential_K's cosine series stops at an Abel tail bound of this times max(1, |pref|)
 _K_SERIES_TOL = 1e-13
-# terms per slice of Kernel.pair: the weight's temporaries stay at about
-# 128 KiB each.  The finer the slices, the more the level sum's workers
-# contend for the GIL: on two workers its fsigma sum runs about 10% slower
-# at 2**14 than at 2**16, and about twice as slow at 2**12
-_PAIR_SLICE = 1 << 14
 # largest 2s of the even-sigma routes: each builds B_{2s}, B_{2s}(t) or
 # G_{2s-1}, and B_0..B_2000 alone take about 2 s
 _EVEN_EXPONENT_MAX = 2000
 
 
-def _check_exponent(sigma) -> None:
-    """Raise ValueError unless 1 < sigma < inf; NaN is refused too."""
+def _check_exponent(sigma) -> float:
+    """sigma as a Python float; ValueError unless 1 < sigma < inf (NaN is
+    refused too)."""
     if not 1 < sigma < math.inf:
         raise ValueError(f"exponent must be finite and exceed 1, got {sigma}")
+    return _as_float("exponent", sigma)
+
+
+def _as_float(name: str, value) -> float:
+    """value as a Python float, so that a NumPy scalar of another width (a
+    float32 sigma, say) does not set the precision of the arithmetic it
+    enters; ValueError where value is past float64 (a huge int)."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is past float64") from None
 
 
 def _check_coefficient(p) -> None:
@@ -107,9 +114,13 @@ def _even_exponent(sigma) -> int:
         f"needs an even integer exponent in [2, {_EVEN_EXPONENT_MAX}], got {sigma!r}")
 
 
-def _bernoulli_coeff(two_s: int, p):
-    """c = p (-1)**(s-1) / (2s)! in K_{2s,p}(t) = 1 + c B_{2s}({t}); exact for rational p."""
-    return Fraction((-1) ** (two_s // 2 - 1), math.factorial(two_s)) * p
+def _bernoulli_coeff(two_s: int, p) -> Fraction:
+    """c = p (-1)**(s-1) / (2s)! in K_{2s,p}(t) = 1 + c B_{2s}({t}), exact:
+    a float p is taken as its binary value, and a NumPy scalar p as the
+    Python int or float it holds."""
+    if not isinstance(p, Fraction):
+        p = int(p) if isinstance(p, numbers.Integral) else float(p)
+    return Fraction((-1) ** (two_s // 2 - 1), math.factorial(two_s)) * Fraction(p)
 
 
 def _as_int(name: str, value) -> int:
@@ -327,15 +338,6 @@ def _float_array(t) -> np.ndarray:
     return t if t.dtype.kind == "f" else t.astype(np.float64)
 
 
-def _pair_product(f, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out = f(a) * f(b) for 1-D arrays of one size, bit for bit, filled a
-    slice of _PAIR_SLICE terms at a time, so f's temporaries stay the
-    size of a slice; out may be a or b."""
-    for lo in range(0, out.size, _PAIR_SLICE):
-        s = slice(lo, lo + _PAIR_SLICE)
-        np.multiply(f(a[s]), f(b[s]), out=out[s])
-
-
 @dataclass(frozen=True)
 class Kernel:
     """A weight function f on the torus, one subclass per family.  Each has
@@ -352,14 +354,10 @@ class Kernel:
 
     def pair(self, t1, t2):
         """The numerator f(t1) * f(t2) of a lattice-sum term, for arrays:
-        eval_many(t1) * eval_many(t2), bit for bit, broadcast to one
-        shape.  One output array is filled a slice of _PAIR_SLICE terms
-        at a time, so the weight's temporaries stay the size of a slice,
-        whatever the size of the input."""
-        t1, t2 = np.broadcast_arrays(_float_array(t1), _float_array(t2))
-        out = np.empty(t1.shape, np.result_type(t1, t2))
-        _pair_product(self.eval_many, t1.reshape(-1), t2.reshape(-1), out.reshape(-1))
-        return out
+        eval_many(t1) * eval_many(t2), broadcast to one shape.  Its
+        temporaries are the size of its arguments; the level sums hand it
+        slices (energy._PAIR_SLICE) or bounded blocks."""
+        return self.eval_many(t1) * self.eval_many(t2)
 
 
 @dataclass(frozen=True)
@@ -438,8 +436,7 @@ class FSigma(Kernel):
     sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", float(self.sigma))
-        _check_exponent(self.sigma)
+        object.__setattr__(self, "sigma", _check_exponent(self.sigma))
 
     @property
     def name(self) -> str:
@@ -528,7 +525,7 @@ def potential_K(sigma: float, p, t):
     non-finite p or t, a (2 pi)**sigma past float64 and a float value
     past it raise ValueError.
     """
-    _check_exponent(sigma)
+    sigma = _check_exponent(sigma)
     _check_coefficient(p)
     if not isinstance(t, numbers.Rational) and not math.isfinite(t):
         raise ValueError(f"argument must be finite, got {t}")
@@ -597,16 +594,16 @@ def dft_coeffs(sigma: float, p: float, N: int) -> np.ndarray:
     """
     if N < 1:
         raise ValueError(f"modulus must be >= 1, got {N}")
-    _check_exponent(sigma)
+    sigma = _check_exponent(sigma)
     _check_coefficient(p)
+    p = _as_float("p", p)
     # first, so that the table's size checks come before N is a float
-    table = _hurwitz_pair_table(sigma, N) if N > 1 else None
+    table = _hurwitz_pair_table(sigma, N)
     scale = (_TWO_PI * N) ** -sigma
     out = np.empty(N, dtype=np.float64)
     out[0] = 1.0 + 2 * p * zeta(sigma) * scale
-    if N > 1:
-        with np.errstate(over="ignore"):
-            out[1:] = p * scale * table[1:]
+    with np.errstate(over="ignore"):
+        out[1:] = p * scale * table[1:]
     return _finite_table(out, sigma, p)
 
 
@@ -623,9 +620,9 @@ def dft_coeffs_even(two_s: int, p: float, N: int) -> np.ndarray:
         raise ValueError(f"(2N)**(2s) * (2s-1)! overflows float64 at 2s={two_s}, N={N}")
     g = cot_derivative_poly(two_s - 1)
     out = np.empty(N, dtype=np.float64)
-    out[0] = float(1 + _bernoulli_coeff(two_s, Fraction(p)) * bernoulli_number(two_s)
+    out[0] = float(1 + _bernoulli_coeff(two_s, p) * bernoulli_number(two_s)
                    / N ** two_s)
-    scale = p / (math.factorial(two_s - 1) * float(2 * N) ** two_s)
+    scale = _as_float("p", p) / (math.factorial(two_s - 1) * float(2 * N) ** two_s)
     for m in range(1, N):
         c = 1.0 / math.tan(math.pi * m / N) if 2 * m != N else 0.0
         out[m] = scale * _horner(g, c)

@@ -12,6 +12,7 @@ import pytest
 
 from fiblat.dedekind import CLOSED_FAMILIES, sigma2_closed, sigma4_closed
 from fiblat.energy import (
+    _PAIR_SLICE,
     _SUM_CHUNK,
     RationalLattice,
     energy,
@@ -318,8 +319,8 @@ def test_wce_is_the_affine_map_of_the_fsigma_level_sum(sigma):
 
 
 def test_wce_peak_memory(monkeypatch):
-    # the engine's tables and work arrays and A a slice of 2**14 terms at
-    # a time: about 4 MiB at F_30 on 2 workers (25 MiB with the whole-N
+    # the engine's tables and work arrays and A on the engine's slices of
+    # 2**14 terms: about 4 MiB at F_30 on 2 workers (25 MiB with the whole-N
     # table, 174 MiB at F_34), all of it freed when the call returns
     _use_workers(monkeypatch, 2)
     wce_e(2.5, 1.0, 13, 8)  # the series coefficients are cached per sigma
@@ -413,7 +414,7 @@ def test_fib_sum_grouped_equals_row_loop(spec, sigma, n_max):
 
 def test_fib_sum_grouped_streams_several_blocks():
     # F_29: ~98k rows in twelve row blocks, depth groups split into several
-    # chunks of at most 2**16 terms
+    # chunks of at most 2**14 terms
     want = sigma2_closed(29) / Fraction(fib(29)) ** 2
     assert fib_sum_grouped(29, 2.0) == pytest.approx(float(want), rel=1e-12)
 
@@ -612,11 +613,12 @@ def test_fib_sum_peak_memory(monkeypatch):
     assert current < 2 ** 16, current
 
 
-@pytest.mark.parametrize("n,workers,cap_mib", [(26, 1, 4), (30, 2, 7)])
+@pytest.mark.parametrize("n,workers,cap_mib", [(26, 1, 3.1), (30, 2, 5.5)])
 def test_fib_sum_fsigma_peak_memory(monkeypatch, n, workers, cap_mib):
-    # the weight is formed a slice of 2**14 terms at a time, so its
-    # temporaries do not grow with the block: 3.2 and 5.8 MiB (6.1 and
-    # 11.2 MiB when each block formed its weight whole)
+    # the engine hands the term a slice of 2**14 terms at a time, so the
+    # weight's temporaries do not grow with the block: 2.75 and 4.8 MiB
+    # (3.2 and 5.8 MiB when Kernel.pair filled a whole-block array, 6.1
+    # and 11.2 MiB when each block formed its weight whole)
     _use_workers(monkeypatch, workers)
     tracemalloc.start()
     try:
@@ -625,6 +627,24 @@ def test_fib_sum_fsigma_peak_memory(monkeypatch, n, workers, cap_mib):
     finally:
         tracemalloc.stop()
     assert peak < cap_mib * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("N", [2, 3, _PAIR_SLICE - 1, _PAIR_SLICE + 1, _SUM_CHUNK - 1,
+                               _SUM_CHUNK + 1, 2 * _SUM_CHUNK + 3])
+def test_pair_sum_hands_its_term_slices_that_cover_each_block_once(N):
+    # the engine computes the terms at m = 1 .. N // 2 (their mirrors are
+    # the same values), in views of at most _PAIR_SLICE terms; a term of
+    # ones then sums to N - 1 only if every term is written
+    seen = []
+
+    def ones(t1, t2):
+        assert t1.base is not None and t2.base is not None  # views of the work arrays
+        assert t1.shape == t2.shape and 1 <= t1.size <= _PAIR_SLICE
+        seen.extend(np.rint(t1 * N).astype(int))  # the indices m of the slice
+        t1[:] = 1.0
+
+    assert energy_module._pair_sum(N, 1, ones) == N - 1
+    assert sorted(seen) == list(range(1, N // 2 + 1))
 
 
 def test_fib_sum_block_that_raises_hands_its_work_arrays_back(monkeypatch):

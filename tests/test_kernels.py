@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fiblat.asymptotics import constant_C_closed, dedekind_zeta
-from fiblat.energy import energy_exact, wce_e
+from fiblat.energy import _PAIR_SLICE, energy_exact, wce_e
 from fiblat.golden import fib
 from fiblat.kernels import (
     KERNEL_GRAMMAR,
@@ -14,7 +14,6 @@ from fiblat.kernels import (
     Kernel,
     One,
     Trig,
-    _PAIR_SLICE,
     _PI_STR,
     _even_exponent,
     _horner,
