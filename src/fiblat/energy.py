@@ -143,7 +143,15 @@ def energy_direct(potential, points) -> float | Fraction:
     The potential is called on torus differences in [0, 1); values are
     cached per distinct argument, and exact inputs stay exact.
     """
-    pot = functools.lru_cache(maxsize=None)(potential)
+    cache: dict = {}
+
+    def pot(t):
+        v = cache.get(t)
+        if v is None:
+            v = potential(t)
+            cache[t] = v
+        return v
+
     total = None
     for x1, x2 in points:
         for y1, y2 in points:
@@ -386,11 +394,11 @@ def _pair_sum(N: int, h: int, term) -> float:
     are taken over whole blocks as below.  Both arguments are reduced
     exactly on the rational grid before the one float division, so the
     term at N - m is bit-equal to the term at m, and each mirror pair is
-    computed once, for m <= N/2.  The
-    residues come from a table built once per call, k and k h mod N for
-    k below one block: a block at lo adds lo and lo h mod N and folds, in
-    float64, where every value is an integer of magnitude below 2 N <
-    2**53 and so exact; no term pays an integer division.  The sum runs
+    computed once, for m <= N/2.  The residues come from a table built
+    once per call, k and k h mod N for k below one block: a block at lo
+    adds lo and lo h mod N and folds, in float64, where every value is
+    an integer of magnitude below 2 N < 2**53 and so exact; no term pays
+    an integer division.  The sum runs
     over a fixed block grid symmetric about N/2: pairs of outer blocks of
     B = _SUM_CHUNK terms, [1 + jB, 1 + (j+1)B) and its mirror (the same
     values reversed), around one middle block of 1 to 2B terms.  Each
@@ -515,6 +523,8 @@ def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
     """
     sigma, kernel = _check_level(n, sigma, kernel)
     fn = fib(n)
+    if fn == 1:
+        return 0.0
     rows = _level_rows(n)  # refuses n >= 44 before F_0..F_n are built
     scale = _level_scale(n, sigma) if normalized else 1.0
     F = np.array([fib(k) for k in range(n + 1)], dtype=np.int64)

@@ -115,11 +115,10 @@ def _even_exponent(sigma) -> int:
 
 
 def _bernoulli_coeff(two_s: int, p) -> Fraction:
-    """c = p (-1)**(s-1) / (2s)! in K_{2s,p}(t) = 1 + c B_{2s}({t}), exact:
-    a float p is taken as its binary value, and a NumPy scalar p as the
-    Python int or float it holds."""
-    if not isinstance(p, Fraction):
-        p = int(p) if isinstance(p, numbers.Integral) else float(p)
+    """c = p (-1)**(s-1) / (2s)! in K_{2s,p}(t) = 1 + c B_{2s}({t}), exact
+    for any p that Fraction takes (a float as its binary value, a Decimal
+    as written); a NumPy scalar p is the Python int or float it holds."""
+    p = p.item() if isinstance(p, np.generic) else p
     return Fraction((-1) ** (two_s // 2 - 1), math.factorial(two_s)) * Fraction(p)
 
 
@@ -598,12 +597,13 @@ def dft_coeffs(sigma: float, p: float, N: int) -> np.ndarray:
     _check_coefficient(p)
     p = _as_float("p", p)
     # first, so that the table's size checks come before N is a float
-    table = _hurwitz_pair_table(sigma, N)
+    table = _hurwitz_pair_table(sigma, N) if N > 1 else None
     scale = (_TWO_PI * N) ** -sigma
     out = np.empty(N, dtype=np.float64)
     out[0] = 1.0 + 2 * p * zeta(sigma) * scale
-    with np.errstate(over="ignore"):
-        out[1:] = p * scale * table[1:]
+    if N > 1:
+        with np.errstate(over="ignore"):
+            out[1:] = p * scale * table[1:]
     return _finite_table(out, sigma, p)
 
 

@@ -3,13 +3,15 @@
 NumPy 2 promotes a Python float combined with an np.float32 to float32
 (NEP 50), so each float entry point takes sigma, and p where it has one,
 as a Python float, and the exact routes take a float p as its binary
-value: a float32 argument that holds the same value gives the same bits
-and types.  Indices and lattice sizes must be integers
-(NumPy ones too); an integral float is refused with ValueError, the same
-in any process, whatever is cached.
+value and a Decimal p as written: a float32 argument that holds the same
+value gives the same bits and types.  Indices and lattice sizes must be
+integers (NumPy ones too); an integral float is refused with ValueError,
+the same in any process, whatever is cached.
 """
 import importlib
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,3 +108,11 @@ def test_numpy_integers_in_the_exact_energy_are_python_ints():
     want = energy_exact(4, 2, 987, 610)
     assert energy_exact(4, np.int64(2), np.int64(987), np.int32(610)) == want
     assert energy_exact(np.int64(4), 2, 987, 610) == want
+
+
+def test_exact_routes_take_a_decimal_p_exactly():
+    # Decimal("0.1") is 1/10, not the double nearest it
+    assert energy_exact(4, Decimal("0.1"), 987, 610) == energy_exact(4, Fraction(1, 10), 987, 610)
+    assert energy_exact(4, Decimal("0.1"), 987, 610) != energy_exact(4, 0.1, 987, 610)
+    want = dft_coeffs_even(4, Fraction(1, 10), 55)
+    assert _same(dft_coeffs_even(4, Decimal("0.1"), 55), want)

@@ -146,6 +146,13 @@ def test_energy_fib_level():
     assert doc["value"] > 0
 
 
+def test_energy_on_the_one_point_level_takes_any_exponent():
+    # F_2 = 1: no pair to scale, so a sigma past the pair routes' range runs
+    r = run("energy", "--fib-level", "2", "--sigma", "1e60")
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.output)["value"] == 1.0
+
+
 def test_energy_explicit_lattice_routes_agree():
     vals = []
     for method in ("direct", "dft", "wce"):

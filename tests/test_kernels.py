@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fiblat.asymptotics import constant_C_closed, dedekind_zeta
-from fiblat.energy import _PAIR_SLICE, energy_exact, wce_e
+from fiblat.energy import _PAIR_SLICE, RationalLattice, energy, energy_exact, wce_e
 from fiblat.golden import fib
 from fiblat.kernels import (
     KERNEL_GRAMMAR,
@@ -426,6 +426,14 @@ def test_pair_table_routes_are_capped():
     with pytest.raises(ValueError, match="cost bound"):
         wce_e(2.0, 1.0, fib(48), fib(47))
     assert _PAIR_TABLE_MAX_N >= 10 ** 6
+
+
+def test_one_point_lattice_needs_no_pair_table():
+    # N = 1 has no pair, so no (2 pi N)**sigma range check and no
+    # Hurwitz series: a sigma far past that range still gives [1.0]
+    assert dft_coeffs(1e60, 1.0, 1).tolist() == [1.0]
+    for method in ("dft", "wce"):
+        assert energy(RationalLattice(1, 0), 1e60, 1.0, method).value == 1.0
 
 
 def test_pair_table_routes_refuse_float64_overflow():
