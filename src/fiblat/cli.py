@@ -5,8 +5,14 @@ printed with %.17g so a round trip through text preserves the double,
 and exact rationals are printed as ``numerator/denominator``; exact
 integers and rationals print in full at any length (Python's int-to-str
 digit cap is lifted while output is formed).  JSON documents carry a
-``schema_version`` field.  Exit status: 0 on success, 1 when a
-verification suite fails, 2 on usage errors.
+``schema_version`` field.  Two writers form every output: _echo_doc for
+a one-row document and _echo_table for a table.  Exit status: 0 on
+success, 1 when a verification suite fails, 2 on usage errors.
+
+Every command refuses on one path: a ValueError from the library is a
+usage error (_Command), printed with the command's usage line and one
+``Error:`` line.  Integer options with a floor are ``click.IntRange``
+types, so ``--help`` shows the floor as ``x>=N``.
 
 Options take their values from the command line only.  The D row
 sweep and the level sums at n >= 27 run on one worker per CPU in the
@@ -67,35 +73,47 @@ def _frac(q) -> str:
 
 def _echo_json(doc) -> None:
     with _all_digits():
-        click.echo(json.dumps(doc, indent=2))
+        click.echo(json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2))
 
 
 def _echo_csv(header, rows) -> None:
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
     with _all_digits():
-        w.writerow(header)
-        w.writerows(rows)
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     click.echo(buf.getvalue(), nl=False)
 
 
-def _echo_doc(doc, fmt: str) -> None:
-    """doc as JSON, or as a one-row CSV of the keys after schema_version."""
+def _echo_doc(fmt: str, doc, head=None) -> None:
+    """{schema_version, **head, **doc} as JSON, or doc as a one-row CSV
+    under its keys."""
     if fmt == "json":
-        _echo_json(doc)
+        _echo_json({**(head or {}), **doc})
     else:
-        keys = list(doc)[1:]
-        _echo_csv(keys, [[_f(doc[k]) if isinstance(doc[k], float) else doc[k]
-                          for k in keys]])
+        _echo_csv(list(doc), [[_f(v) if isinstance(v, float) else v
+                               for v in doc.values()]])
 
 
-def _at_least(minimum: int):
-    def cb(ctx, param, value):
-        if value is not None and value < minimum:
-            raise click.BadParameter(f"must be >= {minimum}, got {value}")
-        return value
+def _cells(row: dict) -> list:
+    """A table row's CSV cells: floats in %.17g, booleans in lower case,
+    a list spread over cells of its own."""
+    out = []
+    for v in row.values():
+        if isinstance(v, list):
+            out += v
+        else:
+            out.append(_f(v) if isinstance(v, float)
+                       else str(v).lower() if isinstance(v, bool) else v)
+    return out
 
-    return cb
+
+def _echo_table(fmt: str, head: dict, rows: list, header=None, key="rows") -> None:
+    """rows, dicts with the same keys, as JSON {schema_version, **head, key:
+    rows}, or as CSV: header (by default the rows' keys), then the cells
+    of each row."""
+    if fmt == "json":
+        _echo_json({**head, key: rows})
+    else:
+        _echo_csv(header or list(rows[0]), [_cells(r) for r in rows])
 
 
 def _format_option(default: str):
@@ -105,20 +123,24 @@ def _format_option(default: str):
     )
 
 
-def _kernel_arg(spec: str, sigma: float):
-    try:
-        return parse_kernel(spec, sigma=sigma)
-    except ValueError as exc:
-        msg = str(exc)
-        if "grammar" not in msg:
-            msg = f"{msg} (kernel grammar: {KERNEL_GRAMMAR})"
-        raise click.UsageError(msg) from exc
+class _Command(click.Command):
+    """A command whose library ValueError is a usage error: exit 2, with
+    the usage line and one Error: line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
 
 
 @click.group()
 def main():
     """Fibonacci lattice energies, golden-ratio combinatorics and the
     closed forms behind them."""
+
+
+main.command_class = _Command
 
 
 # the most digits a wythoff table or a closed-form level range may print,
@@ -165,10 +187,10 @@ def _closed_digits(family: str, n_min: int, n_max: int) -> float:
 
 
 @main.command("wythoff")
-@click.option("--rows", type=int, default=8, show_default=True,
-              callback=_at_least(1), help="number of rows to print")
-@click.option("--cols", type=int, default=6, show_default=True,
-              callback=_at_least(1), help="entries per row")
+@click.option("--rows", type=click.IntRange(min=1), default=8, show_default=True,
+              help="number of rows to print")
+@click.option("--cols", type=click.IntRange(min=1), default=6, show_default=True,
+              help="entries per row")
 @click.option("--dual", is_flag=True,
               help="dual array; row i starts at slot mu_i + 1")
 @_format_option("csv")
@@ -180,31 +202,15 @@ def cmd_wythoff(rows, cols, dual, fmt):
     # is refused before the estimate takes floats of rows and cols
     if rows * cols > _DIGIT_BUDGET or _table_digits(rows, cols) > _DIGIT_BUDGET:
         raise _past_budget(f"a {rows} x {cols} table", "ask for fewer rows or columns")
-    if dual:
-        out = []
-        for i in range(1, rows + 1):
-            r = row(i)
-            out.append((i, r.mu, [r.dual(r.mu + j) for j in range(1, cols + 1)]))
-        if fmt == "json":
-            _echo_json({
-                "schema_version": SCHEMA_VERSION,
-                "table": "dual",
-                "rows": [{"i": i, "mu": mu, "entries": e} for i, mu, e in out],
-            })
-        else:
-            header = ["i", "mu"] + [f"Wd{j}" for j in range(1, cols + 1)]
-            _echo_csv(header, [[i, mu, *e] for i, mu, e in out])
-        return
-    out = [(i, row(i).eta, wythoff_row_entries(i, cols)) for i in range(1, rows + 1)]
-    if fmt == "json":
-        _echo_json({
-            "schema_version": SCHEMA_VERSION,
-            "table": "primal",
-            "rows": [{"i": i, "eta": eta, "entries": e} for i, eta, e in out],
-        })
-    else:
-        header = ["i", "eta"] + [f"W{j}" for j in range(1, cols + 1)]
-        _echo_csv(header, [[i, eta, *e] for i, eta, e in out])
+    invariant, prefix = ("mu", "Wd") if dual else ("eta", "W")
+    out = []
+    for i in range(1, rows + 1):
+        r = row(i)
+        entries = ([r.dual(r.mu + j) for j in range(1, cols + 1)] if dual
+                   else wythoff_row_entries(i, cols))
+        out.append({"i": i, invariant: getattr(r, invariant), "entries": entries})
+    _echo_table(fmt, {"table": "dual" if dual else "primal"}, out,
+                ["i", invariant, *(f"{prefix}{j}" for j in range(1, cols + 1))])
 
 
 @main.command("sum")
@@ -218,27 +224,23 @@ def cmd_wythoff(rows, cols, dual, fmt):
 @_format_option("json")
 def cmd_sum(level, sigma, kernel_spec, method, raw, fmt):
     """The level-n lattice sum for one weight and exponent."""
-    kernel = _kernel_arg(kernel_spec, sigma)
+    kernel = parse_kernel(kernel_spec, sigma=sigma)
     normalized = not raw
-    try:
-        if method == "flat":
-            value = fib_sum(level, sigma, kernel, normalized=normalized)
-        else:
-            value = fib_sum_grouped(level, sigma, kernel, normalized=normalized)
-        modulus = fib(level)
-        cross = None
-        if modulus <= 50000:
-            other = (fib_sum_grouped if method == "flat" else fib_sum)(
-                level, sigma, kernel, normalized=normalized
-            )
-            cross = abs(value - other)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    if method == "flat":
+        value = fib_sum(level, sigma, kernel, normalized=normalized)
+    else:
+        value = fib_sum_grouped(level, sigma, kernel, normalized=normalized)
+    modulus = fib(level)
+    cross = None
+    if modulus <= 50000:
+        other = (fib_sum_grouped if method == "flat" else fib_sum)(
+            level, sigma, kernel, normalized=normalized
+        )
+        cross = abs(value - other)
     terms = max(modulus - 1, 0)
     # pairwise reduction loses at most ~eps per doubling level
     roundoff = _EPS * max(1, math.ceil(math.log2(max(terms, 2)))) * abs(value)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "level": level,
         "modulus": modulus,
         "sigma": sigma,
@@ -250,7 +252,7 @@ def cmd_sum(level, sigma, kernel_spec, method, raw, fmt):
         "cross_check_diff": cross,
         "roundoff_scale": roundoff,
     }
-    _echo_doc(doc, fmt)
+    _echo_doc(fmt, doc)
 
 
 @main.command("energy")
@@ -268,18 +270,14 @@ def cmd_energy(points, gen, fib_level, sigma, p, method, fmt):
     """Pair energy of a rational lattice under the product potential."""
     if fib_level is not None and (points is not None or gen is not None):
         raise click.UsageError("--fib-level conflicts with --points/--gen")
-    try:
-        if fib_level is not None:
-            lat = RationalLattice.fibonacci(fib_level)
-        elif points is not None and gen is not None:
-            lat = RationalLattice(points, gen)
-        else:
-            raise click.UsageError("need --points and --gen, or --fib-level")
-        rep = energy(lat, sigma, p, method)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    if fib_level is not None:
+        lat = RationalLattice.fibonacci(fib_level)
+    elif points is not None and gen is not None:
+        lat = RationalLattice(points, gen)
+    else:
+        raise click.UsageError("need --points and --gen, or --fib-level")
+    rep = energy(lat, sigma, p, method)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "N": rep.N,
         "h": rep.h,
         "sigma": rep.sigma,
@@ -287,29 +285,25 @@ def cmd_energy(points, gen, fib_level, sigma, p, method, fmt):
         "method": rep.method,
         "value": rep.value,
     }
-    _echo_doc(doc, fmt)
+    _echo_doc(fmt, doc)
 
 
 @main.command("constants")
 @click.option("--sigma", type=float, required=True, help="exponent, > 1")
 @click.option("--kernel", "kernel_spec", default="one", show_default=True,
               help=f"weight: {KERNEL_GRAMMAR}")
-@click.option("--i-max", type=int, default=100000, show_default=True,
-              callback=_at_least(8), help="rows kept in both series")
-@click.option("--k-max", type=int, default=64, show_default=True,
-              callback=_at_least(2), help="inner terms per row")
+@click.option("--i-max", type=click.IntRange(min=8), default=100000, show_default=True,
+              help="rows kept in both series")
+@click.option("--k-max", type=click.IntRange(min=2), default=64, show_default=True,
+              help="inner terms per row")
 @_format_option("json")
 def cmd_constants(sigma, kernel_spec, i_max, k_max, fmt):
     """Slope and intercept of the large-level growth law, with the tail
     and rounding bounds produced alongside them."""
-    kernel = _kernel_arg(kernel_spec, sigma)
-    try:
-        c = constant_C(sigma, kernel, i_max)
-        d = constant_D(sigma, kernel, i_max, k_max)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    kernel = parse_kernel(kernel_spec, sigma=sigma)
+    c = constant_C(sigma, kernel, i_max)
+    d = constant_D(sigma, kernel, i_max, k_max)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "sigma": sigma,
         "kernel": kernel.name,
         "i_max": i_max,
@@ -329,16 +323,14 @@ def cmd_constants(sigma, kernel_spec, i_max, k_max, fmt):
             closed = constant_C_closed(sigma, sum(kernel.trig_coeffs))
             doc["c_closed"] = closed.value
             doc["c_closed_coefficient"] = _frac(closed.coefficient)
-    _echo_doc(doc, fmt)
+    _echo_doc(fmt, doc)
 
 
 @main.command("closed")
 @click.option("--family", type=click.Choice([*CLOSED_FAMILIES, "c"]), required=True,
               help="which closed form")
-@click.option("--n-min", type=int, default=3, show_default=True,
-              callback=_at_least(2))
-@click.option("--n-max", type=int, default=20, show_default=True,
-              callback=_at_least(2))
+@click.option("--n-min", type=click.IntRange(min=2), default=3, show_default=True)
+@click.option("--n-max", type=click.IntRange(min=2), default=20, show_default=True)
 @click.option("--sigma", type=int, default=None,
               help="even exponent (family c only)")
 @_format_option("csv")
@@ -349,21 +341,9 @@ def cmd_closed(family, n_min, n_max, sigma, fmt):
     if family == "c":
         if sigma is None:
             raise click.UsageError("family c needs --sigma")
-        try:
-            closed = constant_C_closed(sigma)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
-        if fmt == "json":
-            _echo_json({
-                "schema_version": SCHEMA_VERSION,
-                "family": "c",
-                "sigma": sigma,
-                "coefficient": _frac(closed.coefficient),
-                "value": closed.value,
-            })
-        else:
-            _echo_csv(["sigma", "coefficient", "value"],
-                      [[sigma, _frac(closed.coefficient), _f(closed.value)]])
+        closed = constant_C_closed(sigma)
+        _echo_doc(fmt, {"sigma": sigma, "coefficient": _frac(closed.coefficient),
+                        "value": closed.value}, {"family": "c"})
         return
     if sigma is not None:
         raise click.UsageError(f"--sigma is for family c only, not {family}")
@@ -375,26 +355,17 @@ def cmd_closed(family, n_min, n_max, sigma, fmt):
             or _closed_digits(family, n_min, n_max) > _DIGIT_BUDGET):
         raise _past_budget(f"the level range {n_min}..{n_max} of {family}",
                            "ask for fewer or lower levels")
-    try:
-        table = [(n, CLOSED_FAMILIES[family].value(n)) for n in range(n_min, n_max + 1)]
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    if fmt == "json":
-        _echo_json({
-            "schema_version": SCHEMA_VERSION,
-            "family": family,
-            "rows": [{"n": n, "value": _frac(q)} for n, q in table],
-        })
-    else:
-        _echo_csv(["n", "value"], [[n, _frac(q)] for n, q in table])
+    fam = CLOSED_FAMILIES[family]
+    _echo_table(fmt, {"family": family},
+                [{"n": n, "value": _frac(fam.value(n))} for n in range(n_min, n_max + 1)])
 
 
 @main.command("verify")
 @click.option("--suite", "suites", multiple=True, type=click.Choice(SUITE_NAMES),
               help="suite to run (repeatable; default: all)")
-@click.option("--limit", type=int, default=None, callback=_at_least(1),
+@click.option("--limit", type=click.IntRange(min=1), default=None,
               help="override every selected suite's sweep size (the dual "
-                   "suite's modular pairing checks levels 5..26 at any limit); "
+                   "suite's modular pairing checks levels 5..min(26, limit)); "
                    "capped at " + ", ".join(f"{n} {c}" for n, c in LIMIT_CAPS.items()))
 @_format_option("json")
 @click.pass_context
@@ -404,26 +375,13 @@ def cmd_verify(ctx, suites, limit, fmt):
     A --limit above a selected suite's cap (ten times its default, listed
     under --limit) is refused before any suite runs."""
     names = list(suites) if suites else list(SUITE_NAMES)
-    try:
-        check_limits(names, limit)
-        results = [run_suite(n, limit) for n in names]
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    check_limits(names, limit)
+    results = [run_suite(n, limit) for n in names]
     ok = all(r.passed for r in results)
-    if fmt == "json":
-        _echo_json({
-            "schema_version": SCHEMA_VERSION,
-            "passed": ok,
-            "suites": [
-                {**dataclasses.asdict(r), "seconds": round(r.seconds, 3)} for r in results
-            ],
-        })
-    else:
-        _echo_csv(
-            ["suite", "passed", "checks", "limit", "seconds", "counterexample"],
-            [[r.suite, str(r.passed).lower(), r.checks, r.limit,
-              f"{r.seconds:.3f}", r.counterexample or ""] for r in results],
-        )
+    _echo_table(fmt, {"passed": ok}, [
+        {**dataclasses.asdict(r),
+         "seconds": round(r.seconds, 3) if fmt == "json" else f"{r.seconds:.3f}"}
+        for r in results], key="suites")
     if not ok:
         ctx.exit(1)
 
@@ -434,10 +392,8 @@ def cmd_verify(ctx, suites, limit, fmt):
               help=f"weight: {KERNEL_GRAMMAR}")
 @click.option("--n-min", type=int, default=10, show_default=True)
 @click.option("--n-max", type=int, default=25, show_default=True)
-@click.option("--i-max", type=int, default=100000, show_default=True,
-              callback=_at_least(8))
-@click.option("--k-max", type=int, default=64, show_default=True,
-              callback=_at_least(2))
+@click.option("--i-max", type=click.IntRange(min=8), default=100000, show_default=True)
+@click.option("--k-max", type=click.IntRange(min=2), default=64, show_default=True)
 @click.option("--c", "c_override", type=float, default=None,
               help="slope to subtract (default: computed)")
 @click.option("--d", "d_override", type=float, default=None,
@@ -447,29 +403,12 @@ def cmd_fit(sigma, kernel_spec, n_min, n_max, i_max, k_max, c_override,
             d_override, fmt):
     """Level sums against the fitted growth line; the last column is the
     residual rescaled by the claimed decay rate."""
-    kernel = _kernel_arg(kernel_spec, sigma)
-    try:
-        table = residual_fit(sigma, kernel, n_min, n_max, c=c_override,
-                             d=d_override, i_max=i_max, k_max=k_max)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    if fmt == "json":
-        _echo_json({
-            "schema_version": SCHEMA_VERSION,
-            "sigma": sigma,
-            "kernel": kernel.name,
-            "rows": [
-                {"n": r.n, "sum": r.total, "asymptote": r.asymptote,
-                 "residual": r.residual, "scaled_residual": r.scaled_residual}
-                for r in table
-            ],
-        })
-    else:
-        _echo_csv(
-            ["n", "sum", "asymptote", "residual", "scaled_residual"],
-            [[r.n, _f(r.total), _f(r.asymptote), _f(r.residual),
-              _f(r.scaled_residual)] for r in table],
-        )
+    kernel = parse_kernel(kernel_spec, sigma=sigma)
+    table = residual_fit(sigma, kernel, n_min, n_max, c=c_override,
+                         d=d_override, i_max=i_max, k_max=k_max)
+    _echo_table(fmt, {"sigma": sigma, "kernel": kernel.name}, [
+        {"n": r.n, "sum": r.total, "asymptote": r.asymptote, "residual": r.residual,
+         "scaled_residual": r.scaled_residual} for r in table])
 
 
 if __name__ == "__main__":

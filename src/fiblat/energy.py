@@ -522,10 +522,10 @@ def fib_sum_grouped(n: int, sigma: float, kernel: Kernel | None = None,
     sums whose F_n**sigma (when normalized) or total leaves float64.
     """
     sigma, kernel = _check_level(n, sigma, kernel)
+    rows = _level_rows(n)  # refuses n >= 44 before F_n is formed
     fn = fib(n)
     if fn == 1:
         return 0.0
-    rows = _level_rows(n)  # refuses n >= 44 before F_0..F_n are built
     scale = _level_scale(n, sigma) if normalized else 1.0
     F = np.array([fib(k) for k in range(n + 1)], dtype=np.int64)
     total = 0.0

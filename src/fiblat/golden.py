@@ -92,14 +92,23 @@ class GoldenInt:
         return f"GoldenInt({self.a}, {self.b})"
 
 
+# F_n has about 0.209 n digits: F at 2**26 (14 million digits) takes
+# about 45 s, and a larger index only longer, so it is refused; every
+# value the CLI prints within its 10**7-digit budget stays below it
+_INDEX_MAX = 2 ** 26
+
+
 @functools.lru_cache(maxsize=1024)
 def _fib_doubling(n: int) -> tuple[int, int]:
     """(F_n, F_{n+1}) by binary doubling, memoized: the sweeps ask for the
-    same few indices hundreds of thousands of times.
+    same few indices hundreds of thousands of times.  ValueError for an
+    index of _INDEX_MAX or more, checked on a cache miss.
 
     F_{2k}   = F_k * (2*F_{k+1} - F_k)
     F_{2k+1} = F_k**2 + F_{k+1}**2
     """
+    if n >= _INDEX_MAX:
+        raise ValueError(f"index must be below 2**26, got {n}")
     if n == 0:
         return 0, 1
     f, f1 = _fib_doubling(n >> 1)
@@ -119,14 +128,14 @@ def _index(n) -> int:
 
 
 def fib(n: int) -> int:
-    """F_n with F_0 = 0, F_1 = 1.  Requires an integer n >= 0."""
+    """F_n with F_0 = 0, F_1 = 1.  Requires an integer 0 <= n < 2**26."""
     if type(n) is not int or n < 0:  # an int n >= 0, the hot case, skips the call
         n = _index(n)
     return _fib_doubling(n)[0]
 
 
 def lucas(n: int) -> int:
-    """L_n with L_0 = 2, L_1 = 1.  Requires an integer n >= 0."""
+    """L_n with L_0 = 2, L_1 = 1.  Requires an integer 0 <= n < 2**26."""
     fn, fn1 = _fib_doubling(_index(n))
     return 2 * fn1 - fn
 
@@ -143,7 +152,7 @@ def floor_phi_times(i: int) -> int:
 
 
 def phi_power(n: int) -> GoldenInt:
-    """phi**n as an element of Z[phi], any integer n.
+    """phi**n as an element of Z[phi], any integer |n| < 2**26.
 
     phi**n = F_{n-1} + F_n * phi; for n < 0 this uses
     F_{-m} = (-1)**(m+1) * F_m.

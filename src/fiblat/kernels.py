@@ -191,7 +191,9 @@ def _pair_coeffs(sigma: float) -> tuple[float, ...]:
     for j in itertools.count():
         s = sigma + 2 * j
         out.append(2.0 * binom * (2.0 ** -s if s > 100 else mpmath.fp.zeta(s, 2)))
-        if j > 2 and out[-1] * 2.0 ** (63 - s) < 1.0:
+        # not >=, so that a NaN (an inf binomial times a zero zeta, from
+        # sigma ~ 1.5e51) stops the loop too
+        if j > 2 and not out[-1] * 2.0 ** (63 - s) >= 1.0:
             return tuple(out)
         binom *= s * (s + 1) / ((2 * j + 1) * (2 * j + 2))
 
@@ -484,9 +486,18 @@ def parse_kernel(spec: str, *, sigma: float | None = None) -> Kernel:
     """Parse a kernel name: one, fsigma, trig:a0,a1,..., bern:<2s>.
 
     fsigma requires the caller's sigma; trig coefficients are integers
-    giving sum a_j cos(pi t)**(2j).
+    giving sum a_j cos(pi t)**(2j).  Every refusal is a ValueError that
+    names the grammar (KERNEL_GRAMMAR).
     """
-    spec = spec.strip()
+    try:
+        return _parse_kernel(spec.strip(), sigma)
+    except ValueError as exc:
+        if "grammar" in str(exc):
+            raise
+        raise ValueError(f"{exc} (kernel grammar: {KERNEL_GRAMMAR})") from exc
+
+
+def _parse_kernel(spec: str, sigma: float | None) -> Kernel:
     if spec == "one":
         return kernel_one()
     if spec == "fsigma":

@@ -12,7 +12,7 @@ Suites:
                  index vs half-Fibonacci cutoff; exact half witnesses
     dual         dual array bracketing by Fibonacci numbers; signed
                  two-term form vs closed form; modular pairing with the
-                 primal array (levels 5..26, whatever the limit)
+                 primal array (levels 5..min(26, limit))
     floor        golden-ratio floor identities on an integer range
     ineq         golden-ratio floor inequalities (exact, denominators
                  cleared) and sine/power calculus bounds on grids
@@ -217,8 +217,8 @@ def _suite_dual(run: _Run, limit: int) -> None:
 
     # Modular pairing: multiplying a primal entry by F_{n-1} mod F_n
     # gives the dual entry up to reflection (the residue or its
-    # complement; both sit under the same sine).
-    for n in range(5, 27):
+    # complement; both sit under the same sine), at levels 5..min(26, limit).
+    for n in range(5, min(26, limit) + 1):
         for i, L, depth in _level_rows(n):
             _check_pairing(run, n, fib(n - 1), i, L, depth)
 

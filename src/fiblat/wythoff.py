@@ -192,18 +192,18 @@ def _level_rows(n: int):
     equal depth in it are contiguous, and the scan stops at the first
     row past the cut.  Levels whose bound leaves the exact row columns
     (floor(phi*i) < 2**27, so n >= 44) raise ValueError at the call,
-    before the first block.
+    before F_n is formed.
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
-    # floor(x / phi**2) = 2x - floor(phi*x) - 1 for integers x >= 1
-    x = fib(n) + 4
-    i_bound = (2 * x - floor_phi_times(x) - 1) // 2
-    if i_bound >= 1 and floor_phi_times(i_bound) >= 1 << 27:
+    if n >= 44:
         raise ValueError(
             f"level must be < 44 (its rows pass the exact row "
             f"columns, floor(phi*i) < 2**27), got {n}"
         )
+    # floor(x / phi**2) = 2x - floor(phi*x) - 1 for integers x >= 1
+    x = fib(n) + 4
+    i_bound = (2 * x - floor_phi_times(x) - 1) // 2
 
     def runs():
         for _, i, L in _row_blocks(i_bound):

@@ -10,9 +10,12 @@ from click.testing import CliRunner
 import fiblat.cli as cli
 from fiblat.asymptotics import constant_C_closed
 from fiblat.cli import main
-from fiblat.dedekind import CLOSED_FAMILIES
+from fiblat import verify
+from fiblat.asymptotics import residual_fit
+from fiblat.dedekind import CLOSED_FAMILIES, ClosedFamily
 from fiblat.golden import fib
-from fiblat.verify import SuiteResult
+from fiblat.kernels import parse_kernel
+from fiblat.verify import SuiteResult, run_suite
 from fiblat.wythoff import wythoff_row_entries
 
 PRIMAL_TABLE = (
@@ -359,6 +362,65 @@ def test_closed_table_family_rejects_sigma():
         assert "--sigma" in r.output and family in r.output, r.output
 
 
+def _errors(output):
+    return [line for line in output.splitlines() if line.startswith("Error:")]
+
+
+@pytest.mark.parametrize("cmd,option,floor", [
+    ("wythoff", "--rows", 1), ("wythoff", "--cols", 1), ("closed", "--n-min", 2),
+    ("closed", "--n-max", 2), ("verify", "--limit", 1), ("constants", "--i-max", 8),
+    ("constants", "--k-max", 2), ("fit", "--i-max", 8), ("fit", "--k-max", 2)])
+def test_option_floors_are_usage_errors_shown_in_help(cmd, option, floor):
+    args = {"closed": ["--family", "s22"], "constants": ["--sigma", "2"],
+            "fit": ["--sigma", "2"]}.get(cmd, [])
+    r = run(cmd, *args, option, str(floor - 1))
+    assert r.exit_code == 2
+    assert _errors(r.output) == [
+        f"Error: Invalid value for '{option}': {floor - 1} is not in the range x>={floor}."]
+    help_text = " ".join(run(cmd, "--help").output.split())
+    assert f"{option} INTEGER RANGE" in help_text and f"x>={floor}" in help_text, help_text
+
+
+def test_closed_empty_level_range_is_usage_error():
+    r = run("closed", "--family", "sigma2", "--n-min", "5", "--n-max", "4")
+    assert r.exit_code == 2
+    assert _errors(r.output) == ["Error: empty level range 5..4"], r.output
+    assert not r.stdout
+
+
+class _RefusesPastFour(ClosedFamily):
+    def value(self, n):
+        if n > 4:
+            raise ValueError(f"level {n} is refused")
+        return super().value(n)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_family_refusing_a_level_prints_no_partial_table(monkeypatch, fmt):
+    fam = CLOSED_FAMILIES["sigma2"]
+    monkeypatch.setitem(CLOSED_FAMILIES, "sigma2", _RefusesPastFour(
+        fam.rows, fam.const, fam.den, fam.sigma, fam.weight))
+    r = run("closed", "--family", "sigma2", "--n-min", "3", "--n-max", "6", "--format", fmt)
+    assert r.exit_code == 2
+    assert _errors(r.output) == ["Error: level 5 is refused"], r.output
+    assert not r.stdout
+
+
+def test_fit_json_is_the_csv_table_as_a_document():
+    args = ("fit", "--sigma", "2.5", "--n-min", "5", "--n-max", "8", "--i-max", "2000",
+            "--k-max", "16")
+    r = run(*args, "--format", "json")
+    assert r.exit_code == 0, r.output
+    table = residual_fit(2.5, parse_kernel("one", sigma=2.5), 5, 8, i_max=2000, k_max=16)
+    rows = [{"n": t.n, "sum": t.total, "asymptote": t.asymptote, "residual": t.residual,
+             "scaled_residual": t.scaled_residual} for t in table]
+    doc = {"schema_version": 1, "sigma": 2.5, "kernel": "one", "rows": rows}
+    assert r.output == json.dumps(doc, indent=2) + "\n"
+    csv_rows = run(*args).output.splitlines()[1:]
+    assert [[float(x) for x in line.split(",")] for line in csv_rows] == [
+        list(row.values()) for row in rows]
+
+
 def test_fit_csv_shape():
     r = run("fit", "--sigma", "2", "--n-min", "10", "--n-max", "14")
     lines = r.output.splitlines()
@@ -396,6 +458,29 @@ def test_verify_failure_sets_exit_code(monkeypatch):
     r = run("verify", "--suite", "floor")
     assert r.exit_code == 1
     assert json.loads(r.output)["passed"] is False
+
+
+def test_a_failing_suite_reports_its_counterexample(monkeypatch):
+    def floor_fails_third(run, limit):
+        run.ok(True, "unused")
+        run.ok(limit == 7, "unused")
+        run.ok(False, "floor fails at %d of %d", 3, limit)
+
+    monkeypatch.setitem(verify._SUITES, "floor", (floor_fails_third, 10000))
+    res = run_suite("floor", 7)
+    assert (res.suite, res.passed, res.checks, res.limit) == ("floor", False, 3, 7)
+    assert res.counterexample == "floor fails at 3 of 7"
+    for fmt in ("csv", "json"):
+        r = run("verify", "--suite", "floor", "--limit", "7", "--format", fmt)
+        assert r.exit_code == 1, r.output
+        if fmt == "json":
+            doc = json.loads(r.output)
+            assert doc["passed"] is False
+            assert doc["suites"][0]["counterexample"] == "floor fails at 3 of 7"
+        else:
+            header, line = r.output.splitlines()
+            assert header == "suite,passed,checks,limit,seconds,counterexample"
+            assert re.fullmatch(r"floor,false,3,7,\d+\.\d{3},floor fails at 3 of 7", line), line
 
 
 def test_unknown_kernel_reports_grammar():

@@ -447,8 +447,9 @@ def test_fib_sum_rejects_bad_arguments():
         with pytest.raises(ValueError):
             fib_sum_grouped(8, sigma)
     # rows of level 44 pass floor(phi*i) < 2**27, the exact row columns
-    with pytest.raises(ValueError, match="level must be < 44"):
-        fib_sum_grouped(44, 2.0)
+    for n in (44, 10 ** 400):
+        with pytest.raises(ValueError, match="level must be < 44"):
+            fib_sum_grouped(n, 2.0)
 
 
 def test_fib_sum_streams_several_blocks():

@@ -113,6 +113,14 @@ def test_fibonacci_and_lucas_values():
     assert fib(250) == fib(125) * (2 * fib(126) - fib(125))
 
 
+def test_an_index_past_two_to_the_26_is_refused():
+    # F at 2**26 has 14 million digits; 10**400 once ran out of stack
+    for f, n in ((fib, 2 ** 26), (fib, 10 ** 400), (lucas, 10 ** 400),
+                 (phi_power, 10 ** 400), (phi_power, -10 ** 400), (phi_power, 2 ** 26 + 1)):
+        with pytest.raises(ValueError, match="below 2"):
+            f(n)
+
+
 def test_fib_pair_and_phi_power_binet():
     for n in range(0, 30):
         fn, fn1 = _fib_doubling(n)

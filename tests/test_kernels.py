@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -434,6 +437,15 @@ def test_one_point_lattice_needs_no_pair_table():
     assert dft_coeffs(1e60, 1.0, 1).tolist() == [1.0]
     for method in ("dft", "wce"):
         assert energy(RationalLattice(1, 0), 1e60, 1.0, method).value == 1.0
+
+
+def test_pair_coeffs_return_where_the_binomial_leaves_float64():
+    # from sigma ~ 1.5e51 a coefficient is inf * 0 = nan; the loop must stop
+    # on it.  A child process, killed after 10 s, so that a loop that never
+    # stops (its list grows by about 40 MB a second) fails here instead
+    subprocess.run([sys.executable, "-c", "from fiblat.kernels import _pair_coeffs; "
+                    "_pair_coeffs(1e60)"], check=True, timeout=10,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
 def test_pair_table_routes_refuse_float64_overflow():

@@ -208,6 +208,9 @@ def _check_output(args, result):
 @example(["closed", "--family", "c", "--sigma", str(10 ** 400)])
 @example(["sum", "--method", "grouped", "--level", str(10 ** 4), "--raw", "--sigma", "2"])
 @example(["energy", "--fib-level", str(10 ** 4), "--sigma", "171", "--method", "wce"])
+# an index past the golden layer's 2**26 once ran out of stack
+@example(["sum", "--method", "grouped", "--level", str(10 ** 400), "--sigma", "2"])
+@example(["energy", "--fib-level", str(10 ** 400), "--sigma", "2"])
 # past every suite's cap: refused before any suite runs, or ignored (dft)
 @example(["verify", "--limit", str(10 ** 9)])
 @example(["verify", "--suite", "dft", "--suite", "closedform", "--limit", str(10 ** 9)])
@@ -317,6 +320,11 @@ def _call(name, args):
 @example(("potential_K", (1000.0, 1000.0, 1000.0)))
 @example(("approximation_errors", (5, 29, 5, 6.0, "bern:170")))
 @example(("fib_sum_grouped", (9, 1e-180, "bern:170", False)))
+@example(("fib_sum_grouped", (10 ** 400, 2.0, "one", True)))
+@example(("fib", (10 ** 400,)))
+@example(("lucas", (10 ** 400,)))
+@example(("phi_power", (10 ** 400,)))
+@example(("phi_power", (-10 ** 400,)))
 def test_every_numeric_function_returns_finite_values_or_refuses(case):
     name, args = case
     with warnings.catch_warnings():

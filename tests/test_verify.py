@@ -69,6 +69,18 @@ def test_limit_cap_runs_and_one_more_is_refused_before_any_check(monkeypatch, na
     assert ran == [cap]
 
 
+def test_dual_pairing_sweeps_levels_up_to_the_limit(monkeypatch):
+    # levels 5..min(26, limit): none at limit 1, all of them at the default 500
+    assert run_suite("dual").checks == 204995
+    assert run_suite("dual", 1).checks < 1000
+    levels = []
+    monkeypatch.setattr(verify, "_check_pairing", lambda run, n, *args: levels.append(n))
+    for limit in (1, 7, 26, 500):
+        levels.clear()
+        run_suite("dual", limit)
+        assert sorted(set(levels)) == list(range(5, min(26, limit) + 1)), limit
+
+
 def test_uncapped_suites_take_any_limit():
     # dft reads no more than F_9 = 34 of its limit
     assert run_suite("dft", 10 ** 9).checks == run_suite("dft").checks

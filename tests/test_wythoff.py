@@ -145,9 +145,12 @@ def test_level_rows_are_capped_at_the_int64_columns():
     # level 43 needs rows up to i ~ 8.3e7, still inside floor(phi*i) < 2**27
     i, L, depth = next(_level_rows(43))
     assert (i[0], L[0], depth) == (1, 1, 40)
-    for n in (44, 60):
+    for n in (44, 60, 10 ** 400):
         with pytest.raises(ValueError, match="level must be < 44"):
             rows_below_half_fib(n)
+    # 44 is the first level whose row bound (F_n + 4) / (2 phi**2) passes the columns
+    bound = [(2 * (fib(n) + 4) - floor_phi_times(fib(n) + 4) - 1) // 2 for n in (43, 44)]
+    assert floor_phi_times(bound[0]) < 2 ** 27 <= floor_phi_times(bound[1])
 
 
 def test_half_fib_witnesses():
