@@ -48,7 +48,7 @@ from mpmath import libmp
 
 from .dedekind import CLOSED_FAMILIES
 from .energy import _sweep_map, _workers, fib_sum
-from .golden import _to_mpf, fib, phi_power
+from .golden import _shown, _to_mpf, fib, phi_power
 from .kernels import (
     _PI_STR,
     Kernel,
@@ -61,7 +61,7 @@ from .kernels import (
     kernel_one,
     parse_kernel,
 )
-from .wythoff import WythoffRow, _eta_column, row, row_table
+from .wythoff import WythoffRow, _check_table_size, _eta_column, row, row_table
 
 __all__ = [
     "PHI",
@@ -267,11 +267,13 @@ def constant_C(sigma: float, kernel: Kernel | None = None,
     large sigma that tail sits far below double precision, so the sum
     is formed at a precision prec matched to the tail (_eta_power_sum)
     and returned both as a float and as value_mp.  i_max below 8 raises
-    ValueError, as in constant_D.
+    ValueError, as in constant_D, and so does one past the exact row
+    columns (RowTable's), before the tail forms i_max**(1 - sigma).
     """
     sigma = _check_exponent(sigma)
     if i_max < 8:
-        raise ValueError(f"row truncation too small: {i_max}")
+        raise ValueError(f"row truncation too small: {_shown(i_max)}")
+    _check_table_size(i_max)
     f0 = kernel.value_at_zero if kernel is not None else 1.0
     # first, so that a sigma whose prefactor leaves float64 is refused
     # before the sum
@@ -365,7 +367,7 @@ def dedekind_zeta(sigma: float, route: str = "eta-series",
 
     n_top = int(truncation)
     if n_top < 8:
-        raise ValueError(f"truncation too small: {n_top}")
+        raise ValueError(f"truncation too small: {_shown(n_top)}")
     total, prec = _eta_power_sum(sigma, n_top)
     tail = n_top ** (1 - sigma) / (sigma - 1)
     err = tail + float(total) * 2.0 ** (18 - prec)
@@ -554,11 +556,13 @@ def constant_D(sigma: float, kernel: Kernel | None = None,
     worker count; DConstant.threads records the count used.  A thread
     count that is not a positive integer raises ValueError, and so does
     a sigma, weight and i_max whose powers leave float64
-    (_check_sweep_range), or a non-finite pass total.
+    (_check_sweep_range), or a non-finite pass total.  An i_max past the
+    exact row columns (RowTable's) is refused before the chunk list.
     """
     _check_exponent(sigma)
     if i_max < 8:
-        raise ValueError(f"row truncation too small: {i_max}")
+        raise ValueError(f"row truncation too small: {_shown(i_max)}")
+    _check_table_size(i_max)
     if k_max < 2:
         raise ValueError(f"need at least two inner terms, got k_max={k_max}")
     kernel = kernel or kernel_one()
@@ -643,9 +647,9 @@ def residual_fit(sigma: float, kernel: Kernel | None = None,
     residual leaves float64, raise ValueError.
     """
     if n_max > 32:
-        raise ValueError(f"level cap is 32, got {n_max}")
+        raise ValueError(f"level cap is 32, got {_shown(n_max)}")
     if n_min < 2 or n_min > n_max:
-        raise ValueError(f"bad level range [{n_min}, {n_max}]")
+        raise ValueError(f"bad level range [{_shown(n_min)}, {_shown(n_max)}]")
     for name, given in (("slope c", c), ("intercept d", d)):
         if given is not None and not math.isfinite(given):
             raise ValueError(f"{name} must be finite, got {given}")

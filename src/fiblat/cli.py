@@ -89,8 +89,7 @@ def _echo_doc(fmt: str, doc, head=None) -> None:
     if fmt == "json":
         _echo_json({**(head or {}), **doc})
     else:
-        _echo_csv(list(doc), [[_f(v) if isinstance(v, float) else v
-                               for v in doc.values()]])
+        _echo_csv(list(doc), [_cells(doc)])
 
 
 def _cells(row: dict) -> list:

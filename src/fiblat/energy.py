@@ -37,7 +37,9 @@ a block allocates no work arrays beyond its term's values.  The engine
 hands its term a block a slice of _PAIR_SLICE = 2**14 terms at a time,
 so the term's temporaries do not grow with the block either.  The level
 sums' term is one function, _level_terms, which the grouped sum calls
-on 2-D blocks of at most _PAIR_SLICE terms and on its midpoint.
+on 2-D blocks of at most _PAIR_SLICE terms and on its midpoint; its
+numerator is the weight's one float path, eval_many(t1) * eval_many(t2),
+a NumPy scalar 1 for the constant weight.
 
 The engine's blocks are tasks for _sweep_map, the ordered thread pool
 the D row sweep of asymptotics.constant_D also runs on, with one
@@ -49,9 +51,11 @@ has the same bits for any count.  numpy picks its SIMD loops by CPU at
 run time, and across those loop families a sum may differ by a few
 ulp.  The grouped sum runs inline.
 
-Only the dft energy route reads the whole-N Hurwitz pair table, capped
-at N = kernels._PAIR_TABLE_MAX_N; wce takes N < F_48, the engine's
-cost bound, and "direct" is capped at N = _DIRECT_MAX_N.
+Only the dft energy route reads a whole-N Hurwitz pair table,
+kernels.dft_coeffs, capped at N = kernels._PAIR_TABLE_MAX_N; wce takes
+N < F_48, the engine's cost bound, and "direct" is capped at
+N = _DIRECT_MAX_N.  energy_exact takes 2s <= 32, the degree cap of
+gen_dedekind_sum.
 """
 from __future__ import annotations
 
@@ -66,7 +70,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dedekind import gen_dedekind_sum
-from .golden import fib
+from .golden import _shown, fib
 from .kernels import (
     Kernel,
     _as_float,
@@ -123,7 +127,7 @@ class RationalLattice:
     def fibonacci(cls, n: int) -> RationalLattice:
         """Phi_n = Lambda_{F_n, F_{n-1}}, n >= 2."""
         if n < 2:
-            raise ValueError(f"level must be >= 2, got {n}")
+            raise ValueError(f"level must be >= 2, got {_shown(n)}")
         return cls(fib(n), fib(n - 1))
 
 
@@ -165,9 +169,9 @@ def _check_lattice(N: int, h: int) -> tuple[int, int]:
     too), N >= 1 and gcd(h, N) = 1, so Lambda_{N,h} exists."""
     N, h = _as_int("modulus", N), _as_int("generator", h)
     if N < 1:
-        raise ValueError(f"modulus must be >= 1, got {N}")
+        raise ValueError(f"modulus must be >= 1, got {_shown(N)}")
     if math.gcd(h, N) != 1:
-        raise ValueError(f"generator {h} not coprime to {N}")
+        raise ValueError(f"generator {_shown(h)} not coprime to {_shown(N)}")
     return N, h
 
 
@@ -182,15 +186,16 @@ def energy_exact(sigma, p, N: int, h: int) -> Fraction:
         E = N (N + 2 c N**(1-2s) B_{2s} + c**2 s_{2s,2s}(1, h; N)),
 
     one generalized Dedekind sum in O(log N) steps.  p is taken exactly
-    (a float as its binary value).  Any other sigma, a non-finite p, N < 1
-    and gcd(h, N) != 1 raise ValueError.
+    (a float as its binary value).  Any other sigma, 2s > 32 (the sum's
+    degree cap, 2s + 2s <= 64), a non-finite p, N < 1 and gcd(h, N) != 1
+    raise ValueError.
     """
     two_s = _even_exponent(sigma)
     _check_coefficient(p)
     N, h = _check_lattice(N, h)
     c = _bernoulli_coeff(two_s, p)
-    return N * (N + 2 * c * Fraction(N) ** (1 - two_s) * bernoulli_number(two_s)
-                + c * c * gen_dedekind_sum(two_s, two_s, 1, h, N))
+    s = gen_dedekind_sum(two_s, two_s, 1, h, N)  # first: it refuses 2s > 32
+    return N * (N + 2 * c * Fraction(N) ** (1 - two_s) * bernoulli_number(two_s) + c * c * s)
 
 
 def _quiet_overflow(fn):
@@ -252,7 +257,8 @@ def wce_e(sigma: float, p: float, N: int, h: int) -> float:
     p = _as_float("p", p)
     N, h = _check_lattice(N, h)
     if N >= fib(48):  # fib_sum's level bound; first, so that N is a float only below it
-        raise ValueError(f"N must be < F_48, the pair sum's cost bound (4.8e9 terms), got {N}")
+        raise ValueError(f"N must be < F_48, the pair sum's cost bound (4.8e9 terms), "
+                         f"got {_shown(N)}")
     _check_scale(sigma, N)
     scale = (_TWO_PI * N) ** -sigma
 
@@ -353,7 +359,7 @@ def _check_level(n: int, sigma: float, kernel: Kernel | None) -> tuple[float, Ke
     """sigma as a Python float and the weight (one by default) of a level
     sum; ValueError for a level below 2 and a sigma outside (0, inf)."""
     if n < 2:
-        raise ValueError(f"level must be >= 2, got {n}")
+        raise ValueError(f"level must be >= 2, got {_shown(n)}")
     if not 0 < sigma < math.inf:
         raise ValueError(f"exponent must be finite and positive, got {sigma}")
     return _as_float("exponent", sigma), kernel or kernel_one()
@@ -369,8 +375,10 @@ def _level_terms(kernel: Kernel, sigma: float, t1: np.ndarray, t2: np.ndarray) -
     """The level-sum terms f(t1) f(t2) / (sin(pi t1) sin(pi t2))**sigma of
     arrays of one shape, formed in place in t1, with t2 as scratch: the
     one term of fib_sum (on the pair-sum engine's slices) and of
-    fib_sum_grouped (on its 2-D blocks and its midpoint)."""
-    num = kernel.pair(t1, t2)
+    fib_sum_grouped (on its 2-D blocks and its midpoint).  The numerator
+    is eval_many(t1) * eval_many(t2): for the constant weight a NumPy
+    scalar 1."""
+    num = kernel.eval_many(t1) * kernel.eval_many(t2)
     for t in (t1, t2):
         t *= np.pi
         np.sin(t, out=t)
@@ -497,7 +505,7 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
     if n >= 48:
         raise ValueError(
             f"level must be < 48 (F_48 - 1, about 4.8e9 terms, is past the "
-            f"flat sweep's cost bound), got {n}")
+            f"flat sweep's cost bound), got {_shown(n)}")
     scale = _level_scale(n, sigma) if normalized else 1.0
     term = functools.partial(_level_terms, kernel, sigma)
     return _finite_sum(_pair_sum(fib(n), fib(n - 1), term), n, sigma) / scale

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, log10
 
 import mpmath
 
@@ -92,6 +92,15 @@ class GoldenInt:
         return f"GoldenInt({self.a}, {self.b})"
 
 
+def _shown(n) -> str:
+    """str(n) for a message; an int past Python's int-to-str limit (4300
+    digits by default) by its size, as "an integer near 10**5000"."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"an integer near {'-' if n < 0 else ''}10**{log10(abs(n)):.0f}"
+
+
 # F_n has about 0.209 n digits: F at 2**26 (14 million digits) takes
 # about 45 s, and a larger index only longer, so it is refused; every
 # value the CLI prints within its 10**7-digit budget stays below it
@@ -108,7 +117,7 @@ def _fib_doubling(n: int) -> tuple[int, int]:
     F_{2k+1} = F_k**2 + F_{k+1}**2
     """
     if n >= _INDEX_MAX:
-        raise ValueError(f"index must be below 2**26, got {n}")
+        raise ValueError(f"index must be below 2**26, got {_shown(n)}")
     if n == 0:
         return 0, 1
     f, f1 = _fib_doubling(n >> 1)
@@ -123,7 +132,8 @@ def _index(n) -> int:
     """n as an int; ValueError unless n is an integer >= 0 (NumPy ones
     too), so that the memo's keys are ints only."""
     if not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"index must be an integer >= 0, got {n!r}")
+        shown = _shown(n) if isinstance(n, numbers.Integral) else repr(n)
+        raise ValueError(f"index must be an integer >= 0, got {shown}")
     return int(n)
 
 
@@ -147,7 +157,7 @@ def floor_phi_times(i: int) -> int:
     floor equals (i + isqrt(5*i*i)) // 2.
     """
     if i < 1:
-        raise ValueError(f"index must be >= 1, got {i}")
+        raise ValueError(f"index must be >= 1, got {_shown(i)}")
     return (i + isqrt(5 * i * i)) // 2
 
 

@@ -10,7 +10,7 @@ the cotangent and Bernoulli polynomials.  Exact Bernoulli numbers are
 mpmath.bernfrac's.  Scalar zeta values are mpmath.zeta, which is also
 the oracle; the pair
 zeta(sigma, a) + zeta(sigma, 1-a) has one float64 engine, _hurwitz_pair,
-behind the DFT tables, energy.wce_e and f_sigma_many.  Weight functions
+behind dft_coeffs, energy.wce_e and the fsigma weight.  Weight functions
 f enter the energy sums as f(t1) f(t2) / |sin sin|**sigma; each family
 is a Kernel class: Trig, the even trigonometric polynomials
 sum_j a_j cos(pi t)**(2j); One, the constant 1, trig:1 evaluated without
@@ -19,11 +19,12 @@ arrays; and FSigma, the zeta-family weight
     f(a) = sin(pi a)**sigma * (zeta(sigma, a) + zeta(sigma, 1-a)).
 
 A weight's float values, scalar or array, come from its eval_many, and
-its oracle is eval_mp.  The numerator f(t1) f(t2) of a lattice-sum term
-is Kernel.pair, the plain product eval_many(t1) * eval_many(t2); the
-level sums hand it slices of bounded size, so a weight's temporaries
-stay the size of a slice.  f_sigma_many and _hurwitz_pair form their
-values in place, bit for bit the values of the whole-array expressions.
+its oracle is eval_mp.  The level sums form the numerator f(t1) f(t2) of
+a term as eval_many(t1) * eval_many(t2) on slices of bounded size, so a
+weight's temporaries stay the size of a slice; One's eval_many is a
+NumPy scalar 1, which broadcasts, so the constant weight builds no
+arrays.  FSigma.eval_many and _hurwitz_pair form their values in place,
+bit for bit the values of the whole-array expressions.
 """
 from __future__ import annotations
 
@@ -38,12 +39,13 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from .golden import _shown
+
 __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
     "bernoulli_poly_coeffs",
     "zeta",
-    "f_sigma_many",
     "cot_derivative_poly",
     "even_weight_coeffs",
     "Kernel",
@@ -63,8 +65,8 @@ _TWO_PI = 2 * math.pi
 # pi to 39 digits: parsed by each float dtype, so extended-precision
 # arrays get their own correctly rounded pi rather than the double one
 _PI_STR = "3.14159265358979323846264338327950288420"
-# largest N of the Hurwitz pair table, which only dft_coeffs reads (wce_e
-# sums the pair over the blocked engine of energy._pair_sum): the dft route
+# largest N of dft_coeffs, the one whole-N Hurwitz pair table (wce_e sums
+# the pair over the blocked engine of energy._pair_sum): the dft route
 # adds ~35 bytes per N to the process, 721 MB peak RSS at the cap
 _PAIR_TABLE_MAX_N = 2 * 10 ** 7
 # most terms potential_K's cosine series may take (32 MB per work array)
@@ -173,14 +175,6 @@ def zeta(sigma: float) -> float:
         return float(mpmath.zeta(sigma))
 
 
-def _pi_power(sigma: float) -> float:
-    """pi**sigma, the fsigma weight at 0; ValueError where it leaves float64."""
-    try:
-        return math.pi ** sigma
-    except OverflowError:
-        raise ValueError(f"pi**sigma overflows float64 at sigma={sigma:g}") from None
-
-
 @functools.lru_cache(maxsize=None)
 def _pair_coeffs(sigma: float) -> tuple[float, ...]:
     """c_j = 2 binom(sigma+2j-1, 2j) zeta(sigma+2j, 2) for j = 0, 1, ...
@@ -242,60 +236,6 @@ def _check_scale(sigma: float, N: int) -> None:
         raise ValueError(f"(2 pi N)**sigma overflows float64 at sigma={sigma:g}, N={N}")
 
 
-def _hurwitz_pair_table(sigma: float, N: int) -> np.ndarray:
-    """A(m) = zeta(sigma, m/N) + zeta(sigma, 1 - m/N) for 1 <= m < N, at
-    index m of a length-N array; index 0 is unused and left at 0.
-
-    _hurwitz_pair evaluates it at the double m/N for m <= N/2 and
-    A(m) = A(N - m) mirrors the rest; rounding m/N adds up to
-    sigma * 2**-53 to the engine's error.  Its one caller, dft_coeffs,
-    scales it by (2 pi N)**-sigma, so sizes where that factor leaves the
-    float64 normal range raise ValueError; this also keeps the table, of
-    order N**sigma, finite.  So do sizes above _PAIR_TABLE_MAX_N, for
-    memory.
-    """
-    _check_exponent(sigma)
-    if N > _PAIR_TABLE_MAX_N:
-        raise ValueError(
-            f"pair table is capped at N = {_PAIR_TABLE_MAX_N} (memory), got N = {N}"
-        )
-    _check_scale(sigma, N)
-    m = np.arange(1, N // 2 + 1, dtype=np.int64)
-    half = _hurwitz_pair(sigma, m / N)
-    A = np.zeros(N, dtype=np.float64)
-    A[m] = half
-    A[N - m] = half
-    return A
-
-
-def f_sigma_many(sigma: float, a: np.ndarray) -> np.ndarray:
-    """The fsigma weight in float64: sin(pi b)**sigma * _hurwitz_pair with
-    b = min(a, 1 - a), a reduced mod 1, so the sine never carries the
-    rounding of pi*a near a = 1; a = 0 gives the limit pi**sigma.
-    ValueError where pi**sigma or the pair leaves float64.  The values
-    are formed in place, in a's reduced copy and in b, so with the
-    pair's own arrays at most six arrays of a's size are live."""
-    at_zero = _pi_power(sigma)
-    shape = np.shape(a)
-    a = np.atleast_1d(np.mod(np.asarray(a, dtype=np.float64), 1.0))
-    zero = a == 0.0
-    b = np.subtract(1.0, a)
-    np.minimum(a, b, out=b)
-    np.copyto(a, b)
-    a[zero] = 0.5  # the pair's argument; replaced below
-    pair = _hurwitz_pair(sigma, a)
-    del a
-    if np.isinf(pair).any():
-        a_min = b[np.isinf(pair)].min()
-        raise ValueError(f"the fsigma weight leaves float64 at sigma={sigma:g}, a={a_min:g}")
-    b *= np.pi
-    np.sin(b, out=b)
-    b **= sigma
-    b *= pair  # sin(pi b)**sigma * pair
-    b[zero] = at_zero
-    return b.reshape(shape)
-
-
 @functools.lru_cache(maxsize=None)
 def cot_derivative_poly(r: int) -> tuple[int, ...]:
     """Integer coefficients (ascending powers of c) of G_r(c), where
@@ -353,13 +293,6 @@ class Kernel:
         """f(t) as a Python float: eval_many at the double t."""
         return float(self.eval_many(np.float64(t)))
 
-    def pair(self, t1, t2):
-        """The numerator f(t1) * f(t2) of a lattice-sum term, for arrays:
-        eval_many(t1) * eval_many(t2), broadcast to one shape.  Its
-        temporaries are the size of its arguments; the level sums hand it
-        slices (energy._PAIR_SLICE) or bounded blocks."""
-        return self.eval_many(t1) * self.eval_many(t2)
-
 
 @dataclass(frozen=True)
 class Trig(Kernel):
@@ -414,17 +347,15 @@ class Trig(Kernel):
 
 @dataclass(frozen=True)
 class One(Trig):
-    """The constant weight: trig:1 named "one", evaluated without arrays."""
+    """The constant weight: trig:1 named "one", evaluated without arrays:
+    eval_many is a NumPy scalar 1 of t's float dtype, which broadcasts."""
 
     kind = "one"
     coeffs: tuple[int, ...] = field(default=(1,), init=False)
     label: str | None = field(default="one", init=False)
 
-    def eval_many(self, t: np.ndarray) -> np.ndarray:
-        return np.ones_like(_float_array(t))
-
-    def pair(self, t1, t2) -> float:
-        return 1.0
+    def eval_many(self, t: np.ndarray) -> np.generic:
+        return _float_array(t).dtype.type(1)
 
 
 @dataclass(frozen=True)
@@ -445,15 +376,42 @@ class FSigma(Kernel):
 
     @property
     def value_at_zero(self) -> float:
-        return _pi_power(self.sigma)
+        """pi**sigma; ValueError where it leaves float64."""
+        try:
+            return math.pi ** self.sigma
+        except OverflowError:
+            raise ValueError(f"pi**sigma overflows float64 at sigma={self.sigma:g}") from None
 
     @property
     def holder_alpha(self) -> float:
         return min(1.0, self.sigma - 1)
 
     def eval_many(self, t: np.ndarray) -> np.ndarray:
+        """sin(pi b)**sigma * _hurwitz_pair in float64, with b = min(a, 1 - a)
+        and a = t mod 1, so the sine never carries the rounding of pi*a
+        near a = 1; a = 0 gives the limit pi**sigma.  Returned in t's
+        dtype.  ValueError where pi**sigma or the pair leaves float64.  The
+        values are formed in place, in a's reduced copy and in b, so with
+        the pair's own arrays at most six arrays of t's size are live."""
         t = _float_array(t)
-        return f_sigma_many(self.sigma, t).astype(t.dtype, copy=False)
+        sigma, at_zero = self.sigma, self.value_at_zero
+        a = np.atleast_1d(np.mod(np.asarray(t, dtype=np.float64), 1.0))
+        zero = a == 0.0
+        b = np.subtract(1.0, a)
+        np.minimum(a, b, out=b)
+        np.copyto(a, b)
+        a[zero] = 0.5  # the pair's argument; replaced below
+        pair = _hurwitz_pair(sigma, a)
+        del a
+        if np.isinf(pair).any():
+            a_min = b[np.isinf(pair)].min()
+            raise ValueError(f"the fsigma weight leaves float64 at sigma={sigma:g}, a={a_min:g}")
+        b *= np.pi
+        np.sin(b, out=b)
+        b **= sigma
+        b *= pair  # sin(pi b)**sigma * pair
+        b[zero] = at_zero
+        return b.reshape(t.shape).astype(t.dtype, copy=False)
 
     def eval_mp(self, t) -> mpmath.mpf:
         t = mpmath.frac(t)
@@ -597,24 +555,30 @@ def dft_coeffs(sigma: float, p: float, N: int) -> np.ndarray:
     1 + 2 p zeta(sigma)/(2 pi N)**sigma, index m >= 1 carries
     p (zeta(sigma, m/N) + zeta(sigma, 1 - m/N)) / (2 pi N)**sigma.
 
-    zeta(sigma) is the scalar mpmath value; the m >= 1 entries come from
-    the vectorized Hurwitz pair table, relative error ~1e-15.  Raises
-    ValueError where (2 pi N)**sigma or an entry overflows float64, above
-    N = _PAIR_TABLE_MAX_N (peak memory under 1 GB) and for a non-finite p.
+    zeta(sigma) is the scalar mpmath value.  The m >= 1 entries are
+    _hurwitz_pair at the double m/N for m <= N/2, relative error ~1e-15
+    plus up to sigma * 2**-53 from rounding m/N, mirrored to N - m.
+    Raises ValueError where (2 pi N)**sigma or an entry overflows float64,
+    above N = _PAIR_TABLE_MAX_N (peak memory under 1 GB) and for a
+    non-finite p.
     """
     if N < 1:
-        raise ValueError(f"modulus must be >= 1, got {N}")
+        raise ValueError(f"modulus must be >= 1, got {_shown(N)}")
     sigma = _check_exponent(sigma)
     _check_coefficient(p)
     p = _as_float("p", p)
-    # first, so that the table's size checks come before N is a float
-    table = _hurwitz_pair_table(sigma, N) if N > 1 else None
+    # first, so that the size checks come before N is a float
+    if N > _PAIR_TABLE_MAX_N:
+        raise ValueError(
+            f"pair table is capped at N = {_PAIR_TABLE_MAX_N} (memory), got N = {_shown(N)}")
+    _check_scale(sigma, N)
     scale = (_TWO_PI * N) ** -sigma
     out = np.empty(N, dtype=np.float64)
     out[0] = 1.0 + 2 * p * zeta(sigma) * scale
-    if N > 1:
+    if N > 1:  # N = 1 has no pair, and must not reach _pair_coeffs
+        m = np.arange(1, N // 2 + 1, dtype=np.int64)
         with np.errstate(over="ignore"):
-            out[1:] = p * scale * table[1:]
+            out[m] = out[N - m] = p * scale * _hurwitz_pair(sigma, m / N)
     return _finite_table(out, sigma, p)
 
 
@@ -625,7 +589,7 @@ def dft_coeffs_even(two_s: int, p: float, N: int) -> np.ndarray:
     entries, or an entry overflows float64, and for a non-finite p."""
     two_s = _even_exponent(two_s)
     if N < 1:
-        raise ValueError(f"modulus must be >= 1, got {N}")
+        raise ValueError(f"modulus must be >= 1, got {_shown(N)}")
     _check_coefficient(p)
     if two_s * math.log(2 * N) + math.lgamma(two_s) >= math.log(sys.float_info.max):
         raise ValueError(f"(2N)**(2s) * (2s-1)! overflows float64 at 2s={two_s}, N={N}")

@@ -46,6 +46,7 @@ floor_phi_plus_inv and the integer eta.
 from __future__ import annotations
 
 import array
+import bisect
 import math
 import random
 import time
@@ -65,7 +66,7 @@ from .dedekind import (
     sigma2_closed_abstract,
 )
 from .energy import energy_dft, energy_exact
-from .golden import GoldenInt, fib
+from .golden import GoldenInt, _shown, fib
 from .kernels import dft_coeffs, dft_coeffs_even, potential_K
 from .wythoff import (
     _eta,
@@ -155,28 +156,14 @@ def _suite_wythoff(run: _Run, limit: int) -> None:
 
     # Threshold index: an entry is below half the level-n modulus
     # exactly when its slot depth n - k stays above the row threshold.
-    f40 = fib(40)
+    # W[i, k] >= F_{k+1}, so 40 entries reach past F_40 / 2.
     for i in range(1, min(limit, 200) + 1):
         mu = row(i).mu
-        L = floor_phi_times(i)
-        ws = []
-        prev, cur = L, L + i - 1
-        while 2 * cur <= f40:
-            ws.append(cur)
-            prev, cur = cur, prev + cur
+        twice = [2 * w for w in wythoff_row_entries(i, 40)]
         for n in range(2, 41):
-            fn = fib(n)
-            want = max(0, n - mu - 1)
-            got = 0
-            for w in ws:
-                if 2 * w >= fn:
-                    break
-                got += 1
-            run.ok(
-                got == want,
-                "threshold mismatch at row %d level %d: depth %d vs %d",
-                i, n, got, want,
-            )
+            got, want = bisect.bisect_left(twice, fib(n)), max(0, n - mu - 1)
+            run.ok(got == want, "threshold mismatch at row %d level %d: depth %d vs %d",
+                   i, n, got, want)
 
     # Exact equality with half the modulus does occur, on a sparse
     # family of rows; the witness constructor re-derives each one.
@@ -457,9 +444,10 @@ def check_limits(names, limit: int | None = None) -> None:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)}")
         lim = _SUITES[name][1] if limit is None else limit
         if lim < 1:
-            raise ValueError(f"limit must be >= 1, got {lim}")
+            raise ValueError(f"limit must be >= 1, got {_shown(lim)}")
         if lim > LIMIT_CAPS.get(name, lim):
-            raise ValueError(f"suite {name} is capped at limit {LIMIT_CAPS[name]}, got {lim}")
+            raise ValueError(
+                f"suite {name} is capped at limit {LIMIT_CAPS[name]}, got {_shown(lim)}")
 
 
 def run_suite(name: str, limit: int | None = None) -> SuiteResult:

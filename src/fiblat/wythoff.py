@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .golden import GoldenInt, fib, floor_phi_times
+from .golden import GoldenInt, _shown, fib, floor_phi_times
 
 __all__ = [
     "WythoffRow",
@@ -71,7 +71,7 @@ def floor_phi_plus_inv(x: int) -> int:
     ((x-1) + isqrt(5*(x+1)**2)) // 2.
     """
     if x < 1:
-        raise ValueError(f"argument must be >= 1, got {x}")
+        raise ValueError(f"argument must be >= 1, got {_shown(x)}")
     return (x - 1 + math.isqrt(5 * (x + 1) * (x + 1))) // 2
 
 
@@ -116,7 +116,7 @@ class WythoffRow:
 def row(i: int) -> WythoffRow:
     """Row i >= 1 of the Wythoff array, built afresh on each call."""
     if i < 1:
-        raise ValueError(f"row index must be >= 1, got {i}")
+        raise ValueError(f"row index must be >= 1, got {_shown(i)}")
     L = floor_phi_times(i)
     return WythoffRow(i, L, _eta(i, L), _mu_exact(i, L))
 
@@ -195,11 +195,11 @@ def _level_rows(n: int):
     before F_n is formed.
     """
     if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
+        raise ValueError(f"level must be >= 1, got {_shown(n)}")
     if n >= 44:
         raise ValueError(
             f"level must be < 44 (its rows pass the exact row "
-            f"columns, floor(phi*i) < 2**27), got {n}"
+            f"columns, floor(phi*i) < 2**27), got {_shown(n)}"
         )
     # floor(x / phi**2) = 2x - floor(phi*x) - 1 for integers x >= 1
     x = fib(n) + 4
@@ -225,7 +225,7 @@ def half_fib_witness(ell: int) -> tuple[int, int, int]:
     Returns (i, k, n) with k = 1; raises if the identity fails.
     """
     if ell < 1:
-        raise ValueError(f"witness index must be >= 1, got {ell}")
+        raise ValueError(f"witness index must be >= 1, got {_shown(ell)}")
     n = 3 * ell
     i = (fib(n - 2) + 1) // 2
     if 2 * row(i).entry(1) != fib(n):
@@ -275,9 +275,9 @@ def _check_table_size(i_max: int) -> None:
     """ValueError unless 0 <= i_max and floor(phi*i_max) < 2**27, the
     range where the array row columns are exact."""
     if i_max < 0:
-        raise ValueError(f"table size must be >= 0, got {i_max}")
+        raise ValueError(f"table size must be >= 0, got {_shown(i_max)}")
     if i_max >= 1 and floor_phi_times(i_max) >= 1 << 27:
-        raise ValueError(f"table size must keep floor(phi*i) < 2**27, got {i_max}")
+        raise ValueError(f"table size must keep floor(phi*i) < 2**27, got {_shown(i_max)}")
 
 
 def _eta_column(i_max: int) -> np.ndarray:

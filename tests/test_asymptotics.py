@@ -280,6 +280,22 @@ def test_eta_sums_past_the_exact_rows_are_a_value_error():
             call()
 
 
+def test_c_and_d_past_the_exact_rows_are_refused_by_their_bound(monkeypatch):
+    # C's tail once formed i_max**(1 - sigma) first, an OverflowError
+    # past float64, and D formed its chunk list before the size check
+    # (3.7 s and 154 MiB at 10**10): both check the size first now, so
+    # D never reaches its pool
+    def no_pool(*args):
+        raise AssertionError("the D sweep formed its chunk list before the size check")
+    monkeypatch.setattr(asymptotics, "_workers", no_pool)
+    for call in (lambda: constant_C(2.0, None, 10 ** 400),
+                 lambda: constant_D(2.0, None, 10 ** 10),
+                 lambda: constant_D(2.0, None, 10 ** 12),
+                 lambda: constant_D(2.0, None, 10 ** 5000)):
+        with pytest.raises(ValueError, match="floor\\(phi\\*i\\) < 2\\*\\*27"):
+            call()
+
+
 def test_eta_power_sum_peak_memory():
     # the int32 eta column, its np.unique and int blocks: no RowTable
     # and no whole lists of Python ints (6.2 MiB with both)

@@ -137,6 +137,15 @@ def test_sum_raw_scaling():
     assert b["normalized"] is False
 
 
+def test_sum_csv_spells_booleans_as_verify_does():
+    # one CSV spelling of a boolean, true/false, in every command
+    for flags, want in (((), "true"), (("--raw",), "false")):
+        r = run("sum", "-n", "10", "--sigma", "2", *flags, "--format", "csv")
+        assert r.exit_code == 0, r.output
+        header, row = r.output.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["normalized"] == want, r.output
+
+
 def test_sum_bad_level_or_exponent_is_usage_error():
     assert run("sum", "-n", "48", "--sigma", "2").exit_code == 2
     assert run("sum", "-n", "10", "--sigma", "0", "--method", "grouped").exit_code == 2

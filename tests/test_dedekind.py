@@ -6,6 +6,7 @@ import pytest
 
 from fiblat.dedekind import (
     CLOSED_FAMILIES,
+    _floor_sum_plan,
     apostol_check,
     gen_dedekind_sum,
     hwz_check,
@@ -86,6 +87,21 @@ def test_negative_degree_and_modulus_below_one_are_rejected():
     for c in (0, -3):
         with pytest.raises(ValueError, match=f"^modulus must be >= 1, got {c}$"):
             gen_dedekind_sum(1, 1, 1, 1, c)
+
+
+def test_degrees_past_the_cap_are_refused_before_any_plan():
+    # the floor-sum plan grows like (ell + m)**4 and stays cached, so
+    # ell + m > 64 is refused before one is built; energy_exact's 2s = 34
+    # is ell + m = 68
+    assert gen_dedekind_sum(2, 62, 1, 2, 3) == brute_sum(2, 62, 1, 2, 3)
+    assert gen_dedekind_sum(31, 33, 5, 3, 7) == brute_sum(31, 33, 5, 3, 7)
+    _floor_sum_plan.cache_clear()
+    for call in (lambda: gen_dedekind_sum(33, 32, 1, 2, 3),
+                 lambda: gen_dedekind_sum(0, 65, 1, 1, 1),
+                 lambda: energy_exact(34, 1, 5, 3)):
+        with pytest.raises(ValueError, match=r"ell \+ m must be <= 64"):
+            call()
+    assert _floor_sum_plan.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("b,c", [(0, 1), (1, 0), (0, 0), (-1, 2), (3, -5)])

@@ -13,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fiblat.kernels import _hurwitz_pair, _pair_coeffs, f_sigma_many
+from fiblat.kernels import FSigma, _hurwitz_pair, _pair_coeffs
 
 # offsets anywhere in (0, 1), and within 1e-3 of 0, 1/2 and 1
 _OFFSETS = st.one_of(
@@ -32,7 +32,7 @@ def test_pair_engine_against_mpmath(sigma, a):
     b = min(a, 1.0 - a)
     assume(sigma * -math.log10(b) < 300)  # b**-sigma < 1e300
     pair = float(_hurwitz_pair(sigma, np.array([a]))[0])
-    f = float(f_sigma_many(sigma, np.array([a]))[0])
+    f = float(FSigma(sigma).eval_many(np.array([a]))[0])
     with mpmath.workprec(120):
         x = mpmath.mpf(a)
         want = mpmath.zeta(sigma, x) + mpmath.zeta(sigma, 1 - x)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fiblat.asymptotics import constant_C_closed, dedekind_zeta
-from fiblat.energy import _PAIR_SLICE, RationalLattice, energy, energy_exact, wce_e
+from fiblat.energy import RationalLattice, energy, energy_exact, wce_e
 from fiblat.golden import fib
 from fiblat.kernels import (
     KERNEL_GRAMMAR,
@@ -21,14 +21,12 @@ from fiblat.kernels import (
     _even_exponent,
     _horner,
     _hurwitz_pair,
-    _hurwitz_pair_table,
     _pair_coeffs,
     bernoulli_number,
     bernoulli_poly,
     dft_coeffs,
     dft_coeffs_even,
     even_weight_coeffs,
-    f_sigma_many,
     kernel_bernoulli_weight,
     kernel_one,
     parse_kernel,
@@ -115,7 +113,7 @@ def test_eval_many_matches_eval_outside_the_unit_interval():
     # path, so eval is eval_many at one double, bit for bit
     t = np.array([0.0, 0.1, 1 / 3, 0.5, 0.77, 1.0, 1.3, -0.2, 1 - 1e-9])
     for k in (kernel_one(), FSigma(2.5), kernel_bernoulli_weight(6), Trig((0, 1))):
-        many = k.eval_many(t)
+        many = np.broadcast_to(k.eval_many(t), t.shape)
         assert np.all(np.isfinite(many)), k.name
         for x, v in zip(t, many):
             got = k.eval(float(x))
@@ -229,7 +227,10 @@ def test_each_family_is_a_kernel_class():
         assert type(k) is cls and isinstance(k, Kernel) and k.kind == kind, spec
     # one is trig:1 under its own name, evaluated without arrays
     assert isinstance(kernel_one(), Trig) and kernel_one().coeffs == (1,)
-    assert kernel_one().pair(np.full(3, 0.25), np.full(3, 0.5)) == 1.0
+    # its eval_many is one NumPy scalar 1 of t's float dtype, which broadcasts
+    for dtype in (np.float64, np.longdouble):
+        one = kernel_one().eval_many(np.full(3, 0.25, dtype=dtype))
+        assert type(one) is dtype and one == 1, dtype
     assert FSigma(2.5).coeffs is None and kernel_one().sigma is None
 
 
@@ -360,19 +361,23 @@ def test_dft_even_route_outside_float64_is_a_value_error():
 
 
 def test_hurwitz_pair_table_against_mpmath():
-    # a = 1/F_25, 1/2 and 1 - 1/F_25 at 2e-15; at the other offsets the
-    # rounding of m/N to a double adds up to sigma * 2**-53
+    # dft_coeffs takes the pair at the double m/N for m <= N/2: a = 1/F_25
+    # and 1/2 at 2e-15; at the other offsets the rounding of m/N to a
+    # double adds up to sigma * 2**-53.  Entry N - m mirrors entry m bit
+    # for bit, which covers a = 1 - 1/F_25
     F25 = 75025
     with mpmath.workdps(40):
         for sigma in (1.01, 1.5, 2, 2.5, 3.5, 4, 6, 8, 12, 40):
-            tables = {N: _hurwitz_pair_table(sigma, N) for N in (2, F25)}
-            for N, m, rel in ((F25, 1, 2e-15), (2, 1, 2e-15), (F25, F25 - 1, 2e-15),
+            for N, m, rel in ((F25, 1, 2e-15), (2, 1, 2e-15),
                               (F25, 17, 2e-15 + sigma * 2.0 ** -53),
                               (F25, F25 // 3, 2e-15 + sigma * 2.0 ** -53)):
                 a = mpmath.mpf(m) / N
                 want = mpmath.zeta(sigma, a) + mpmath.zeta(sigma, 1 - a)
-                got = tables[N][m]
+                got = _hurwitz_pair(sigma, np.array([m / N]))[0]
                 assert abs(got - want) <= rel * want, (sigma, N, m)
+            for N in (2, F25):
+                coeffs = dft_coeffs(sigma, 1.0, N)
+                assert _same_bits(coeffs[1:], coeffs[:0:-1]), (sigma, N)
 
 
 def test_f_sigma_is_accurate_near_one():
@@ -382,16 +387,16 @@ def test_f_sigma_is_accurate_near_one():
         with mpmath.workprec(120):
             x = mpmath.mpf(a)
             want = mpmath.sinpi(x) ** 2.5 * (mpmath.zeta(2.5, x) + mpmath.zeta(2.5, 1 - x))
-        for got in (FSigma(2.5).eval(a), f_sigma_many(2.5, np.array([a]))[0]):
+        for got in (FSigma(2.5).eval(a), FSigma(2.5).eval_many(np.array([a]))[0]):
             assert abs(got - want) <= 4e-15 * want, a
 
 
 def test_pair_coeffs_are_built_once_per_sigma():
     _pair_coeffs.cache_clear()
     for _ in range(3):
-        _hurwitz_pair_table(3.25, 50)
-        f_sigma_many(3.25, np.linspace(0.1, 0.9, 9))
-    f_sigma_many(4.25, np.array([0.3]))
+        dft_coeffs(3.25, 1.0, 50)
+        FSigma(3.25).eval_many(np.linspace(0.1, 0.9, 9))
+    FSigma(4.25).eval_many(np.array([0.3]))
     info = _pair_coeffs.cache_info()
     assert (info.misses, info.currsize) == (2, 2)
     assert info.hits == 5
@@ -406,16 +411,16 @@ def test_f_sigma_outside_float64_is_a_value_error():
             FSigma(40.0).eval(t)
     for a in ([1e-9], [0.3, 1 - 1e-9]):
         with pytest.raises(ValueError, match="leaves float64"):
-            f_sigma_many(40.0, np.array(a))
+            FSigma(40.0).eval_many(np.array(a))
     # pi**sigma, the value at 0, leaves float64 above sigma ~ 620
-    for call in (lambda: FSigma(700.0).eval(0.0), lambda: f_sigma_many(700.0, np.array([0.5])),
+    for call in (lambda: FSigma(700.0).eval(0.0), lambda: FSigma(700.0).eval_many(np.array([0.5])),
                  lambda: FSigma(700.0).value_at_zero):
         with pytest.raises(ValueError, match="pi\\*\\*sigma"):
             call()
     # just inside the range it stays finite and matches the oracle
     with mpmath.workprec(80):
         want = FSigma(40.0).eval_mp(mpmath.mpf(1e-7))
-    assert f_sigma_many(40.0, np.array([1e-7]))[0] == pytest.approx(float(want), rel=1e-12)
+    assert FSigma(40.0).eval_many(np.array([1e-7]))[0] == pytest.approx(float(want), rel=1e-12)
 
 
 def test_pair_table_routes_are_capped():
@@ -512,26 +517,8 @@ def test_trig_coeffs_name_the_function():
     assert FSigma(2.5).trig_coeffs is None
 
 
-@pytest.mark.parametrize("spec", ["bern:4", "trig:0,1", "fsigma"])
-def test_sliced_pair_is_bit_equal_to_the_product(spec):
-    k = parse_kernel(spec, sigma=2.5)
-    rng = np.random.default_rng(11)
-    S = _PAIR_SLICE
-    shapes = [(S - 1,), (S,), (S + 1,), (3 * S + 7,), (), (3, S + 5)]
-    for shape in shapes:
-        t1, t2 = rng.random(shape), rng.random(shape)
-        for a, b in ((t1, t2), (np.transpose(t1), np.transpose(t2))):
-            want = k.eval_many(a) * k.eval_many(b)
-            assert _same_bits(np.asarray(k.pair(a, b)), np.asarray(want)), (spec, shape)
-    # arguments of two shapes are broadcast to one
-    for a, b in ((rng.random(S + 3), np.float64(0.25)), (rng.random((3, 1)), rng.random(S + 5))):
-        want = k.eval_many(a) * k.eval_many(b)
-        assert _same_bits(k.pair(a, b), want), (spec, np.shape(a), np.shape(b))
-    assert kernel_one().pair(t1, t2) == 1.0
-
-
 def _f_sigma_expr(sigma, a):
-    """f_sigma_many as whole-array expressions: the form it works in place."""
+    """FSigma.eval_many as whole-array expressions: the form it works in place."""
     a = np.mod(np.asarray(a, dtype=np.float64), 1.0)
     zero = a == 0.0
     b = np.minimum(a, 1.0 - a)
@@ -545,11 +532,11 @@ def test_f_sigma_many_in_place_is_bit_equal_to_the_expression():
                         rng.random(3000), 1 - 1e-6 * rng.random(200), rng.uniform(-3, 3, 200)])
     for sigma in (1.5, 2.0, 2.5, 4.0, 7.3):
         for x in (a, a[:3400].reshape(34, 100), np.float64(0.3), 0.0):
-            got, want = f_sigma_many(sigma, x), _f_sigma_expr(sigma, x)
+            got, want = FSigma(sigma).eval_many(x), _f_sigma_expr(sigma, x)
             assert _same_bits(got, want), (sigma, np.shape(x))
     # the argument is left as it was
     b = rng.random(100)
     copy = b.copy()
     _hurwitz_pair(2.5, b)
-    f_sigma_many(2.5, b)
+    FSigma(2.5).eval_many(b)
     assert np.array_equal(b, copy)

@@ -18,6 +18,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -31,12 +32,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fiblat
-from fiblat.asymptotics import constant_C_closed
+from fiblat.asymptotics import constant_C_closed, residual_fit
 from fiblat.cli import main
-from fiblat.dedekind import CLOSED_FAMILIES
-from fiblat.energy import RationalLattice
-from fiblat.kernels import parse_kernel
-from fiblat.verify import SUITE_NAMES
+from fiblat.dedekind import CLOSED_FAMILIES, gen_dedekind_sum
+from fiblat.energy import RationalLattice, fib_sum, fib_sum_grouped, wce_e
+from fiblat.golden import fib, lucas, phi_power
+from fiblat.kernels import dft_coeffs, parse_kernel
+from fiblat.verify import SUITE_NAMES, run_suite
+from fiblat.wythoff import RowTable, _level_rows, row
 
 # cost caps of the draws; a value past a documented cap is drawn only
 # where the code refuses it before doing the work
@@ -216,6 +219,9 @@ def _check_output(args, result):
 @example(["verify", "--suite", "dft", "--suite", "closedform", "--limit", str(10 ** 9)])
 @example(["verify", "--suite", "dft", "--limit", str(10 ** 9)])
 @example(["verify", "--suite", "zeta-routes", "--limit", str(10 ** 9)])
+# C's tail formed i_max**(1 - sigma) before the size check: exit 1, OverflowError
+@example(["constants", "--sigma", "2", "--i-max", str(10 ** 400)])
+@example(["fit", "--sigma", "2.5", "--kernel", "fsigma", "--i-max", str(10 ** 400)])
 def test_every_command_succeeds_cleanly_or_is_a_usage_error(args):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -325,6 +331,7 @@ def _call(name, args):
 @example(("lucas", (10 ** 400,)))
 @example(("phi_power", (10 ** 400,)))
 @example(("phi_power", (-10 ** 400,)))
+@example(("constant_C", (2.0, "one", 10 ** 400)))
 def test_every_numeric_function_returns_finite_values_or_refuses(case):
     name, args = case
     with warnings.catch_warnings():
@@ -334,3 +341,34 @@ def test_every_numeric_function_returns_finite_values_or_refuses(case):
         except ValueError:
             return
     assert _finite(value), (name, args, value)
+
+
+# past Python's int-to-str limit (4300 digits) a refusal that printed its
+# argument raised that limit's ValueError instead; each names its bound
+# and gives the argument by its size
+_HUGE = 10 ** 5000
+_HUGE_CASES = {
+    "fib": (lambda: fib(_HUGE), "below 2\\*\\*26"),
+    "lucas": (lambda: lucas(_HUGE), "below 2\\*\\*26"),
+    "phi_power": (lambda: phi_power(_HUGE), "below 2\\*\\*26"),
+    "phi_power_negative": (lambda: phi_power(-_HUGE), "below 2\\*\\*26"),
+    "_level_rows": (lambda: _level_rows(_HUGE), "< 44"),
+    "fib_sum": (lambda: fib_sum(_HUGE, 2.0), "< 48"),
+    "fib_sum_grouped": (lambda: fib_sum_grouped(_HUGE, 2.0), "< 44"),
+    "wce_e": (lambda: wce_e(2.0, 1.0, _HUGE, 1), "< F_48"),
+    "RationalLattice.fibonacci": (lambda: RationalLattice.fibonacci(_HUGE), "below 2\\*\\*26"),
+    "run_suite": (lambda: run_suite("wythoff", _HUGE), "capped at limit"),
+    "residual_fit": (lambda: residual_fit(2.0, None, 5, _HUGE), "level cap is 32"),
+    "row": (lambda: row(-_HUGE), ">= 1"),
+    "RowTable": (lambda: RowTable(_HUGE), "< 2\\*\\*27"),
+    "dft_coeffs": (lambda: dft_coeffs(2.0, 1.0, _HUGE), "capped at N = 20000000"),
+    "gen_dedekind_sum": (lambda: gen_dedekind_sum(2, 2, 1, 1, -_HUGE), ">= 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HUGE_CASES))
+def test_huge_integers_are_refused_by_their_bound(name):
+    call, bound = _HUGE_CASES[name]
+    with pytest.raises(ValueError, match=bound) as info:
+        call()
+    assert re.search(r"got (N = )?an integer near -?10\*\*5000", str(info.value)), info.value
