@@ -46,9 +46,10 @@ import mpmath
 import numpy as np
 from mpmath import libmp
 
+from ._bounds import FIT_LEVEL, HURWITZ_SIGMA, ROW_TRUNCATION, SERIES_PREC, _shown
 from .dedekind import CLOSED_FAMILIES
 from .energy import _sweep_map, _workers, fib_sum
-from .golden import _shown, _to_mpf, fib, phi_power
+from .golden import _to_mpf, fib, phi_power
 from .kernels import (
     _PI_STR,
     Kernel,
@@ -61,7 +62,7 @@ from .kernels import (
     kernel_one,
     parse_kernel,
 )
-from .wythoff import WythoffRow, _check_table_size, _eta_column, row, row_table
+from .wythoff import WythoffRow, _eta_column, row, row_table
 
 __all__ = [
     "PHI",
@@ -87,12 +88,6 @@ __all__ = [
 PHI = (1 + 5 ** 0.5) / 2
 _CHUNK = 8192  # fixed chunk size keeps the reduction order independent of threading
 _POWER_BLOCK = 4096  # terms per block _power_sum turns into Python ints
-# most bits the eta sum is formed at (_series_prec): sigma near 3900 at
-# 1e5 rows, where integer sigma already takes 73,000-bit powers of eta
-_SERIES_PREC_MAX = 1 << 16
-# largest sigma of the Euler product route: mpmath's 120-bit Hurwitz values
-# lose about log2(sigma) of its 18 spare bits, and past ~1e300 all of them
-_HURWITZ_SIGMA_MAX = 1 << 16
 
 ZETA_ROUTES = (
     "eta-series",
@@ -229,13 +224,10 @@ def _power_sum(sigma: float, values: np.ndarray, weights: np.ndarray) -> mpmath.
 def _series_prec(decay: float, n_top: int) -> int:
     """max(60, decay*log2(n_top) + 30) bits: the precision that puts the
     rounding of a sum over n <= n_top some 2**-30 below a tail of order
-    n_top**-decay.  ValueError past _SERIES_PREC_MAX bits (inf and NaN
-    too), where the powers would grow without bound."""
+    n_top**-decay.  ValueError past 2**16 bits (_bounds.SERIES_PREC; inf
+    and NaN too), where the powers would grow without bound."""
     bits = decay * math.log2(n_top)
-    if not bits <= _SERIES_PREC_MAX - 30:
-        raise ValueError(
-            f"a sum to {n_top} at this exponent needs {bits + 30:.3g} bits "
-            f"(cap {_SERIES_PREC_MAX}); lower sigma or the truncation")
+    SERIES_PREC.check(bits + 30, bits + 30, n_top)
     return max(60, int(bits) + 30)
 
 
@@ -271,9 +263,7 @@ def constant_C(sigma: float, kernel: Kernel | None = None,
     columns (RowTable's), before the tail forms i_max**(1 - sigma).
     """
     sigma = _check_exponent(sigma)
-    if i_max < 8:
-        raise ValueError(f"row truncation too small: {_shown(i_max)}")
-    _check_table_size(i_max)
+    ROW_TRUNCATION.check(i_max)
     f0 = kernel.value_at_zero if kernel is not None else 1.0
     # first, so that a sigma whose prefactor leaves float64 is refused
     # before the sum
@@ -355,8 +345,7 @@ def dedekind_zeta(sigma: float, route: str = "eta-series",
         return ZetaRoute(route, float(sigma), float(v), float(abs(v)) * 2.0 ** -100, 0, v)
 
     if route == "euler-product-L-times-zeta":
-        if not sigma <= _HURWITZ_SIGMA_MAX:
-            raise ValueError(f"Hurwitz zeta values lose their digits past sigma = 2**16: {sigma}")
+        HURWITZ_SIGMA.check(sigma)
         with mpmath.workprec(120):
             s = mpmath.mpf(sigma)
             h1, h2, h3, h4 = (mpmath.zeta(s, mpmath.mpf(a) / 5) for a in range(1, 5))
@@ -560,9 +549,7 @@ def constant_D(sigma: float, kernel: Kernel | None = None,
     exact row columns (RowTable's) is refused before the chunk list.
     """
     _check_exponent(sigma)
-    if i_max < 8:
-        raise ValueError(f"row truncation too small: {_shown(i_max)}")
-    _check_table_size(i_max)
+    ROW_TRUNCATION.check(i_max)
     if k_max < 2:
         raise ValueError(f"need at least two inner terms, got k_max={k_max}")
     kernel = kernel or kernel_one()
@@ -646,8 +633,7 @@ def residual_fit(sigma: float, kernel: Kernel | None = None,
     non-finite c or d, and a row whose asymptote, residual or scaled
     residual leaves float64, raise ValueError.
     """
-    if n_max > 32:
-        raise ValueError(f"level cap is 32, got {_shown(n_max)}")
+    FIT_LEVEL.check(n_max)
     if n_min < 2 or n_min > n_max:
         raise ValueError(f"bad level range [{_shown(n_min)}, {_shown(n_max)}]")
     for name, given in (("slope c", c), ("intercept d", d)):

@@ -33,6 +33,7 @@ from fractions import Fraction
 
 import click
 
+from ._bounds import DIGITS
 from .asymptotics import PHI, constant_C, constant_C_closed, constant_D, residual_fit
 from .dedekind import CLOSED_FAMILIES
 from .energy import RationalLattice, energy, fib_sum, fib_sum_grouped
@@ -142,17 +143,6 @@ def main():
 main.command_class = _Command
 
 
-# the most digits a wythoff table or a closed-form level range may print,
-# about 10 MB of output; a table grows with rows * cols**2 (--rows 1
-# --cols 21000 would print 46 MB), a level range with n_max**2
-_DIGIT_BUDGET = 10 ** 7
-
-
-def _past_budget(what: str, advice: str) -> click.UsageError:
-    return click.UsageError(
-        f"{what} is past the budget of {_DIGIT_BUDGET:.0e} digits; {advice}")
-
-
 def _table_digits(rows: int, cols: int) -> float:
     """An upper estimate of the digits in a rows x cols table of either
     array: entry j of row i <= rows is below 10 * rows * phi**j, so it
@@ -199,8 +189,9 @@ def cmd_wythoff(rows, cols, dual, fmt):
     A table past 10**7 digits (about 10 MB) is a usage error."""
     # every entry prints a digit or more, so rows * cols past the budget
     # is refused before the estimate takes floats of rows and cols
-    if rows * cols > _DIGIT_BUDGET or _table_digits(rows, cols) > _DIGIT_BUDGET:
-        raise _past_budget(f"a {rows} x {cols} table", "ask for fewer rows or columns")
+    what = f"a {rows} x {cols} table", "ask for fewer rows or columns"
+    DIGITS.check(rows * cols, *what)
+    DIGITS.check(_table_digits(rows, cols), *what)
     invariant, prefix = ("mu", "Wd") if dual else ("eta", "W")
     out = []
     for i in range(1, rows + 1):
@@ -350,10 +341,9 @@ def cmd_closed(family, n_min, n_max, sigma, fmt):
         raise click.UsageError(f"empty level range {n_min}..{n_max}")
     # every level prints a digit or more, so a level count past the budget
     # is refused in integers, as wythoff's table size is
-    if (n_max - n_min + 1 > _DIGIT_BUDGET
-            or _closed_digits(family, n_min, n_max) > _DIGIT_BUDGET):
-        raise _past_budget(f"the level range {n_min}..{n_max} of {family}",
-                           "ask for fewer or lower levels")
+    what = f"the level range {n_min}..{n_max} of {family}", "ask for fewer or lower levels"
+    DIGITS.check(n_max - n_min + 1, *what)
+    DIGITS.check(_closed_digits(family, n_min, n_max), *what)
     fam = CLOSED_FAMILIES[family]
     _echo_table(fmt, {"family": family},
                 [{"n": n, "value": _frac(fam.value(n))} for n in range(n_min, n_max + 1)])

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
 
-from .golden import _shown, fib, lucas
+from ._bounds import DEGREE, LEVEL, MODULUS, _shown
+from .golden import fib, lucas
 from .kernels import _as_int, bernoulli_poly_coeffs
 
 __all__ = [
@@ -45,12 +46,6 @@ __all__ = [
     "apostol_check",
     "hwz_check",
 ]
-
-
-# largest l + m of gen_dedekind_sum: the floor-sum plan of degree l + m
-# grows like (l + m)**4 and stays cached.  energy_exact at 2s = 32
-# (l + m = 64) peaks at 116 MB in 0.65 s, at 2s = 40 at 235 MB in 1.4 s
-_DEGREE_MAX = 64
 
 
 def _powers(x: int, k: int) -> list[int]:
@@ -85,17 +80,26 @@ def _power_sum_poly(p: int) -> tuple[tuple[int, ...], int]:
     return _over_common_denominator(r)
 
 
-@functools.lru_cache(maxsize=None)
-def _floor_sum_plan(deg: int):
-    """Row offsets, and the gathers and integer coefficients of both steps
-    of one level of the floor-sum recursion at total degree `deg`.
+def _offsets(deg: int) -> list[int]:
+    """Where row p of a floor-sum table of total degree `deg` starts: the
+    table holds T[p][q] for p + q <= deg in one flat list, row p (the
+    entries q = 0..deg-p) from offset off[p] on."""
+    return [p * (deg + 1) - p * (p - 1) // 2 for p in range(deg + 1)]
 
-    A table holds T[p][q] for p + q <= deg in one flat list: row p (the
-    entries q = 0..deg-p) starts at offset off[p].
-    """
-    off = [0]
-    for p in range(deg):
-        off.append(off[-1] + deg - p + 1)
+
+def _floor_sum_plan(deg: int):
+    """_plan(deg), kept for the degrees up to 12 that the sums reuse (4, 8
+    and 12: the dft, closedform and reciprocity suites); 0.85 ms to build
+    at 12.  A plan grows like deg**4, 77 MiB at degree 64 (0.36 s), so a
+    larger one is built per call and not kept."""
+    return _kept_plan(deg) if deg <= 12 else _plan(deg)
+
+
+def _plan(deg: int):
+    """Row offsets (_offsets), and the gathers and integer coefficients of
+    both steps of one level of the floor-sum recursion at total degree
+    `deg`."""
+    off = _offsets(deg)
     swap, reduce = [], []
     for p in range(deg + 1):
         A, d = _power_sum_poly(p)
@@ -109,6 +113,9 @@ def _floor_sum_plan(deg: int):
             (q, itemgetter(*(off[p + i] + l for i, l in _multinomial_terms(q))))
             for q in range(1, deg - p + 1))))
     return tuple(off), tuple(swap), tuple(reduce)
+
+
+_kept_plan = functools.lru_cache(maxsize=13)(_plan)  # degrees 0 to 12
 
 
 def _multinomial_terms(q: int) -> list[tuple[int, int]]:
@@ -189,7 +196,7 @@ def _unit_sum_terms(ell: int, m: int) -> tuple[tuple[int, int, tuple[int, ...]],
     K[u] = (-1)^i N_ell[p-u] N_m[u+i] C(u+i, i).
     """
     nl, nm = _bernoulli_numerators(ell)[0], _bernoulli_numerators(m)[0]
-    off = _floor_sum_plan(ell + m)[0]
+    off = _offsets(ell + m)
     terms = []
     for i in range(m + 1):
         for p in range(ell + m - i + 1):
@@ -213,7 +220,7 @@ def _unit_sum(ell: int, m: int, b: int, c: int) -> Fraction:
 
 def gen_dedekind_sum(ell: int, m: int, a: int, b: int, c: int) -> Fraction:
     """s_{ell,m}(a, b; c), exact, in poly(ell + m) * log c integer operations,
-    for ell + m <= _DEGREE_MAX = 64; larger degrees raise ValueError.
+    for ell + m <= 64 (_bounds.DEGREE); larger degrees raise ValueError.
 
     General a and b reduce exactly to a = 1.  With d = gcd(a, c) and
     e = gcd(b, d), the Bernoulli multiplication formula
@@ -232,10 +239,8 @@ def gen_dedekind_sum(ell: int, m: int, a: int, b: int, c: int) -> Fraction:
     a, b, c = _as_int("a", a), _as_int("b", b), _as_int("c", c)
     if ell < 0 or m < 0:
         raise ValueError(f"polynomial degrees must be >= 0, got ({_shown(ell)}, {_shown(m)})")
-    if ell + m > _DEGREE_MAX:
-        raise ValueError(f"ell + m must be <= {_DEGREE_MAX}, got ({_shown(ell)}, {_shown(m)})")
-    if c < 1:
-        raise ValueError(f"modulus must be >= 1, got {_shown(c)}")
+    DEGREE.check(ell + m, ell, m)
+    MODULUS.check(c)
     d = math.gcd(a, c)
     e = math.gcd(b, d)
     c //= d
@@ -259,8 +264,7 @@ class ClosedFamily:
 
     def value(self, n: int) -> Fraction:
         """The level-n value, exact, n >= 2."""
-        if n < 2:
-            raise ValueError(f"level must be >= 2, got {_shown(n)}")
+        LEVEL.check(n)
         (total, *coeffs), q = self._over_q[n % 2]
         for (k, *_), x, y in zip(self.rows, coeffs[::2], coeffs[1::2]):
             total += x * n * fib(k * n) + y * lucas(k * n)
@@ -340,8 +344,7 @@ def sigma2_closed(n: int) -> Fraction:
 def sigma2_closed_abstract(n: int) -> Fraction:
     """The same sum written with F_n^2 in place of L_{2n}:
     4n/75 * F_{2n} - 17/225 * F_n^2 - (-1)^n * 2/15 - 1/9."""
-    if n < 2:
-        raise ValueError(f"level must be >= 2, got {_shown(n)}")
+    LEVEL.check(n)
     sgn = (-1) ** n
     return (
         Fraction(4 * n * fib(2 * n), 75)

@@ -52,10 +52,10 @@ run time, and across those loop families a sum may differ by a few
 ulp.  The grouped sum runs inline.
 
 Only the dft energy route reads a whole-N Hurwitz pair table,
-kernels.dft_coeffs, capped at N = kernels._PAIR_TABLE_MAX_N; wce takes
-N < F_48, the engine's cost bound, and "direct" is capped at
-N = _DIRECT_MAX_N.  energy_exact takes 2s <= 32, the degree cap of
-gen_dedekind_sum.
+kernels.dft_coeffs, capped at N = 2 * 10**7; wce takes N < F_48, the
+engine's cost bound, and "direct" is capped at N = 1000.  energy_exact
+takes 2s <= 32, the degree cap of gen_dedekind_sum.  Each bound is an
+entry of _bounds.
 """
 from __future__ import annotations
 
@@ -69,8 +69,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._bounds import DIRECT_N, LEVEL, MODULUS, PAIR_SUM, PAIR_SUM_N, _shown
 from .dedekind import gen_dedekind_sum
-from .golden import _shown, fib
+from .golden import fib
 from .kernels import (
     Kernel,
     _as_float,
@@ -110,7 +111,6 @@ _SUM_CHUNK = 1 << 16  # terms per block of the pair sum
 # the GIL: on two workers the fsigma level sum runs about 10% slower at
 # 2**14 than at 2**16, and about twice as slow at 2**12
 _PAIR_SLICE = 1 << 14
-_DIRECT_MAX_N = 1000  # "direct" runs N**2 Python steps: 5.2 s at N = 987 on one Xeon core
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,7 @@ class RationalLattice:
     @classmethod
     def fibonacci(cls, n: int) -> RationalLattice:
         """Phi_n = Lambda_{F_n, F_{n-1}}, n >= 2."""
-        if n < 2:
-            raise ValueError(f"level must be >= 2, got {_shown(n)}")
+        LEVEL.check(n)
         return cls(fib(n), fib(n - 1))
 
 
@@ -168,8 +167,7 @@ def _check_lattice(N: int, h: int) -> tuple[int, int]:
     """(N, h) as ints; ValueError unless both are integers (NumPy ones
     too), N >= 1 and gcd(h, N) = 1, so Lambda_{N,h} exists."""
     N, h = _as_int("modulus", N), _as_int("generator", h)
-    if N < 1:
-        raise ValueError(f"modulus must be >= 1, got {_shown(N)}")
+    MODULUS.check(N)
     if math.gcd(h, N) != 1:
         raise ValueError(f"generator {_shown(h)} not coprime to {_shown(N)}")
     return N, h
@@ -256,9 +254,7 @@ def wce_e(sigma: float, p: float, N: int, h: int) -> float:
     _check_coefficient(p)
     p = _as_float("p", p)
     N, h = _check_lattice(N, h)
-    if N >= fib(48):  # fib_sum's level bound; first, so that N is a float only below it
-        raise ValueError(f"N must be < F_48, the pair sum's cost bound (4.8e9 terms), "
-                         f"got {_shown(N)}")
+    PAIR_SUM_N.check(N)  # first, so that N is a float only below it
     _check_scale(sigma, N)
     scale = (_TWO_PI * N) ** -sigma
 
@@ -290,7 +286,7 @@ def energy(lat: RationalLattice, sigma: float, p: float,
     The dft and wce routes both take the vectorized Hurwitz pair
     (relative error ~1e-15).  Only dft reads it from the whole-N table,
     and is refused with ValueError above N = 2 * 10**7
-    (kernels._PAIR_TABLE_MAX_N, for memory); wce runs on the pair-sum
+    (_bounds.PAIR_TABLE, for memory); wce runs on the pair-sum
     engine in bounded memory and is refused from N = F_48 on (a cost
     bound, about 4.8e9 terms).  "direct"
     sums the potential's cosine series to 1e-13 relative to
@@ -300,11 +296,7 @@ def energy(lat: RationalLattice, sigma: float, p: float,
     every route."""
     sigma = _check_exponent(sigma)
     if method == "direct":
-        if lat.N > _DIRECT_MAX_N:
-            raise ValueError(
-                f"direct route is O(N**2) and capped at N = {_DIRECT_MAX_N}, "
-                f"got N = {lat.N}; use dft or wce"
-            )
+        DIRECT_N.check(lat.N)
         val = energy_direct(lambda t: float(potential_K(sigma, p, t)), lattice_points(lat))
     elif method == "dft":
         val = energy_dft(dft_coeffs(sigma, p, lat.N), lat.N, lat.h)
@@ -358,8 +350,7 @@ def _level_scale(n: int, sigma: float) -> float:
 def _check_level(n: int, sigma: float, kernel: Kernel | None) -> tuple[float, Kernel]:
     """sigma as a Python float and the weight (one by default) of a level
     sum; ValueError for a level below 2 and a sigma outside (0, inf)."""
-    if n < 2:
-        raise ValueError(f"level must be >= 2, got {_shown(n)}")
+    LEVEL.check(n)
     if not 0 < sigma < math.inf:
         raise ValueError(f"exponent must be finite and positive, got {sigma}")
     return _as_float("exponent", sigma), kernel or kernel_one()
@@ -502,10 +493,7 @@ def fib_sum(n: int, sigma: float, kernel: Kernel | None = None,
     F_n**sigma (when normalized) or total leaves float64.
     """
     sigma, kernel = _check_level(n, sigma, kernel)
-    if n >= 48:
-        raise ValueError(
-            f"level must be < 48 (F_48 - 1, about 4.8e9 terms, is past the "
-            f"flat sweep's cost bound), got {_shown(n)}")
+    PAIR_SUM.check(n)
     scale = _level_scale(n, sigma) if normalized else 1.0
     term = functools.partial(_level_terms, kernel, sigma)
     return _finite_sum(_pair_sum(fib(n), fib(n - 1), term), n, sigma) / scale

@@ -15,9 +15,11 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
-from math import isqrt, log10
+from math import isqrt
 
 import mpmath
+
+from ._bounds import INDEX, PHI_POWER, _shown
 
 __all__ = [
     "GoldenInt",
@@ -92,32 +94,16 @@ class GoldenInt:
         return f"GoldenInt({self.a}, {self.b})"
 
 
-def _shown(n) -> str:
-    """str(n) for a message; an int past Python's int-to-str limit (4300
-    digits by default) by its size, as "an integer near 10**5000"."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"an integer near {'-' if n < 0 else ''}10**{log10(abs(n)):.0f}"
-
-
-# F_n has about 0.209 n digits: F at 2**26 (14 million digits) takes
-# about 45 s, and a larger index only longer, so it is refused; every
-# value the CLI prints within its 10**7-digit budget stays below it
-_INDEX_MAX = 2 ** 26
-
-
 @functools.lru_cache(maxsize=1024)
 def _fib_doubling(n: int) -> tuple[int, int]:
     """(F_n, F_{n+1}) by binary doubling, memoized: the sweeps ask for the
     same few indices hundreds of thousands of times.  ValueError for an
-    index of _INDEX_MAX or more, checked on a cache miss.
+    index past _bounds.INDEX (2**26 or more), checked on a cache miss.
 
     F_{2k}   = F_k * (2*F_{k+1} - F_k)
     F_{2k+1} = F_k**2 + F_{k+1}**2
     """
-    if n >= _INDEX_MAX:
-        raise ValueError(f"index must be below 2**26, got {_shown(n)}")
+    INDEX.check(n)
     if n == 0:
         return 0, 1
     f, f1 = _fib_doubling(n >> 1)
@@ -165,8 +151,9 @@ def phi_power(n: int) -> GoldenInt:
     """phi**n as an element of Z[phi], any integer |n| < 2**26.
 
     phi**n = F_{n-1} + F_n * phi; for n < 0 this uses
-    F_{-m} = (-1)**(m+1) * F_m.
+    F_{-m} = (-1)**(m+1) * F_m.  |n| >= 2**26 raises ValueError naming n.
     """
+    PHI_POWER.check(abs(n), n)
     if n >= 1:
         fn, fn1 = _fib_doubling(n - 1)
         return GoldenInt(fn, fn1)

@@ -39,7 +39,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .golden import _shown
+from ._bounds import EVEN_EXPONENT, K_SERIES, MODULUS, PAIR_TABLE, SCALE
 
 __all__ = [
     "bernoulli_number",
@@ -65,17 +65,8 @@ _TWO_PI = 2 * math.pi
 # pi to 39 digits: parsed by each float dtype, so extended-precision
 # arrays get their own correctly rounded pi rather than the double one
 _PI_STR = "3.14159265358979323846264338327950288420"
-# largest N of dft_coeffs, the one whole-N Hurwitz pair table (wce_e sums
-# the pair over the blocked engine of energy._pair_sum): the dft route
-# adds ~35 bytes per N to the process, 721 MB peak RSS at the cap
-_PAIR_TABLE_MAX_N = 2 * 10 ** 7
-# most terms potential_K's cosine series may take (32 MB per work array)
-_K_SERIES_MAX_TERMS = 1 << 22
 # potential_K's cosine series stops at an Abel tail bound of this times max(1, |pref|)
 _K_SERIES_TOL = 1e-13
-# largest 2s of the even-sigma routes: each builds B_{2s}, B_{2s}(t) or
-# G_{2s-1}, and B_0..B_2000 alone take about 2 s
-_EVEN_EXPONENT_MAX = 2000
 
 
 def _check_exponent(sigma) -> float:
@@ -105,15 +96,14 @@ def _check_coefficient(p) -> None:
 
 def _even_exponent(sigma) -> int:
     """2s for any real sigma (int, float, Fraction, NumPy scalar) equal to
-    an even integer in [2, _EVEN_EXPONENT_MAX]; ValueError for anything
-    else, inf and NaN too."""
+    an even integer in [2, 2000] (_bounds.EVEN_EXPONENT); ValueError for
+    anything else, inf and NaN too."""
+    two_s = 0  # anything but an even integer: refused as below the range
     if isinstance(sigma, numbers.Rational) or (
             isinstance(sigma, numbers.Real) and math.isfinite(sigma)):
-        two_s = math.floor(sigma)
-        if two_s == sigma and 2 <= two_s <= _EVEN_EXPONENT_MAX and two_s % 2 == 0:
-            return two_s
-    raise ValueError(
-        f"needs an even integer exponent in [2, {_EVEN_EXPONENT_MAX}], got {sigma!r}")
+        floor = math.floor(sigma)
+        two_s = floor if floor == sigma and floor % 2 == 0 else 0
+    return EVEN_EXPONENT.check(two_s, repr(sigma))
 
 
 def _bernoulli_coeff(two_s: int, p) -> Fraction:
@@ -232,8 +222,8 @@ def _check_scale(sigma: float, N: int) -> None:
     """ValueError where N > 1 and (2 pi N)**sigma, the scale of the
     Hurwitz pair sums over Z/N (dft_coeffs, energy.wce_e), leaves the
     float64 normal range; N = 1 has no pair to scale."""
-    if N > 1 and sigma * math.log10(_TWO_PI * N) > 307:
-        raise ValueError(f"(2 pi N)**sigma overflows float64 at sigma={sigma:g}, N={N}")
+    if N > 1:
+        SCALE.check(sigma * math.log10(_TWO_PI * N), sigma, N)
 
 
 @functools.lru_cache(maxsize=None)
@@ -482,13 +472,13 @@ def _parse_kernel(spec: str, sigma: float | None) -> Kernel:
 def potential_K(sigma: float, p, t):
     """K_{sigma,p}(t) = 1 + p sum_{m != 0} e(mt)/|2 pi m|**sigma.
 
-    For even integer sigma = 2s <= _EVEN_EXPONENT_MAX this is the
+    For even integer sigma = 2s <= 2000 (_bounds.EVEN_EXPONENT) this is the
     polynomial path 1 + c B_{2s}({t}) with c = p (-1)**(s-1) / (2s)!,
     exact (a Fraction) when both p and t are, else p times Horner's rule
     on the float coefficients of c B_{2s} at p = 1.  Otherwise the
     cosine series is summed until an Abel-bounded tail drops below
     _K_SERIES_TOL times max(1, |2p/(2 pi)**sigma|); where that takes more
-    than _K_SERIES_MAX_TERMS terms (sigma near 1, t near 0) it raises
+    than 2**22 terms (_bounds.K_SERIES; sigma near 1, t near 0) it raises
     ValueError, and the dft and wce routes of energy take the input.  A
     non-finite p or t, a (2 pi)**sigma past float64 and a float value
     past it raise ValueError.
@@ -538,11 +528,7 @@ def _potential_K(sigma: float, p, t):
         return 1.0 + pref * zeta(sigma)
     bound = 1.0 / math.sin(math.pi * tr)  # Abel bound on cosine partial sums
     terms = (min(abs(pref), 1.0) * bound / _K_SERIES_TOL) ** (1.0 / sigma)
-    if terms > _K_SERIES_MAX_TERMS:
-        raise ValueError(
-            f"cosine series of K needs {terms:.3g} terms at sigma={sigma:g}, "
-            f"t={t:g} (cap {_K_SERIES_MAX_TERMS}); use dft or wce"
-        )
+    K_SERIES.check(terms, terms, sigma, t)
     M = max(32, math.ceil(terms))
     m = np.arange(1, M + 1, dtype=np.float64)
     with np.errstate(over="ignore"):  # m**sigma = inf is a zero term
@@ -559,18 +545,15 @@ def dft_coeffs(sigma: float, p: float, N: int) -> np.ndarray:
     _hurwitz_pair at the double m/N for m <= N/2, relative error ~1e-15
     plus up to sigma * 2**-53 from rounding m/N, mirrored to N - m.
     Raises ValueError where (2 pi N)**sigma or an entry overflows float64,
-    above N = _PAIR_TABLE_MAX_N (peak memory under 1 GB) and for a
-    non-finite p.
+    above N = 2 * 10**7 (_bounds.PAIR_TABLE; peak memory under 1 GB) and
+    for a non-finite p.
     """
-    if N < 1:
-        raise ValueError(f"modulus must be >= 1, got {_shown(N)}")
+    MODULUS.check(N)
     sigma = _check_exponent(sigma)
     _check_coefficient(p)
     p = _as_float("p", p)
     # first, so that the size checks come before N is a float
-    if N > _PAIR_TABLE_MAX_N:
-        raise ValueError(
-            f"pair table is capped at N = {_PAIR_TABLE_MAX_N} (memory), got N = {_shown(N)}")
+    PAIR_TABLE.check(N)
     _check_scale(sigma, N)
     scale = (_TWO_PI * N) ** -sigma
     out = np.empty(N, dtype=np.float64)
@@ -588,8 +571,7 @@ def dft_coeffs_even(two_s: int, p: float, N: int) -> np.ndarray:
     Raises ValueError where (2N)**(2s) * (2s-1)!, the scale of the m >= 1
     entries, or an entry overflows float64, and for a non-finite p."""
     two_s = _even_exponent(two_s)
-    if N < 1:
-        raise ValueError(f"modulus must be >= 1, got {_shown(N)}")
+    MODULUS.check(N)
     _check_coefficient(p)
     if two_s * math.log(2 * N) + math.lgamma(two_s) >= math.log(sys.float_info.max):
         raise ValueError(f"(2N)**(2s) * (2s-1)! overflows float64 at 2s={two_s}, N={N}")

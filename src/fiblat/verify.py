@@ -55,6 +55,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._bounds import LIMIT_CAPS, SUITE_LIMIT
 from .asymptotics import ZETA_ROUTES, dedekind_zeta
 from .dedekind import (
     apostol_check,
@@ -66,7 +67,7 @@ from .dedekind import (
     sigma2_closed_abstract,
 )
 from .energy import energy_dft, energy_exact
-from .golden import GoldenInt, _shown, fib
+from .golden import GoldenInt, fib
 from .kernels import dft_coeffs, dft_coeffs_even, potential_K
 from .wythoff import (
     _eta,
@@ -430,24 +431,16 @@ _SUITES: dict[str, tuple] = {
 
 SUITE_NAMES = tuple(_SUITES)
 
-# the largest limit of each suite whose work grows with it, every suite but
-# dft: ten times its default
-LIMIT_CAPS = {name: 10 * default for name, (_, default) in _SUITES.items() if name != "dft"}
-
 
 def check_limits(names, limit: int | None = None) -> None:
     """ValueError unless every suite of names runs at limit: an unknown
-    suite, a limit below 1 or one above a suite's LIMIT_CAPS entry.
-    A limit of None takes each suite's default."""
+    suite, a limit below 1 or one above a suite's LIMIT_CAPS entry
+    (_bounds.SUITE_LIMIT).  A limit of None takes each suite's default."""
     for name in names:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)}")
         lim = _SUITES[name][1] if limit is None else limit
-        if lim < 1:
-            raise ValueError(f"limit must be >= 1, got {_shown(lim)}")
-        if lim > LIMIT_CAPS.get(name, lim):
-            raise ValueError(
-                f"suite {name} is capped at limit {LIMIT_CAPS[name]}, got {_shown(lim)}")
+        SUITE_LIMIT._replace(hi=LIMIT_CAPS.get(name)).check(lim, lim, name)
 
 
 def run_suite(name: str, limit: int | None = None) -> SuiteResult:

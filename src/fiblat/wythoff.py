@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .golden import GoldenInt, _shown, fib, floor_phi_times
+from ._bounds import GROUPED_LEVEL, ROW_ENTRIES, ROW_TABLE, ROWS_BELOW, _shown
+from .golden import GoldenInt, fib, floor_phi_times
 
 __all__ = [
     "WythoffRow",
@@ -154,7 +155,9 @@ def _phi_pow_below_int(m: int, a: int, b: int) -> bool:
 
 
 def wythoff_row_entries(i: int, k_max: int) -> list[int]:
-    """[W[i, 1], ..., W[i, k_max]] by the two-term recurrence."""
+    """[W[i, 1], ..., W[i, k_max]] by the two-term recurrence.  k_max above
+    10**4 raises ValueError: the list grows as k_max**2."""
+    ROW_ENTRIES.check(k_max)
     if k_max < 1:
         return []
     L = floor_phi_times(i)
@@ -171,11 +174,14 @@ def rows_below_half_fib(n: int) -> list[tuple[int, int]]:
 
     Returns [(i, k_max)] where k_max = n - mu_i - 1 >= 1; the union of
     {W[i, k] : k <= k_max} over these rows is exactly the set of
-    positive integers below F_n / 2.  Levels n >= 44 raise ValueError
-    (see _level_rows).
+    positive integers below F_n / 2.  Levels above 30 raise ValueError
+    (the list keeps about 96 B per row, 14.6 MiB at level 30), and those
+    from 44 on by _level_rows' bound.
     """
+    rows = _level_rows(n)  # first, so that n >= 44 keeps _level_rows' message
+    ROWS_BELOW.check(n)
     out = []
-    for i, _, depth in _level_rows(n):
+    for i, _, depth in rows:
         out.extend((r, depth) for r in i.tolist())
     return out
 
@@ -194,13 +200,7 @@ def _level_rows(n: int):
     (floor(phi*i) < 2**27, so n >= 44) raise ValueError at the call,
     before F_n is formed.
     """
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {_shown(n)}")
-    if n >= 44:
-        raise ValueError(
-            f"level must be < 44 (its rows pass the exact row "
-            f"columns, floor(phi*i) < 2**27), got {_shown(n)}"
-        )
+    GROUPED_LEVEL.check(n)
     # floor(x / phi**2) = 2x - floor(phi*x) - 1 for integers x >= 1
     x = fib(n) + 4
     i_bound = (2 * x - floor_phi_times(x) - 1) // 2
@@ -246,7 +246,7 @@ class RowTable:
     """
 
     def __init__(self, i_max: int):
-        _check_table_size(i_max)
+        ROW_TABLE.check(i_max)
         self.i_max = i_max
         self.i = np.arange(1, i_max + 1, dtype=np.int32)
         self.floor_phi_i = np.empty(i_max, dtype=np.int32)
@@ -271,19 +271,10 @@ class RowTable:
             self.w_minus_neg[s] = wmn
 
 
-def _check_table_size(i_max: int) -> None:
-    """ValueError unless 0 <= i_max and floor(phi*i_max) < 2**27, the
-    range where the array row columns are exact."""
-    if i_max < 0:
-        raise ValueError(f"table size must be >= 0, got {_shown(i_max)}")
-    if i_max >= 1 and floor_phi_times(i_max) >= 1 << 27:
-        raise ValueError(f"table size must keep floor(phi*i) < 2**27, got {_shown(i_max)}")
-
-
 def _eta_column(i_max: int) -> np.ndarray:
     """RowTable(i_max).eta, int32, without the table's other columns:
     built in the same blocks by the same formula."""
-    _check_table_size(i_max)
+    ROW_TABLE.check(i_max)
     eta = np.empty(i_max, dtype=np.int32)
     for s, i, L in _row_blocks(i_max):
         eta[s] = _eta(i, L)

@@ -1,12 +1,15 @@
+import gc
+import importlib
 import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from fiblat.dedekind import (
     CLOSED_FAMILIES,
-    _floor_sum_plan,
     apostol_check,
     gen_dedekind_sum,
     hwz_check,
@@ -18,6 +21,8 @@ from fiblat.dedekind import (
 )
 from fiblat.energy import energy_exact
 from fiblat.golden import fib
+
+dedekind = importlib.import_module("fiblat.dedekind")
 from fiblat.kernels import bernoulli_poly
 
 
@@ -89,19 +94,49 @@ def test_negative_degree_and_modulus_below_one_are_rejected():
             gen_dedekind_sum(1, 1, 1, 1, c)
 
 
-def test_degrees_past_the_cap_are_refused_before_any_plan():
-    # the floor-sum plan grows like (ell + m)**4 and stays cached, so
-    # ell + m > 64 is refused before one is built; energy_exact's 2s = 34
-    # is ell + m = 68
+def test_degrees_past_the_cap_are_refused_before_any_plan(monkeypatch):
+    # the floor-sum plan grows like (ell + m)**4, so ell + m > 64 is
+    # refused before one is built; energy_exact's 2s = 34 is ell + m = 68
     assert gen_dedekind_sum(2, 62, 1, 2, 3) == brute_sum(2, 62, 1, 2, 3)
     assert gen_dedekind_sum(31, 33, 5, 3, 7) == brute_sum(31, 33, 5, 3, 7)
-    _floor_sum_plan.cache_clear()
+    built = []
+    monkeypatch.setattr(dedekind, "_plan", built.append)
     for call in (lambda: gen_dedekind_sum(33, 32, 1, 2, 3),
                  lambda: gen_dedekind_sum(0, 65, 1, 1, 1),
                  lambda: energy_exact(34, 1, 5, 3)):
         with pytest.raises(ValueError, match=r"ell \+ m must be <= 64"):
             call()
-    assert _floor_sum_plan.cache_info().currsize == 0
+    assert built == []
+
+
+def test_a_large_degree_leaves_no_plan_behind(monkeypatch):
+    # after energy_exact at 2s = 32 (degree 64) the process held 80 MiB,
+    # most of it the floor-sum plan.  Only the plans of degree 12 and
+    # below, which the suites reuse, are kept: the plan is dropped (only
+    # this test's list refers to it), and what else the call leaves is
+    # traced from the plan's end on, since tracing its build alone takes
+    # about 2 s.  On Lambda_{2,1} the plan is the same as on (5, 3), and
+    # the traced recursion is one level (2 s less)
+    for cache in (dedekind._floor_power_sums, dedekind._unit_sum_terms):
+        cache.cache_clear()
+    plans = []
+
+    def build(deg):
+        plans.append(plan(deg))
+        tracemalloc.start()
+        return plans[-1]
+
+    plan = dedekind._plan
+    monkeypatch.setattr(dedekind, "_plan", build)
+    try:
+        energy_exact(32, 1, 2, 1)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    refs = sys.getrefcount(plans[0])  # plans and the argument
+    assert len(plans) == 1 and len(plans[0][0]) == 65
+    assert refs == 2 and held < 8 * 2 ** 20, (refs, held)
 
 
 @pytest.mark.parametrize("b,c", [(0, 1), (1, 0), (0, 0), (-1, 2), (3, -5)])

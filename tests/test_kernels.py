@@ -426,14 +426,14 @@ def test_f_sigma_outside_float64_is_a_value_error():
 def test_pair_table_routes_are_capped():
     # N = F_40 ~ 1e8 would build a 1e8-entry table for ~40 s; wce_e
     # builds none, and stops at the pair sum's cost bound instead
-    from fiblat.kernels import _PAIR_TABLE_MAX_N
+    from fiblat._bounds import PAIR_TABLE
 
-    N = _PAIR_TABLE_MAX_N + 1
+    N = PAIR_TABLE.hi + 1
     with pytest.raises(ValueError, match="capped at N"):
         dft_coeffs(2.0, 1.0, N)
     with pytest.raises(ValueError, match="cost bound"):
         wce_e(2.0, 1.0, fib(48), fib(47))
-    assert _PAIR_TABLE_MAX_N >= 10 ** 6
+    assert PAIR_TABLE.hi >= 10 ** 6
 
 
 def test_one_point_lattice_needs_no_pair_table():

@@ -7,8 +7,9 @@ traceback, never a non-finite number.  numpy's RuntimeWarnings are
 errors here, as in CI.  The public numeric functions are held to the
 same contract: they return finite values or raise ValueError.
 
-The draws include the edges: 0, 1, negatives, the documented caps, huge
-and tiny floats, nan, inf, and weights with big coefficients.  They are
+The draws include the edges: 0, 1, negatives, the documented caps (read
+from fiblat._bounds, so that a moved bound moves its draws), huge and
+tiny floats, nan, inf, and weights with big coefficients.  They are
 derandomized, so every run draws the same cases.  The strategies cap
 the cost (the _MAX_* constants below), so the module runs in a few
 seconds.  It is skipped where hypothesis is not installed.
@@ -16,6 +17,7 @@ seconds.  It is skipped where hypothesis is not installed.
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import re
@@ -32,6 +34,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fiblat
+from fiblat._bounds import (
+    DIGITS,
+    DIRECT_N,
+    FIT_LEVEL,
+    GROUPED_LEVEL,
+    PAIR_SUM,
+    PAIR_TABLE,
+    ROW_TRUNCATION,
+)
 from fiblat.asymptotics import constant_C_closed, residual_fit
 from fiblat.cli import main
 from fiblat.dedekind import CLOSED_FAMILIES, gen_dedekind_sum
@@ -54,6 +65,18 @@ _MAX_TABLE = 300  # wythoff rows and columns (10**7 digits is the budget)
 _MAX_LEVEL_SPAN = 30  # closed: levels per table, up to level 30000
 _MAX_C_SIGMA = 1200  # closed --family c (B_1000 takes 0.3 s)
 _MAX_EXACT_SIGMA = 12  # energy_exact (3.4 s at 2s = 40)
+
+
+def _level_past(N):
+    """The first level n with F_n > N."""
+    return next(n for n in itertools.count() if fib(n) > N)
+
+
+# the edges at the bounds: one step past each
+_SUM_PAST = PAIR_SUM.hi + 1  # 48
+_TABLE_PAST = PAIR_TABLE.hi + 1  # 2 * 10**7 + 1, F_37 and up
+_DIRECT_PAST = DIRECT_N.hi + 1  # 1001, F_17 and up
+_ROWS_MIN = ROW_TRUNCATION.lo  # 8
 
 _EDGE_FLOATS = ("0", "-0.0", "1", "-1", "1e-300", "5e-324", "1e300", "-1e300",
                 "1.7976931348623157e308", "1e308", "nan", "inf", "-inf")
@@ -109,25 +132,25 @@ def _opts(required=(), **options):
 
 _COMMANDS = st.one_of(
     st.tuples(st.just(["wythoff"]), _opts(
-        rows=_ints(-2, _MAX_TABLE, 10 ** 7, 10 ** 400), cols=_ints(-2, _MAX_TABLE, 10 ** 7),
+        rows=_ints(-2, _MAX_TABLE, DIGITS.hi, 10 ** 400), cols=_ints(-2, _MAX_TABLE, DIGITS.hi),
         dual=st.booleans(), format=_FORMAT)),
     st.tuples(st.just(["sum"]), _opts(
-        ("level", "sigma"), level=_ints(-2, _MAX_SUM_LEVEL, 48, 10 ** 4), sigma=_SIGMA,
+        ("level", "sigma"), level=_ints(-2, _MAX_SUM_LEVEL, _SUM_PAST, 10 ** 4), sigma=_SIGMA,
         kernel=_KERNEL, method=st.sampled_from(("flat", "grouped")), raw=st.booleans(),
         format=_FORMAT)),
     st.tuples(st.just(["energy"]), st.one_of(
-        _opts(("fib_level", "sigma"), fib_level=_ints(-2, 16, 37, 10 ** 4), sigma=_SIGMA,
-              p=_floats("2", "-0.5"), method=st.sampled_from(("dft", "wce")),
+        _opts(("fib_level", "sigma"), fib_level=_ints(-2, 16, _level_past(PAIR_TABLE.hi), 10 ** 4),
+              sigma=_SIGMA, p=_floats("2", "-0.5"), method=st.sampled_from(("dft", "wce")),
               format=_FORMAT),
-        _opts(("points", "gen", "sigma"), points=_ints(-2, _MAX_N, 2 * 10 ** 7 + 1),
+        _opts(("points", "gen", "sigma"), points=_ints(-2, _MAX_N, _TABLE_PAST),
               gen=_ints(-3, _MAX_N, 10 ** 30), sigma=_SIGMA, p=_floats("2", "-0.5"),
               method=st.sampled_from(("dft", "wce")), format=_FORMAT),
-        _opts(("sigma", "method"), points=_ints(-2, _MAX_DIRECT_N, 1001, 10 ** 6),
-              gen=_ints(-3, _MAX_DIRECT_N), fib_level=_ints(2, 9, 17), sigma=_SIGMA,
-              p=_floats("2", "-0.5"), method=st.just("direct"), format=_FORMAT))),
+        _opts(("sigma", "method"), points=_ints(-2, _MAX_DIRECT_N, _DIRECT_PAST, 10 ** 6),
+              gen=_ints(-3, _MAX_DIRECT_N), fib_level=_ints(2, 9, _level_past(DIRECT_N.hi)),
+              sigma=_SIGMA, p=_floats("2", "-0.5"), method=st.just("direct"), format=_FORMAT))),
     st.tuples(st.just(["constants"]), _opts(
         ("sigma", "i_max", "k_max"), sigma=_SIGMA, kernel=_KERNEL,
-        i_max=_ints(8, _MAX_I, -2, 7, 10 ** 9), k_max=_ints(2, _MAX_K, -1, 1),
+        i_max=_ints(_ROWS_MIN, _MAX_I, -2, _ROWS_MIN - 1, 10 ** 9), k_max=_ints(2, _MAX_K, -1, 1),
         format=_FORMAT)),
     st.tuples(st.just(["closed"]), st.one_of(
         _opts(("family", "sigma"), family=st.just("c"),
@@ -148,8 +171,8 @@ _COMMANDS = st.one_of(
         _opts(("limit",), limit=_ints(-2, _MAX_LIMIT)), _FORMAT)),
     st.tuples(st.just(["fit"]), _opts(
         ("sigma", "n_min", "n_max", "i_max", "k_max"), sigma=_SIGMA, kernel=_KERNEL,
-        n_min=_ints(2, _MAX_FIT_LEVEL, -2, 1), n_max=_ints(2, _MAX_FIT_LEVEL, 0, 33),
-        i_max=_ints(8, _MAX_I, -2), k_max=_ints(2, _MAX_K, 0), c=_floats("0.5"),
+        n_min=_ints(2, _MAX_FIT_LEVEL, -2, 1), n_max=_ints(2, _MAX_FIT_LEVEL, 0, FIT_LEVEL.hi + 1),
+        i_max=_ints(_ROWS_MIN, _MAX_I, -2), k_max=_ints(2, _MAX_K, 0), c=_floats("0.5"),
         d=_floats("-1"),
         format=_FORMAT)),
 ).map(lambda pair: pair[0] + pair[1])
@@ -352,16 +375,16 @@ _HUGE_CASES = {
     "lucas": (lambda: lucas(_HUGE), "below 2\\*\\*26"),
     "phi_power": (lambda: phi_power(_HUGE), "below 2\\*\\*26"),
     "phi_power_negative": (lambda: phi_power(-_HUGE), "below 2\\*\\*26"),
-    "_level_rows": (lambda: _level_rows(_HUGE), "< 44"),
-    "fib_sum": (lambda: fib_sum(_HUGE, 2.0), "< 48"),
-    "fib_sum_grouped": (lambda: fib_sum_grouped(_HUGE, 2.0), "< 44"),
+    "_level_rows": (lambda: _level_rows(_HUGE), f"< {GROUPED_LEVEL.hi + 1}"),
+    "fib_sum": (lambda: fib_sum(_HUGE, 2.0), f"< {_SUM_PAST}"),
+    "fib_sum_grouped": (lambda: fib_sum_grouped(_HUGE, 2.0), f"< {GROUPED_LEVEL.hi + 1}"),
     "wce_e": (lambda: wce_e(2.0, 1.0, _HUGE, 1), "< F_48"),
     "RationalLattice.fibonacci": (lambda: RationalLattice.fibonacci(_HUGE), "below 2\\*\\*26"),
     "run_suite": (lambda: run_suite("wythoff", _HUGE), "capped at limit"),
-    "residual_fit": (lambda: residual_fit(2.0, None, 5, _HUGE), "level cap is 32"),
+    "residual_fit": (lambda: residual_fit(2.0, None, 5, _HUGE), f"level cap is {FIT_LEVEL.hi}"),
     "row": (lambda: row(-_HUGE), ">= 1"),
     "RowTable": (lambda: RowTable(_HUGE), "< 2\\*\\*27"),
-    "dft_coeffs": (lambda: dft_coeffs(2.0, 1.0, _HUGE), "capped at N = 20000000"),
+    "dft_coeffs": (lambda: dft_coeffs(2.0, 1.0, _HUGE), f"capped at N = {PAIR_TABLE.hi}"),
     "gen_dedekind_sum": (lambda: gen_dedekind_sum(2, 2, 1, 1, -_HUGE), ">= 1"),
 }
 
