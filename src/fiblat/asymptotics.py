@@ -32,6 +32,13 @@ chunk sums in row order, so every output is bit-identical for any
 worker count.  A chunk forms its terms in place, in five chunk-length
 work arrays shared by its two series, so a worker's memory does not
 grow with k_max and stays near a dozen chunk-length arrays.
+
+A term f0*f(x)/(pi*w*sin(pi*x))**sigma comes from the weight's
+Kernel.d_term.  For one and the trig weights it is that expression in
+the pass's precision.  The fsigma weight divides its own sin**sigma back
+out and forms its terms, the Hurwitz pair over (pi*w)**sigma, at double
+in both passes, as its eval_many does; its precision gap then measures
+only the forming of x and w, the flat weights and the summation.
 """
 from __future__ import annotations
 
@@ -405,8 +412,9 @@ def _one_sided(acc, x0, w0, sign, kernel: Kernel, k_max: int, sg, f0, base,
     w = (w0*phi**k + (-1)**k*sign*x)/sqrt5, and is
     f0*f(x)/(pi*w*sin(pi*x))**sigma - base.  The terms are formed in
     the five chunk-length arrays of work, term k in t[k % 2], by the
-    operations of that expression in its order (a - b for a + (-b)),
-    so no term allocates an array beyond its weight's values.
+    operations of that expression in its order (a - b for a + (-b));
+    the weight's part comes from kernel.d_term, with g as its scratch
+    array, so no term allocates an array beyond the weight's own.
     """
     x, w, g, *t = work
     for k in range(1, k_max + 1):
@@ -420,13 +428,8 @@ def _one_sided(acc, x0, w0, sign, kernel: Kernel, k_max: int, sg, f0, base,
             w -= g
         w /= sqrt5
         w *= pi
-        np.multiply(pi, x, out=g)
-        np.sin(g, out=g)
-        g *= w  # pi * w * sin(pi * x)
-        g **= sg
         tk = t[k % 2]
-        np.multiply(f0, kernel.eval_many(x), out=tk)
-        tk /= g
+        kernel.d_term(x, w, sg, f0, tk, g)
         tk -= base
         acc += tk
     return _tail_mass(t[k_max % 2], t[(k_max - 1) % 2])
@@ -535,12 +538,14 @@ def constant_D(sigma: float, kernel: Kernel | None = None,
     truncated at i_max rows and k_max inner terms, by a vectorized sweep.
 
     Runs the sweep in extended precision and again at double, reporting
-    the difference as the rounding proxy.  Rows are cut into chunks of
-    _CHUNK rows, and the chunks of both passes form one task list,
-    extended precision first.  One worker runs the list inline; more
-    run it on a pool of one worker per CPU in the process's affinity
-    mask (threads= sets another count, for timing), capped at the
-    number of chunks, so i_max <= _CHUNK runs inline.  Each pass adds
+    the difference as the rounding proxy; the fsigma weight's terms are
+    formed at double in both passes (Kernel.d_term), so for it the proxy
+    covers the arguments, the flat weights and the summation.  Rows are
+    cut into chunks of _CHUNK rows, and the chunks of both passes form
+    one task list, extended precision first.  One worker runs the list
+    inline; more run it on a pool of one worker per CPU in the process's
+    affinity mask (threads= sets another count, for timing), capped at
+    the number of chunks, so i_max <= _CHUNK runs inline.  Each pass adds
     its chunk sums in row order, so the result is bit-identical for any
     worker count; DConstant.threads records the count used.  A thread
     count that is not a positive integer raises ValueError, and so does

@@ -8,9 +8,10 @@ whose lattice DFT coefficients come either from Hurwitz zeta values
 (any sigma > 1) or, for even sigma = 2s <= 2000, from derivatives of
 the cotangent and Bernoulli polynomials.  Exact Bernoulli numbers are
 mpmath.bernfrac's.  Scalar zeta values are mpmath.zeta, which is also
-the oracle; the pair
-zeta(sigma, a) + zeta(sigma, 1-a) has one float64 engine, _hurwitz_pair,
-behind dft_coeffs, energy.wce_e and the fsigma weight.  Weight functions
+the oracle; the pair zeta(sigma, a) + zeta(sigma, 1-a) has one float64
+engine, _hurwitz_pair, behind dft_coeffs, energy.wce_e, the fsigma
+weight and its D sweep term (the pair over a given power, each term
+over its own).  Weight functions
 f enter the energy sums as f(t1) f(t2) / |sin sin|**sigma; each family
 is a Kernel class: Trig, the even trigonometric polynomials
 sum_j a_j cos(pi t)**(2j); One, the constant 1, trig:1 evaluated without
@@ -24,7 +25,9 @@ a term as eval_many(t1) * eval_many(t2) on slices of bounded size, so a
 weight's temporaries stay the size of a slice; One's eval_many is a
 NumPy scalar 1, which broadcasts, so the constant weight builds no
 arrays.  FSigma.eval_many and _hurwitz_pair form their values in place,
-bit for bit the values of the whole-array expressions.
+bit for bit the values of the whole-array expressions.  A weight's D
+sweep term is its d_term: the sweep's expression in the sweep's dtype,
+except that FSigma at its own sigma cancels its sines.
 """
 from __future__ import annotations
 
@@ -165,12 +168,14 @@ def zeta(sigma: float) -> float:
         return float(mpmath.zeta(sigma))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _pair_coeffs(sigma: float) -> tuple[float, ...]:
     """c_j = 2 binom(sigma+2j-1, 2j) zeta(sigma+2j, 2) for j = 0, 1, ...
     until j > 2 and c_j 4**-j < 2**(sigma+1-64), 2**(sigma+1) being the
     least pair sum on (0, 1/2].  zeta(s, 2) is 2**-s above s = 100, where
-    (2/3)**s is below rounding (mpmath.fp.zeta overflows from s ~ 227)."""
+    (2/3)**s is below rounding (mpmath.fp.zeta overflows from s ~ 227).
+    A level sum, a D sweep or a DFT table reuses one sigma, so the last
+    256 are kept (about 0.7 KiB each), not every sigma a scan visits."""
     out, binom = [], 1.0
     for j in itertools.count():
         s = sigma + 2 * j
@@ -182,8 +187,10 @@ def _pair_coeffs(sigma: float) -> tuple[float, ...]:
         binom *= s * (s + 1) / ((2 * j + 1) * (2 * j + 2))
 
 
-def _hurwitz_pair(sigma: float, a: np.ndarray) -> np.ndarray:
-    """zeta(sigma, a) + zeta(sigma, 1 - a) for a in (0, 1), float64.
+def _hurwitz_pair(sigma: float, a: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+    """zeta(sigma, a) + zeta(sigma, 1 - a) for a in (0, 1), float64, or
+    that pair over scale**sigma where a float64 array scale of a's shape
+    is given.
 
     With b = min(a, 1 - a) it is b**-sigma + (1-b)**-sigma + (1+b)**-sigma
     + sum_j c_j b**2j: the even Taylor series about a = 1 (DLMF 25.11.10)
@@ -191,8 +198,11 @@ def _hurwitz_pair(sigma: float, a: np.ndarray) -> np.ndarray:
     cached _pair_coeffs; at b <= 1/2 its terms shrink by 4 or more.  1 - b
     is carried as a double plus its exact rounding error.  Relative error
     below 5e-16 against zeta at the double a for 1 < sigma <= 40; a term
-    past float64 is inf, without numpy's warning.  Every array is formed
-    in place, a's own left as it is: the head
+    past float64 is inf, without numpy's warning.  With scale each head
+    term is divided by its own power, (scale*b)**-sigma and so on, and
+    the series by scale**-sigma, so no power leaves float64 where the
+    unscaled ones do not (scale**sigma alone may).  Every array is formed
+    in place, a's and scale's own left as they are: the head
     b**-sigma + u**-sigma * (1 - sigma*du/u) + (1+b)**-sigma in that
     order, then the series, so it holds at most four arrays of a's size.
     """
@@ -205,16 +215,27 @@ def _hurwitz_pair(sigma: float, a: np.ndarray) -> np.ndarray:
     du /= u
     np.subtract(1.0, du, out=du)
     with np.errstate(over="ignore"):
-        head = b ** -sigma
+        if scale is None:
+            head = b ** -sigma
+        else:
+            head = np.multiply(scale, b)
+            head **= -sigma
+            u *= scale
         np.power(u, -sigma, out=u)
         u *= du
         head += u
         np.add(1.0, b, out=du)
+        if scale is not None:
+            du *= scale
         np.power(du, -sigma, out=du)
         head += du
+        series_scale = None if scale is None else np.power(scale, -sigma, out=du)
     del u, du
     b *= b
-    head += _horner(_pair_coeffs(sigma), b)
+    series = _horner(_pair_coeffs(sigma), b)
+    if series_scale is not None:
+        series *= series_scale
+    head += series
     return head.reshape(np.shape(a))
 
 
@@ -282,6 +303,20 @@ class Kernel:
     def eval(self, t: float) -> float:
         """f(t) as a Python float: eval_many at the double t."""
         return float(self.eval_many(np.float64(t)))
+
+    def d_term(self, x: np.ndarray, pw: np.ndarray, sg, f0, out: np.ndarray,
+               work: np.ndarray) -> None:
+        """Write f0*f(x)/(pw*sin(pi*x))**sg, the row term of D
+        (asymptotics._one_sided) with pw = pi*w, into out.  x, pw, out and
+        the scratch array work share the sweep's float dtype, and so do
+        the scalars sg and f0; it runs in that dtype, in the order of the
+        expression."""
+        np.multiply(x.dtype.type(_PI_STR), x, out=work)
+        np.sin(work, out=work)
+        work *= pw  # pi * w * sin(pi * x)
+        work **= sg
+        np.multiply(f0, self.eval_many(x), out=out)
+        out /= work
 
 
 @dataclass(frozen=True)
@@ -351,7 +386,9 @@ class One(Trig):
 @dataclass(frozen=True)
 class FSigma(Kernel):
     """sin(pi t)**sigma * (zeta(sigma, t) + zeta(sigma, 1 - t)), continued
-    by pi**sigma at t = 0; eval_many runs at double."""
+    by pi**sigma at t = 0; eval_many runs at double, and so does the D
+    sweep's term (d_term), which cancels the sines at the weight's own
+    sigma and forms the Hurwitz pair alone, in both precision passes."""
 
     kind = "fsigma"
     coeffs = label = trig_coeffs = None
@@ -402,6 +439,25 @@ class FSigma(Kernel):
         b *= pair  # sin(pi b)**sigma * pair
         b[zero] = at_zero
         return b.reshape(t.shape).astype(t.dtype, copy=False)
+
+    def d_term(self, x: np.ndarray, pw: np.ndarray, sg, f0, out: np.ndarray,
+               work: np.ndarray) -> None:
+        """Kernel.d_term with the weight's sines cancelled where sg is its
+        own sigma: f0*(zeta(sigma, b) + zeta(sigma, 1 - b))/pw**sigma with
+        b = min(x, 1 - x).  The pair over pw**sigma is formed at double,
+        from x and pw rounded to double, by _hurwitz_pair's scaled form,
+        which takes no power past float64 where the sweep's own do not;
+        so neither pass forms a sine or a power in its own dtype.  The
+        pair is multiplied in out's dtype by f0*(f0/pi**sigma): f0/pi**sigma
+        is 1 but for the rounding of f0, which the sweep's flat weight
+        f0**2/pi**(2*sigma) carries too, so the terms carry it as the
+        weight they tend to does.  At another sg it is Kernel.d_term."""
+        if sg != self.sigma:
+            super().d_term(x, pw, sg, f0, out, work)
+            return
+        np.copyto(out, _hurwitz_pair(self.sigma, x.astype(np.float64, copy=False),
+                                     pw.astype(np.float64, copy=False)))
+        out *= f0 * (f0 / x.dtype.type(_PI_STR) ** sg)
 
     def eval_mp(self, t) -> mpmath.mpf:
         t = mpmath.frac(t)

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from fiblat.asymptotics import (
     residual_fit,
     ZETA_ROUTES,
 )
-from fiblat.kernels import FSigma, kernel_bernoulli_weight, kernel_one, parse_kernel
+from fiblat.kernels import FSigma, _pair_coeffs, kernel_bernoulli_weight, kernel_one, parse_kernel
 from fiblat.wythoff import row, row_table
 
 
@@ -83,11 +84,31 @@ def _oracle_offset(sigma, kernel, i_max, k_max, prec=100):
 
 
 def test_offset_sweep_matches_mp_oracle():
+    # FSigma at its own sigma cancels its sines; FSigma(3.0) at 2.5 keeps them
     for sigma, kernel in ((2.0, kernel_one()), (2.5, FSigma(2.5)),
-                          (4.0, kernel_bernoulli_weight(4))):
+                          (4.0, kernel_bernoulli_weight(4)), (3.5, FSigma(3.5)),
+                          (6.0, FSigma(6.0)), (2.5, FSigma(3.0))):
         want = _oracle_offset(sigma, kernel, 12, 32)
         got = constant_D(sigma, kernel, i_max=12, k_max=32)
         assert got.value == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("dtype", [np.longdouble, np.float64])
+def test_fsigma_d_terms_past_the_float64_power_are_kept(dtype):
+    # row 3 at sigma 22: (pi*w)**22 passes 1.8e308 from k = 62, so the pair
+    # over that power would drop the last terms; the scaled pair keeps them
+    sigma, k_max = 22.0, 64
+    kernel = FSigma(sigma)
+    r = row(3)
+    assert (r.eta, r.mu) == (4, 5)
+    assert math.pi * r.entry(62) > sys.float_info.max ** (1 / sigma)
+    tab = row_table(8)
+    got = asymptotics._d_chunk(tab, 2, 3, sigma, kernel, k_max, tab.i_max, dtype)[0]
+    with mpmath.workprec(200):
+        base = asymptotics._pref_mp(sigma, kernel.eval_mp(0)) / mpmath.mpf(r.eta) ** sigma
+        want = (delta_mp(3, sigma, kernel, k_max=k_max)
+                + delta_star_mp(3, sigma, kernel, j_max=k_max) - base * (r.mu + 1))
+    assert abs(float(got) - want) <= 1e-12 * abs(want), (float(got), float(want))
 
 
 def test_row_one_is_self_dual():
@@ -522,17 +543,38 @@ def test_d_sweep_bits_are_pinned(case):
     assert d.precision_gap.hex() in gaps, d.precision_gap.hex()
 
 
+def _scaled_pair_expr(sigma, a, s):
+    """kernels._hurwitz_pair(sigma, a, s) as whole-array expressions: each
+    head term over its own power of s, the series over s**sigma."""
+    b = np.minimum(a, 1.0 - a)
+    u = 1.0 - b
+    du = (1.0 - u) - b
+    head = ((s * b) ** -sigma + (s * u) ** -sigma * (1.0 - sigma * du / u)
+            + (s * (1.0 + b)) ** -sigma)
+    series = 0
+    for c in reversed(_pair_coeffs(sigma)):
+        series = series * (b * b) + c
+    return head + series * s ** -sigma
+
+
 def _one_sided_expr(acc, x0, w0, sign, kernel, k_max, sg, f0, base, pi, phi, sqrt5):
     """The row sweep's terms as whole-array expressions: the form
-    asymptotics._one_sided works in place."""
+    asymptotics._one_sided works in place.  The fsigma weight at its own
+    sigma cancels its sines: f0*(f0/pi**sigma) times the Hurwitz pair
+    over (pi*w)**sigma, the pair formed at double."""
     prev_t = last_t = None
     for k in range(1, k_max + 1):
         pk = phi ** k
         x = x0 * (1 / pk)
         sx = sign * x
         w = (w0 * pk + (sx if k % 2 == 0 else -sx)) / sqrt5
-        g = pi * w * np.sin(pi * x)
-        t = f0 * kernel.eval_many(x) / g ** sg - base
+        if isinstance(kernel, FSigma) and sg == kernel.sigma:
+            pair = _scaled_pair_expr(kernel.sigma, x.astype(np.float64),
+                                     (pi * w).astype(np.float64))
+            t = f0 * (f0 / pi ** sg) * pair - base
+        else:
+            g = pi * w * np.sin(pi * x)
+            t = f0 * kernel.eval_many(x) / g ** sg - base
         acc += t
         prev_t, last_t = last_t, t
     return asymptotics._tail_mass(last_t, prev_t)

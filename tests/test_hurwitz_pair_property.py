@@ -60,3 +60,18 @@ def _pair_expr(sigma, a):
 def test_pair_engine_is_bit_equal_to_the_expression(sigma, a):
     a = np.array(a)
     assert _hurwitz_pair(sigma, a).tobytes() == _pair_expr(sigma, a).tobytes(), (sigma, a)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sigma=st.floats(1.01, 40.0), a=_OFFSETS, scale=st.floats(1.0, 1e12))
+def test_scaled_pair_against_mpmath(sigma, a, scale):
+    # each head term over its own power of scale: the pair over
+    # scale**sigma, with scale's rounding in each product on top
+    b = min(a, 1.0 - a)
+    assume(sigma * -math.log10(b) < 300)
+    got = float(_hurwitz_pair(sigma, np.array([a]), np.array([scale]))[0])
+    with mpmath.workprec(120):
+        x = mpmath.mpf(a)
+        want = (mpmath.zeta(sigma, x) + mpmath.zeta(sigma, 1 - x)) / mpmath.mpf(scale) ** sigma
+        assume(want > 1e-300)  # the head term is a normal double
+        assert abs(got - want) <= (2e-15 + sigma * 2.0 ** -52) * want, (sigma, a, scale)

@@ -402,6 +402,19 @@ def test_pair_coeffs_are_built_once_per_sigma():
     assert info.hits == 5
 
 
+def test_pair_coeffs_cache_is_bounded():
+    # a 2000-sigma scan keeps at most the cache's bound, and every pair
+    # rebuilt after eviction has the bits it had
+    _pair_coeffs.cache_clear()
+    sigmas = [1.01 + 0.0195 * j for j in range(2000)]
+    a = np.array([1e-3, 0.3, 0.5])
+    first = [_hurwitz_pair(sigma, a).tobytes() for sigma in sigmas]
+    info = _pair_coeffs.cache_info()
+    assert info.currsize <= info.maxsize <= 1000, info
+    assert [_hurwitz_pair(sigma, a).tobytes() for sigma in sigmas] == first
+    assert _pair_coeffs.cache_info().currsize <= info.maxsize
+
+
 def test_f_sigma_outside_float64_is_a_value_error():
     # zeta(40, 1e-9) ~ 1e360; the weight itself is finite there, ~pi**40,
     # but it forms the zeta values and refuses instead of raising
